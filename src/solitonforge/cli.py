@@ -5,7 +5,8 @@ Subcommands
     verify      solve + full verification suite (exit 0 iff all checks pass)
     curvature   solve + curvature report
     oracle      solve + independent second-order cross-validation
-    ricci-flat  solve in Ricci-flat mode and report the flatness residuals
+    ricci-flat  solve in Ricci-flat mode, report the flatness residuals
+                (exit 0 iff |L|, |H - 1| <= 1e-8 and |Ric| <= 1e-6)
     sweep       grid of seed-coefficient ratios, one output set per point
 
 Config files are strict JSON: unknown keys are rejected so a misspelled
@@ -363,9 +364,10 @@ def cmd_ricci_flat(cfg: RunConfig) -> int:
              "max_abs_ricci": max_ric,
              "max_abs_u_dot": float(np.abs(profile.u_dot).max())}
     _export_run(cfg, traj, profile, extra_json=extra)
+    flat = max_L <= 1e-8 and max_H <= 1e-8 and max_ric <= 1e-6
     print(f"ricci-flat: |L| <= {max_L:.3e}, |H-1| <= {max_H:.3e}, "
-          f"|Ric| <= {max_ric:.3e}")
-    return 0
+          f"|Ric| <= {max_ric:.3e} ({'PASS' if flat else 'FAIL'})")
+    return 0 if flat else 1
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

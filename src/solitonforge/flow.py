@@ -28,7 +28,7 @@ from .errors import (
     SeedLeavesWrongRegion,
     StepLimitExceeded,
 )
-from .model import Mode, ProblemSpec, constants, critical_point
+from .model import Mode, ProblemSpec, critical_point
 from .phase import PhasePoint
 
 # Allowance for roundoff plateaus in the monotonicity check: near the

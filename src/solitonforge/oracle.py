@@ -23,7 +23,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import BlowUp, NoOverlap, OutOfRange, StepLimitExceeded
-from .model import ProblemSpec
+from .model import Mode, ProblemSpec
 from .reconstruct import MetricProfile
 
 
@@ -143,6 +143,8 @@ def compare_profiles(profile: MetricProfile, run: OracleRun) -> dict[str, float]
     """Max relative deviation per field over the overlapping t-range.
 
     The oracle's dense output is evaluated on the profile's own t-grid.
+    The u_dot deviation is taken relative to max |u_dot| in soliton mode
+    and to max |w| in Ricci-flat mode, where u_dot is identically zero.
     """
     t = profile.t
     mask = (t >= run.t[0]) & (t <= run.t[-1])
@@ -158,7 +160,12 @@ def compare_profiles(profile: MetricProfile, run: OracleRun) -> dict[str, float]
     dev = {}
     g_dev = np.abs(profile.g[mask] - yo[:r].T) / scale(profile.g[mask])
     gd_dev = np.abs(profile.g_dot[mask] - yo[r:2 * r].T) / scale(profile.g_dot[mask])
-    ud_ref = np.maximum(np.abs(profile.u_dot[mask]).max(), 1e-30)
+    if profile.spec.mode is Mode.RICCI_FLAT:
+        # u_dot vanishes identically, so its own size is roundoff; measure
+        # it against the frame factor w = -u_dot + tr L instead
+        ud_ref = np.abs(profile.w[mask]).max()
+    else:
+        ud_ref = np.maximum(np.abs(profile.u_dot[mask]).max(), 1e-30)
     ud_dev = np.abs(profile.u_dot[mask] - yo[-1]) / ud_ref
     dev["g"] = float(g_dev.max())
     dev["g_dot"] = float(gd_dev.max())

@@ -7,6 +7,16 @@ log w, where w = -du/dt + tr L is the frame factor relating s to t
 vanishes identically and w is integrated from (log w)' = -sum(X^2) with
 the gauge w(s_0) = 1.
 
+The quadratures need no second integrator: every accepted step of the
+flow carries a fixed Gauss-Legendre rule, evaluated in one vectorised
+call of the trajectory's dense output (so each node is read from its own
+step's interpolant), and the per-step increments are summed.  The Radau
+interpolant is a cubic in s on each step, so the rule is exact for the
+polynomial integrands H - 1 and sum(X^2); sqrt(L / C) and 1 / w are
+smooth there and the rule has converged far below the flow's tolerance.
+In Ricci-flat mode the t integrand needs log w inside each step, which a
+nested rule on [s_k, node] supplies.
+
 The un-sampled tail below the first sample is estimated from the exact
 exponential rates at the critical point: L ~ e^{2 b^2 s} gives
 t_0 = sqrt(L(s_0)/C) / b^2 (soliton) and t_0 = 1/(w(s_0) b^2)
@@ -18,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NonNegativeL, QuadratureFailure, ZeroY
 from .flow import Trajectory
@@ -58,14 +67,10 @@ class MetricProfile:
         return (self.spec.dims * self.g_dot / self.g).sum(axis=1)
 
 
-def _frame_factor(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
-    """w per sample; also validates the mode's sign conditions."""
-    if spec.mode is Mode.SOLITON:
-        if np.any(traj.L >= 0):
-            raise NonNegativeL("soliton reconstruction requires L < 0 throughout")
-        return np.sqrt(spec.gauge_C / traj.L)
-    log_w = _cumulative(traj, spec)[:, 0]
-    return np.exp(log_w)
+# Gauss-Legendre points per accepted step.  Four make the rule exact for
+# polynomials of degree 7, which covers sum(X^2) on a cubic interpolant.
+_GL_POINTS = 4
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
 
 
 def _cumulative(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
@@ -74,62 +79,54 @@ def _cumulative(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
     Returns per-sample columns [t_rel, u] in soliton mode and
     [log w, t_rel, u] in Ricci-flat mode, all zero at the first sample.
     """
-    sqrt_d = np.sqrt(spec.dims)
     r = spec.r
+    q = _GL_POINTS
+    m = traj.s.size - 1
+    sqrt_d = np.sqrt(spec.dims)
+    s_k = traj.s[:-1, None]
+    half = 0.5 * np.diff(traj.s)[:, None]
+    nodes = s_k + half * (1.0 + _GL_X)           # (step, node)
+    weights = half * _GL_W
     ricci_flat = spec.mode is Mode.RICCI_FLAT
 
-    def rhs(s, z):
-        y = traj.dense(s)
-        X = y[:r]
-        sy2 = y[r:] @ y[r:]
-        sx2 = X @ X
-        h_minus_1 = sqrt_d @ X - 1.0
-        if ricci_flat:
-            return [-sx2, np.exp(-z[0]), h_minus_1]
-        ell = sx2 + sy2 - 1.0
-        return [np.sqrt(ell / spec.gauge_C), h_minus_1]
+    if ricci_flat:
+        # log w at each node: log w(s_k) plus a nested rule on [s_k, node]
+        sub_half = 0.5 * (nodes - s_k)[:, :, None]
+        sub_nodes = s_k[:, :, None] + sub_half * (1.0 + _GL_X)
+        y = traj.dense(np.concatenate([nodes.ravel(), sub_nodes.ravel()]))
+    else:
+        y = traj.dense(nodes.ravel())
+    X, Y = y[:r], y[r:]
+    sx2 = np.einsum("ij,ij->j", X, X)
+    h_minus_1 = sqrt_d @ X[:, : m * q] - 1.0
+    du = (weights * h_minus_1.reshape(m, q)).sum(axis=1)
 
-    z0 = np.zeros(3 if ricci_flat else 2)
-    sol = solve_ivp(
-        rhs,
-        (traj.s[0], traj.s[-1]),
-        z0,
-        method="DOP853",
-        t_eval=traj.s,
-        rtol=1e-12,
-        atol=1e-14,
-    )
-    if not sol.success:
-        raise QuadratureFailure(f"cumulative quadrature failed: {sol.message}")
-    return sol.y.T
+    if ricci_flat:
+        dlog_w = -(weights * sx2[: m * q].reshape(m, q)).sum(axis=1)
+        log_w_k = np.concatenate([[0.0], np.cumsum(dlog_w)[:-1]])
+        sub_sx2 = sx2[m * q:].reshape(m, q, q)
+        node_log_w = log_w_k[:, None] - (sub_half * _GL_W * sub_sx2).sum(axis=2)
+        dt = (weights * np.exp(-node_log_w)).sum(axis=1)
+        increments = np.column_stack([dlog_w, dt, du])
+    else:
+        ell = sx2 + np.einsum("ij,ij->j", Y, Y) - 1.0
+        dt = (weights * np.sqrt(ell.reshape(m, q) / spec.gauge_C)).sum(axis=1)
+        increments = np.column_stack([dt, du])
 
-
-def arclength(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
-    """t per sample, including the tail estimate below the first sample."""
-    return build_profile(traj, spec).t
+    cum = np.cumsum(increments, axis=0)
+    bad = ~np.isfinite(increments).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise QuadratureFailure(
+            f"cumulative quadrature is not finite on the step "
+            f"[{traj.s[k]:.6g}, {traj.s[k + 1]:.6g}]"
+        )
+    return np.vstack([np.zeros(increments.shape[1]), cum])
 
 
 def _tail_t0(traj: Trajectory, spec: ProblemSpec, w: np.ndarray) -> float:
     beta2 = constants(spec).beta ** 2
     return (1.0 / w[0]) / beta2
-
-
-def warping_functions(traj: Trajectory, spec: ProblemSpec, t: np.ndarray):
-    """(g, g_dot, g_ddot) per sample from the closed-form substitutions."""
-    p = build_profile(traj, spec)
-    return p.g, p.g_dot, p.g_ddot
-
-
-def third_derivative(traj: Trajectory, spec: ProblemSpec, k: int) -> np.ndarray:
-    """d^3 g_i / dt^3 at sample k, one value per factor."""
-    p = build_profile(traj, spec)
-    return p.g_dddot[k]
-
-
-def potential(traj: Trajectory, spec: ProblemSpec, t: np.ndarray):
-    """(u, u_dot, u_ddot) per sample, gauge u(s_0) = 0."""
-    p = build_profile(traj, spec)
-    return p.u, p.u_dot, p.u_ddot
 
 
 def build_profile(traj: Trajectory, spec: ProblemSpec) -> MetricProfile:
@@ -144,12 +141,15 @@ def build_profile(traj: Trajectory, spec: ProblemSpec) -> MetricProfile:
     sqrt_d = np.sqrt(d)
     X, Y = traj.X, traj.Y
 
-    w = _frame_factor(traj, spec)
+    if spec.mode is Mode.SOLITON and np.any(traj.L >= 0):
+        raise NonNegativeL("soliton reconstruction requires L < 0 throughout")
     cum = _cumulative(traj, spec)
     if spec.mode is Mode.RICCI_FLAT:
-        t_rel, u = cum[:, 1], cum[:, 2]
+        log_w, t_rel, u = cum.T
+        w = np.exp(log_w)
     else:
-        t_rel, u = cum[:, 0], cum[:, 1]
+        t_rel, u = cum.T
+        w = np.sqrt(spec.gauge_C / traj.L)
     t = _tail_t0(traj, spec, w) + t_rel
     if np.any(np.diff(t) <= 0):
         raise QuadratureFailure("recovered arclength is not strictly increasing")

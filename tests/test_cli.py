@@ -1,12 +1,13 @@
 """Config parsing, exports, and subcommand behavior."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from solitonforge import cli
+from solitonforge import cli, flow, geometry
 from solitonforge.errors import ParseError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -180,3 +181,38 @@ class TestSubcommands:
         sa = json.loads((a / "profile.json").read_text())
         sb = json.loads((b / "profile.json").read_text())
         assert sa["seed_coeffs"] != sb["seed_coeffs"]
+
+
+class TestRicciFlatGates:
+    def test_oracle_exit_zero(self, tmp_path):
+        """u_dot vanishes in Ricci-flat mode; its deviation is measured
+        against w, not against its own roundoff-sized maximum."""
+        path = os.path.join(CONFIG_DIR, "ricci_flat_d2_3.json")
+        assert cli.main(["oracle", "--config", path, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "profile.json").read_text())
+        assert summary["oracle_deviations"]["u_dot"] <= 1e-6
+
+    @pytest.mark.parametrize("bump, code", [
+        ({}, 0),
+        ({"ricci": 2e-6}, 1),
+        ({"L": 2e-8}, 1),
+        ({"H": 2e-8}, 1),
+    ])
+    def test_ricci_flat_exit_follows_residuals(self, tmp_path, monkeypatch,
+                                               capsys, bump, code):
+        run, ricci = flow.run, geometry.ricci_components
+
+        def bumped_run(spec):
+            traj = run(spec)
+            return dataclasses.replace(traj, L=traj.L + bump.get("L", 0.0),
+                                       H=traj.H + bump.get("H", 0.0))
+
+        def bumped_ricci(profile, spec):
+            ric_tt, ric_factor = ricci(profile, spec)
+            return ric_tt + bump.get("ricci", 0.0), ric_factor
+
+        monkeypatch.setattr(flow, "run", bumped_run)
+        monkeypatch.setattr(geometry, "ricci_components", bumped_ricci)
+        path = os.path.join(CONFIG_DIR, "ricci_flat_d2_3.json")
+        assert cli.main(["ricci-flat", "--config", path, "--out", str(tmp_path)]) == code
+        assert ("FAIL" in capsys.readouterr().out) == (code == 1)

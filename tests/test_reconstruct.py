@@ -8,8 +8,11 @@ import pytest
 
 import solitonforge as sf
 from solitonforge import reconstruct
+from solitonforge.errors import QuadratureFailure
 
-from conftest import MULTI_FACTOR_CASES, SOLITON_CASES, make_spec
+from conftest import MULTI_FACTOR_CASES, RICCI_FLAT_CASES, SOLITON_CASES, make_spec
+
+SINGLE_FACTOR_CASES = [k for k in SOLITON_CASES if k not in MULTI_FACTOR_CASES]
 
 
 class TestConservationIdentity:
@@ -159,3 +162,89 @@ class TestPotential:
         prof = pipeline("rf_d2_3").profile
         assert np.abs(prof.u_dot).max() <= 1e-12
         assert np.abs(prof.u).max() <= 1e-10
+
+
+def _t_rel_by_rule(traj, spec, points):
+    """t - t[0] from a `points`-point Gauss-Legendre rule on every step,
+    one step at a time (log w by a nested rule in Ricci-flat mode)."""
+    x, wx = np.polynomial.legendre.leggauss(points)
+    r = spec.r
+
+    def sum_x2(s):
+        X = traj.dense(s.ravel())[:r]
+        return (X * X).sum(axis=0).reshape(s.shape)
+
+    t_rel = np.zeros(traj.s.size)
+    log_w = 0.0
+    for k in range(traj.s.size - 1):
+        a, b = traj.s[k], traj.s[k + 1]
+        half = 0.5 * (b - a)
+        nodes = a + half * (1.0 + x)
+        if spec.mode is sf.Mode.RICCI_FLAT:
+            sub_half = 0.5 * (nodes - a)
+            sub_nodes = a + sub_half[:, None] * (1.0 + x)
+            integrand = np.exp(-(log_w - sub_half * (sum_x2(sub_nodes) @ wx)))
+            log_w -= half * (wx @ sum_x2(nodes))
+        else:
+            y = traj.dense(nodes)
+            integrand = np.sqrt(((y * y).sum(axis=0) - 1.0) / spec.gauge_C)
+        t_rel[k + 1] = t_rel[k] + half * (wx @ integrand)
+    return t_rel
+
+
+class TestCumulativeQuadrature:
+    """t, u and log w against references that bypass reconstruct's
+    quadrature, and its failure path."""
+
+    @pytest.mark.parametrize("name", SINGLE_FACTOR_CASES)
+    def test_soliton_u_log_identity(self, pipeline, name):
+        """u' = H - 1 = (n/2)(log |L|)' - sum_i d_i (log Y_i)' - 1 along the
+        flow, so u = (n/2) log(L/L_0) - sum_i d_i log(Y_i/Y_i0) - (s - s_0).
+        Near the seed and the origin L or Y is resolved only to the flow's
+        atol, so the samples compared have |L|, Y_i >= 1e-3."""
+        case = pipeline(name)
+        prof, traj, spec = case.profile, case.traj, case.spec
+        n = spec.dims.sum()
+        identity = (
+            0.5 * n * np.log(traj.L / traj.L[0])
+            - (spec.dims * np.log(traj.Y / traj.Y[0])).sum(axis=1)
+            - (traj.s - traj.s[0])
+        )
+        mask = (np.abs(traj.L) >= 1e-3) & (traj.Y >= 1e-3).all(axis=1)
+        assert mask.sum() >= 100
+        err = np.abs(prof.u - identity)[mask]
+        assert np.all(err <= 1e-6 * np.maximum(np.abs(prof.u[mask]), 1.0))
+
+    @pytest.mark.parametrize("name", RICCI_FLAT_CASES)
+    def test_ricci_flat_log_w_identity(self, pipeline, name):
+        """With H = 1, sum_i d_i (log Y_i)' = n sum(X^2) - 1, so
+        log w = -(sum_i d_i log(Y_i/Y_i0) + s - s_0) / n."""
+        case = pipeline(name)
+        prof, traj, spec = case.profile, case.traj, case.spec
+        identity = -(
+            (spec.dims * np.log(traj.Y / traj.Y[0])).sum(axis=1)
+            + traj.s - traj.s[0]
+        ) / spec.dims.sum()
+        assert np.abs(np.log(prof.w) - identity).max() <= 1e-7
+
+    @pytest.mark.parametrize("name", ["d2", "d2_2_3", "rf_d2_3"])
+    def test_rule_converged(self, pipeline, name):
+        """The shipped rule agrees with a 10-point rule on the same steps."""
+        case = pipeline(name)
+        prof = case.profile
+        ref = prof.t[0] + _t_rel_by_rule(case.traj, case.spec, 10)
+        assert np.all(np.abs(prof.t - ref) <= 1e-9 * prof.t)
+
+    def test_non_finite_increment_raises(self, pipeline):
+        case = pipeline("d2")
+        traj = case.traj
+        s_bad = traj.s[100]
+
+        def dense(s):
+            y = traj.dense(s)
+            y[:, np.asarray(s) > s_bad] = np.nan
+            return y
+
+        broken = dataclasses.replace(traj, dense=dense)
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            reconstruct.build_profile(broken, case.spec)
