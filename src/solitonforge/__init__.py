@@ -10,7 +10,6 @@ integration cross-validates the result (``oracle``), and ``verify`` turns
 each analytic claim into a named, tolerance-checked test.
 """
 
-from .cli import RunConfig, parse_config
 from .errors import SolitonForgeError, ValidationError
 from .flow import Trajectory, integrate, run, seed
 from .geometry import (
@@ -43,6 +42,20 @@ from .reconstruct import MetricProfile, build_profile
 from .verify import VerifyReport, richardson_extrapolate, run_suite
 
 __version__ = "0.1.0"
+
+# ``cli`` is imported on first use rather than here, so that
+# ``python -m solitonforge.cli`` does not find it already in sys.modules
+# (which makes runpy warn) when it imports the package first.
+_CLI_NAMES = ("RunConfig", "parse_config")
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AsymptoticsReport",

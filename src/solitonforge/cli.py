@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -64,6 +65,17 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
             raise ParseError(f"unknown key {key!r} in {where}")
 
 
+def _tolerance(value, key: str) -> float:
+    """An integrator tolerance: a finite number > 0."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParseError(f"{key} must be a finite number > 0, got {value!r}")
+    return tol
+
+
 def parse_config(source: str, inline: bool = False) -> RunConfig:
     """Parse a strict JSON config from a path (or inline text)."""
     if inline:
@@ -91,7 +103,9 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
         _reject_unknown(f, _FACTOR_KEYS, f"factors[{k}]")
         if "dim" not in f:
             raise ParseError(f"factors[{k}] is missing 'dim'")
-        dim = int(f["dim"])
+        dim = f["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ParseError(f"factors[{k}].dim must be a positive integer, got {dim!r}")
         lam = float(f.get("lambda", dim - 1))
         factors.append(FactorSpec(dim=dim, einstein_const=lam))
 
@@ -103,8 +117,8 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
 
     controls = StepControls(
         initial_step=raw.get("initial_step"),
-        rtol=float(raw.get("rtol", 1e-10)),
-        atol=float(raw.get("atol", 1e-10)),
+        rtol=_tolerance(raw.get("rtol", 1e-10), "rtol"),
+        atol=_tolerance(raw.get("atol", 1e-10), "atol"),
         max_steps=int(raw.get("max_steps", 100_000)),
     )
     seed_coeffs = raw.get("seed_coeffs")
@@ -131,6 +145,9 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
     thin = int(out.get("thin", 1))
     if thin < 1:
         raise ParseError("output.thin must be >= 1")
+    plots = out.get("plots", [])
+    if not isinstance(plots, list) or not all(isinstance(p, str) for p in plots):
+        raise ParseError(f"output.plots must be a list of series names, got {plots!r}")
 
     sweep = raw.get("sweep", {})
     if not isinstance(sweep, dict):
@@ -142,7 +159,7 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
         out_dir=out.get("directory", os.environ.get(OUT_ENV_VAR, ".")),
         formats=formats,
         thin=thin,
-        plots=tuple(out.get("plots", ())),
+        plots=tuple(plots),
         sweep_coeff_index=int(sweep.get("coeff_index", 1)),
         sweep_ratios=tuple(float(v) for v in sweep.get("ratios", ())),
     )
@@ -445,8 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     spec = cfg.spec
     if args.tol is not None:
+        tol = _tolerance(args.tol, "--tol")
         spec = replace(spec, step_controls=replace(
-            spec.step_controls, rtol=args.tol, atol=args.tol))
+            spec.step_controls, rtol=tol, atol=tol))
     coeffs = list(spec.seed_coeffs)
     if args.seed_eps0 is not None:
         coeffs[0] = args.seed_eps0

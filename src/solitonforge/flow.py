@@ -11,14 +11,35 @@ at a rate of order one while the crawl toward the origin slows like 1/s,
 so an implicit method (Radau) is used; an explicit embedded pair would be
 stability-limited to O(1) steps and could never reach the origin
 tolerance in the available step budget.
+
+The systems here have at most a few unknowns (2r of them), so scipy's
+Radau spends most of each step in the Python wrappers around its LU
+solves rather than in arithmetic: ``lu_solve`` passes every right-hand
+side through batch dispatch, array conversion and a LAPACK lookup before
+reaching ``?getrs``.  ``integrate`` therefore replaces the solver's two
+LU hooks with closures that call ``?getrf``/``?getrs`` directly.  They
+make the same LAPACK calls on the same arrays, so the step sequence is
+unchanged bit for bit, and they keep every check of the scipy wrappers:
+``nlu`` counts each factorisation, a matrix or right-hand side holding
+an inf or NaN raises scipy's ``ValueError``, an illegal-argument
+``info < 0`` raises ``ValueError`` and a singular factor (``info > 0``)
+warns with ``LinAlgWarning``.
+
+The dense output keeps each accepted step's Radau interpolant as stacked
+arrays and evaluates any set of abscissae in one vectorised pass (one
+``searchsorted``, then one array operation per power of the local
+abscissa), instead of scipy's ``OdeSolution``, which calls one
+interpolant object per step.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import OdeSolution, Radau
+from scipy.integrate import Radau
+from scipy.linalg import LinAlgWarning, lapack
 
 from . import phase
 from .errors import (
@@ -35,6 +56,46 @@ from .phase import PhasePoint
 # origin L changes by less than one ulp per step.
 _MONOTONE_SLACK = 1e-13
 
+# LAPACK routines by the dtype character of the matrix: Radau factors one
+# real and one complex matrix per Jacobian update.
+_GETRF = {"d": lapack.dgetrf, "D": lapack.zgetrf}
+_GETRS = {"d": lapack.dgetrs, "D": lapack.zgetrs}
+_NOT_FINITE = "array must not contain infs or NaNs"
+
+
+class DenseOutput:
+    """Piecewise Radau interpolant over the accepted steps.
+
+    Step k covers [ts[k], ts[k+1]] and is y_old[k] + Q[k] @ (x, x^2, x^3)
+    with x = (s - t_old[k]) / h[k], the polynomial of scipy's
+    ``RadauDenseOutput``.  A call evaluates all abscissae at once; an
+    abscissa on a step boundary uses the earlier step and one outside the
+    range extrapolates from the nearest end step, as ``OdeSolution`` does.
+    """
+
+    def __init__(self, ts: np.ndarray, interpolants) -> None:
+        self.ts = ts
+        self.t_old = np.array([p.t_old for p in interpolants])
+        self.h = np.array([p.h for p in interpolants])
+        self.y_old = np.stack([p.y_old for p in interpolants])   # (step, n)
+        self.Q = np.stack([p.Q for p in interpolants])           # (step, n, 3)
+
+    def __call__(self, s) -> np.ndarray:
+        """States at the abscissae: shape (n,) for a scalar, else (n, N)."""
+        s = np.asarray(s, dtype=float)
+        flat = s.ravel()
+        k = np.searchsorted(self.ts, flat, side="left") - 1
+        np.clip(k, 0, self.t_old.size - 1, out=k)
+        x = (flat - self.t_old[k]) / self.h[k]
+        # one power at a time: gathering Q[k] whole would hold an
+        # (N, n, 3) copy, which shows in the peak memory of a request
+        y = self.y_old[k]
+        power = np.ones_like(x)
+        for j in range(self.Q.shape[2]):
+            power *= x
+            y += self.Q[k, :, j] * power[:, None]
+        return y[0] if s.ndim == 0 else y.T
+
 
 @dataclass
 class Trajectory:
@@ -49,7 +110,7 @@ class Trajectory:
     termination: str     # "origin" | "s_max"
     n_steps: int
     kappa_estimate: float
-    dense: OdeSolution | None = None
+    dense: DenseOutput | None = None
 
     @property
     def r(self) -> int:
@@ -142,6 +203,7 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
         jac=jac,
         first_step=sc.initial_step,
     )
+    _use_lapack_lu(solver)
 
     ss = [start.s]
     ys = [y0.copy()]
@@ -197,7 +259,7 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     Y = y_arr[:, r:]
     L = np.einsum("ij,ij->i", X, X) + np.einsum("ij,ij->i", Y, Y) - 1.0
     H = X @ sqrt_d
-    dense = OdeSolution(s_arr, interpolants) if interpolants else None
+    dense = DenseOutput(s_arr, interpolants) if interpolants else None
     return Trajectory(
         spec=spec,
         s=s_arr,
@@ -210,6 +272,42 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
         kappa_estimate=float(L[-1]),
         dense=dense,
     )
+
+
+def _use_lapack_lu(solver: Radau) -> None:
+    """Point the solver's LU hooks straight at LAPACK (see module docstring)."""
+
+    def lu(a):
+        solver.nlu += 1
+        if not np.isfinite(a).all():
+            raise ValueError(_NOT_FINITE)
+        code = a.dtype.char
+        factors, piv, info = _GETRF[code](a, overwrite_a=True)
+        if info < 0:
+            raise ValueError(
+                f"illegal value in {-info}th argument of internal getrf (lu_factor)"
+            )
+        if info > 0:
+            warnings.warn(
+                f"Diagonal number {info} is exactly zero. Singular matrix.",
+                LinAlgWarning,
+                stacklevel=2,
+            )
+        return factors, piv, _GETRS[code]
+
+    def solve_lu(factorisation, b):
+        factors, piv, getrs = factorisation
+        if not np.isfinite(b).all():
+            raise ValueError(_NOT_FINITE)
+        x, info = getrs(factors, piv, b, overwrite_b=True)
+        if info < 0:
+            raise ValueError(
+                f"illegal value in {-info}th argument of internal gesv|posv"
+            )
+        return x
+
+    solver.lu = lu
+    solver.solve_lu = solve_lu
 
 
 def _lyap(y: np.ndarray, r: int) -> float:

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -216,3 +218,56 @@ class TestRicciFlatGates:
         path = os.path.join(CONFIG_DIR, "ricci_flat_d2_3.json")
         assert cli.main(["ricci-flat", "--config", path, "--out", str(tmp_path)]) == code
         assert ("FAIL" in capsys.readouterr().out) == (code == 1)
+
+
+class TestConfigHardening:
+    """Malformed values fail with a ParseError naming the key (exit 2)."""
+
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", -1, 0, "tight", None])
+    def test_tolerance_must_be_finite_positive(self, tmp_path, key, value):
+        path = write_config(
+            tmp_path, {"factors": [{"dim": 2, "lambda": 1}], key: value}
+        )
+        with pytest.raises(ParseError, match=key):
+            cli.parse_config(path)
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-10", "0"])
+    def test_tol_override_must_be_finite_positive(self, tmp_path, tol):
+        path = write_config(tmp_path, {"factors": [{"dim": 2, "lambda": 1}]})
+        argv = ["solve", "--config", path, "--out", str(tmp_path), f"--tol={tol}"]
+        assert cli.main(argv) == 2
+
+    @pytest.mark.parametrize("dim", ["two", 2.7, 0, -3, True, "2"])
+    def test_dim_must_be_positive_integer(self, tmp_path, dim):
+        path = write_config(tmp_path, {"factors": [{"dim": 2}, {"dim": dim}]})
+        with pytest.raises(ParseError, match=r"factors\[1\]\.dim"):
+            cli.parse_config(path)
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("plots", [True, "u_vs_t", {"u_vs_t": 1}, [1]])
+    def test_plots_must_be_list(self, tmp_path, plots):
+        path = write_config(
+            tmp_path,
+            {"factors": [{"dim": 2, "lambda": 1}], "output": {"plots": plots}},
+        )
+        with pytest.raises(ParseError, match="output.plots"):
+            cli.parse_config(path)
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    """`python -m solitonforge.cli` must not find the module already
+    imported by the package (runpy's RuntimeWarning)."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "solitonforge.cli",
+         "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

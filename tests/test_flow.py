@@ -1,15 +1,21 @@
 """Seeding and adaptive integration of the phase flow."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution, Radau
+from scipy.integrate._ivp.radau import RadauDenseOutput
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 import solitonforge as sf
-from solitonforge import flow, phase
+from solitonforge import cli, flow, phase
 from solitonforge.errors import SeedLeavesWrongRegion, StepLimitExceeded
 
 from conftest import make_spec
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 class TestSeed:
@@ -137,3 +143,100 @@ class TestDenseSample:
         dX, dY = sf.vector_field(p0, spec)
         fd = (pp.as_vector() - pm.as_vector()) / (2 * h)
         assert fd == pytest.approx(np.concatenate([dX, dY]), rel=1e-6, abs=1e-10)
+
+
+def _config_spec(name):
+    return cli.parse_config(os.path.join(CONFIG_DIR, f"{name}.json")).spec
+
+
+class TestLapackLu:
+    """The LU hooks that call LAPACK directly, against scipy's own."""
+
+    @pytest.mark.parametrize("name", ["bryant_d2", "r3_d2_2_3", "ricci_flat_d2_3"])
+    def test_bit_identical_to_stock_hooks(self, monkeypatch, name):
+        spec = _config_spec(name)
+        hooked = sf.run(spec)
+        monkeypatch.setattr(flow, "_use_lapack_lu", lambda solver: None)
+        stock = sf.run(spec)
+        assert hooked.n_steps == stock.n_steps
+        for field in ("s", "X", "Y"):
+            assert np.array_equal(getattr(hooked, field), getattr(stock, field))
+
+    def test_nlu_counts_every_factorisation(self, monkeypatch):
+        solvers = []
+        calls = []
+
+        class Recorded(flow.Radau):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                solvers.append(self)
+
+        def counted(getrf):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return getrf(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(flow, "Radau", Recorded)
+        for code, getrf in list(flow._GETRF.items()):
+            monkeypatch.setitem(flow._GETRF, code, counted(getrf))
+        sf.run(make_spec("d2"))
+        [solver] = solvers
+        assert solver.nlu > 0
+        assert solver.nlu == len(calls)
+
+    @staticmethod
+    def _hooked_solver():
+        solver = Radau(lambda s, y: -y, 0.0, np.ones(2), t_bound=1.0)
+        flow._use_lapack_lu(solver)
+        return solver
+
+    def test_non_finite_rhs_raises_like_scipy(self):
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        b = np.array([1.0, np.nan])
+        with pytest.raises(ValueError) as stock:
+            lu_solve(lu_factor(a), b)
+        solver = self._hooked_solver()
+        with pytest.raises(ValueError) as hooked:
+            solver.solve_lu(solver.lu(a.copy()), b)
+        assert str(hooked.value) == str(stock.value)
+
+    def test_factorisation_checks_like_scipy(self):
+        solver = self._hooked_solver()
+        bad = np.array([[1.0, np.inf], [0.0, 1.0]])
+        with pytest.raises(ValueError) as stock:
+            lu_factor(bad)
+        with pytest.raises(ValueError) as hooked:
+            solver.lu(bad.copy())
+        assert str(hooked.value) == str(stock.value)
+        with pytest.warns(LinAlgWarning, match="Singular matrix"):
+            solver.lu(np.zeros((2, 2), dtype=complex))
+        assert solver.nlu == 2
+
+
+class TestDenseOutput:
+    """The stacked interpolant against scipy's OdeSolution over the same
+    per-step Radau polynomials."""
+
+    @pytest.mark.parametrize("name", ["d2_3", "rf_d2_2_3"])
+    def test_matches_ode_solution(self, pipeline, name):
+        dense = pipeline(name).traj.dense
+        ts = dense.ts
+        reference = OdeSolution(ts, [
+            RadauDenseOutput(ts[k], ts[k + 1], dense.y_old[k], dense.Q[k])
+            for k in range(ts.size - 1)
+        ])
+        rng = np.random.default_rng(0)
+        s = np.concatenate([
+            ts,                                       # step boundaries
+            rng.uniform(ts[0], ts[-1], 2000),
+            [ts[0] - 1.0, ts[-1] + 1.0],              # extrapolation
+        ])
+        expected = reference(s)
+        got = dense(s)
+        assert got.shape == expected.shape
+        tol = 8 * np.finfo(float).eps * np.abs(expected).max()
+        assert np.abs(got - expected).max() <= tol
+        scalar = dense(ts[7])
+        assert scalar.shape == (dense.y_old.shape[1],)
+        assert np.abs(scalar - reference(ts[7])).max() <= tol
