@@ -65,15 +65,42 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
             raise ParseError(f"unknown key {key!r} in {where}")
 
 
+def _as_float(value) -> float:
+    """float(value), or NaN for a value that does not convert."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _finite(value, key: str) -> float:
+    x = _as_float(value)
+    if not math.isfinite(x):
+        raise ParseError(f"{key} must be a finite number, got {value!r}")
+    return x
+
+
 def _tolerance(value, key: str) -> float:
     """An integrator tolerance: a finite number > 0."""
-    try:
-        tol = float(value)
-    except (TypeError, ValueError):
-        tol = math.nan
+    tol = _as_float(value)
     if not (math.isfinite(tol) and tol > 0):
         raise ParseError(f"{key} must be a finite number > 0, got {value!r}")
     return tol
+
+
+def _integer(value, key: str, positive: bool = False) -> int:
+    """A JSON integer: not a bool, and not a float such as 2.5."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (positive and value < 1)):
+        kind = "a positive integer" if positive else "an integer"
+        raise ParseError(f"{key} must be {kind}, got {value!r}")
+    return value
+
+
+def _numbers(value, key: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ParseError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(_finite(v, f"{key}[{i}]") for i, v in enumerate(value))
 
 
 def parse_config(source: str, inline: bool = False) -> RunConfig:
@@ -84,7 +111,7 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IoError(f"cannot read config {source}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -103,10 +130,8 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
         _reject_unknown(f, _FACTOR_KEYS, f"factors[{k}]")
         if "dim" not in f:
             raise ParseError(f"factors[{k}] is missing 'dim'")
-        dim = f["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise ParseError(f"factors[{k}].dim must be a positive integer, got {dim!r}")
-        lam = float(f.get("lambda", dim - 1))
+        dim = _integer(f["dim"], f"factors[{k}].dim", positive=True)
+        lam = _finite(f.get("lambda", dim - 1), f"factors[{k}].lambda")
         factors.append(FactorSpec(dim=dim, einstein_const=lam))
 
     mode_name = str(raw.get("mode", "soliton")).lower().replace("-", "_")
@@ -115,20 +140,31 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
     except KeyError:
         raise ParseError(f"unknown mode {raw.get('mode')!r}") from None
 
+    s_start = _finite(raw.get("s_start", 0.0), "s_start")
+    s_max = _finite(raw.get("s_max", 1e18), "s_max")
+    initial_step = raw.get("initial_step")
+    if initial_step is not None:
+        # the bounds of scipy's first_step, which the Radau stepper keeps
+        initial_step = _as_float(initial_step)
+        if not (math.isfinite(initial_step) and 0 < initial_step <= s_max - s_start):
+            raise ParseError(
+                "initial_step must be null or a finite number in "
+                f"(0, s_max - s_start], got {raw['initial_step']!r}"
+            )
     controls = StepControls(
-        initial_step=raw.get("initial_step"),
+        initial_step=initial_step,
         rtol=_tolerance(raw.get("rtol", 1e-10), "rtol"),
         atol=_tolerance(raw.get("atol", 1e-10), "atol"),
-        max_steps=int(raw.get("max_steps", 100_000)),
+        max_steps=_integer(raw.get("max_steps", 100_000), "max_steps", positive=True),
     )
     seed_coeffs = raw.get("seed_coeffs")
     spec = ProblemSpec(
         factors=tuple(factors),
-        gauge_C=float(raw.get("gauge_C", -1.0)),
-        seed_coeffs=None if seed_coeffs is None else tuple(float(v) for v in seed_coeffs),
-        s_start=float(raw.get("s_start", 0.0)),
-        s_max=float(raw.get("s_max", 1e18)),
-        origin_tol=float(raw.get("origin_tol", 1e-8)),
+        gauge_C=_finite(raw.get("gauge_C", -1.0), "gauge_C"),
+        seed_coeffs=None if seed_coeffs is None else _numbers(seed_coeffs, "seed_coeffs"),
+        s_start=s_start,
+        s_max=s_max,
+        origin_tol=_finite(raw.get("origin_tol", 1e-8), "origin_tol"),
         step_controls=controls,
         mode=mode,
     )
@@ -138,13 +174,16 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
     if not isinstance(out, dict):
         raise ParseError("config field 'output' must be an object")
     _reject_unknown(out, _OUTPUT_KEYS, "output")
-    formats = tuple(out.get("formats", ("csv", "json")))
+    formats = out.get("formats", ["csv", "json"])
+    if not isinstance(formats, list):
+        raise ParseError(f"output.formats must be a list, got {formats!r}")
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ParseError(f"unknown output format {fmt!r}")
-    thin = int(out.get("thin", 1))
-    if thin < 1:
-        raise ParseError("output.thin must be >= 1")
+    thin = _integer(out.get("thin", 1), "output.thin", positive=True)
+    out_dir = out.get("directory", os.environ.get(OUT_ENV_VAR, "."))
+    if not isinstance(out_dir, str):
+        raise ParseError(f"output.directory must be a string, got {out_dir!r}")
     plots = out.get("plots", [])
     if not isinstance(plots, list) or not all(isinstance(p, str) for p in plots):
         raise ParseError(f"output.plots must be a list of series names, got {plots!r}")
@@ -156,12 +195,12 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
 
     return RunConfig(
         spec=spec,
-        out_dir=out.get("directory", os.environ.get(OUT_ENV_VAR, ".")),
-        formats=formats,
+        out_dir=out_dir,
+        formats=tuple(formats),
         thin=thin,
         plots=tuple(plots),
-        sweep_coeff_index=int(sweep.get("coeff_index", 1)),
-        sweep_ratios=tuple(float(v) for v in sweep.get("ratios", ())),
+        sweep_coeff_index=_integer(sweep.get("coeff_index", 1), "sweep.coeff_index"),
+        sweep_ratios=_numbers(sweep.get("ratios", []), "sweep.ratios"),
     )
 
 

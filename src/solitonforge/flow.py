@@ -12,34 +12,22 @@ so an implicit method (Radau) is used; an explicit embedded pair would be
 stability-limited to O(1) steps and could never reach the origin
 tolerance in the available step budget.
 
-The systems here have at most a few unknowns (2r of them), so scipy's
-Radau spends most of each step in the Python wrappers around its LU
-solves rather than in arithmetic: ``lu_solve`` passes every right-hand
-side through batch dispatch, array conversion and a LAPACK lookup before
-reaching ``?getrs``.  ``integrate`` therefore replaces the solver's two
-LU hooks with closures that call ``?getrf``/``?getrs`` directly.  They
-make the same LAPACK calls on the same arrays, so the step sequence is
-unchanged bit for bit, and they keep every check of the scipy wrappers:
-``nlu`` counts each factorisation, a matrix or right-hand side holding
-an inf or NaN raises scipy's ``ValueError``, an illegal-argument
-``info < 0`` raises ``ValueError`` and a singular factor (``info > 0``)
-warns with ``LinAlgWarning``.
+The Radau stepper is the package's own (``radau.Radau``, a bit-for-bit
+mirror of scipy's), so importing the flow does not import
+``scipy.integrate``, and the projection replaces the stepper's public
+``y`` and ``f`` rather than scipy's private solver state.
 
 The dense output keeps each accepted step's Radau interpolant as stacked
 arrays and evaluates any set of abscissae in one vectorised pass (one
 ``searchsorted``, then one array operation per power of the local
-abscissa), instead of scipy's ``OdeSolution``, which calls one
-interpolant object per step.
+abscissa).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import Radau
-from scipy.linalg import LinAlgWarning, lapack
 
 from . import phase
 from .errors import (
@@ -51,34 +39,31 @@ from .errors import (
 )
 from .model import Mode, ProblemSpec, critical_point
 from .phase import PhasePoint
+from .radau import Radau
 
 # Allowance for roundoff plateaus in the monotonicity check: near the
 # origin L changes by less than one ulp per step.
 _MONOTONE_SLACK = 1e-13
-
-# LAPACK routines by the dtype character of the matrix: Radau factors one
-# real and one complex matrix per Jacobian update.
-_GETRF = {"d": lapack.dgetrf, "D": lapack.zgetrf}
-_GETRS = {"d": lapack.dgetrs, "D": lapack.zgetrs}
-_NOT_FINITE = "array must not contain infs or NaNs"
 
 
 class DenseOutput:
     """Piecewise Radau interpolant over the accepted steps.
 
     Step k covers [ts[k], ts[k+1]] and is y_old[k] + Q[k] @ (x, x^2, x^3)
-    with x = (s - t_old[k]) / h[k], the polynomial of scipy's
-    ``RadauDenseOutput``.  A call evaluates all abscissae at once; an
-    abscissa on a step boundary uses the earlier step and one outside the
-    range extrapolates from the nearest end step, as ``OdeSolution`` does.
+    with x = (s - t_old[k]) / h[k], the polynomial of the stepper's
+    ``dense`` tuple (and of scipy's ``RadauDenseOutput``).  A call
+    evaluates all abscissae at once; an abscissa on a step boundary uses
+    the earlier step and one outside the range extrapolates from the
+    nearest end step, as scipy's ``OdeSolution`` does.
     """
 
-    def __init__(self, ts: np.ndarray, interpolants) -> None:
+    def __init__(self, ts: np.ndarray, t_old: np.ndarray, h: np.ndarray,
+                 y_old: np.ndarray, Q: np.ndarray) -> None:
         self.ts = ts
-        self.t_old = np.array([p.t_old for p in interpolants])
-        self.h = np.array([p.h for p in interpolants])
-        self.y_old = np.stack([p.y_old for p in interpolants])   # (step, n)
-        self.Q = np.stack([p.Q for p in interpolants])           # (step, n, 3)
+        self.t_old = t_old
+        self.h = h
+        self.y_old = y_old   # (step, n)
+        self.Q = Q           # (step, n, 3)
 
     def __call__(self, s) -> np.ndarray:
         """States at the abscissae: shape (n,) for a scalar, else (n, N)."""
@@ -195,19 +180,18 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     stationary = float(np.sqrt(f0 @ f0)) < 1e-13  # seeded at the rest point
     solver = Radau(
         f,
+        jac,
         start.s,
         y0,
         t_bound=spec.s_max,
         rtol=sc.rtol,
         atol=sc.atol,
-        jac=jac,
         first_step=sc.initial_step,
     )
-    _use_lapack_lu(solver)
 
     ss = [start.s]
     ys = [y0.copy()]
-    interpolants = []
+    steps = []   # each accepted step's (t_old, h, y_old, Q)
     termination = "stationary" if stationary else "s_max"
     n_steps = 0
     r = spec.r
@@ -222,12 +206,12 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
         if solver.status == "failed":
             raise StepLimitExceeded(f"integrator failed at s={solver.t:.3e}: {msg}")
         n_steps += 1
-        interpolants.append(solver.dense_output())
+        steps.append(solver.dense)
 
         if spec.mode is Mode.RICCI_FLAT:
             projected = _project_ricci_flat(solver.y, spec)
             solver.y = projected
-            solver.f = f(solver.t, projected)
+            solver.f = phase.rhs(projected, sqrt_d)
 
         y = solver.y.copy()
         L = _lyap(y, r)
@@ -259,7 +243,7 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     Y = y_arr[:, r:]
     L = np.einsum("ij,ij->i", X, X) + np.einsum("ij,ij->i", Y, Y) - 1.0
     H = X @ sqrt_d
-    dense = DenseOutput(s_arr, interpolants) if interpolants else None
+    dense = DenseOutput(s_arr, *map(np.array, zip(*steps))) if steps else None
     return Trajectory(
         spec=spec,
         s=s_arr,
@@ -272,42 +256,6 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
         kappa_estimate=float(L[-1]),
         dense=dense,
     )
-
-
-def _use_lapack_lu(solver: Radau) -> None:
-    """Point the solver's LU hooks straight at LAPACK (see module docstring)."""
-
-    def lu(a):
-        solver.nlu += 1
-        if not np.isfinite(a).all():
-            raise ValueError(_NOT_FINITE)
-        code = a.dtype.char
-        factors, piv, info = _GETRF[code](a, overwrite_a=True)
-        if info < 0:
-            raise ValueError(
-                f"illegal value in {-info}th argument of internal getrf (lu_factor)"
-            )
-        if info > 0:
-            warnings.warn(
-                f"Diagonal number {info} is exactly zero. Singular matrix.",
-                LinAlgWarning,
-                stacklevel=2,
-            )
-        return factors, piv, _GETRS[code]
-
-    def solve_lu(factorisation, b):
-        factors, piv, getrs = factorisation
-        if not np.isfinite(b).all():
-            raise ValueError(_NOT_FINITE)
-        x, info = getrs(factors, piv, b, overwrite_b=True)
-        if info < 0:
-            raise ValueError(
-                f"illegal value in {-info}th argument of internal gesv|posv"
-            )
-        return x
-
-    solver.lu = lu
-    solver.solve_lu = solve_lu
 
 
 def _lyap(y: np.ndarray, r: int) -> float:

@@ -73,7 +73,10 @@ def soliton_residual(profile: MetricProfile, spec: ProblemSpec) -> float:
     Hess u is u_ddot on the normal direction and u_dot * g_dot/g on unit
     factor directions.
     """
-    ric_tt, ric_factor = ricci_components(profile, spec)
+    return _soliton_residual(profile, *ricci_components(profile, spec))
+
+
+def _soliton_residual(profile: MetricProfile, ric_tt, ric_factor) -> float:
     res_tt = np.abs(ric_tt + profile.u_ddot)
     res_factor = np.abs(
         ric_factor + profile.u_dot[:, None] * profile.g_dot / profile.g
@@ -132,7 +135,7 @@ def sectional_curvatures(
         sectional_cross=cross,
         sectional_within=within,
         scalar_R=ric_tt + (spec.dims * ric_factor).sum(axis=1),
-        soliton_residual_max=soliton_residual(profile, spec),
+        soliton_residual_max=_soliton_residual(profile, ric_tt, ric_factor),
     )
 
 
@@ -179,14 +182,13 @@ def asymptotics(
         if spec.dims[i] > 1:
             K_i = (bounds[i][1] - profile.g_dot[tail, i] ** 2) / profile.g[tail, i] ** 2
             K_dom = np.maximum(K_dom, np.abs(K_i))
-    R = scalar_curvature(profile, spec)[tail]
+    R_all = scalar_curvature(profile, spec)
     curvature_slope = _loglog_slope(tt, K_dom)
-    scalar_slope = _loglog_slope(tt, R)
+    scalar_slope = _loglog_slope(tt, R_all[tail])
 
     # geometric ladder across the tail for the R * t^2 growth check
     ladder_t = np.geomspace(tt[0], tt[-1], 25)
     idx = np.unique(np.searchsorted(t, ladder_t).clip(0, len(t) - 1))
-    R_all = scalar_curvature(profile, spec)
     ladder = R_all[idx] * t[idx] ** 2
 
     return AsymptoticsReport(

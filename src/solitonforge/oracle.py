@@ -12,6 +12,11 @@ the singular collapse t = 0), and monitors the conserved quantity
     sum_i d_i lambda_i / g_i^2 + tr(L^2) - (u_dot - tr L)^2
 
 which must stay at the gauge constant C along exact solutions.
+
+``scipy.integrate`` and ``scipy.interpolate`` are imported inside the
+functions that use them: importing them takes about as long as a
+``solitonforge verify`` run spends integrating, and only the oracle
+needs them.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import BlowUp, NoOverlap, OutOfRange, StepLimitExceeded
 from .model import Mode, ProblemSpec
@@ -67,6 +70,8 @@ def init_from_profile(profile: MetricProfile, t0: float) -> SecondOrderState:
     Cubic Hermite interpolation uses the profile's own derivative fields,
     so the interpolation error is O(h^4) in the sample spacing.
     """
+    from scipy.interpolate import CubicHermiteSpline
+
     t = profile.t
     if not (t[0] < t0 < t[-1]):
         raise OutOfRange(f"t0 = {t0:g} outside profile range ({t[0]:g}, {t[-1]:g})")
@@ -98,6 +103,8 @@ def integrate_second_order(
     state: SecondOrderState, spec: ProblemSpec, t_end: float
 ) -> OracleRun:
     """Adaptive integration of the t-space system from `state` to t_end."""
+    from scipy.integrate import solve_ivp
+
     r = spec.r
     d, lam = spec.dims, spec.lambdas
 

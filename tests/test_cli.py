@@ -8,9 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solitonforge import cli, flow, geometry
-from solitonforge.errors import ParseError
+from solitonforge.errors import ParseError, SolitonForgeError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -255,6 +257,68 @@ class TestConfigHardening:
         with pytest.raises(ParseError, match="output.plots"):
             cli.parse_config(path)
         assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("where, key, value", [
+        (None, "gauge_C", "x"),
+        (None, "s_start", "x"),
+        (None, "s_max", "big"),
+        (None, "origin_tol", "x"),
+        ("factors", "lambda", "x"),
+        (None, "max_steps", "many"),
+        (None, "max_steps", 2.5),
+        ("output", "thin", "x"),
+        (None, "seed_coeffs", 5),
+        ("sweep", "ratios", 3),
+        ("sweep", "coeff_index", 1.5),
+        (None, "initial_step", -1),
+        (None, "initial_step", 0),
+        (None, "initial_step", "x"),
+        (None, "initial_step", 1e30),
+    ])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, where, key, value):
+        payload = {"factors": [{"dim": 2, "lambda": 1}], "output": {}, "sweep": {}}
+        target = payload if where is None else (
+            payload["factors"][0] if where == "factors" else payload[where])
+        target[key] = value
+        path = write_config(tmp_path, payload)
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+_CONFIG_SLOTS = (
+    [(None, key) for key in sorted(cli._TOP_KEYS)]
+    + [("factors", key) for key in sorted(cli._FACTOR_KEYS)]
+    + [("output", key) for key in sorted(cli._OUTPUT_KEYS)]
+    + [("sweep", key) for key in sorted(cli._SWEEP_KEYS)]
+)
+
+
+@given(slot=st.sampled_from(_CONFIG_SLOTS), value=_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_any_single_value_parses_or_fails_cleanly(slot, value):
+    """A valid config with any one key replaced by any JSON value either
+    parses or raises the package's own error, never a raw exception."""
+    config = {
+        "factors": [{"dim": 2, "lambda": 1.0}, {"dim": 3, "lambda": 2.0}],
+        "seed_coeffs": [-1e-6, 1e-6],
+        "output": {"thin": 1},
+        "sweep": {"coeff_index": 1, "ratios": [1.0, 2.0]},
+    }
+    where, key = slot
+    target = config if where is None else (
+        config["factors"][0] if where == "factors" else config[where])
+    target[key] = value
+    try:
+        parsed = cli.parse_config(json.dumps(config), inline=True)
+    except SolitonForgeError:
+        return
+    assert isinstance(parsed, cli.RunConfig)
 
 
 def test_module_entry_point_runs_without_runpy_warning():

@@ -2,15 +2,17 @@
 
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import OdeSolution, Radau
 from scipy.integrate._ivp.radau import RadauDenseOutput
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
 import solitonforge as sf
-from solitonforge import cli, flow, phase
+from solitonforge import cli, flow, phase, radau
 from solitonforge.errors import SeedLeavesWrongRegion, StepLimitExceeded
 
 from conftest import make_spec
@@ -119,6 +121,15 @@ class TestRicciFlatMode:
     def test_terminates_stationary(self, pipeline):
         assert pipeline("rf_d2_3").traj.termination == "stationary"
 
+    def test_dense_output_meets_projected_samples(self):
+        """The projection moves each accepted state after its interpolant
+        is formed; at every step's right end the two differ by roundoff."""
+        traj = sf.run(_config_spec("ricci_flat_d2_3"))
+        samples = np.hstack([traj.X, traj.Y])[1:]
+        # at a step boundary the dense output uses the step that ends there
+        mismatch = np.abs(traj.dense(traj.s[1:]).T - samples).max()
+        assert mismatch <= 1e-12
+
 
 class TestDenseSample:
     def test_knot_reproduction(self, pipeline):
@@ -150,23 +161,48 @@ def _config_spec(name):
 
 
 class TestLapackLu:
-    """The LU hooks that call LAPACK directly, against scipy's own."""
+    """The in-package Radau stepper, whose LU work calls LAPACK directly,
+    against scipy's own Radau with its stock LU hooks."""
 
     @pytest.mark.parametrize("name", ["bryant_d2", "r3_d2_2_3", "ricci_flat_d2_3"])
-    def test_bit_identical_to_stock_hooks(self, monkeypatch, name):
+    def test_bit_identical_to_stock_hooks(self, name):
         spec = _config_spec(name)
-        hooked = sf.run(spec)
-        monkeypatch.setattr(flow, "_use_lapack_lu", lambda solver: None)
-        stock = sf.run(spec)
-        assert hooked.n_steps == stock.n_steps
-        for field in ("s", "X", "Y"):
-            assert np.array_equal(getattr(hooked, field), getattr(stock, field))
+        traj = sf.run(spec)
+        sqrt_d = np.sqrt(spec.dims)
+        f = lambda s, y: phase.rhs(y, sqrt_d)
+        jac = lambda s, y: phase.rhs_jacobian(y, sqrt_d)
+        start = flow.seed(spec)
+        sc = spec.step_controls
+        y0 = start.as_vector()
+        ours = radau.Radau(f, jac, start.s, y0, t_bound=spec.s_max,
+                           rtol=sc.rtol, atol=sc.atol, first_step=sc.initial_step)
+        stock = Radau(f, start.s, y0, t_bound=spec.s_max, rtol=sc.rtol,
+                      atol=sc.atol, jac=jac, first_step=sc.initial_step)
+        for k in range(traj.n_steps):
+            ours.step()
+            stock.step()
+            if spec.mode is sf.Mode.RICCI_FLAT:
+                for solver in (ours, stock):
+                    solver.y = flow._project_ricci_flat(solver.y, spec)
+                    solver.f = f(solver.t, solver.y)
+            assert ours.t == stock.t
+            assert np.array_equal(ours.y, stock.y)
+            t_old, h, y_old, Q = ours.dense
+            interpolant = stock.dense_output()
+            assert (t_old, h) == (interpolant.t_old, interpolant.h)
+            assert np.array_equal(y_old, interpolant.y_old)
+            assert np.array_equal(Q, interpolant.Q)
+            # the flow took the same step
+            assert ours.t == traj.s[k + 1]
+            assert np.array_equal(ours.y, np.concatenate([traj.X[k + 1], traj.Y[k + 1]]))
+        assert (ours.nfev, ours.njev, ours.nlu) == (stock.nfev, stock.njev, stock.nlu)
+        assert ours.status == stock.status == "running"
 
     def test_nlu_counts_every_factorisation(self, monkeypatch):
         solvers = []
         calls = []
 
-        class Recorded(flow.Radau):
+        class Recorded(radau.Radau):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 solvers.append(self)
@@ -178,40 +214,111 @@ class TestLapackLu:
             return wrapper
 
         monkeypatch.setattr(flow, "Radau", Recorded)
-        for code, getrf in list(flow._GETRF.items()):
-            monkeypatch.setitem(flow._GETRF, code, counted(getrf))
+        for name in ("dgetrf", "zgetrf"):
+            monkeypatch.setattr(lapack, name, counted(getattr(lapack, name)))
         sf.run(make_spec("d2"))
         [solver] = solvers
         assert solver.nlu > 0
         assert solver.nlu == len(calls)
 
     @staticmethod
-    def _hooked_solver():
-        solver = Radau(lambda s, y: -y, 0.0, np.ones(2), t_bound=1.0)
-        flow._use_lapack_lu(solver)
-        return solver
+    def _solver():
+        return radau.Radau(lambda s, y: -y, lambda s, y: -np.eye(2), 0.0,
+                           np.ones(2), t_bound=1.0, rtol=1e-3, atol=1e-6)
 
     def test_non_finite_rhs_raises_like_scipy(self):
         a = np.array([[2.0, 1.0], [1.0, 3.0]])
         b = np.array([1.0, np.nan])
         with pytest.raises(ValueError) as stock:
             lu_solve(lu_factor(a), b)
-        solver = self._hooked_solver()
-        with pytest.raises(ValueError) as hooked:
-            solver.solve_lu(solver.lu(a.copy()), b)
-        assert str(hooked.value) == str(stock.value)
+        solver = self._solver()
+        with pytest.raises(ValueError) as ours:
+            radau._solve_lu(solver.lu(a.copy()), b)
+        assert str(ours.value) == str(stock.value)
 
     def test_factorisation_checks_like_scipy(self):
-        solver = self._hooked_solver()
+        solver = self._solver()
         bad = np.array([[1.0, np.inf], [0.0, 1.0]])
         with pytest.raises(ValueError) as stock:
             lu_factor(bad)
-        with pytest.raises(ValueError) as hooked:
+        with pytest.raises(ValueError) as ours:
             solver.lu(bad.copy())
-        assert str(hooked.value) == str(stock.value)
+        assert str(ours.value) == str(stock.value)
         with pytest.warns(LinAlgWarning, match="Singular matrix"):
             solver.lu(np.zeros((2, 2), dtype=complex))
         assert solver.nlu == 2
+
+
+class TestRadauStepper:
+    """Set-up rules of the stepper that scipy's Radau shares."""
+
+    @staticmethod
+    def _pair(**kwargs):
+        fun = lambda s, y: np.array([y[1], -y[0] - 10.0 * y[1]])
+        jac = lambda s, y: np.array([[0.0, 1.0], [-1.0, -10.0]])
+        args = dict(t_bound=5.0, rtol=1e-6, atol=1e-9)
+        args.update(kwargs)
+        ours = radau.Radau(fun, jac, 0.0, [1.0, 0.0], **args)
+        stock = Radau(fun, 0.0, [1.0, 0.0], jac=jac, **args)
+        return ours, stock
+
+    @staticmethod
+    def _same_steps(ours, stock):
+        while stock.status == "running":
+            assert ours.step() == stock.step()
+            assert ours.t == stock.t
+            assert np.array_equal(ours.y, stock.y)
+        assert ours.status == stock.status == "finished"
+        assert (ours.nfev, ours.njev, ours.nlu) == (stock.nfev, stock.njev, stock.nlu)
+
+    def test_rtol_floor_like_scipy(self):
+        with pytest.warns(UserWarning) as warned:
+            ours, stock = self._pair(rtol=1e-20)
+        messages = [str(w.message) for w in warned]
+        assert len(messages) == 2 and messages[0] == messages[1]
+        assert "rtol" in messages[0]
+        assert ours.rtol == stock.rtol == 100 * np.finfo(float).eps
+        assert ours.newton_tol == stock.newton_tol
+        self._same_steps(ours, stock)
+
+    def test_first_step_bounds_like_scipy(self):
+        for first_step in (0.0, -1.0, 5.5):
+            with pytest.raises(ValueError) as stock:
+                self._pair(first_step=first_step)
+            with pytest.raises(ValueError) as ours:
+                radau.Radau(lambda s, y: -y, lambda s, y: -np.eye(2), 0.0,
+                            np.ones(2), t_bound=5.0, rtol=1e-6, atol=1e-9,
+                            first_step=first_step)
+            assert str(ours.value) == str(stock.value)
+        for first_step in (5.0, 1e-3, None):
+            self._same_steps(*self._pair(first_step=first_step))
+
+    def test_package_does_not_import_scipy_integrate(self, tmp_path):
+        """Neither importing the package and its CLI nor a `verify` run
+        loads scipy.integrate or scipy.interpolate."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys\n"
+            "import solitonforge, solitonforge.cli\n"
+            "heavy = ('scipy.integrate', 'scipy.interpolate')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "code = solitonforge.cli.main(sys.argv[1:])\n"
+            "print(sorted(m for m in heavy if m in sys.modules), code)\n"
+        )
+        config = os.path.join(CONFIG_DIR, "bryant_d2.json")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "verify", "--config", config,
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "[]"
+        assert lines[-1] == "[] 0"
 
 
 class TestDenseOutput:
