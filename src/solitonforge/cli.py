@@ -10,7 +10,11 @@ Subcommands
     sweep       grid of seed-coefficient ratios, one output set per point
 
 Config files are strict JSON: unknown keys are rejected so a misspelled
-tolerance can never silently fall back to a default.
+tolerance can never silently fall back to a default; an absent key takes
+the default of the dataclass field it fills.  Plot-series names are
+checked while parsing, before anything is integrated.  Every CSV and DAT
+table is written by one writer, `_write_table`, from one list of
+(name, column) pairs that gives both the header and the column order.
 """
 
 from __future__ import annotations
@@ -37,13 +41,6 @@ _TOP_KEYS = {
 _FACTOR_KEYS = {"dim", "lambda"}
 _OUTPUT_KEYS = {"directory", "formats", "thin", "plots"}
 _SWEEP_KEYS = {"coeff_index", "ratios"}
-
-_PLOT_SERIES = {
-    "L_vs_s": ("s", lambda p: (p.s, p.L)),
-    "H_vs_s": ("s", lambda p: (p.s, p.H)),
-    "u_vs_t": ("t", lambda p: (p.t, p.u)),
-    "u_dot_vs_t": ("t", lambda p: (p.t, p.u_dot)),
-}
 
 
 @dataclass
@@ -103,6 +100,27 @@ def _numbers(value, key: str) -> tuple[float, ...]:
     return tuple(_finite(v, f"{key}[{i}]") for i, v in enumerate(value))
 
 
+def _plot_series(r: int, names) -> list:
+    """(name, abscissa, getter) of each named plot series for r factors.
+
+    The one table of series names: parse_config checks a config's names
+    here and export_plot_series writes from here.
+    """
+    series = {
+        "L_vs_s": ("s", lambda p: (p.s, p.L)),
+        "H_vs_s": ("s", lambda p: (p.s, p.H)),
+        "u_vs_t": ("t", lambda p: (p.t, p.u)),
+        "u_dot_vs_t": ("t", lambda p: (p.t, p.u_dot)),
+    }
+    for i in range(r):
+        series[f"g{i + 1}_vs_t"] = ("t", lambda p, i=i: (p.t, p.g[:, i]))
+        series[f"g{i + 1}_dot_vs_t"] = ("t", lambda p, i=i: (p.t, p.g_dot[:, i]))
+    for name in names:
+        if name not in series:
+            raise ParseError(f"unknown plot series {name!r}")
+    return [(name, *series[name]) for name in names]
+
+
 def parse_config(source: str, inline: bool = False) -> RunConfig:
     """Parse a strict JSON config from a path (or inline text)."""
     if inline:
@@ -131,18 +149,20 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
         if "dim" not in f:
             raise ParseError(f"factors[{k}] is missing 'dim'")
         dim = _integer(f["dim"], f"factors[{k}].dim", positive=True)
+        if not math.isfinite(_as_float(dim)):
+            raise ParseError(f"factors[{k}].dim is too large for a float")
         lam = _finite(f.get("lambda", dim - 1), f"factors[{k}].lambda")
         factors.append(FactorSpec(dim=dim, einstein_const=lam))
 
-    mode_name = str(raw.get("mode", "soliton")).lower().replace("-", "_")
+    mode_name = str(raw.get("mode", ProblemSpec.mode.value)).lower().replace("-", "_")
     try:
         mode = Mode[mode_name.upper()]
     except KeyError:
         raise ParseError(f"unknown mode {raw.get('mode')!r}") from None
 
-    s_start = _finite(raw.get("s_start", 0.0), "s_start")
-    s_max = _finite(raw.get("s_max", 1e18), "s_max")
-    initial_step = raw.get("initial_step")
+    s_start = _finite(raw.get("s_start", ProblemSpec.s_start), "s_start")
+    s_max = _finite(raw.get("s_max", ProblemSpec.s_max), "s_max")
+    initial_step = raw.get("initial_step", StepControls.initial_step)
     if initial_step is not None:
         # the bounds of scipy's first_step, which the Radau stepper keeps
         initial_step = _as_float(initial_step)
@@ -153,18 +173,19 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
             )
     controls = StepControls(
         initial_step=initial_step,
-        rtol=_tolerance(raw.get("rtol", 1e-10), "rtol"),
-        atol=_tolerance(raw.get("atol", 1e-10), "atol"),
-        max_steps=_integer(raw.get("max_steps", 100_000), "max_steps", positive=True),
+        rtol=_tolerance(raw.get("rtol", StepControls.rtol), "rtol"),
+        atol=_tolerance(raw.get("atol", StepControls.atol), "atol"),
+        max_steps=_integer(raw.get("max_steps", StepControls.max_steps), "max_steps",
+                           positive=True),
     )
     seed_coeffs = raw.get("seed_coeffs")
     spec = ProblemSpec(
         factors=tuple(factors),
-        gauge_C=_finite(raw.get("gauge_C", -1.0), "gauge_C"),
+        gauge_C=_finite(raw.get("gauge_C", ProblemSpec.gauge_C), "gauge_C"),
         seed_coeffs=None if seed_coeffs is None else _numbers(seed_coeffs, "seed_coeffs"),
         s_start=s_start,
         s_max=s_max,
-        origin_tol=_finite(raw.get("origin_tol", 1e-8), "origin_tol"),
+        origin_tol=_finite(raw.get("origin_tol", ProblemSpec.origin_tol), "origin_tol"),
         step_controls=controls,
         mode=mode,
     )
@@ -174,19 +195,20 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
     if not isinstance(out, dict):
         raise ParseError("config field 'output' must be an object")
     _reject_unknown(out, _OUTPUT_KEYS, "output")
-    formats = out.get("formats", ["csv", "json"])
+    formats = out.get("formats", list(RunConfig.formats))
     if not isinstance(formats, list):
         raise ParseError(f"output.formats must be a list, got {formats!r}")
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ParseError(f"unknown output format {fmt!r}")
-    thin = _integer(out.get("thin", 1), "output.thin", positive=True)
-    out_dir = out.get("directory", os.environ.get(OUT_ENV_VAR, "."))
+    thin = _integer(out.get("thin", RunConfig.thin), "output.thin", positive=True)
+    out_dir = out.get("directory", os.environ.get(OUT_ENV_VAR, RunConfig.out_dir))
     if not isinstance(out_dir, str):
         raise ParseError(f"output.directory must be a string, got {out_dir!r}")
-    plots = out.get("plots", [])
+    plots = out.get("plots", list(RunConfig.plots))
     if not isinstance(plots, list) or not all(isinstance(p, str) for p in plots):
         raise ParseError(f"output.plots must be a list of series names, got {plots!r}")
+    _plot_series(len(factors), plots)
 
     sweep = raw.get("sweep", {})
     if not isinstance(sweep, dict):
@@ -199,8 +221,10 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
         formats=tuple(formats),
         thin=thin,
         plots=tuple(plots),
-        sweep_coeff_index=_integer(sweep.get("coeff_index", 1), "sweep.coeff_index"),
-        sweep_ratios=_numbers(sweep.get("ratios", []), "sweep.ratios"),
+        sweep_coeff_index=_integer(sweep.get("coeff_index", RunConfig.sweep_coeff_index),
+                                   "sweep.coeff_index"),
+        sweep_ratios=_numbers(sweep.get("ratios", list(RunConfig.sweep_ratios)),
+                              "sweep.ratios"),
     )
 
 
@@ -212,36 +236,33 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"  # 17 significant digits round-trips doubles exactly
 
 
-def profile_csv_header(r: int) -> list[str]:
-    cols = ["s", "t"]
-    cols += [f"X_{i + 1}" for i in range(r)]
-    cols += [f"Y_{i + 1}" for i in range(r)]
-    cols += ["L", "H"]
-    cols += [f"g_{i + 1}" for i in range(r)]
-    cols += [f"g_dot_{i + 1}" for i in range(r)]
-    cols += [f"g_ddot_{i + 1}" for i in range(r)]
-    cols += ["u", "u_dot", "u_ddot"]
-    return cols
+def _write_table(path: str, columns: list, sep: str = ",") -> None:
+    """The one table writer: a header line joining the column names, then
+    one line per sample.  columns is a list of (name, values) pairs."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(sep.join(name for name, _ in columns) + "\n")
+            for row in zip(*(values for _, values in columns)):
+                fh.write(sep.join(_fmt(v) for v in row) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _per_factor(name: str, values) -> list:
+    """Columns name_1 .. name_r of an (N, r) array."""
+    return [(f"{name}_{i + 1}", values[:, i]) for i in range(values.shape[1])]
 
 
 def export_profile_csv(profile, traj, path: str, thin: int = 1) -> None:
-    r = profile.r
-    sel = slice(None, None, thin)
-    cols = [profile.s[sel], profile.t[sel]]
-    cols += [traj.X[sel, i] for i in range(r)]
-    cols += [traj.Y[sel, i] for i in range(r)]
-    cols += [profile.L[sel], profile.H[sel]]
-    cols += [profile.g[sel, i] for i in range(r)]
-    cols += [profile.g_dot[sel, i] for i in range(r)]
-    cols += [profile.g_ddot[sel, i] for i in range(r)]
-    cols += [profile.u[sel], profile.u_dot[sel], profile.u_ddot[sel]]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(profile_csv_header(r)) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    columns = (
+        [("s", profile.s), ("t", profile.t)]
+        + _per_factor("X", traj.X) + _per_factor("Y", traj.Y)
+        + [("L", profile.L), ("H", profile.H)]
+        + _per_factor("g", profile.g) + _per_factor("g_dot", profile.g_dot)
+        + _per_factor("g_ddot", profile.g_ddot)
+        + [("u", profile.u), ("u_dot", profile.u_dot), ("u_ddot", profile.u_ddot)]
+    )
+    _write_table(path, [(name, values[::thin]) for name, values in columns])
 
 
 def read_profile_csv(path: str):
@@ -267,24 +288,11 @@ def _write_json(obj: dict, path: str) -> None:
 def export_plot_series(profile, names, out_dir: str) -> list[str]:
     """Two-column (abscissa, value) text files, one per requested series."""
     written = []
-    r = profile.r
-    series = dict(_PLOT_SERIES)
-    for i in range(r):
-        series[f"g{i + 1}_vs_t"] = ("t", lambda p, i=i: (p.t, p.g[:, i]))
-        series[f"g{i + 1}_dot_vs_t"] = ("t", lambda p, i=i: (p.t, p.g_dot[:, i]))
-    for name in names:
-        if name not in series:
-            raise ParseError(f"unknown plot series {name!r}")
-        xname, getter = series[name]
-        x, y = getter(profile)
+    for name, xname, getter in _plot_series(profile.r, names):
         path = os.path.join(out_dir, f"{name}.dat")
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(f"# {xname} {name}\n")
-                for xv, yv in zip(x, y):
-                    fh.write(f"{_fmt(xv)} {_fmt(yv)}\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+        x, y = getter(profile)
+        # the "# " makes the header line a comment for plotting tools
+        _write_table(path, [(f"# {xname}", x), (name, y)], sep=" ")
         written.append(path)
     return written
 
@@ -363,29 +371,16 @@ def cmd_curvature(cfg: RunConfig) -> int:
     }
     _export_run(cfg, traj, profile, extra_json=extra)
     if "csv" in cfg.formats:
-        _export_curvature_csv(cfg, profile, curv)
+        _write_table(os.path.join(cfg.out_dir, "curvature.csv"), (
+            [("t", curv.t), ("ric_tt", curv.ric_tt)]
+            + _per_factor("ric_factor", curv.ric_factor)
+            + _per_factor("sect_mixed_t", curv.sectional_mixed_t)
+            + [("scalar_R", curv.scalar_R)]
+        ))
     print(f"curvature: min Ricci {curv.min_ricci():.3e}, "
           f"residual {curv.soliton_residual_max:.3e}, "
           f"|K| slope {asym.curvature_slope:+.4f}")
     return 0
-
-
-def _export_curvature_csv(cfg, profile, curv) -> None:
-    r = profile.r
-    header = ["t", "ric_tt"] + [f"ric_factor_{i + 1}" for i in range(r)]
-    header += [f"sect_mixed_t_{i + 1}" for i in range(r)] + ["scalar_R"]
-    cols = [curv.t, curv.ric_tt]
-    cols += [curv.ric_factor[:, i] for i in range(r)]
-    cols += [curv.sectional_mixed_t[:, i] for i in range(r)]
-    cols += [curv.scalar_R]
-    path = os.path.join(cfg.out_dir, "curvature.csv")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_oracle(cfg: RunConfig) -> int:

@@ -163,7 +163,7 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     Terminates at the first accepted step with ||(X, Y)|| < origin_tol
     (soliton mode) or at s_max.  Raises InvariantViolated if an accepted
     step breaks monotonicity of L or positivity of Y beyond roundoff, and
-    StepLimitExceeded past the step budget.
+    StepLimitExceeded past the step budget or when the stepper fails.
     """
     sqrt_d = np.sqrt(spec.dims)
     sc = spec.step_controls
@@ -202,7 +202,10 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
             raise StepLimitExceeded(
                 f"no termination within {sc.max_steps} steps (s = {solver.t:.3e})"
             )
-        msg = solver.step()
+        try:
+            msg = solver.step()
+        except ValueError as exc:  # a non-finite Newton matrix, from h or atol near underflow
+            raise StepLimitExceeded(f"integrator failed at s={solver.t:.3e}: {exc}") from exc
         if solver.status == "failed":
             raise StepLimitExceeded(f"integrator failed at s={solver.t:.3e}: {msg}")
         n_steps += 1

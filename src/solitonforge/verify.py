@@ -5,6 +5,11 @@ or its curvature becomes one named check with a measured value and a
 tolerance.  Limits as s -> -infinity are realized as intercepts of fits
 against L (every relevant quantity approaches its limit linearly in L),
 and limits as t -> 0 as Richardson extrapolation over the first samples.
+
+The seed-end checks use three |L| windows, one for check (d) (with the
+reported-only Q_limits), one for (f) and one for (g) and the Y_i decay
+rates.  run_suite evaluates the dense output once per window and fits
+every quantity of that window from the same arrays.
 """
 
 from __future__ import annotations
@@ -133,12 +138,6 @@ def _intercept_vs_L(L: np.ndarray, v: np.ndarray):
     return float(lin), float(abs(lin - quad))
 
 
-def seed_end_limit(traj: Trajectory, quantity, lo: float, hi: float):
-    """Limit of quantity(X, Y, L, s) as s -> -infinity via an L-intercept."""
-    s, X, Y, L = _window_states(traj, lo, hi)
-    return _intercept_vs_L(L, quantity(X, Y, L, s))
-
-
 def fit_exponent(traj: Trajectory, values_log, lo: float, hi: float) -> float:
     """Slope of log(quantity) against s over a seed-end window."""
     s, X, Y, L = _window_states(traj, lo, hi)
@@ -218,16 +217,19 @@ def run_suite(
         kappa_tr = 6000.0 ** (2.0 * b2 / (1.0 + b2))
         lo = min(kappa_tr * L0, 3e-3)
         hi = min(10.0 * lo, 3e-2)
-        devs, errs, limits = [], [], []
+        _, X, Y, L = _window_states(traj, lo, hi)
+        devs, errs, limits, q_limits = [], [], [], []
         for i in range(1, r):
-            lim, err = seed_end_limit(
-                traj, lambda X, Y, L, s, i=i: X[:, i] / Y[:, i] ** 2, lo, hi
-            )
+            ratio = X[:, i] / Y[:, i] ** 2
+            lim, err = _intercept_vs_L(L, ratio)
             target = 1.0 / (sqrt_d[i] * (1.0 + b2))
             limits.append(lim)
             devs.append(abs(lim - target))
             errs.append(err)
+            # reported only: the limit of (X_i/Y_i^2 - target)/L
+            q_limits.append(_intercept_vs_L(L, (ratio - target) / L)[0])
         dev_d = float(max(devs))
+        diag["Q_limits"] = q_limits
         checks.append(Check(
             "seed_ratio",
             "X_i / Y_i^2 extrapolates to 1/(sqrt(d_i)(1 + beta^2)) at the seed end",
@@ -250,14 +252,10 @@ def run_suite(
     ))
 
     # (f) limit of (X_1 - beta)/L equals beta*rho/(1 + beta^2)
-    lo_f, hi_f = 2.0 * L0, min(30.0 * L0, 0.05)
-    xbl, xbl_err = seed_end_limit(
-        traj, lambda X, Y, L, s: (X[:, 0] - beta) / L, lo_f, hi_f
-    )
-    rho, rho_err = seed_end_limit(
-        traj,
-        lambda X, Y, L, s: (np.einsum("ij,ij->i", X, X) + Y[:, 0] ** 2 - 1.0) / L,
-        lo_f, hi_f,
+    _, X, Y, L = _window_states(traj, 2.0 * L0, min(30.0 * L0, 0.05))
+    xbl, xbl_err = _intercept_vs_L(L, (X[:, 0] - beta) / L)
+    rho, rho_err = _intercept_vs_L(
+        L, (np.einsum("ij,ij->i", X, X) + Y[:, 0] ** 2 - 1.0) / L
     )
     target_f = beta * rho / (1.0 + b2)
     dev_f = abs(xbl - target_f)
@@ -273,13 +271,9 @@ def run_suite(
     ))
 
     # (g) L ~ e^{2 beta^2 s}: fitted exponent and finite negative limit
-    lo_g, hi_g = 1.5 * L0, min(50.0 * L0, 0.05)
-    expo_L = fit_exponent(traj, lambda X, Y, L: np.log(-L), lo_g, hi_g)
-    lam_hat, lam_err = seed_end_limit(
-        traj,
-        lambda X, Y, L, s: np.exp(-2.0 * b2 * s) * L / spec.gauge_C,
-        lo_g, hi_g,
-    )
+    s, X, Y, L = _window_states(traj, 1.5 * L0, min(50.0 * L0, 0.05))
+    expo_L = float(np.polyfit(s, np.log(-L), 1)[0])
+    lam_hat, lam_err = _intercept_vs_L(L, np.exp(-2.0 * b2 * s) * L / spec.gauge_C)
     dev_g = abs(expo_L - 2.0 * b2) / (2.0 * b2)
     diag["L_exponent"] = expo_L
     diag["L_scaled_limit"] = lam_hat
@@ -294,12 +288,9 @@ def run_suite(
                  "scaled_limit_over_C": lam_hat},
     ))
 
-    # decay exponents of Y_i (i > 1), part of the same remark
+    # decay exponents of Y_i (i > 1), part of the same remark and window
     if r > 1:
-        expos = [
-            fit_exponent(traj, lambda X, Y, L, i=i: np.log(Y[:, i]), lo_g, hi_g)
-            for i in range(1, r)
-        ]
+        expos = [float(np.polyfit(s, np.log(Y[:, i]), 1)[0]) for i in range(1, r)]
         dev_y = float(max(abs(e - b2) / b2 for e in expos))
         diag["Y_exponents"] = expos
         checks.append(Check(
@@ -383,31 +374,7 @@ def run_suite(
         details={"u0_quadrature": u0_quad, "u0_product": u0_prod},
     ))
 
-    # diagnostics that carry no pass/fail claim
-    if r > 1:
-        diag["Q_limits"] = _q_limits(traj, spec, L0)
-
     return VerifyReport(checks=checks, diagnostics=diag)
-
-
-def _q_limits(traj: Trajectory, spec: ProblemSpec, L0: float):
-    """Reported-only limits of (X_i/Y_i^2 - limit)/L at the seed end."""
-    c = constants(spec)
-    b2 = c.beta ** 2
-    sqrt_d = np.sqrt(spec.dims)
-    kappa_tr = 6000.0 ** (2.0 * b2 / (1.0 + b2))
-    lo = min(kappa_tr * L0, 3e-3)
-    hi = min(10.0 * lo, 3e-2)
-    out = []
-    for i in range(1, spec.r):
-        target = 1.0 / (sqrt_d[i] * (1.0 + b2))
-        lim, _ = seed_end_limit(
-            traj,
-            lambda X, Y, L, s, i=i: (X[:, i] / Y[:, i] ** 2 - target) / L,
-            lo, hi,
-        )
-        out.append(lim)
-    return out
 
 
 def _boundary_checks(profile: MetricProfile, spec: ProblemSpec):

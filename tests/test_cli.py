@@ -5,10 +5,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solitonforge import cli, flow, geometry
@@ -137,6 +138,31 @@ class TestPlots:
         path = write_config(tmp_path, payload)
         assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("factors, name", [
+        ([{"dim": 2, "lambda": 1}], "g7_vs_t"),
+        ([{"dim": 2, "lambda": 1}], "g2_dot_vs_t"),
+        ([{"dim": 2}, {"dim": 3}], "g3_vs_t"),
+    ])
+    def test_unknown_series_rejected_before_solving(self, tmp_path, capsys,
+                                                    factors, name):
+        path = write_config(
+            tmp_path, {"factors": factors, "output": {"plots": ["u_vs_t", name]}}
+        )
+        with pytest.raises(ParseError, match=name):
+            cli.parse_config(path)
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not (out / "profile.csv").exists()
+
+    def test_series_names_follow_r(self, tmp_path):
+        names = ["L_vs_s", "H_vs_s", "u_vs_t", "u_dot_vs_t",
+                 "g1_vs_t", "g1_dot_vs_t", "g2_vs_t", "g2_dot_vs_t"]
+        path = write_config(
+            tmp_path, {"factors": [{"dim": 2}, {"dim": 3}], "output": {"plots": names}}
+        )
+        assert cli.parse_config(path).plots == tuple(names)
+
 
 class TestEnvironment:
     def test_out_env_var_default(self, tmp_path, monkeypatch):
@@ -185,6 +211,21 @@ class TestSubcommands:
         sa = json.loads((a / "profile.json").read_text())
         sb = json.loads((b / "profile.json").read_text())
         assert sa["seed_coeffs"] != sb["seed_coeffs"]
+
+    def test_curvature_subcommand(self, tmp_path):
+        path = os.path.join(CONFIG_DIR, "r2_d2_3.json")
+        assert cli.main(["curvature", "--config", path, "--out", str(tmp_path)]) == 0
+        header, curv = cli.read_profile_csv(str(tmp_path / "curvature.csv"))
+        assert header == [
+            "t", "ric_tt", "ric_factor_1", "ric_factor_2",
+            "sect_mixed_t_1", "sect_mixed_t_2", "scalar_R",
+        ]
+        _, profile = cli.read_profile_csv(str(tmp_path / "profile.csv"))
+        assert len(curv["t"]) == len(profile["t"]) > 0
+        assert np.array_equal(curv["t"], profile["t"])
+        summary = json.loads((tmp_path / "profile.json").read_text())
+        assert summary["min_ricci"] >= -1e-8
+        assert np.isfinite(summary["curvature_slope"])
 
 
 class TestRicciFlatGates:
@@ -247,6 +288,15 @@ class TestConfigHardening:
         with pytest.raises(ParseError, match=r"factors\[1\]\.dim"):
             cli.parse_config(path)
         assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+
+    def test_dim_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, {"factors": [{"dim": 2}, {"dim": 10**400, "lambda": 1.0}]}
+        )
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
+        assert "factors[1].dim" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("plots", [True, "u_vs_t", {"u_vs_t": 1}, [1]])
     def test_plots_must_be_list(self, tmp_path, plots):
@@ -319,6 +369,38 @@ def test_any_single_value_parses_or_fails_cleanly(slot, value):
     except SolitonForgeError:
         return
     assert isinstance(parsed, cli.RunConfig)
+
+
+_MAIN_SLOTS = _CONFIG_SLOTS + [("factors[1]", key) for key in sorted(cli._FACTOR_KEYS)]
+
+
+@given(slot=st.sampled_from(_MAIN_SLOTS), value=_JSON_VALUES)
+@example(slot=("factors[1]", "dim"), value=10**400)
+@example(slot=(None, "atol"), value=1e-300)
+@settings(max_examples=500, deadline=None)
+def test_any_single_value_solves_or_exits_cleanly(slot, value):
+    """main(["solve", ...]) on a short valid run with any one key replaced
+    by any JSON value returns an exit code; no raw exception escapes."""
+    config = {
+        "factors": [{"dim": 2, "lambda": 1.0}, {"dim": 3, "lambda": 2.0}],
+        "seed_coeffs": [-1e-6, 1e-6],
+        "s_max": 5.0,
+        "output": {"thin": 1},
+        "sweep": {"coeff_index": 1, "ratios": [1.0, 2.0]},
+    }
+    where, key = slot
+    target = {
+        None: config, "factors": config["factors"][0],
+        "factors[1]": config["factors"][1],
+        "output": config["output"], "sweep": config["sweep"],
+    }[where]
+    target[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        code = cli.main(["solve", "--config", path, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2)
 
 
 def test_module_entry_point_runs_without_runpy_warning():

@@ -98,6 +98,19 @@ class TestIntegrate:
         with pytest.raises(StepLimitExceeded):
             sf.run(tiny)
 
+    @pytest.mark.parametrize("controls", [{"atol": 1e-300}, {"initial_step": 5e-324}])
+    def test_underflowing_step_is_an_integrator_failure(self, controls):
+        """A step size or atol so small that the Newton matrix overflows
+        fails as StepLimitExceeded, not as the stepper's raw ValueError."""
+        spec = make_spec("d2_3")
+        bad = dataclasses.replace(
+            spec, step_controls=dataclasses.replace(spec.step_controls, **controls)
+        )
+        with np.errstate(all="ignore"), pytest.raises(
+            StepLimitExceeded, match="must not contain infs or NaNs"
+        ):
+            sf.run(bad)
+
     def test_decay_exponents_near_seed(self, pipeline):
         from solitonforge.verify import fit_exponent
 

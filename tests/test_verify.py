@@ -65,6 +65,30 @@ class TestRunSuite:
         assert all(math.isfinite(q) for q in d["Q_limits"])
         assert d["L_scaled_limit"] > 0  # e^{-2 b^2 s} L / C, finite and positive
 
+    @pytest.mark.parametrize("name, windows", [("d2", 2), ("d2_3", 3), ("d2_2_3", 3)])
+    def test_one_dense_evaluation_per_window(self, pipeline, monkeypatch, name,
+                                             windows):
+        """Each seed-end window is evaluated once, and the fits from its
+        shared arrays equal fit_exponent's on the same window."""
+        case = pipeline(name)
+        window_states = verify._window_states
+        calls = []
+
+        def counted(traj, lo, hi, n=250):
+            calls.append((lo, hi))
+            return window_states(traj, lo, hi, n)
+
+        monkeypatch.setattr(verify, "_window_states", counted)
+        report = verify.run_suite(case.traj, case.profile, case.curv, case.spec)
+        assert len(calls) == len(set(calls)) == windows
+        lo_g, hi_g = calls[-1]
+        d = report.diagnostics
+        assert d["L_exponent"] == verify.fit_exponent(
+            case.traj, lambda X, Y, L: np.log(-L), lo_g, hi_g)
+        for i, expo in enumerate(d.get("Y_exponents", []), start=1):
+            assert expo == verify.fit_exponent(
+                case.traj, lambda X, Y, L: np.log(Y[:, i]), lo_g, hi_g)
+
     def test_ricci_flat_mode_rejected(self, pipeline):
         case = pipeline("rf_d2_3")
         with pytest.raises(IncompleteInputs):
