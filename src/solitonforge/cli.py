@@ -135,6 +135,8 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise ParseError(f"config holds a number too long to read: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("config must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
@@ -232,18 +234,22 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
 # export
 
 
+_FMT = "%.16e"  # 17 significant digits round-trips doubles exactly
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.16e}"  # 17 significant digits round-trips doubles exactly
+    return _FMT % x
 
 
 def _write_table(path: str, columns: list, sep: str = ",") -> None:
     """The one table writer: a header line joining the column names, then
     one line per sample.  columns is a list of (name, values) pairs."""
+    line = sep.join([_FMT] * len(columns)) + "\n"
+    rows = np.column_stack([values for _, values in columns]).tolist()
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(sep.join(name for name, _ in columns) + "\n")
-            for row in zip(*(values for _, values in columns)):
-                fh.write(sep.join(_fmt(v) for v in row) + "\n")
+            fh.writelines(line % tuple(row) for row in rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -12,10 +12,10 @@ so an implicit method (Radau) is used; an explicit embedded pair would be
 stability-limited to O(1) steps and could never reach the origin
 tolerance in the available step budget.
 
-The Radau stepper is the package's own (``radau.Radau``, a bit-for-bit
-mirror of scipy's), so importing the flow does not import
-``scipy.integrate``, and the projection replaces the stepper's public
-``y`` and ``f`` rather than scipy's private solver state.
+The Radau stepper is the package's own (``radau.Radau``, scipy's method
+and step control in numpy alone), so the flow loads no ``scipy`` module,
+and the projection replaces the stepper's public ``y`` and ``f`` rather
+than scipy's private solver state.
 
 The dense output keeps each accepted step's Radau interpolant as stacked
 arrays and evaluates any set of abscissae in one vectorised pass (one
@@ -170,7 +170,8 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     soliton = spec.mode is Mode.SOLITON
 
     def f(s, y):
-        return phase.rhs(y, sqrt_d)
+        # the stepper passes its three stages as the columns of a (2r, 3) y
+        return phase.rhs(y.T, sqrt_d).T
 
     def jac(s, y):
         return phase.rhs_jacobian(y, sqrt_d)

@@ -53,14 +53,18 @@ def _check_lengths(p: PhasePoint, spec: ProblemSpec) -> None:
 
 
 def rhs(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
-    """Vector field on the packed state [X, Y]; hot path for the integrator."""
+    """Vector field on the packed state [X, Y]; hot path for the integrator.
+
+    `y` may also be a stack of states along its leading axes, such as the
+    (3, 2r) stages of one Radau step; the result has the shape of `y`.
+    """
     r = sqrt_d.size
-    X = y[:r]
-    Y = y[r:]
-    sx2 = X @ X
+    X = y[..., :r]
+    Y = y[..., r:]
+    sx2 = (X * X).sum(axis=-1, keepdims=True)
     dX = X * (sx2 - 1.0) + Y * Y / sqrt_d
     dY = Y * (sx2 - X / sqrt_d)
-    return np.concatenate([dX, dY])
+    return np.concatenate([dX, dY], axis=-1)
 
 
 def rhs_jacobian(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:

@@ -2,13 +2,11 @@
 
 The method, its constants and its step control are those of Hairer &
 Wanner, *Solving ODEs II*, §IV.8, in the form that scipy 1.17's
-``scipy.integrate.Radau`` implements them.  ``Radau`` below mirrors that
-class for a callable dense Jacobian and forward integration, operation
-for operation: the same tableau constants, Newton tolerance and
-iteration, initial step selection, step-size predictor, Jacobian reuse,
-``nextafter`` minimum step, ``rtol`` floor and ``first_step`` bounds.
-Given the same right-hand side it takes the same steps, bit for bit, and
-counts the same ``nfev``, ``njev`` and ``nlu``.
+``scipy.integrate.Radau`` implements them, for a callable dense Jacobian
+and forward integration: the same tableau constants, Newton tolerance
+and iteration, initial step selection, step-size predictor, Jacobian
+reuse, ``nextafter`` minimum step, ``rtol`` floor and ``first_step``
+bounds, and the same ``nfev``, ``njev`` and ``nlu`` bookkeeping.
 
 It lives in the package for two reasons.  Importing ``scipy.integrate``
 pulls in ``scipy.special``, ``scipy.optimize`` and ``scipy.sparse.linalg``,
@@ -17,13 +15,14 @@ Ricci-flat projection in ``flow.integrate`` has to replace the current
 state between steps, which scipy keeps in private fields; here ``t``,
 ``y`` and ``f`` are this class's own public state.
 
-The LU work calls LAPACK ``?getrf``/``?getrs`` directly rather than
-through ``scipy.linalg.lu_factor``/``lu_solve``, whose batch dispatch and
-routine lookup cost more than the 2r×2r arithmetic.  Every check of those
-wrappers is kept: a matrix or right-hand side holding an inf or NaN
-raises their ``ValueError``, an illegal-argument ``info < 0`` raises
-``ValueError`` and a singular factor (``info > 0``) warns with
-``LinAlgWarning``.
+It uses numpy alone, so the flow loads no ``scipy`` module.  Each Newton
+matrix (2r×2r, r ≤ 3) is inverted once when it is formed, and every
+solve with it is one matrix-vector product; the three collocation stages
+are evaluated in one call of ``fun``.  This is a deliberate departure
+from scipy's LU factorisation and per-stage calls: the stepper is no
+longer bit-identical to scipy's Radau.  Its states agree with scipy's to
+well within the tolerances, not to the last bit.  A singular Newton
+matrix raises numpy's ``LinAlgError``, a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lapack
 
 EPS = np.finfo(float).eps
 
@@ -89,42 +87,28 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     return min(1, multiplier) * error_norm ** -0.25
 
 
-def _lu(a: np.ndarray):
-    """LU factors of `a`, overwriting it, with ``lu_factor``'s checks."""
+def _lu(a: np.ndarray) -> np.ndarray:
+    """The factorisation `_solve_lu` applies: the inverse of `a`."""
     if not np.isfinite(a).all():
         raise ValueError(_NOT_FINITE)
-    complex_ = a.dtype.char == "D"
-    factors, piv, info = (lapack.zgetrf if complex_ else lapack.dgetrf)(
-        a, overwrite_a=True)
-    if info < 0:
-        raise ValueError(
-            f"illegal value in {-info}th argument of internal getrf (lu_factor)"
-        )
-    if info > 0:
-        warnings.warn(
-            f"Diagonal number {info} is exactly zero. Singular matrix.",
-            LinAlgWarning,
-            stacklevel=3,
-        )
-    return factors, piv, lapack.zgetrs if complex_ else lapack.dgetrs
+    return np.linalg.inv(a)
 
 
-def _solve_lu(factorisation, b: np.ndarray) -> np.ndarray:
-    """Solve with factors from `_lu`, overwriting `b`, with ``lu_solve``'s checks."""
-    factors, piv, getrs = factorisation
+def _solve_lu(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` with ``inv = _lu(a)``."""
     if not np.isfinite(b).all():
         raise ValueError(_NOT_FINITE)
-    x, info = getrs(factors, piv, b, overwrite_b=True)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal gesv|posv")
-    return x
+    return inv @ b
 
 
 class Radau:
     """Implicit Runge-Kutta Radau IIA stepper of order 5, forward in t.
 
     ``fun(t, y)`` is the right-hand side and ``jac(t, y)`` its dense
-    Jacobian.  ``step()`` advances by one accepted step and returns None,
+    Jacobian.  ``fun`` must also take the three collocation stages at
+    once, as scipy's ``vectorized=True`` asks: an (n, 3) ``y`` of one
+    state per column with the (3,) abscissae ``t``, returning the (n, 3)
+    values.  ``step()`` advances by one accepted step and returns None,
     or sets ``status`` to ``"failed"`` and returns scipy's message; the
     status becomes ``"finished"`` once ``t`` reaches ``t_bound``.
 
@@ -368,14 +352,12 @@ class Radau:
 
         Returns (converged, iterations, Z, rate of convergence).
         """
-        n = y.shape[0]
         M_real = MU_REAL / h
         M_complex = MU_COMPLEX / h
 
         W = TI.dot(Z0)
         Z = Z0
 
-        F = np.empty((3, n))
         ch = h * C
 
         dW_norm_old = None
@@ -385,15 +367,14 @@ class Radau:
         tol = self.newton_tol
         fun = self._fun
         for k in range(NEWTON_MAXITER):
-            for i in range(3):
-                F[i] = fun(t + ch[i], y + Z[i])
+            F = fun(t + ch, (y + Z).T)  # all three stages in one call
             self.nfev += 3
 
             if not np.isfinite(F).all():
                 break
 
-            f_real = F.T.dot(TI_REAL) - M_real * W[0]
-            f_complex = F.T.dot(TI_COMPLEX) - M_complex * (W[1] + 1j * W[2])
+            f_real = F.dot(TI_REAL) - M_real * W[0]
+            f_complex = F.dot(TI_COMPLEX) - M_complex * (W[1] + 1j * W[2])
 
             dW_real = _solve_lu(LU_real, f_real)
             dW_complex = _solve_lu(LU_complex, f_complex)

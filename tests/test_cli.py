@@ -298,6 +298,20 @@ class TestConfigHardening:
         assert "factors[1].dim" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        """json.loads refuses an integer literal of more than 4300 digits
+        with a plain ValueError; that is a malformed config, not a crash."""
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"factors": [{"dim": 2}, {"dim": 1' + "0" * 5000 + ', "lambda": 1.0}]}'
+        )
+        out = tmp_path / "o"
+        with pytest.raises(ParseError):
+            cli.parse_config(str(path))
+        assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert "digits" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("plots", [True, "u_vs_t", {"u_vs_t": 1}, [1]])
     def test_plots_must_be_list(self, tmp_path, plots):
         path = write_config(

@@ -65,6 +65,19 @@ class TestVectorField:
             assert dYf == pytest.approx(expected, abs=1e-14)
 
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_stack_of_states_matches_one_at_a_time(self, r):
+        """A (3, 2r) stack, the form in which the Radau stages are
+        evaluated, gives each row's own field, bit for bit."""
+        rng = np.random.default_rng(r)
+        sqrt_d = np.sqrt(rng.integers(2, 10, r).astype(float))
+        stack = rng.uniform(-1.0, 1.0, (3, 2 * r))
+        fields = phase.rhs(stack, sqrt_d)
+        assert fields.shape == stack.shape
+        for field, y in zip(fields, stack):
+            assert np.array_equal(field, phase.rhs(y, sqrt_d))
+
+
 class TestScalars:
     def test_lyapunov_values(self):
         assert phase.lyapunov(sf.critical_point(SPEC_D2_3)) == pytest.approx(0.0, abs=1e-15)
