@@ -25,6 +25,7 @@ abscissa).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,67 +180,71 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     y0 = start.as_vector()
     f0 = phase.rhs(y0, sqrt_d)
     stationary = float(np.sqrt(f0 @ f0)) < 1e-13  # seeded at the rest point
-    solver = Radau(
-        f,
-        jac,
-        start.s,
-        y0,
-        t_bound=spec.s_max,
-        rtol=sc.rtol,
-        atol=sc.atol,
-        first_step=sc.initial_step,
-    )
-
     ss = [start.s]
     ys = [y0.copy()]
     steps = []   # each accepted step's (t_old, h, y_old, Q)
     termination = "stationary" if stationary else "s_max"
     n_steps = 0
     r = spec.r
-    prev_L = _lyap(y0, r)
+    prev_L = float(y0 @ y0) - 1.0
 
-    while solver.status == "running" and not stationary:
-        if n_steps >= sc.max_steps:
-            raise StepLimitExceeded(
-                f"no termination within {sc.max_steps} steps (s = {solver.t:.3e})"
-            )
-        try:
-            msg = solver.step()
-        except ValueError as exc:  # a non-finite Newton matrix, from h or atol near underflow
-            raise StepLimitExceeded(f"integrator failed at s={solver.t:.3e}: {exc}") from exc
-        if solver.status == "failed":
-            raise StepLimitExceeded(f"integrator failed at s={solver.t:.3e}: {msg}")
-        n_steps += 1
-        steps.append(solver.dense)
-
-        if spec.mode is Mode.RICCI_FLAT:
-            projected = _project_ricci_flat(solver.y, spec)
-            solver.y = projected
-            solver.f = phase.rhs(projected, sqrt_d)
-
-        y = solver.y.copy()
-        L = _lyap(y, r)
-        if soliton:
-            if np.any(y[r:] <= 0):
-                raise InvariantViolated("Y_positive", solver.t, f"Y = {y[r:]}")
-            if L > prev_L + _MONOTONE_SLACK * (1.0 + abs(prev_L)):
-                raise InvariantViolated(
-                    "L_decreasing", solver.t, f"L rose from {prev_L} to {L}"
+    # An atol or step near underflow overflows the stepper's norms and
+    # Newton matrices; its finiteness checks report that as a ValueError,
+    # so numpy's own warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        solver = Radau(
+            f,
+            jac,
+            start.s,
+            y0,
+            t_bound=spec.s_max,
+            rtol=sc.rtol,
+            atol=sc.atol,
+            first_step=sc.initial_step,
+        )
+        while solver.status == "running" and not stationary:
+            if n_steps >= sc.max_steps:
+                raise StepLimitExceeded(
+                    f"no termination within {sc.max_steps} steps (s = {solver.t:.3e})"
                 )
-            if L < -1.0 - 1e-9:
-                raise InvariantViolated("L_bounded", solver.t, f"L = {L} < -1")
-        ss.append(solver.t)
-        ys.append(y)
-        prev_L = L
+            try:
+                msg = solver.step()
+            except ValueError as exc:  # a non-finite Newton matrix or W/h, from h or atol near underflow
+                raise StepLimitExceeded(f"integrator failed at s={solver.t:.3e}: {exc}") from exc
+            if solver.status == "failed":
+                raise StepLimitExceeded(f"integrator failed at s={solver.t:.3e}: {msg}")
+            n_steps += 1
+            steps.append(solver.dense)
 
-        if soliton and np.sqrt(y @ y) < spec.origin_tol:
-            termination = "origin"
-            break
-        # Ricci-flat trajectories converge to a fixed point inside
-        # {L = 0, H = 1}; stop once the phase velocity is negligible
-        if not soliton and np.sqrt(solver.f @ solver.f) < spec.origin_tol:
-            termination = "stationary"
-            break
+            if spec.mode is Mode.RICCI_FLAT:
+                projected = _project_ricci_flat(solver.y, spec)
+                solver.y = projected
+                solver.f = phase.rhs(projected, sqrt_d)
+
+            y = solver.y   # the stepper replaces its state each step, never writes to it
+            yy = float(y @ y)
+            L = yy - 1.0
+            if soliton:
+                if y[r:].min() <= 0:
+                    raise InvariantViolated("Y_positive", solver.t, f"Y = {y[r:]}")
+                if L > prev_L + _MONOTONE_SLACK * (1.0 + abs(prev_L)):
+                    raise InvariantViolated(
+                        "L_decreasing", solver.t, f"L rose from {prev_L} to {L}"
+                    )
+                if L < -1.0 - 1e-9:
+                    raise InvariantViolated("L_bounded", solver.t, f"L = {L} < -1")
+            ss.append(solver.t)
+            ys.append(y)
+            prev_L = L
+
+            if soliton and math.sqrt(yy) < spec.origin_tol:
+                termination = "origin"
+                break
+            # Ricci-flat trajectories converge to a fixed point inside
+            # {L = 0, H = 1}; stop once the phase velocity is negligible
+            if not soliton and np.sqrt(solver.f @ solver.f) < spec.origin_tol:
+                termination = "stationary"
+                break
 
     s_arr = np.array(ss)
     y_arr = np.array(ys)
@@ -260,10 +265,6 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
         kappa_estimate=float(L[-1]),
         dense=dense,
     )
-
-
-def _lyap(y: np.ndarray, r: int) -> float:
-    return float(y[:r] @ y[:r] + y[r:] @ y[r:] - 1.0)
 
 
 def dense_sample(traj: Trajectory, s_values) -> list[PhasePoint]:

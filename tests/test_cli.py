@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -415,6 +416,24 @@ def test_any_single_value_solves_or_exits_cleanly(slot, value):
             json.dump(config, fh)
         code = cli.main(["solve", "--config", path, "--out", os.path.join(tmp, "out")])
     assert code in (0, 1, 2)
+
+
+def test_underflowing_atol_exits_2_without_numpy_warnings(tmp_path, capsys):
+    """An atol near underflow overflows the stepper's norms and Newton
+    matrices; the run ends in exit 2 through the stepper's own finiteness
+    checks, and numpy prints no RuntimeWarning on the way."""
+    config = {
+        "factors": [{"dim": 2, "lambda": 1.0}, {"dim": 3, "lambda": 2.0}],
+        "seed_coeffs": [-1e-6, 1e-6],
+        "s_max": 5.0,
+        "atol": 1e-300,
+    }
+    path = write_config(tmp_path, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "must not contain infs or NaNs" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_without_runpy_warning():

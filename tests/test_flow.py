@@ -13,7 +13,11 @@ from scipy.linalg import lu_factor, lu_solve
 
 import solitonforge as sf
 from solitonforge import cli, flow, phase, radau
-from solitonforge.errors import SeedLeavesWrongRegion, StepLimitExceeded
+from solitonforge.errors import (
+    InvariantViolated,
+    SeedLeavesWrongRegion,
+    StepLimitExceeded,
+)
 
 from conftest import make_spec
 
@@ -137,6 +141,46 @@ class TestIntegrate:
         # the flow's own call at the seed is not one of the stepper's nfev
         assert 3 * stacked + single == solver.nfev + 1
 
+    def test_step_range_brackets_every_step(self, monkeypatch):
+        """The stepper's h_min and h_max are the smallest and largest of
+        the accepted steps the trajectory records."""
+        solvers = []
+
+        class Recorded(radau.Radau):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                solvers.append(self)
+
+        monkeypatch.setattr(flow, "Radau", Recorded)
+        traj = sf.run(_config_spec("bryant_d2"))
+        [solver] = solvers
+        h = np.diff(traj.s)
+        assert h.size == traj.n_steps
+        assert np.all((solver.h_min <= h) & (h <= solver.h_max))
+        assert (solver.h_min, solver.h_max) == (h.min(), h.max())
+        assert type(solver.h_min) is type(solver.h_max) is float
+
+    @pytest.mark.parametrize("invariant, factor", [
+        ("Y_positive", np.array([1.0, 1.0, 1.0, -1.0])),
+        ("L_decreasing", np.full(4, 1.01)),
+    ])
+    def test_step_monitors(self, monkeypatch, invariant, factor):
+        """An accepted state with a non-positive Y, or with a larger L than
+        the last one, ends the run with the monitor's name."""
+
+        class Perturbed(radau.Radau):
+            def step(self):
+                msg = super().step()
+                if self.t > 1.0:
+                    self.y = self.y * factor
+                return msg
+
+        monkeypatch.setattr(flow, "Radau", Perturbed)
+        with pytest.raises(InvariantViolated) as err:
+            sf.run(make_spec("d2_3"))
+        assert err.value.invariant == invariant
+        assert err.value.s > 1.0
+
     def test_decay_exponents_near_seed(self, pipeline):
         from solitonforge.verify import fit_exponent
 
@@ -203,7 +247,8 @@ class TestLapackLu:
     """The in-package Radau stepper, whose Newton matrices numpy inverts,
     against scipy's own Radau with its LAPACK LU factorisation."""
 
-    @pytest.mark.parametrize("name", ["bryant_d2", "r3_d2_2_3", "ricci_flat_d2_3"])
+    @pytest.mark.parametrize(
+        "name", ["bryant_d2", "r1_d9", "r2_d2_3", "r3_d2_2_3", "ricci_flat_d2_3"])
     def test_dense_output_agrees_with_stock_radau(self, name):
         """Stock scipy Radau, driven with the flow's projection and stopping
         rule, takes as many steps, and its dense output agrees with the
@@ -353,6 +398,16 @@ class TestRadauStepper:
         for first_step in (5.0, 1e-3, None):
             self._same_steps(*self._pair(first_step=first_step))
 
+    def test_counts_rejected_steps(self):
+        """A first step as long as the interval fails the error test on
+        the stiff toy problem; each discarded attempt is counted."""
+        ours, _ = self._pair(first_step=5.0)
+        assert ours.nrejected == 0
+        while ours.status == "running":
+            assert ours.step() is None
+        assert ours.nrejected > 0
+        assert 0 < ours.h_min <= ours.h_max < 5.0
+
     def test_package_does_not_import_scipy_integrate(self, tmp_path):
         """Neither importing the package and its CLI nor a `verify` run
         loads scipy.integrate or scipy.interpolate."""
@@ -401,6 +456,68 @@ def test_verify_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] 0"
+
+
+class TestFusedNewtonUpdate:
+    """The fused real operator K against the eigenbasis form of the
+    simplified Newton update: one real and one complex solve."""
+
+    @staticmethod
+    def _reference(J, h, F, W):
+        n = J.shape[0]
+        inv_real = np.linalg.inv(radau.MU_REAL / h * np.eye(n) - J)
+        inv_complex = np.linalg.inv(radau.MU_COMPLEX / h * np.eye(n) - J)
+        f_real = F.dot(radau.TI[0]) - radau.MU_REAL / h * W[0]
+        f_complex = (F.dot(radau.TI[1] + 1j * radau.TI[2])
+                     - radau.MU_COMPLEX / h * (W[1] + 1j * W[2]))
+        dW_complex = inv_complex @ f_complex
+        return inv_real, np.stack([inv_real @ f_real, dW_complex.real, dW_complex.imag])
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_matches_eigenbasis_update(self, n):
+        rng = np.random.default_rng(n)
+        solver = radau.Radau(lambda s, y: -y, lambda s, y: -np.eye(n), 0.0,
+                             np.ones(n), t_bound=1.0, rtol=1e-6, atol=1e-9)
+        for _ in range(20):
+            J = rng.standard_normal((n, n))
+            h = 10.0 ** rng.uniform(-4, 1)
+            F = rng.standard_normal((n, 3))      # one stage per column
+            W = rng.standard_normal((3, n))
+            nlu = solver.nlu
+            LU_real, K = solver._newton_operators(h, J)
+            assert solver.nlu == nlu + 2
+            inv_real, expected = self._reference(J, h, F, W)
+            assert K.shape == (3 * n, 6 * n)
+            assert np.array_equal(LU_real, inv_real)
+            got = K @ np.concatenate([F.T.ravel(), (W / h).ravel()])
+            assert np.abs(got.reshape(3, n) - expected).max() <= (
+                1e-13 * np.abs(expected).max())
+
+    @staticmethod
+    def _solve(fun, Z0):
+        solver = radau.Radau(fun, lambda s, y: -np.eye(2), 0.0, np.ones(2),
+                             t_bound=1.0, rtol=1e-3, atol=1e-6)
+        h = 0.1
+        _, K = solver._newton_operators(h, solver.J)
+        scale = solver.atol + solver.rtol * np.abs(solver.y)
+        nfev = solver.nfev
+        result = solver._solve_collocation(solver.t, solver.y, h, Z0, scale, K)
+        assert solver.nfev == nfev + 3
+        return result
+
+    def test_non_finite_w_raises(self):
+        """A finite F with a non-finite W/h raises the solve's ValueError,
+        which flow.integrate turns into StepLimitExceeded."""
+        with pytest.raises(ValueError, match=radau._NOT_FINITE):
+            self._solve(lambda s, y: np.zeros_like(y), np.full((3, 2), np.nan))
+
+    def test_non_finite_f_ends_unconverged(self):
+        """A non-finite stage value ends the iteration unconverged, so the
+        stepper retries with a fresh Jacobian or a halved step."""
+        fun = lambda s, y: np.full_like(y, np.nan) if y.ndim == 2 else -y
+        converged, n_iter, Z, rate = self._solve(fun, np.zeros((3, 2)))
+        assert (converged, n_iter, rate) == (False, 1, None)
+        assert np.array_equal(Z, np.zeros((3, 2)))
 
 
 class TestDenseOutput:
