@@ -13,9 +13,13 @@ stability-limited to O(1) steps and could never reach the origin
 tolerance in the available step budget.
 
 The Radau stepper is the package's own (``radau.Radau``, scipy's method
-and step control in numpy alone), so the flow loads no ``scipy`` module,
-and the projection replaces the stepper's public ``y`` and ``f`` rather
-than scipy's private solver state.
+and step control in numpy alone), so the flow loads no ``scipy`` module.
+The Ricci-flat projection is the stepper's ``project`` hook: each
+accepted state is projected before the stepper's one right-hand-side
+call of the step, so the flow evaluates nothing itself per step.  Its
+per-step monitors read the stepper's state without copying it, and the
+step loop follows ``radau.py``'s rule of computing every value bit for
+bit as before: it only drops numpy calls that compute nothing.
 
 The dense output keeps each accepted step's Radau interpolant as stacked
 arrays and evaluates any set of abscissae in one vectorised pass (one
@@ -146,9 +150,14 @@ def seed(spec: ProblemSpec) -> PhasePoint:
 
 def _project_ricci_flat(y: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Rescale X so that H = 1 and then Y so that L = 0."""
-    r = spec.r
+    return _rescale_ricci_flat(y, np.sqrt(spec.dims))
+
+
+def _rescale_ricci_flat(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
+    """`_project_ricci_flat` with the spec's sqrt(d_i) computed once by the
+    caller: ``spec.dims`` builds a new array on every access."""
+    r = sqrt_d.size
     y = y.copy()
-    sqrt_d = np.sqrt(spec.dims)
     h = sqrt_d @ y[:r]
     y[:r] /= h
     sx2 = y[:r] @ y[:r]
@@ -177,6 +186,9 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     def jac(s, y):
         return phase.rhs_jacobian(y, sqrt_d)
 
+    def project(y):
+        return _rescale_ricci_flat(y, sqrt_d)
+
     y0 = start.as_vector()
     f0 = phase.rhs(y0, sqrt_d)
     stationary = float(np.sqrt(f0 @ f0)) < 1e-13  # seeded at the rest point
@@ -201,6 +213,7 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
             rtol=sc.rtol,
             atol=sc.atol,
             first_step=sc.initial_step,
+            project=None if soliton else project,
         )
         while solver.status == "running" and not stationary:
             if n_steps >= sc.max_steps:
@@ -216,16 +229,11 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
             n_steps += 1
             steps.append(solver.dense)
 
-            if spec.mode is Mode.RICCI_FLAT:
-                projected = _project_ricci_flat(solver.y, spec)
-                solver.y = projected
-                solver.f = phase.rhs(projected, sqrt_d)
-
             y = solver.y   # the stepper replaces its state each step, never writes to it
             yy = float(y @ y)
             L = yy - 1.0
             if soliton:
-                if y[r:].min() <= 0:
+                if np.minimum.reduce(y[r:]) <= 0:
                     raise InvariantViolated("Y_positive", solver.t, f"Y = {y[r:]}")
                 if L > prev_L + _MONOTONE_SLACK * (1.0 + abs(prev_L)):
                     raise InvariantViolated(
@@ -242,7 +250,7 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
                 break
             # Ricci-flat trajectories converge to a fixed point inside
             # {L = 0, H = 1}; stop once the phase velocity is negligible
-            if not soliton and np.sqrt(solver.f @ solver.f) < spec.origin_tol:
+            if not soliton and math.sqrt(solver.f @ solver.f) < spec.origin_tol:
                 termination = "stationary"
                 break
 

@@ -57,27 +57,45 @@ def rhs(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
 
     `y` may also be a stack of states along its leading axes, such as the
     (3, 2r) stages of one Radau step; the result has the shape of `y`.
+    Both halves are written straight into one output array, and the sum
+    is ``np.add.reduce`` without ``.sum``'s Python wrapper: the same
+    operations, on the same operands in the same order, as the textbook
+    expressions in the module docstring, so the values are those of
+    evaluating them one by one.
     """
     r = sqrt_d.size
     X = y[..., :r]
     Y = y[..., r:]
-    sx2 = (X * X).sum(axis=-1, keepdims=True)
-    dX = X * (sx2 - 1.0) + Y * Y / sqrt_d
-    dY = Y * (sx2 - X / sqrt_d)
-    return np.concatenate([dX, dY], axis=-1)
+    sx2 = np.add.reduce(X * X, axis=-1, keepdims=True)
+    out = np.empty(y.shape)
+    np.add(X * (sx2 - 1.0), Y * Y / sqrt_d, out=out[..., :r])
+    np.multiply(Y, sx2 - X / sqrt_d, out=out[..., r:])
+    return out
 
 
 def rhs_jacobian(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of `rhs` at a packed state."""
+    """Analytic Jacobian of `rhs` at a packed state.
+
+    The left half is 2 y X^T, filled as one outer product and doubled in
+    place; the four diagonal blocks' diagonals are written through strided
+    views of the flat matrix.  Each entry is the textbook one,
+    ``2 X_i X_j + delta_ij (|X|^2 - 1)`` and so on, computed with the same
+    operations in the same order.
+    """
     r = sqrt_d.size
+    n = 2 * r
     X = y[:r]
     Y = y[r:]
     sx2 = X @ X
-    J = np.zeros((2 * r, 2 * r))
-    J[:r, :r] = 2.0 * np.outer(X, X) + np.diag(np.full(r, sx2 - 1.0))
-    J[:r, r:] = np.diag(2.0 * Y / sqrt_d)
-    J[r:, :r] = 2.0 * np.outer(Y, X) - np.diag(Y / sqrt_d)
-    J[r:, r:] = np.diag(sx2 - X / sqrt_d)
+    J = np.zeros((n, n))
+    left = J[:, :r]
+    np.multiply.outer(y, X, out=left)
+    left *= 2.0
+    flat = J.reshape(-1)   # a view; the diagonals step by n + 1
+    flat[:r * n:n + 1] += sx2 - 1.0            # X rows, X columns
+    flat[r:r * n:n + 1] = 2.0 * Y / sqrt_d      # X rows, Y columns
+    flat[r * n::n + 1] -= Y / sqrt_d            # Y rows, X columns
+    flat[r * n + r::n + 1] = sx2 - X / sqrt_d   # Y rows, Y columns
     return J
 
 

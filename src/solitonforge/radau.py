@@ -43,10 +43,38 @@ product.  The update is the same linear map, summed in another order, so
 it agrees with the two-solve form to a few ulps rather than bit for bit;
 on the shipped configs the steps and the ``nfev``, ``njev`` and ``nlu``
 counts are unchanged.  The real inverse is kept for the error estimate.
+
+Every other part of a step computes its values bit for bit as the
+textbook form would: each arithmetic operation keeps its operands and
+their order, and only numpy calls that compute nothing (temporaries,
+wrappers, repeated scans) are left out of the hot path.  That is a rule
+for changes to this module, not only a property of it.  The stepper's
+agreement with stock scipy Radau (``tests/test_flow.py``) depends on
+taking the same step and Newton decisions, and one ulp in the wrong
+place can flip a convergence test, add a Newton iteration and make the
+steps diverge from there on; the work counts of the shipped configs are
+pinned in the tests for that reason.  Step control runs on Python floats
+(``math.nextafter``, ``abs``, ``math.sqrt``), which round as numpy's
+scalars do; ``_initial_step`` keeps numpy scalars so that a degenerate
+scale gives inf or nan, as scipy's does, instead of raising.
+
+Finiteness is checked where a bad value can first do harm, and no more
+often.  `_lu` scans each Newton matrix before inverting it.  The Newton
+iteration and the error estimate do not scan their inputs on every call:
+a non-finite entry in the stacked input ``v = [F ; W/h]`` or in
+``f + ZE`` makes every entry of the product with the inverse, and so the
+scaled norm, non-finite, and only then are the inputs scanned.  A
+non-finite F ends the iteration unconverged; a non-finite ``W/h`` or
+``f + ZE`` raises ``ValueError`` with scipy's message.
+
+A ``project`` hook maps each accepted state to the one the next step
+starts from, before the step's single ``fun`` call, so that ``y`` and
+``f`` stay a consistent pair; the flow's Ricci-flat projection uses it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -58,6 +86,7 @@ S6 = 6 ** 0.5
 # Butcher tableau.  A is not used directly: the Newton iteration works in
 # the eigenbasis A = T diag(MU_REAL, MU_COMPLEX, conj(MU_COMPLEX)) T^-1.
 C = np.array([(4 - S6) / 10, (4 + S6) / 10, 1])
+_C = C.tolist()   # the abscissae as Python floats, for the warm start
 E = np.array([-13 - 7 * S6, -13 + 7 * S6, -1]) / 3
 
 MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
@@ -93,16 +122,17 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _NOT_FINITE = "array must not contain infs or NaNs"
 
 
-def _norm(x: np.ndarray):
-    """RMS norm, with the operations of ``np.linalg.norm(x) / sqrt(size)``."""
+def _norm(x: np.ndarray) -> float:
+    """RMS norm, with the operations of ``np.linalg.norm(x) / sqrt(size)``,
+    as a Python float."""
     x = x.ravel()
-    return np.sqrt(x.dot(x)) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     """Step-size factor from the last one or two error norms (§IV.8)."""
     if error_norm == 0:
-        return np.inf
+        return math.inf
     if error_norm_old is None or h_abs_old is None:
         multiplier = 1
     else:
@@ -110,18 +140,35 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     return min(1, multiplier) * error_norm ** -0.25
 
 
-def _lu(a: np.ndarray) -> np.ndarray:
-    """The factorisation `_solve_lu` applies: the inverse of `a`."""
+def _check_finite(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
         raise ValueError(_NOT_FINITE)
+
+
+def _lu(a: np.ndarray) -> np.ndarray:
+    """The factorisation `_solve_lu` applies: the inverse of `a`."""
+    _check_finite(a)
     return np.linalg.inv(a)
 
 
 def _solve_lu(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a x = b`` with ``inv = _lu(a)``."""
-    if not np.isfinite(b).all():
-        raise ValueError(_NOT_FINITE)
+    _check_finite(b)
     return inv @ b
+
+
+def _error_estimate(inv: np.ndarray, b: np.ndarray, scale: np.ndarray):
+    """The error estimate ``inv @ b`` and its scaled RMS norm.
+
+    A non-finite b raises `_solve_lu`'s ValueError.  Any non-finite entry
+    of b makes every entry of the product, and so the norm, non-finite,
+    so b is scanned only when the norm comes out non-finite.
+    """
+    error = inv @ b
+    error_norm = _norm(error / scale)
+    if not math.isfinite(error_norm):
+        _check_finite(b)
+    return error, error_norm
 
 
 class Radau:
@@ -138,9 +185,15 @@ class Radau:
     After each accepted step, ``dense`` holds ``(t_old, h, y_old, Q)``:
     the step's interpolant is ``y_old + Q @ (x, x^2, x^3)`` with
     ``x = (s - t_old) / h``.  The stepper warm-starts its next Newton
-    iteration from it.  A caller may replace ``y`` and ``f`` between
-    steps (``f`` must then be ``fun(t, y)``); ``dense`` is left as the
-    step produced it.
+    iteration from it.
+
+    ``project``, if given, maps each accepted state to the state the next
+    step starts from (the flow's Ricci-flat projection).  It is applied to
+    the new ``y`` before the step's one ``fun`` call, so ``f`` is
+    ``fun(t, y)`` at the projected state; a Jacobian refresh, the error
+    estimate and ``dense`` use the state the step produced.  The initial
+    state is not projected.  A caller may also replace ``y`` and ``f``
+    between steps (``f`` must then be ``fun(t, y)``).
 
     Besides scipy's ``nfev``, ``njev`` and ``nlu``, the stepper counts
     ``nrejected``, the step attempts it discarded (by the error test or
@@ -149,7 +202,8 @@ class Radau:
     """
 
     def __init__(self, fun, jac, t0: float, y0, t_bound: float,
-                 rtol: float, atol: float, first_step: float | None = None):
+                 rtol: float, atol: float, first_step: float | None = None,
+                 project=None):
         y0 = np.asarray(y0, dtype=float)
         if not np.isfinite(y0).all():
             raise ValueError("All components of the initial state `y0` must be finite.")
@@ -166,6 +220,7 @@ class Radau:
 
         self._fun = fun
         self._jac = jac
+        self._project = project
         self.t = t0
         self.y = y0
         self.t_bound = t_bound
@@ -250,8 +305,11 @@ class Radau:
         t0, y0, f0 = self.t, self.y, self.f
         interval_length = abs(self.t_bound - t0)
         scale = self.atol + np.abs(y0) * self.rtol
-        d0 = _norm(y0 / scale)
-        d1 = _norm(f0 / scale)
+        # numpy scalars, as scipy's: with an atol near underflow the norms
+        # overflow, and the divisions below must give inf or nan rather
+        # than raise ZeroDivisionError
+        d0 = np.float64(_norm(y0 / scale))
+        d1 = np.float64(_norm(f0 / scale))
         if d0 < 1e-5 or d1 < 1e-5:
             h0 = 1e-6
         else:
@@ -259,12 +317,13 @@ class Radau:
         h0 = min(h0, interval_length)
         y1 = y0 + h0 * f0
         f1 = self.fun(t0 + h0, y1)
-        d2 = _norm((f1 - f0) / scale) / h0
+        d2 = np.float64(_norm((f1 - f0) / scale)) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 4)
-        return min(100 * h0, h1, interval_length)
+        # a Python float, so that the step control runs on Python floats
+        return float(min(100 * h0, h1, interval_length))
 
     def step(self) -> str | None:
         """Take one accepted step; return None, or a message on failure."""
@@ -280,11 +339,10 @@ class Radau:
     def _warm_start(self, t, h) -> np.ndarray:
         """Newton start Z0: the last step's interpolant at t + h C, minus y."""
         t_old, h_old, y_old, Q = self.dense
-        x = (t + h * C - t_old) / h_old
-        p = np.empty((3, 3))
-        p[0] = x
-        p[1] = p[0] * x
-        p[2] = p[1] * x
+        x0, x1, x2 = [(t + h * c - t_old) / h_old for c in _C]
+        p = np.array([[x0, x1, x2],
+                      [x0 * x0, x1 * x1, x2 * x2],
+                      [x0 * x0 * x0, x1 * x1 * x1, x2 * x2 * x2]])
         z = np.dot(Q, p)
         z += y_old[:, None]
         return z.T - self.y
@@ -296,7 +354,7 @@ class Radau:
         atol = self.atol
         rtol = self.rtol
 
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if self.h_abs < min_step:
             h_abs = min_step
             h_abs_old = None
@@ -310,6 +368,8 @@ class Radau:
         LU_real = self.LU_real
         K = self.K
         current_jac = self.current_jac
+        abs_y = np.abs(y)
+        newton_scale = atol + abs_y * rtol
 
         rejected = False
         step_accepted = False
@@ -321,14 +381,12 @@ class Radau:
             if t_new - self.t_bound > 0:
                 t_new = self.t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
             if self.dense is None:
                 Z0 = np.zeros((3, y.shape[0]))
             else:
                 Z0 = self._warm_start(t, h)
-
-            scale = atol + np.abs(y) * rtol
 
             converged = False
             while not converged:
@@ -336,7 +394,7 @@ class Radau:
                     LU_real, K = self._newton_operators(h, J)
 
                 converged, n_iter, Z, rate = self._solve_collocation(
-                    t, y, h, Z0, scale, K)
+                    t, y, h, Z0, newton_scale, K)
 
                 if not converged:
                     if current_jac:
@@ -353,14 +411,13 @@ class Radau:
 
             y_new = y + Z[-1]
             ZE = Z.T.dot(E) / h
-            error = _solve_lu(LU_real, f + ZE)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _norm(error / scale)
+            scale = atol + np.maximum(abs_y, np.abs(y_new)) * rtol
+            error, error_norm = _error_estimate(LU_real, f + ZE, scale)
             safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
 
             if rejected and error_norm > 1:
-                error = _solve_lu(LU_real, self.fun(t, y + error) + ZE)
-                error_norm = _norm(error / scale)
+                error, error_norm = _error_estimate(
+                    LU_real, self.fun(t, y + error) + ZE, scale)
 
             if error_norm > 1:
                 factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
@@ -381,12 +438,14 @@ class Radau:
         else:
             K = None
 
-        f_new = self.fun(t_new, y_new)
         if recompute_jac:
             J = self.jac(t_new, y_new)
             current_jac = True
         else:
             current_jac = False
+        if self._project is not None:
+            y_new = self._project(y_new)
+        f_new = self.fun(t_new, y_new)
 
         self.h_abs_old = self.h_abs
         self.error_norm_old = error_norm
@@ -434,17 +493,18 @@ class Radau:
 
             vF[...] = F.T
             np.divide(W, h, out=vW)
-            if not np.isfinite(v).all():
-                # a non-finite stage value ends the iteration unconverged,
+            dW = K.dot(v)
+            dW_norm = _norm(dW / scale)
+            if not math.isfinite(dW_norm):
+                # a non-finite entry of v makes every entry of dW, and so
+                # the norm, non-finite; only then is v scanned.  A
+                # non-finite stage value ends the iteration unconverged,
                 # so a fresh Jacobian or a shorter step follows; a
                 # non-finite W/h means h has underflowed, and is an error
                 if not np.isfinite(F).all():
                     break
-                raise ValueError(_NOT_FINITE)
+                _check_finite(v)
 
-            dW = K.dot(v)
-
-            dW_norm = _norm(dW / scale)
             if dW_norm_old is not None:
                 rate = dW_norm / dW_norm_old
 

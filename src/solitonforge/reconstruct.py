@@ -143,28 +143,42 @@ def build_profile(traj: Trajectory, spec: ProblemSpec) -> MetricProfile:
 
     if spec.mode is Mode.SOLITON and np.any(traj.L >= 0):
         raise NonNegativeL("soliton reconstruction requires L < 0 throughout")
-    cum = _cumulative(traj, spec)
-    if spec.mode is Mode.RICCI_FLAT:
-        log_w, t_rel, u = cum.T
-        w = np.exp(log_w)
-    else:
-        t_rel, u = cum.T
-        w = np.sqrt(spec.gauge_C / traj.L)
-    t = _tail_t0(traj, spec, w) + t_rel
+    # An extreme but accepted gauge_C or lambda (near +-1e308, or a
+    # subnormal gauge_C) overflows the arithmetic below.  Every field is
+    # checked for finiteness afterwards, so numpy's warnings would only
+    # repeat what that check reports.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cum = _cumulative(traj, spec)
+        if spec.mode is Mode.RICCI_FLAT:
+            log_w, t_rel, u = cum.T
+            w = np.exp(log_w)
+        else:
+            t_rel, u = cum.T
+            w = np.sqrt(spec.gauge_C / traj.L)
+        t = _tail_t0(traj, spec, w) + t_rel
+
+        g = np.sqrt(d * lam) / (Y * w[:, None])
+        g_dot = np.sqrt(lam) * X / Y
+        sx2 = np.einsum("ij,ij->i", X, X)
+        g_ddot = g * (w[:, None] ** 2) * (X**2 + Y**2 - sqrt_d * X) / d
+        bracket = (X / Y**2) * (
+            -3.0 * X + X**2 / sqrt_d + sqrt_d + sqrt_d * sx2[:, None]
+        ) + X / sqrt_d - 1.0
+        g_dddot = w[:, None] * (lam / g) * bracket
+
+        u_dot = w * (traj.H - 1.0)
+        u_ddot = (d * g_ddot / g).sum(axis=1)
+
+    fields = {"t": t, "w": w, "g": g, "g_dot": g_dot, "g_ddot": g_ddot,
+              "g_dddot": g_dddot, "u": u, "u_dot": u_dot, "u_ddot": u_ddot}
+    for name, value in fields.items():
+        if not np.isfinite(value).all():
+            raise QuadratureFailure(
+                f"profile field {name} is not finite (gauge_C = {spec.gauge_C:g}, "
+                f"lambda = {lam.tolist()})"
+            )
     if np.any(np.diff(t) <= 0):
         raise QuadratureFailure("recovered arclength is not strictly increasing")
-
-    g = np.sqrt(d * lam) / (Y * w[:, None])
-    g_dot = np.sqrt(lam) * X / Y
-    sx2 = np.einsum("ij,ij->i", X, X)
-    g_ddot = g * (w[:, None] ** 2) * (X**2 + Y**2 - sqrt_d * X) / d
-    bracket = (X / Y**2) * (
-        -3.0 * X + X**2 / sqrt_d + sqrt_d + sqrt_d * sx2[:, None]
-    ) + X / sqrt_d - 1.0
-    g_dddot = w[:, None] * (lam / g) * bracket
-
-    u_dot = w * (traj.H - 1.0)
-    u_ddot = (d * g_ddot / g).sum(axis=1)
 
     return MetricProfile(
         spec=spec,

@@ -450,3 +450,31 @@ def test_module_entry_point_runs_without_runpy_warning():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("gauge_C", -1e308, "profile field w is not finite"),
+    ("lambda", 1e308, "profile field g is not finite"),
+    ("gauge_C", -5e-324, "cumulative quadrature is not finite"),
+])
+def test_overflowing_profile_exits_2_without_numpy_warnings(
+        tmp_path, capsys, where, value, message):
+    """An accepted but extreme gauge_C or lambda overflows the recovered
+    profile; solve exits 2 naming what is not finite, writes no profile,
+    and numpy prints no RuntimeWarning on the way."""
+    config = {
+        "factors": [{"dim": 2, "lambda": 1.0}, {"dim": 3, "lambda": 2.0}],
+        "seed_coeffs": [-1e-6, 1e-6],
+        "s_max": 5.0,
+    }
+    if where == "lambda":
+        config["factors"][1]["lambda"] = value
+    else:
+        config[where] = value
+    path = write_config(tmp_path, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "profile.csv").exists()

@@ -115,9 +115,12 @@ class TestIntegrate:
         ):
             sf.run(bad)
 
-    def test_stages_share_one_rhs_call(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["d2_3", "rf_d2_3"])
+    def test_stages_share_one_rhs_call(self, monkeypatch, name):
         """Each Newton iteration evaluates its three stages in one
-        phase.rhs call on a (3, 2r) stack; every other call is one state."""
+        phase.rhs call on a (3, 2r) stack; every other call is one state.
+        In Ricci-flat mode the stepper projects each accepted state before
+        its one call, so the flow makes no call of its own per step."""
         shapes = []
         solvers = []
         rhs = phase.rhs
@@ -133,13 +136,61 @@ class TestIntegrate:
 
         monkeypatch.setattr(phase, "rhs", recorded)
         monkeypatch.setattr(flow, "Radau", Recorded)
-        sf.run(make_spec("d2_3"))
+        sf.run(make_spec(name))
         [solver] = solvers
         stacked = shapes.count((3, 4))
         single = shapes.count((4,))
         assert stacked > 0 and stacked + single == len(shapes)
         # the flow's own call at the seed is not one of the stepper's nfev
         assert 3 * stacked + single == solver.nfev + 1
+
+    def test_ricci_flat_steps_start_on_the_invariant_set(self, monkeypatch):
+        """After every accepted Ricci-flat step the stepper's own state is
+        the projected sample the trajectory records, on {L = 0, H = 1},
+        and its f is phase.rhs there, bit for bit."""
+        spec = make_spec("rf_d2_3")
+        sqrt_d = np.sqrt(spec.dims)
+        states = []
+
+        class Recorded(radau.Radau):
+            def step(self):
+                msg = super().step()
+                p = phase.PhasePoint.from_vector(self.t, self.y)
+                assert abs(phase.lyapunov(p)) <= 1e-12
+                assert abs(phase.hamiltonian_H(p, spec) - 1.0) <= 1e-12
+                assert np.array_equal(self.f, phase.rhs(self.y, sqrt_d))
+                states.append(self.y.copy())
+                return msg
+
+        monkeypatch.setattr(flow, "Radau", Recorded)
+        traj = sf.run(spec)
+        assert np.array_equal(np.array(states), np.hstack([traj.X, traj.Y])[1:])
+
+    def test_non_finite_error_estimate_is_an_integrator_failure(self, monkeypatch):
+        """A non-finite f + ZE in the error estimate raises the stepper's
+        ValueError, even though the Newton stages are finite, and so ends
+        a run in StepLimitExceeded."""
+        solver = radau.Radau(lambda s, y: -y, lambda s, y: -np.eye(2), 0.0,
+                             np.ones(2), t_bound=1.0, rtol=1e-3, atol=1e-6)
+        solver.f = np.array([np.nan, 1.0])
+        with pytest.raises(ValueError, match=radau._NOT_FINITE):
+            solver.step()
+
+        singles = []
+        rhs = phase.rhs
+
+        def late_nan(y, sqrt_d):
+            """NaN for one-state calls after the first 20; the stacked
+            stages, which the Newton iteration uses, stay finite."""
+            if y.ndim == 1:
+                singles.append(1)
+                if len(singles) > 20:
+                    return np.full_like(y, np.nan)
+            return rhs(y, sqrt_d)
+
+        monkeypatch.setattr(phase, "rhs", late_nan)
+        with pytest.raises(StepLimitExceeded, match=radau._NOT_FINITE):
+            sf.run(make_spec("d2_3"))
 
     def test_step_range_brackets_every_step(self, monkeypatch):
         """The stepper's h_min and h_max are the smallest and largest of
@@ -241,6 +292,39 @@ class TestDenseSample:
 
 def _config_spec(name):
     return cli.parse_config(os.path.join(CONFIG_DIR, f"{name}.json")).spec
+
+
+# (n_steps, nfev, njev, nlu, nrejected) of each shipped single-run config
+SHIPPED_WORK = {
+    "bryant_d2": (1343, 10501, 248, 728, 9),
+    "r1_d3": (1330, 10260, 251, 726, 6),
+    "r1_d4": (1331, 10414, 252, 724, 6),
+    "r1_d9": (1314, 10295, 255, 722, 5),
+    "r2_d2_3": (1267, 9891, 255, 738, 11),
+    "r2_d3_5": (1267, 9876, 258, 736, 10),
+    "r3_d2_2_3": (1219, 9606, 257, 736, 11),
+    "ricci_flat_d2_3": (633, 4544, 8, 78, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_WORK))
+def test_shipped_config_work_is_pinned(monkeypatch, name):
+    """Steps, right-hand-side and Jacobian evaluations, factorisations and
+    rejected attempts on each shipped config, as literals.  Changing a
+    literal means the change altered the integrator's work (its step or
+    Newton decisions, not only its speed): report the old and new values
+    in CHANGES.md."""
+    solvers = []
+
+    class Recorded(radau.Radau):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(flow, "Radau", Recorded)
+    traj = sf.run(_config_spec(name))
+    [s] = solvers
+    assert (traj.n_steps, s.nfev, s.njev, s.nlu, s.nrejected) == SHIPPED_WORK[name]
 
 
 class TestLapackLu:

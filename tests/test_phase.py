@@ -78,6 +78,49 @@ class TestVectorField:
             assert np.array_equal(field, phase.rhs(y, sqrt_d))
 
 
+class TestTextbookFormulas:
+    """phase.rhs and phase.rhs_jacobian against the module docstring's
+    formulas written out entry by entry, bit for bit."""
+
+    @staticmethod
+    def _field(y, sqrt_d):
+        r = sqrt_d.size
+        X, Y = y[:r], y[r:]
+        sx2 = sum(X[j] * X[j] for j in range(r))   # left to right
+        dX = [X[i] * (sx2 - 1.0) + Y[i] * Y[i] / sqrt_d[i] for i in range(r)]
+        dY = [Y[i] * (sx2 - X[i] / sqrt_d[i]) for i in range(r)]
+        return np.array(dX + dY)
+
+    @staticmethod
+    def _jacobian(y, sqrt_d):
+        r = sqrt_d.size
+        X, Y = y[:r], y[r:]
+        sx2 = X @ X   # the BLAS dot, whose summation order numpy does not fix
+        J = np.zeros((2 * r, 2 * r))
+        for i in range(r):
+            for j in range(r):
+                J[i, j] = 2.0 * (X[i] * X[j])
+                J[r + i, j] = 2.0 * (Y[i] * X[j])
+            J[i, i] += sx2 - 1.0
+            J[r + i, i] -= Y[i] / sqrt_d[i]
+            J[i, r + i] = 2.0 * Y[i] / sqrt_d[i]
+            J[r + i, r + i] = sx2 - X[i] / sqrt_d[i]
+        return J
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_single_states_and_stacks(self, r):
+        rng = np.random.default_rng(10 + r)
+        for _ in range(50):
+            sqrt_d = np.sqrt(rng.integers(2, 10, r).astype(float))
+            scale = 10.0 ** rng.uniform(-8, 1)
+            y = scale * rng.uniform(-1.0, 1.0, 2 * r)
+            assert np.array_equal(phase.rhs(y, sqrt_d), self._field(y, sqrt_d))
+            assert np.array_equal(phase.rhs_jacobian(y, sqrt_d), self._jacobian(y, sqrt_d))
+            stack = scale * rng.uniform(-1.0, 1.0, (3, 2 * r))
+            expected = np.array([self._field(row, sqrt_d) for row in stack])
+            assert np.array_equal(phase.rhs(stack, sqrt_d), expected)
+
+
 class TestScalars:
     def test_lyapunov_values(self):
         assert phase.lyapunov(sf.critical_point(SPEC_D2_3)) == pytest.approx(0.0, abs=1e-15)
