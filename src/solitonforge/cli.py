@@ -507,7 +507,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             spec.step_controls, rtol=tol, atol=tol))
     coeffs = list(spec.seed_coeffs)
     if args.seed_eps0 is not None:
-        coeffs[0] = args.seed_eps0
+        coeffs[0] = _finite(args.seed_eps0, "--seed-eps0")
     for item in args.seed_eps:
         try:
             pos, val = item.split("=", 1)
@@ -517,7 +517,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             raise ParseError(f"--seed-eps expects i=value, got {item!r}") from None
         if not 1 <= pos <= len(coeffs):
             raise ParseError(f"--seed-eps index {pos} out of range 1..{len(coeffs)}")
-        coeffs[pos - 1] = val
+        coeffs[pos - 1] = _finite(val, f"--seed-eps {pos}")
     spec = spec.with_seed_coeffs(tuple(coeffs))
     validate_spec(spec)
     out_dir = args.out if args.out is not None else cfg.out_dir

@@ -14,17 +14,22 @@ tolerance in the available step budget.
 
 The Radau stepper is the package's own (``radau.Radau``, scipy's method
 and step control in numpy alone), so the flow loads no ``scipy`` module.
-The Ricci-flat projection is the stepper's ``project`` hook: each
-accepted state is projected before the stepper's one right-hand-side
-call of the step, so the flow evaluates nothing itself per step.  Its
+It takes ``phase.rhs`` and ``phase.rhs_jacobian`` as they are: the flow
+is autonomous and ``rhs`` takes the stepper's stage-major stack of three
+states.  The Ricci-flat projection is the stepper's ``project`` hook:
+each accepted state is projected before the stepper's one
+right-hand-side call of the step, so every ``phase.rhs`` call, the
+seed's included, is the stepper's.  Every failure of a step is a
+``ValueError``, which the loop reports as ``StepLimitExceeded``.  The
 per-step monitors read the stepper's state without copying it, and the
 step loop follows ``radau.py``'s rule of computing every value bit for
 bit as before: it only drops numpy calls that compute nothing.
 
-The dense output keeps each accepted step's Radau interpolant as stacked
-arrays and evaluates any set of abscissae in one vectorised pass (one
-``searchsorted``, then one array operation per power of the local
-abscissa).
+Each accepted step starts from the sample recorded before it, so the
+dense output needs only the samples, their abscissae and each step's
+interpolant coefficients Q.  It evaluates any set of abscissae in one
+vectorised pass (one ``searchsorted``, then one array operation per
+power of the local abscissa).
 """
 
 from __future__ import annotations
@@ -54,32 +59,33 @@ _MONOTONE_SLACK = 1e-13
 class DenseOutput:
     """Piecewise Radau interpolant over the accepted steps.
 
-    Step k covers [ts[k], ts[k+1]] and is y_old[k] + Q[k] @ (x, x^2, x^3)
-    with x = (s - t_old[k]) / h[k], the polynomial of the stepper's
-    ``dense`` tuple (and of scipy's ``RadauDenseOutput``).  A call
-    evaluates all abscissae at once; an abscissa on a step boundary uses
-    the earlier step and one outside the range extrapolates from the
-    nearest end step, as scipy's ``OdeSolution`` does.
+    Step k covers [ts[k], ts[k+1]] and is samples[k] + Q[k] @ (x, x^2,
+    x^3) with x = (s - ts[k]) / h[k] and h = np.diff(ts): the stepper's
+    ``dense`` polynomial (and scipy's ``RadauDenseOutput``), since each
+    step starts from the sample before it and its step size is the
+    difference of its ends, bit for bit.  A call evaluates all abscissae
+    at once; an abscissa on a step boundary uses the earlier step and one
+    outside the range extrapolates from the nearest end step, as scipy's
+    ``OdeSolution`` does.
     """
 
-    def __init__(self, ts: np.ndarray, t_old: np.ndarray, h: np.ndarray,
-                 y_old: np.ndarray, Q: np.ndarray) -> None:
-        self.ts = ts
-        self.t_old = t_old
-        self.h = h
-        self.y_old = y_old   # (step, n)
-        self.Q = Q           # (step, n, 3)
+    def __init__(self, ts: np.ndarray, samples: np.ndarray, Q: np.ndarray) -> None:
+        self.ts = ts             # (step + 1,)
+        self.samples = samples   # (step + 1, n)
+        self.Q = Q               # (step, n, 3)
 
     def __call__(self, s) -> np.ndarray:
         """States at the abscissae: shape (n,) for a scalar, else (n, N)."""
         s = np.asarray(s, dtype=float)
         flat = s.ravel()
-        k = np.searchsorted(self.ts, flat, side="left") - 1
-        np.clip(k, 0, self.t_old.size - 1, out=k)
-        x = (flat - self.t_old[k]) / self.h[k]
+        ts = self.ts
+        k = np.searchsorted(ts, flat, side="left") - 1
+        np.clip(k, 0, ts.size - 2, out=k)
+        t_old = ts[k]
+        x = (flat - t_old) / (ts[k + 1] - t_old)
         # one power at a time: gathering Q[k] whole would hold an
         # (N, n, 3) copy, which shows in the peak memory of a request
-        y = self.y_old[k]
+        y = self.samples[k]
         power = np.ones_like(x)
         for j in range(self.Q.shape[2]):
             power *= x
@@ -145,17 +151,13 @@ def seed(spec: ProblemSpec) -> PhasePoint:
             if not np.all(p.Y > 0):
                 raise NonPositiveY(f"seed has non-positive Y: {p.Y}")
         return p
-    return PhasePoint.from_vector(spec.s_start, _project_ricci_flat(v, spec))
+    return PhasePoint.from_vector(
+        spec.s_start, _project_ricci_flat(v, np.sqrt(spec.dims)))
 
 
-def _project_ricci_flat(y: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Rescale X so that H = 1 and then Y so that L = 0."""
-    return _rescale_ricci_flat(y, np.sqrt(spec.dims))
-
-
-def _rescale_ricci_flat(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
-    """`_project_ricci_flat` with the spec's sqrt(d_i) computed once by the
-    caller: ``spec.dims`` builds a new array on every access."""
+def _project_ricci_flat(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
+    """Rescale X so that H = 1 and then Y so that L = 0, with the spec's
+    sqrt(d_i) computed once by the caller."""
     r = sqrt_d.size
     y = y.copy()
     h = sqrt_d @ y[:r]
@@ -178,25 +180,10 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     sqrt_d = np.sqrt(spec.dims)
     sc = spec.step_controls
     soliton = spec.mode is Mode.SOLITON
-
-    def f(s, y):
-        # the stepper passes its three stages as the columns of a (2r, 3) y
-        return phase.rhs(y.T, sqrt_d).T
-
-    def jac(s, y):
-        return phase.rhs_jacobian(y, sqrt_d)
-
-    def project(y):
-        return _rescale_ricci_flat(y, sqrt_d)
-
     y0 = start.as_vector()
-    f0 = phase.rhs(y0, sqrt_d)
-    stationary = float(np.sqrt(f0 @ f0)) < 1e-13  # seeded at the rest point
     ss = [start.s]
     ys = [y0.copy()]
-    steps = []   # each accepted step's (t_old, h, y_old, Q)
-    termination = "stationary" if stationary else "s_max"
-    n_steps = 0
+    Qs = []   # each accepted step's dense-output coefficients
     r = spec.r
     prev_L = float(y0 @ y0) - 1.0
 
@@ -205,29 +192,28 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     # so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         solver = Radau(
-            f,
-            jac,
+            lambda y: phase.rhs(y, sqrt_d),
+            lambda y: phase.rhs_jacobian(y, sqrt_d),
             start.s,
             y0,
             t_bound=spec.s_max,
             rtol=sc.rtol,
             atol=sc.atol,
             first_step=sc.initial_step,
-            project=None if soliton else project,
+            project=None if soliton else lambda y: _project_ricci_flat(y, sqrt_d),
         )
+        stationary = float(np.sqrt(solver.f @ solver.f)) < 1e-13  # seeded at the rest point
+        termination = "stationary" if stationary else "s_max"
         while solver.status == "running" and not stationary:
-            if n_steps >= sc.max_steps:
+            if len(Qs) >= sc.max_steps:
                 raise StepLimitExceeded(
                     f"no termination within {sc.max_steps} steps (s = {solver.t:.3e})"
                 )
             try:
-                msg = solver.step()
-            except ValueError as exc:  # a non-finite Newton matrix or W/h, from h or atol near underflow
+                solver.step()
+            except ValueError as exc:  # every failure of a step, an underflowing h among them
                 raise StepLimitExceeded(f"integrator failed at s={solver.t:.3e}: {exc}") from exc
-            if solver.status == "failed":
-                raise StepLimitExceeded(f"integrator failed at s={solver.t:.3e}: {msg}")
-            n_steps += 1
-            steps.append(solver.dense)
+            Qs.append(solver.dense)
 
             y = solver.y   # the stepper replaces its state each step, never writes to it
             yy = float(y @ y)
@@ -260,7 +246,7 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     Y = y_arr[:, r:]
     L = np.einsum("ij,ij->i", X, X) + np.einsum("ij,ij->i", Y, Y) - 1.0
     H = X @ sqrt_d
-    dense = DenseOutput(s_arr, *map(np.array, zip(*steps))) if steps else None
+    dense = DenseOutput(s_arr, y_arr, np.array(Qs)) if Qs else None
     return Trajectory(
         spec=spec,
         s=s_arr,
@@ -269,7 +255,7 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
         L=L,
         H=H,
         termination=termination,
-        n_steps=n_steps,
+        n_steps=len(Qs),
         kappa_estimate=float(L[-1]),
         dense=dense,
     )

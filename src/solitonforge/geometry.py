@@ -9,8 +9,8 @@ For dt^2 + sum g_i(t)^2 h_i the Ricci curvature on unit directions is
 and the sectional curvatures are -gdd_i/g_i (mixed with d/dt),
 -gd_i gd_j / (g_i g_j) for planes across two factors, and
 (K_h - gd_i^2)/g_i^2 within a factor, with K_h the sectional curvature
-of the Einstein factor itself (supplied as bounds; exactly 1 for a
-unit round sphere).
+of the Einstein factor itself (modeled as a round sphere; exactly 1 for
+a unit round sphere).
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ import numpy as np
 from .errors import InsufficientTail, ZeroG
 from .model import ProblemSpec
 from .reconstruct import MetricProfile
+
+# the asymptotic fits use the last two decades of t
+TAIL_DECADES = 2.0
 
 
 @dataclass
@@ -96,23 +99,16 @@ def scalar_curvature_from_potential(profile: MetricProfile) -> np.ndarray:
     return -(profile.u_ddot + profile.tr_L() * profile.u_dot)
 
 
-def sectional_curvatures(
-    profile: MetricProfile,
-    spec: ProblemSpec,
-    k_h_bounds: list[tuple[float, float]] | None = None,
-) -> CurvatureReport:
+def sectional_curvatures(profile: MetricProfile, spec: ProblemSpec) -> CurvatureReport:
     """All three sectional-curvature families plus Ricci and scalar data.
 
-    k_h_bounds gives (min, max) of the sectional curvature of each Einstein
-    factor; by default each factor is modeled as the round sphere of its
-    Einstein constant, K_h = lambda_i / (d_i - 1) (undefined for d_i = 1,
-    where a factor has no 2-planes of its own and the bound is unused).
+    The within-factor planes use `default_k_h_bounds`: each Einstein factor
+    is modeled as the round sphere of its Einstein constant.
     """
     if np.any(profile.g == 0):
         raise ZeroG("warping function vanishes")
     r = spec.r
-    if k_h_bounds is None:
-        k_h_bounds = default_k_h_bounds(spec)
+    k_h_bounds = default_k_h_bounds(spec)
     g, gd = profile.g, profile.g_dot
     mixed = -profile.g_ddot / g
     rel = gd / g
@@ -140,6 +136,9 @@ def sectional_curvatures(
 
 
 def default_k_h_bounds(spec: ProblemSpec) -> list[tuple[float, float]]:
+    """(min, max) of the sectional curvature of each Einstein factor, as
+    the round sphere's K_h = lambda_i / (d_i - 1) (0 for d_i = 1, where a
+    factor has no 2-planes of its own and the bound is unused)."""
     bounds = []
     for f in spec.factors:
         if f.dim > 1:
@@ -154,17 +153,15 @@ def _loglog_slope(t: np.ndarray, v: np.ndarray) -> float:
     return float(np.polyfit(np.log(t), np.log(np.abs(v)), 1)[0])
 
 
-def asymptotics(
-    profile: MetricProfile, spec: ProblemSpec, decades: float = 2.0
-) -> AsymptoticsReport:
-    """Tail fits over the final `decades` decades of t."""
+def asymptotics(profile: MetricProfile, spec: ProblemSpec) -> AsymptoticsReport:
+    """Tail fits over the final TAIL_DECADES decades of t."""
     t = profile.t
-    if t[-1] / t[0] < 10.0 ** (decades + 1):
+    if t[-1] / t[0] < 10.0 ** (TAIL_DECADES + 1):
         raise InsufficientTail(
             f"trajectory spans {np.log10(t[-1] / t[0]):.1f} decades of t; "
-            f"need at least {decades + 1:.1f}"
+            f"need at least {TAIL_DECADES + 1:.1f}"
         )
-    tail = t >= t[-1] / 10.0**decades
+    tail = t >= t[-1] / 10.0**TAIL_DECADES
     tt = t[tail]
 
     g_gdot = (profile.g * profile.g_dot)[-1]

@@ -1,4 +1,4 @@
-"""Radau IIA (order 5) stepper for the phase flow.
+"""Radau IIA (order 5) stepper for the autonomous phase flow.
 
 The method, its constants and its step control are those of Hairer &
 Wanner, *Solving ODEs II*, §IV.8, in the form that scipy 1.17's
@@ -14,6 +14,11 @@ about a third of a CLI run's wall time, for one class.  And the
 Ricci-flat projection in ``flow.integrate`` has to replace the current
 state between steps, which scipy keeps in private fields; here ``t``,
 ``y`` and ``f`` are this class's own public state.
+
+Unlike scipy's generic interface, it takes the flow as it is: the flow
+is autonomous, so ``fun(y)`` and ``jac(y)`` take no time, and ``fun``
+gets the three collocation stages as the stage-major (3, n) stack that
+``phase.rhs`` takes.  Every failure of a step raises ``ValueError``.
 
 It uses numpy alone, so the flow loads no ``scipy`` module.  Each Newton
 matrix (2r×2r, r ≤ 3) is inverted once when it is formed, and every
@@ -146,23 +151,17 @@ def _check_finite(a: np.ndarray) -> None:
 
 
 def _lu(a: np.ndarray) -> np.ndarray:
-    """The factorisation `_solve_lu` applies: the inverse of `a`."""
+    """The factorisation of a Newton matrix: the inverse of `a`."""
     _check_finite(a)
     return np.linalg.inv(a)
-
-
-def _solve_lu(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` with ``inv = _lu(a)``."""
-    _check_finite(b)
-    return inv @ b
 
 
 def _error_estimate(inv: np.ndarray, b: np.ndarray, scale: np.ndarray):
     """The error estimate ``inv @ b`` and its scaled RMS norm.
 
-    A non-finite b raises `_solve_lu`'s ValueError.  Any non-finite entry
-    of b makes every entry of the product, and so the norm, non-finite,
-    so b is scanned only when the norm comes out non-finite.
+    A non-finite b raises `_check_finite`'s ValueError.  Any non-finite
+    entry of b makes every entry of the product, and so the norm,
+    non-finite, so b is scanned only when the norm comes out non-finite.
     """
     error = inv @ b
     error_norm = _norm(error / scale)
@@ -174,26 +173,27 @@ def _error_estimate(inv: np.ndarray, b: np.ndarray, scale: np.ndarray):
 class Radau:
     """Implicit Runge-Kutta Radau IIA stepper of order 5, forward in t.
 
-    ``fun(t, y)`` is the right-hand side and ``jac(t, y)`` its dense
-    Jacobian.  ``fun`` must also take the three collocation stages at
-    once, as scipy's ``vectorized=True`` asks: an (n, 3) ``y`` of one
-    state per column with the (3,) abscissae ``t``, returning the (n, 3)
-    values.  ``step()`` advances by one accepted step and returns None,
-    or sets ``status`` to ``"failed"`` and returns scipy's message; the
-    status becomes ``"finished"`` once ``t`` reaches ``t_bound``.
+    ``fun(y)`` is the right-hand side and ``jac(y)`` its dense Jacobian.
+    ``fun`` must also take the three collocation stages at once, as a
+    (3, n) ``y`` of one state per row, and return the (3, n) values.
+    ``step()`` advances by one accepted step; ``status`` becomes
+    ``"finished"`` once ``t`` reaches ``t_bound``.  A step that cannot be
+    taken raises ``ValueError``: ``TOO_SMALL_STEP`` once the step size is
+    below the spacing of floats at ``t``, or the errors above.
 
-    After each accepted step, ``dense`` holds ``(t_old, h, y_old, Q)``:
-    the step's interpolant is ``y_old + Q @ (x, x^2, x^3)`` with
-    ``x = (s - t_old) / h``.  The stepper warm-starts its next Newton
-    iteration from it.
+    After each accepted step, ``dense`` holds its (n, 3) dense-output
+    coefficients Q: the step's interpolant is ``y_old + Q @ (x, x^2,
+    x^3)`` with ``x = (s - t_old) / (t - t_old)``, where ``t_old`` and
+    ``y_old`` are the state the step started from and ``t - t_old`` is
+    its size, bit for bit.  The next Newton iteration starts from it.
 
     ``project``, if given, maps each accepted state to the state the next
     step starts from (the flow's Ricci-flat projection).  It is applied to
     the new ``y`` before the step's one ``fun`` call, so ``f`` is
-    ``fun(t, y)`` at the projected state; a Jacobian refresh, the error
+    ``fun(y)`` at the projected state; a Jacobian refresh, the error
     estimate and ``dense`` use the state the step produced.  The initial
     state is not projected.  A caller may also replace ``y`` and ``f``
-    between steps (``f`` must then be ``fun(t, y)``).
+    between steps (``f`` must then be ``fun(y)``).
 
     Besides scipy's ``nfev``, ``njev`` and ``nlu``, the stepper counts
     ``nrejected``, the step attempts it discarded (by the error test or
@@ -235,7 +235,7 @@ class Radau:
         # before the floor above
         self.newton_tol = max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
 
-        self.f = self.fun(t0, y0)
+        self.f = self.fun(y0)
         if first_step is None:
             self.h_abs = self._initial_step()
         elif first_step <= 0:
@@ -247,12 +247,14 @@ class Radau:
         self.h_abs_old = None
         self.error_norm_old = None
 
-        self.J = np.asarray(jac(t0, y0), dtype=float)
+        self.J = np.asarray(jac(y0), dtype=float)
         self.njev = 1
         self.I = np.identity(self.n)
         self.current_jac = True
         self.LU_real = None
         self.K = None
+        self.t_old = None
+        self.y_old = None
         self.dense = None
         self.nrejected = 0
         self.h_min = float("inf")
@@ -269,13 +271,13 @@ class Radau:
         self._vW = self._v[3 * n:].reshape(3, n)
         self._scale = np.empty((3, n))   # the error scale, once per stage
 
-    def fun(self, t, y):
+    def fun(self, y):
         self.nfev += 1
-        return self._fun(t, y)
+        return self._fun(y)
 
-    def jac(self, t, y):
+    def jac(self, y):
         self.njev += 1
-        return np.asarray(self._jac(t, y), dtype=float)
+        return np.asarray(self._jac(y), dtype=float)
 
     def lu(self, a):
         self.nlu += 1
@@ -302,8 +304,8 @@ class Radau:
     def _initial_step(self) -> float:
         """Hairer, Nørsett & Wanner's starting step for an order-3 error
         estimate (*Solving ODEs I*, §II.4), as scipy selects it."""
-        t0, y0, f0 = self.t, self.y, self.f
-        interval_length = abs(self.t_bound - t0)
+        y0, f0 = self.y, self.f
+        interval_length = abs(self.t_bound - self.t)
         scale = self.atol + np.abs(y0) * self.rtol
         # numpy scalars, as scipy's: with an atol near underflow the norms
         # overflow, and the divisions below must give inf or nan rather
@@ -316,7 +318,7 @@ class Radau:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
         y1 = y0 + h0 * f0
-        f1 = self.fun(t0 + h0, y1)
+        f1 = self.fun(y1)
         d2 = np.float64(_norm((f1 - f0) / scale)) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -325,29 +327,22 @@ class Radau:
         # a Python float, so that the step control runs on Python floats
         return float(min(100 * h0, h1, interval_length))
 
-    def step(self) -> str | None:
-        """Take one accepted step; return None, or a message on failure."""
-        if self.status != "running":
-            raise RuntimeError("Attempt to step on a failed or finished solver.")
-        if not self._step_impl():
-            self.status = "failed"
-            return TOO_SMALL_STEP
-        if self.t - self.t_bound >= 0:
-            self.status = "finished"
-        return None
-
-    def _warm_start(self, t, h) -> np.ndarray:
+    def _warm_start(self, h) -> np.ndarray:
         """Newton start Z0: the last step's interpolant at t + h C, minus y."""
-        t_old, h_old, y_old, Q = self.dense
+        t, t_old = self.t, self.t_old
+        h_old = t - t_old
         x0, x1, x2 = [(t + h * c - t_old) / h_old for c in _C]
         p = np.array([[x0, x1, x2],
                       [x0 * x0, x1 * x1, x2 * x2],
                       [x0 * x0 * x0, x1 * x1 * x1, x2 * x2 * x2]])
-        z = np.dot(Q, p)
-        z += y_old[:, None]
+        z = np.dot(self.dense, p)
+        z += self.y_old[:, None]
         return z.T - self.y
 
-    def _step_impl(self) -> bool:
+    def step(self) -> None:
+        """Take one accepted step, or raise ValueError (see the class)."""
+        if self.status != "running":
+            raise RuntimeError("Attempt to step on a finished solver.")
         t = self.t
         y = self.y
         f = self.f
@@ -375,7 +370,7 @@ class Radau:
         step_accepted = False
         while not step_accepted:
             if h_abs < min_step:
-                return False
+                raise ValueError(TOO_SMALL_STEP)
 
             t_new = t + h_abs
             if t_new - self.t_bound > 0:
@@ -386,7 +381,7 @@ class Radau:
             if self.dense is None:
                 Z0 = np.zeros((3, y.shape[0]))
             else:
-                Z0 = self._warm_start(t, h)
+                Z0 = self._warm_start(h)
 
             converged = False
             while not converged:
@@ -394,12 +389,12 @@ class Radau:
                     LU_real, K = self._newton_operators(h, J)
 
                 converged, n_iter, Z, rate = self._solve_collocation(
-                    t, y, h, Z0, newton_scale, K)
+                    y, h, Z0, newton_scale, K)
 
                 if not converged:
                     if current_jac:
                         break
-                    J = self.jac(t, y)
+                    J = self.jac(y)
                     current_jac = True
                     K = None
 
@@ -417,7 +412,7 @@ class Radau:
 
             if rejected and error_norm > 1:
                 error, error_norm = _error_estimate(
-                    LU_real, self.fun(t, y + error) + ZE, scale)
+                    LU_real, self.fun(y + error) + ZE, scale)
 
             if error_norm > 1:
                 factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
@@ -439,18 +434,20 @@ class Radau:
             K = None
 
         if recompute_jac:
-            J = self.jac(t_new, y_new)
+            J = self.jac(y_new)
             current_jac = True
         else:
             current_jac = False
         if self._project is not None:
             y_new = self._project(y_new)
-        f_new = self.fun(t_new, y_new)
+        f_new = self.fun(y_new)
 
         self.h_abs_old = self.h_abs
         self.error_norm_old = error_norm
         self.h_abs = h_abs * factor
 
+        self.t_old = t
+        self.y_old = y
         self.t = t_new
         self.y = y_new
         self.f = f_new
@@ -464,10 +461,11 @@ class Radau:
             self.h_min = float(h)
         if h > self.h_max:
             self.h_max = float(h)
-        self.dense = (t, h, y, np.dot(Z.T, P))
-        return True
+        self.dense = np.dot(Z.T, P)
+        if t_new - self.t_bound >= 0:
+            self.status = "finished"
 
-    def _solve_collocation(self, t, y, h, Z0, scale, K):
+    def _solve_collocation(self, y, h, Z0, scale, K):
         """Simplified Newton iteration for the stage increments Z.
 
         ``K`` is the fused operator of `_newton_operators` for this h.
@@ -480,7 +478,6 @@ class Radau:
         scale = self._scale.reshape(-1)
 
         v, vF, vW = self._v, self._vF, self._vW
-        tc = t + h * C
 
         dW_norm_old = None
         converged = False
@@ -488,10 +485,9 @@ class Radau:
         tol = self.newton_tol
         fun = self._fun
         for k in range(NEWTON_MAXITER):
-            F = fun(tc, (y + Z).T)  # all three stages in one call
+            vF[...] = fun(y + Z)   # all three stages in one call
             self.nfev += 3
 
-            vF[...] = F.T
             np.divide(W, h, out=vW)
             dW = K.dot(v)
             dW_norm = _norm(dW / scale)
@@ -501,7 +497,7 @@ class Radau:
                 # non-finite stage value ends the iteration unconverged,
                 # so a fresh Jacobian or a shorter step follows; a
                 # non-finite W/h means h has underflowed, and is an error
-                if not np.isfinite(F).all():
+                if not np.isfinite(vF).all():
                     break
                 _check_finite(v)
 

@@ -283,6 +283,28 @@ class TestConfigHardening:
         argv = ["solve", "--config", path, "--out", str(tmp_path), f"--tol={tol}"]
         assert cli.main(argv) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag, key", [
+        ("--seed-eps0={}", "--seed-eps0"),
+        ("--seed-eps=2={}", "--seed-eps 2"),
+    ])
+    @pytest.mark.parametrize("command, config", [
+        ("solve", "r2_d2_3"),
+        ("ricci-flat", "ricci_flat_d2_3"),
+    ])
+    def test_seed_override_must_be_finite(self, tmp_path, capsys, monkeypatch,
+                                          command, config, flag, key, value):
+        """A non-finite seed override is a ParseError naming the flag,
+        raised before anything is integrated or written."""
+        monkeypatch.setattr(flow, "run", lambda spec: pytest.fail("integrated"))
+        path = os.path.join(CONFIG_DIR, f"{config}.json")
+        out = tmp_path / "o"
+        argv = [command, "--config", path, "--out", str(out), flag.format(value)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and f"{key} must be a finite number" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("dim", ["two", 2.7, 0, -3, True, "2"])
     def test_dim_must_be_positive_integer(self, tmp_path, dim):
         path = write_config(tmp_path, {"factors": [{"dim": 2}, {"dim": dim}]})

@@ -120,7 +120,8 @@ class TestIntegrate:
         """Each Newton iteration evaluates its three stages in one
         phase.rhs call on a (3, 2r) stack; every other call is one state.
         In Ricci-flat mode the stepper projects each accepted state before
-        its one call, so the flow makes no call of its own per step."""
+        its one call, and the flow tests the seed with the stepper's f, so
+        the flow makes no call of its own."""
         shapes = []
         solvers = []
         rhs = phase.rhs
@@ -141,8 +142,8 @@ class TestIntegrate:
         stacked = shapes.count((3, 4))
         single = shapes.count((4,))
         assert stacked > 0 and stacked + single == len(shapes)
-        # the flow's own call at the seed is not one of the stepper's nfev
-        assert 3 * stacked + single == solver.nfev + 1
+        # every call is the stepper's, the seed's included
+        assert 3 * stacked + single == solver.nfev
 
     def test_ricci_flat_steps_start_on_the_invariant_set(self, monkeypatch):
         """After every accepted Ricci-flat step the stepper's own state is
@@ -170,7 +171,7 @@ class TestIntegrate:
         """A non-finite f + ZE in the error estimate raises the stepper's
         ValueError, even though the Newton stages are finite, and so ends
         a run in StepLimitExceeded."""
-        solver = radau.Radau(lambda s, y: -y, lambda s, y: -np.eye(2), 0.0,
+        solver = radau.Radau(lambda y: -y, lambda y: -np.eye(2), 0.0,
                              np.ones(2), t_bound=1.0, rtol=1e-3, atol=1e-6)
         solver.f = np.array([np.nan, 1.0])
         with pytest.raises(ValueError, match=radau._NOT_FINITE):
@@ -354,7 +355,7 @@ class TestLapackLu:
             ts.append(stock.t)
             pieces.append(stock.dense_output())
             if spec.mode is sf.Mode.RICCI_FLAT:
-                stock.y = flow._project_ricci_flat(stock.y, spec)
+                stock.y = flow._project_ricci_flat(stock.y, sqrt_d)
                 stock.f = f(stock.t, stock.y)
                 if np.sqrt(stock.f @ stock.f) < spec.origin_tol:
                     break
@@ -393,7 +394,7 @@ class TestLapackLu:
 
     @staticmethod
     def _solver():
-        return radau.Radau(lambda s, y: -y, lambda s, y: -np.eye(2), 0.0,
+        return radau.Radau(lambda y: -y, lambda y: -np.eye(2), 0.0,
                            np.ones(2), t_bound=1.0, rtol=1e-3, atol=1e-6)
 
     def test_non_finite_rhs_raises_like_scipy(self):
@@ -403,7 +404,7 @@ class TestLapackLu:
             lu_solve(lu_factor(a), b)
         solver = self._solver()
         with pytest.raises(ValueError) as ours:
-            radau._solve_lu(solver.lu(a.copy()), b)
+            radau._error_estimate(solver.lu(a.copy()), b, np.ones(2))
         assert str(ours.value) == str(stock.value)
 
     def test_factorisation_checks_like_scipy(self, monkeypatch, tmp_path):
@@ -435,12 +436,13 @@ class TestRadauStepper:
 
     @staticmethod
     def _pair(**kwargs):
-        fun = lambda s, y: np.array([y[1], -y[0] - 10.0 * y[1]])
-        jac = lambda s, y: np.array([[0.0, 1.0], [-1.0, -10.0]])
+        fun = lambda y: np.stack([y[..., 1], -y[..., 0] - 10.0 * y[..., 1]], axis=-1)
+        jac = lambda y: np.array([[0.0, 1.0], [-1.0, -10.0]])
         args = dict(t_bound=5.0, rtol=1e-6, atol=1e-9)
         args.update(kwargs)
         ours = radau.Radau(fun, jac, 0.0, [1.0, 0.0], **args)
-        stock = Radau(fun, 0.0, [1.0, 0.0], jac=jac, **args)
+        stock = Radau(lambda s, y: fun(y), 0.0, [1.0, 0.0],
+                      jac=lambda s, y: jac(y), **args)
         return ours, stock
 
     @staticmethod
@@ -475,7 +477,7 @@ class TestRadauStepper:
             with pytest.raises(ValueError) as stock:
                 self._pair(first_step=first_step)
             with pytest.raises(ValueError) as ours:
-                radau.Radau(lambda s, y: -y, lambda s, y: -np.eye(2), 0.0,
+                radau.Radau(lambda y: -y, lambda y: -np.eye(2), 0.0,
                             np.ones(2), t_bound=5.0, rtol=1e-6, atol=1e-9,
                             first_step=first_step)
             assert str(ours.value) == str(stock.value)
@@ -492,9 +494,10 @@ class TestRadauStepper:
         assert ours.nrejected > 0
         assert 0 < ours.h_min <= ours.h_max < 5.0
 
-    def test_package_does_not_import_scipy_integrate(self, tmp_path):
-        """Neither importing the package and its CLI nor a `verify` run
-        loads scipy.integrate or scipy.interpolate."""
+    def test_package_loads_no_scipy(self, tmp_path):
+        """Importing the package and its CLI loads no scipy module at all,
+        and neither does a `verify` run: the stepper's linear algebra is
+        numpy's."""
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -503,10 +506,11 @@ class TestRadauStepper:
         code = (
             "import sys\n"
             "import solitonforge, solitonforge.cli\n"
-            "heavy = ('scipy.integrate', 'scipy.interpolate')\n"
-            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
             "code = solitonforge.cli.main(sys.argv[1:])\n"
-            "print(sorted(m for m in heavy if m in sys.modules), code)\n"
+            "print(loaded(), code)\n"
         )
         config = os.path.join(CONFIG_DIR, "bryant_d2.json")
         proc = subprocess.run(
@@ -519,27 +523,26 @@ class TestRadauStepper:
         assert lines[0] == "[]"
         assert lines[-1] == "[] 0"
 
+    def test_underflowing_step_raises_too_small_step(self, monkeypatch):
+        """When every stacked stage is non-finite, no Newton iteration
+        converges and the step size halves until it is below the spacing
+        of floats at t: step() raises TOO_SMALL_STEP, and a run ends in
+        StepLimitExceeded with that message."""
+        fun = lambda y: np.full_like(y, np.nan) if y.ndim == 2 else -y
+        solver = radau.Radau(fun, lambda y: -np.eye(2), 1.0, np.ones(2),
+                             t_bound=2.0, rtol=1e-3, atol=1e-6)
+        with pytest.raises(ValueError) as err:
+            solver.step()
+        assert str(err.value) == radau.TOO_SMALL_STEP
+        assert solver.t == 1.0 and solver.nrejected > 0
 
-def test_verify_loads_no_scipy(tmp_path):
-    """Importing the package and its CLI and running `verify` load no
-    scipy module at all: the stepper's linear algebra is numpy's."""
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = (
-        "import sys\n"
-        "import solitonforge, solitonforge.cli\n"
-        "code = solitonforge.cli.main(sys.argv[1:])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), code)\n"
-    )
-    config = os.path.join(CONFIG_DIR, "bryant_d2.json")
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "verify", "--config", config,
-         "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] 0"
+        rhs = phase.rhs
+        monkeypatch.setattr(phase, "rhs", lambda y, sqrt_d: (
+            np.full_like(y, np.nan) if y.ndim == 2 else rhs(y, sqrt_d)))
+        spec = dataclasses.replace(make_spec("d2_3"), s_start=1.0)
+        with pytest.raises(StepLimitExceeded) as err:
+            sf.run(spec)
+        assert str(err.value).endswith(radau.TOO_SMALL_STEP)
 
 
 class TestFusedNewtonUpdate:
@@ -560,7 +563,7 @@ class TestFusedNewtonUpdate:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_matches_eigenbasis_update(self, n):
         rng = np.random.default_rng(n)
-        solver = radau.Radau(lambda s, y: -y, lambda s, y: -np.eye(n), 0.0,
+        solver = radau.Radau(lambda y: -y, lambda y: -np.eye(n), 0.0,
                              np.ones(n), t_bound=1.0, rtol=1e-6, atol=1e-9)
         for _ in range(20):
             J = rng.standard_normal((n, n))
@@ -579,13 +582,13 @@ class TestFusedNewtonUpdate:
 
     @staticmethod
     def _solve(fun, Z0):
-        solver = radau.Radau(fun, lambda s, y: -np.eye(2), 0.0, np.ones(2),
+        solver = radau.Radau(fun, lambda y: -np.eye(2), 0.0, np.ones(2),
                              t_bound=1.0, rtol=1e-3, atol=1e-6)
         h = 0.1
         _, K = solver._newton_operators(h, solver.J)
         scale = solver.atol + solver.rtol * np.abs(solver.y)
         nfev = solver.nfev
-        result = solver._solve_collocation(solver.t, solver.y, h, Z0, scale, K)
+        result = solver._solve_collocation(solver.y, h, Z0, scale, K)
         assert solver.nfev == nfev + 3
         return result
 
@@ -593,12 +596,12 @@ class TestFusedNewtonUpdate:
         """A finite F with a non-finite W/h raises the solve's ValueError,
         which flow.integrate turns into StepLimitExceeded."""
         with pytest.raises(ValueError, match=radau._NOT_FINITE):
-            self._solve(lambda s, y: np.zeros_like(y), np.full((3, 2), np.nan))
+            self._solve(lambda y: np.zeros_like(y), np.full((3, 2), np.nan))
 
     def test_non_finite_f_ends_unconverged(self):
         """A non-finite stage value ends the iteration unconverged, so the
         stepper retries with a fresh Jacobian or a halved step."""
-        fun = lambda s, y: np.full_like(y, np.nan) if y.ndim == 2 else -y
+        fun = lambda y: np.full_like(y, np.nan) if y.ndim == 2 else -y
         converged, n_iter, Z, rate = self._solve(fun, np.zeros((3, 2)))
         assert (converged, n_iter, rate) == (False, 1, None)
         assert np.array_equal(Z, np.zeros((3, 2)))
@@ -613,7 +616,7 @@ class TestDenseOutput:
         dense = pipeline(name).traj.dense
         ts = dense.ts
         reference = OdeSolution(ts, [
-            RadauDenseOutput(ts[k], ts[k + 1], dense.y_old[k], dense.Q[k])
+            RadauDenseOutput(ts[k], ts[k + 1], dense.samples[k], dense.Q[k])
             for k in range(ts.size - 1)
         ])
         rng = np.random.default_rng(0)
@@ -628,5 +631,5 @@ class TestDenseOutput:
         tol = 8 * np.finfo(float).eps * np.abs(expected).max()
         assert np.abs(got - expected).max() <= tol
         scalar = dense(ts[7])
-        assert scalar.shape == (dense.y_old.shape[1],)
+        assert scalar.shape == (dense.samples.shape[1],)
         assert np.abs(scalar - reference(ts[7])).max() <= tol
