@@ -53,7 +53,7 @@ class RunConfig:
     thin: int = 1
     plots: tuple[str, ...] = ()
     sweep_coeff_index: int = 1
-    sweep_ratios: tuple[float, ...] = ()
+    sweep_ratios: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -216,6 +216,10 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
     if not isinstance(sweep, dict):
         raise ParseError("config field 'sweep' must be an object")
     _reject_unknown(sweep, _SWEEP_KEYS, "sweep")
+    ratios = _numbers(sweep.get("ratios", list(RunConfig.sweep_ratios)), "sweep.ratios")
+    if len(ratios) < 2 or min(ratios) <= 0:
+        raise ParseError(
+            f"sweep.ratios must list at least two numbers > 0, got {sweep['ratios']!r}")
 
     return RunConfig(
         spec=spec,
@@ -225,8 +229,7 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
         plots=tuple(plots),
         sweep_coeff_index=_integer(sweep.get("coeff_index", RunConfig.sweep_coeff_index),
                                    "sweep.coeff_index"),
-        sweep_ratios=_numbers(sweep.get("ratios", list(RunConfig.sweep_ratios)),
-                              "sweep.ratios"),
+        sweep_ratios=ratios,
     )
 
 
@@ -313,8 +316,7 @@ def _solve(cfg: RunConfig):
     return traj, profile
 
 
-def _export_run(cfg: RunConfig, traj, profile, extra_json: dict | None = None,
-                tag: str = "profile") -> dict:
+def _export_run(cfg: RunConfig, traj, profile, extra_json: dict | None = None) -> dict:
     os.makedirs(cfg.out_dir, exist_ok=True)
     summary = {
         "dims": list(cfg.spec.dims),
@@ -332,10 +334,10 @@ def _export_run(cfg: RunConfig, traj, profile, extra_json: dict | None = None,
     if extra_json:
         summary.update(extra_json)
     if "csv" in cfg.formats:
-        export_profile_csv(profile, traj, os.path.join(cfg.out_dir, f"{tag}.csv"),
+        export_profile_csv(profile, traj, os.path.join(cfg.out_dir, "profile.csv"),
                            thin=cfg.thin)
     if "json" in cfg.formats:
-        _write_json(summary, os.path.join(cfg.out_dir, f"{tag}.json"))
+        _write_json(summary, os.path.join(cfg.out_dir, "profile.json"))
     if cfg.plots:
         export_plot_series(profile, cfg.plots, cfg.out_dir)
     return summary
@@ -428,14 +430,13 @@ def cmd_ricci_flat(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    ratios = cfg.sweep_ratios or (0.5, 1.0, 2.0, 4.0, 8.0)
     idx = cfg.sweep_coeff_index
     base = list(cfg.spec.seed_coeffs)
     if not 1 <= idx < len(base):
         raise ParseError(f"sweep coeff_index {idx} out of range for r={len(base)}")
     results = []
     os.makedirs(cfg.out_dir, exist_ok=True)
-    for k, ratio in enumerate(ratios):
+    for k, ratio in enumerate(cfg.sweep_ratios):
         coeffs = list(base)
         coeffs[idx] = ratio * abs(base[0])
         point_spec = cfg.spec.with_seed_coeffs(tuple(coeffs))
@@ -443,15 +444,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
             cfg, spec=point_spec,
             out_dir=os.path.join(cfg.out_dir, f"sweep_{k:02d}"), plots=())
         traj, profile = _solve(point_cfg)
-        report = verify.run_suite(
-            traj, profile, geometry.sectional_curvatures(profile, point_cfg.spec),
-            point_cfg.spec)
-        g0 = report.diagnostics["boundary"]["g_0"]
-        g0_err = report.diagnostics["boundary"]["g_0_err"]
-        _export_run(point_cfg, traj, profile, extra_json={
-            "ratio": ratio, "g_0": list(g0), "g_0_err": list(g0_err)})
-        results.append({"ratio": ratio, "g_0": list(g0),
-                        "g_0_err": list(g0_err)})
+        boundary, _ = verify.boundary_checks(profile)
+        g0, g0_err = boundary["g_0"], boundary["g_0_err"]
+        results.append({"ratio": ratio, "g_0": g0, "g_0_err": g0_err})
+        _export_run(point_cfg, traj, profile, extra_json=results[-1])
         print(f"sweep[{k}]: ratio {ratio:g} -> g_{idx + 1}(0) = {g0[idx]:.8f} "
               f"(+/- {g0_err[idx]:.2e})")
     _write_json({"coeff_index": idx, "points": results},

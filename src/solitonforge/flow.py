@@ -51,9 +51,12 @@ from .model import Mode, ProblemSpec, critical_point
 from .phase import PhasePoint
 from .radau import Radau
 
-# Allowance for roundoff plateaus in the monotonicity check: near the
-# origin L changes by less than one ulp per step.
-_MONOTONE_SLACK = 1e-13
+# The step monitors' bounds on L, which verify's lyapunov_monotone check
+# shares: the relative allowance for roundoff plateaus in the monotonicity
+# of L (near the origin L changes by less than one ulp per step), and the
+# floor for L, which is -1 at the origin, beyond roundoff.
+MONOTONE_SLACK = 1e-13
+L_FLOOR = -1.0 - 1e-9
 
 
 class DenseOutput:
@@ -103,7 +106,7 @@ class Trajectory:
     Y: np.ndarray        # (n, r)
     L: np.ndarray        # (n,)
     H: np.ndarray        # (n,)
-    termination: str     # "origin" | "s_max"
+    termination: str     # "origin" | "stationary" | "s_max"
     n_steps: int
     kappa_estimate: float
     dense: DenseOutput | None = None
@@ -133,12 +136,21 @@ def seed(spec: ProblemSpec) -> PhasePoint:
 
     Soliton mode requires eps0 < 0 and eps_i > 0 so the displaced point
     enters {L < 0} with all Y_i > 0.  Ricci-flat mode rescales the
-    displaced point onto {L = 0, H = 1}.
+    displaced point onto {L = 0, H = 1}.  Coefficients so large that
+    |v|^2 overflows raise SeedLeavesWrongRegion naming seed_coeffs.
     """
     crit = critical_point(spec).as_vector()
-    v = crit + spec.seed_coeffs[0] * phase.unstable_eigenvector_fast(spec)
-    for i in range(1, spec.r):
-        v[spec.r + i] += spec.seed_coeffs[i]
+    # finite but huge coefficients overflow |v|^2, which is checked below
+    with np.errstate(over="ignore"):
+        v = crit + spec.seed_coeffs[0] * phase.unstable_eigenvector_fast(spec)
+        for i in range(1, spec.r):
+            v[spec.r + i] += spec.seed_coeffs[i]
+        vv = float(v @ v)
+    if not math.isfinite(vv):
+        raise SeedLeavesWrongRegion(
+            f"seed_coeffs {list(spec.seed_coeffs)} put the seed out of "
+            f"floating-point range (|v|^2 = {vv})"
+        )
     p = PhasePoint.from_vector(spec.s_start, v)
 
     if spec.mode is Mode.SOLITON:
@@ -221,11 +233,11 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
             if soliton:
                 if np.minimum.reduce(y[r:]) <= 0:
                     raise InvariantViolated("Y_positive", solver.t, f"Y = {y[r:]}")
-                if L > prev_L + _MONOTONE_SLACK * (1.0 + abs(prev_L)):
+                if L > prev_L + MONOTONE_SLACK * (1.0 + abs(prev_L)):
                     raise InvariantViolated(
                         "L_decreasing", solver.t, f"L rose from {prev_L} to {L}"
                     )
-                if L < -1.0 - 1e-9:
+                if L < L_FLOOR:
                     raise InvariantViolated("L_bounded", solver.t, f"L = {L} < -1")
             ss.append(solver.t)
             ys.append(y)

@@ -41,7 +41,8 @@ class CurvatureReport:
     soliton_residual_max: float
 
     def min_ricci(self) -> float:
-        return float(min(self.ric_tt.min(), self.ric_factor.min()))
+        # np.minimum, not min(): a NaN in either array must come through
+        return float(np.minimum(self.ric_tt.min(), self.ric_factor.min()))
 
 
 @dataclass

@@ -42,12 +42,6 @@ class SecondOrderState:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.g, self.g_dot, [self.u_dot]])
 
-    @staticmethod
-    def from_vector(t: float, y: np.ndarray) -> "SecondOrderState":
-        r = (y.size - 1) // 2
-        return SecondOrderState(t=t, g=y[:r].copy(), g_dot=y[r:2 * r].copy(),
-                                u_dot=float(y[-1]))
-
 
 @dataclass
 class OracleRun:

@@ -124,7 +124,7 @@ def _cumulative(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
     return np.vstack([np.zeros(increments.shape[1]), cum])
 
 
-def _tail_t0(traj: Trajectory, spec: ProblemSpec, w: np.ndarray) -> float:
+def _tail_t0(spec: ProblemSpec, w: np.ndarray) -> float:
     beta2 = constants(spec).beta ** 2
     return (1.0 / w[0]) / beta2
 
@@ -155,7 +155,7 @@ def build_profile(traj: Trajectory, spec: ProblemSpec) -> MetricProfile:
         else:
             t_rel, u = cum.T
             w = np.sqrt(spec.gauge_C / traj.L)
-        t = _tail_t0(traj, spec, w) + t_rel
+        t = _tail_t0(spec, w) + t_rel
 
         g = np.sqrt(d * lam) / (Y * w[:, None])
         g_dot = np.sqrt(lam) * X / Y

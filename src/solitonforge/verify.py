@@ -9,18 +9,20 @@ and limits as t -> 0 as Richardson extrapolation over the first samples.
 The seed-end checks use three |L| windows, one for check (d) (with the
 reported-only Q_limits), one for (f) and one for (g) and the Y_i decay
 rates.  run_suite evaluates the dense output once per window and fits
-every quantity of that window from the same arrays.
+every quantity of that window from the same arrays.  The t = 0 limits
+need only the profile: boundary_checks computes them and their checks
+on their own, for a caller that wants no more than g_i(0).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import IncompleteInputs, TooFewSamples
-from .flow import Trajectory
+from .flow import L_FLOOR, MONOTONE_SLACK, Trajectory
 from .geometry import CurvatureReport
 from .model import Mode, ProblemSpec, constants
 from .reconstruct import MetricProfile
@@ -28,14 +30,24 @@ from .reconstruct import MetricProfile
 
 @dataclass
 class Check:
-    """One verified claim: measured value(s) against a tolerance."""
+    """One verified claim: measured value(s) against a tolerance.
+
+    Every check has the same pass rule: measured <= tolerance, and the
+    claim's side condition ``requires`` (a sign, a finiteness or a strict
+    inequality) holds.  measured is oriented so that smaller is better,
+    and a NaN fails.
+    """
 
     name: str
     description: str
     measured: float
     tolerance: float
-    passed: bool
     details: dict = field(default_factory=dict)
+    requires: InitVar[bool] = True
+    passed: bool = field(init=False)
+
+    def __post_init__(self, requires: bool) -> None:
+        self.passed = bool(self.measured <= self.tolerance and requires)
 
     def to_dict(self) -> dict:
         return {
@@ -43,9 +55,15 @@ class Check:
             "description": self.description,
             "measured": self.measured,
             "tolerance": self.tolerance,
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "details": {k: _jsonable(v) for k, v in self.details.items()},
         }
+
+
+def _worst(*parts) -> float:
+    """The largest part of a measured value; unlike max(), a NaN in any
+    part propagates, so it fails the check."""
+    return float(np.max(parts))
 
 
 def _jsonable(v):
@@ -75,14 +93,11 @@ class VerifyReport:
         }
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(
-                f"[{status}] {c.name}: measured {c.measured:.6g} "
-                f"(tol {c.tolerance:.2g}) - {c.description}"
-            )
-        return lines
+        return [
+            f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: measured {c.measured:.6g} "
+            f"(tol {c.tolerance:.2g}) - {c.description}"
+            for c in self.checks
+        ]
 
 
 def richardson_extrapolate(values, order: int, parity: str = "none"):
@@ -171,14 +186,14 @@ def run_suite(
 
     # (a) monotone Lyapunov in (-1, 0)
     dL = np.diff(traj.L)
-    slack = 1e-13 * (1.0 + np.abs(traj.L[:-1]))
+    slack = MONOTONE_SLACK * (1.0 + np.abs(traj.L[:-1]))
     worst = float((dL - slack).max())
     checks.append(Check(
         "lyapunov_monotone",
         "L strictly decreasing (up to roundoff plateaus) and within (-1, 0)",
         measured=worst,
         tolerance=0.0,
-        passed=worst <= 0.0 and traj.L[0] < 0 and traj.L.min() > -1.0 - 1e-9,
+        requires=traj.L[0] < 0 and traj.L.min() > L_FLOOR,
         details={"max_increase": float(dL.max()), "L_first": float(traj.L[0])},
     ))
 
@@ -188,9 +203,8 @@ def run_suite(
     checks.append(Check(
         "origin_limit",
         "terminal state at the origin with L = -1",
-        measured=max(norm_end, kap_err),
+        measured=_worst(norm_end, kap_err),
         tolerance=1e-6,
-        passed=norm_end <= 1e-6 and kap_err <= 1e-6,
         details={"terminal_norm": norm_end, "kappa_plus_one": kap_err},
     ))
 
@@ -205,7 +219,6 @@ def run_suite(
         "X_i / Y_i^2 at the origin end equals 1/sqrt(d_i)",
         measured=dev_c,
         tolerance=1e-4,
-        passed=dev_c <= 1e-4,
         details={"ratios": ratio_end, "targets": 1.0 / sqrt_d,
                  "sample_s": float(traj.s[k_star])},
     ))
@@ -228,14 +241,12 @@ def run_suite(
             errs.append(err)
             # reported only: the limit of (X_i/Y_i^2 - target)/L
             q_limits.append(_intercept_vs_L(L, (ratio - target) / L)[0])
-        dev_d = float(max(devs))
         diag["Q_limits"] = q_limits
         checks.append(Check(
             "seed_ratio",
             "X_i / Y_i^2 extrapolates to 1/(sqrt(d_i)(1 + beta^2)) at the seed end",
-            measured=dev_d,
+            measured=_worst(*devs),
             tolerance=1e-3,
-            passed=dev_d <= 1e-3,
             details={"limits": limits, "fit_errors": errs,
                      "window_absL": [lo, hi]},
         ))
@@ -247,7 +258,7 @@ def run_suite(
         "X_1 stays strictly below beta",
         measured=x1_max - beta,
         tolerance=0.0,
-        passed=x1_max < beta,
+        requires=x1_max < beta,
         details={"beta": beta},
     ))
 
@@ -265,7 +276,6 @@ def run_suite(
         "(X_1 - beta)/L limit consistent with beta*rho/(1 + beta^2)",
         measured=dev_f,
         tolerance=1e-3,
-        passed=dev_f <= 1e-3,
         details={"limit": xbl, "rho": rho, "target": target_f,
                  "fit_errors": [xbl_err, rho_err]},
     ))
@@ -283,7 +293,7 @@ def run_suite(
         "e^{-2 beta^2 s} L",
         measured=dev_g,
         tolerance=0.02,
-        passed=dev_g <= 0.02 and lam_hat > 0.0,
+        requires=lam_hat > 0.0,
         details={"exponent": expo_L, "target": 2.0 * b2,
                  "scaled_limit_over_C": lam_hat},
     ))
@@ -291,19 +301,17 @@ def run_suite(
     # decay exponents of Y_i (i > 1), part of the same remark and window
     if r > 1:
         expos = [float(np.polyfit(s, np.log(Y[:, i]), 1)[0]) for i in range(1, r)]
-        dev_y = float(max(abs(e - b2) / b2 for e in expos))
         diag["Y_exponents"] = expos
         checks.append(Check(
             "Y_decay_rate",
             "Y_i grows like e^{beta^2 s} out of the seed (i > 1)",
-            measured=dev_y,
+            measured=_worst(*(abs(e - b2) / b2 for e in expos)),
             tolerance=0.05,
-            passed=dev_y <= 0.05,
             details={"exponents": expos, "target": b2},
         ))
 
     # (h) boundary limits at t = 0 by Richardson extrapolation
-    boundary, b_checks = _boundary_checks(profile, spec)
+    boundary, b_checks = boundary_checks(profile)
     checks.extend(b_checks)
     diag["boundary"] = boundary
 
@@ -320,29 +328,25 @@ def run_suite(
     checks.append(Check(
         "inequality_ledger",
         "H < 1 and L + 1 - H < 0 at every sample",
-        measured=max(h_max - 1.0, lh_worst),
+        measured=_worst(h_max - 1.0, lh_worst),
         tolerance=0.0,
-        passed=h_max < 1.0 and lh_worst <= 0.0,
+        requires=h_max < 1.0,
         details={"H_max": h_max, "L_plus_1_minus_H_max": float(lh.max())},
     ))
 
-    # (j) nonnegative Ricci and soliton-equation residual
-    min_ric = curv.min_ricci()
+    # (j) nonnegative Ricci and soliton-equation residual; measured is
+    # -min Ric, so that it passes at or below the tolerance like the rest
     checks.append(Check(
         "ricci_nonnegative",
         "smallest Ricci eigenvalue is nonnegative",
-        measured=min_ric,
+        measured=-curv.min_ricci(),
         tolerance=1e-8,
-        passed=min_ric >= -1e-8,
-        details={},
     ))
     checks.append(Check(
         "soliton_residual",
         "max |Ric + Hess u| over samples and directions",
         measured=curv.soliton_residual_max,
         tolerance=1e-6,
-        passed=curv.soliton_residual_max <= 1e-6,
-        details={},
     ))
 
     # (k) the potential's boundary value by two routes
@@ -370,86 +374,78 @@ def run_suite(
         "u(0) from the tail quadrature matches the product formula",
         measured=dev_k,
         tolerance=1e-3,
-        passed=math.isfinite(u0_prod) and dev_k <= 1e-3,
+        requires=math.isfinite(u0_prod),
         details={"u0_quadrature": u0_quad, "u0_product": u0_prod},
     ))
 
     return VerifyReport(checks=checks, diagnostics=diag)
 
 
-def _boundary_checks(profile: MetricProfile, spec: ProblemSpec):
-    """Richardson extrapolations of the profile fields to t = 0."""
-    r = profile.r
-    n_nodes = 5
-    idx = _boundary_nodes(profile.t, n_nodes)
+# profile fields extrapolated to t = 0, each with its order of derivative
+_BOUNDARY_FIELDS = (("g", 0), ("g_dot", 1), ("g_ddot", 2), ("g_dddot", 3),
+                    ("u_dot", 1), ("u_ddot", 2))
+
+
+def boundary_checks(profile: MetricProfile):
+    """Richardson extrapolations of the profile fields to t = 0, and the
+    smooth-closure checks on them: (boundary limits, checks).
+
+    The parity rule: g_1 is odd about t = 0 and every other g_i, like u,
+    is even, so the k-th derivative of g_i is extrapolated in t^2 iff
+    k + [i = 1] is even.
+    """
+    idx = _boundary_nodes(profile.t, 5)
     t = profile.t[idx]
-
-    def extrap(vals, parity):
-        return richardson_extrapolate(list(zip(t, vals)), order=len(t) - 1,
-                                      parity=parity)
-
-    g1_0, g1_0e = extrap(profile.g[idx, 0], "none")
-    g1d_0, g1d_0e = extrap(profile.g_dot[idx, 0], "even")
-    g1dd_0, g1dd_0e = extrap(profile.g_ddot[idx, 0], "none")
-    ud_0, ud_0e = extrap(profile.u_dot[idx], "none")
-    udd_0, udd_0e = extrap(profile.u_ddot[idx], "even")
-    g_0 = [g1_0]
-    gd_0 = [g1d_0]
-    gdd_0 = [g1dd_0]
-    g_0_err = [g1_0e]
-    for i in range(1, r):
-        v, e = extrap(profile.g[idx, i], "even")
-        g_0.append(v)
-        g_0_err.append(e)
-        gd_0.append(extrap(profile.g_dot[idx, i], "none")[0])
-        gdd_0.append(extrap(profile.g_ddot[idx, i], "even")[0])
-    gddd_0 = [richardson_extrapolate(
-        list(zip(t, profile.g_dddot[idx, i])), order=len(t) - 1,
-        parity="even" if i == 0 else "none")[0] for i in range(r)]
-
-    boundary = {
-        "g_0": g_0, "g_0_err": g_0_err, "g_dot_0": gd_0, "g_ddot_0": gdd_0,
-        "g_dddot_0": gddd_0, "u_dot_0": ud_0, "u_ddot_0": udd_0,
-    }
+    boundary, errors = {}, {}
+    for name, k in _BOUNDARY_FIELDS:
+        vals = getattr(profile, name)[idx]
+        fits = [richardson_extrapolate(
+            list(zip(t, v)), order=len(t) - 1,
+            parity="none" if (k + (vals.ndim == 2 and i == 0)) % 2 else "even",
+        ) for i, v in enumerate(np.atleast_2d(vals.T))]
+        limits, errs = map(list, zip(*fits))
+        scalar = vals.ndim == 1  # u: one limit, not one per factor
+        boundary[f"{name}_0"] = limits[0] if scalar else limits
+        errors[name] = errs[0] if scalar else errs
+    boundary["g_0_err"] = errors["g"]
+    g_0, gd_0 = boundary["g_0"], boundary["g_dot_0"]
+    gdd_0, gddd_0 = boundary["g_ddot_0"], boundary["g_dddot_0"]
+    ud_0, udd_0 = boundary["u_dot_0"], boundary["u_ddot_0"]
 
     checks = [
         Check(
             "collapse_g1",
             "g_1(0) = 0 and g_1'(0) = 1 (smooth collapse of the sphere factor)",
-            measured=max(abs(g1_0), abs(g1d_0 - 1.0)),
+            measured=_worst(abs(g_0[0]), abs(gd_0[0] - 1.0)),
             tolerance=1e-3,
-            passed=abs(g1_0) <= 1e-3 and abs(g1d_0 - 1.0) <= 1e-3,
-            details={"g1_0": g1_0, "g1_dot_0": g1d_0,
-                     "errors": [g1_0e, g1d_0e]},
+            details={"g1_0": g_0[0], "g1_dot_0": gd_0[0],
+                     "errors": [errors["g"][0], errors["g_dot"][0]]},
         ),
         Check(
             "collapse_g1_ddot",
             "g_1''(0) = 0",
-            measured=abs(g1dd_0),
+            measured=abs(gdd_0[0]),
             tolerance=1e-2,
-            passed=abs(g1dd_0) <= 1e-2,
-            details={"error": g1dd_0e},
+            details={"error": errors["g_ddot"][0]},
         ),
         Check(
             "potential_boundary_derivatives",
             "u'(0) = 0 with u''(0) finite",
             measured=abs(ud_0),
             tolerance=1e-3,
-            passed=abs(ud_0) <= 1e-3 and math.isfinite(udd_0),
+            requires=math.isfinite(udd_0),
             details={"u_dot_0": ud_0, "u_ddot_0": udd_0,
-                     "errors": [ud_0e, udd_0e]},
+                     "errors": [errors["u_dot"], errors["u_ddot"]]},
         ),
     ]
-    if r > 1:
-        dev = max(abs(v) for v in gd_0[1:])
-        pos = all(v > 0 for v in g_0[1:])
-        fin = all(math.isfinite(v) for v in gdd_0[1:] + gddd_0[1:])
+    if profile.r > 1:
         checks.append(Check(
             "noncollapsing_factors",
             "g_i(0) > 0 and g_i'(0) = 0 with finite g_i''(0) (i > 1)",
-            measured=dev,
+            measured=_worst(*(abs(v) for v in gd_0[1:])),
             tolerance=1e-3,
-            passed=dev <= 1e-3 and pos and fin,
+            requires=(all(v > 0 for v in g_0[1:])
+                      and all(math.isfinite(v) for v in gdd_0[1:] + gddd_0[1:])),
             details={"g_0": g_0[1:], "g_dot_0": gd_0[1:], "g_ddot_0": gdd_0[1:]},
         ))
     return boundary, checks

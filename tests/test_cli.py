@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solitonforge import cli, flow, geometry
+from solitonforge import cli, flow, geometry, verify
 from solitonforge.errors import ParseError, SolitonForgeError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -36,6 +36,7 @@ class TestParseConfig:
         assert spec.step_controls.rtol == 1e-10
         assert spec.step_controls.atol == 1e-10
         assert spec.origin_tol == 1e-8
+        assert cfg.sweep_ratios == (0.5, 1.0, 2.0, 4.0, 8.0)
 
     def test_lambda_defaulted_to_dim_minus_one(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path, {"factors": [{"dim": 3}]}))
@@ -229,6 +230,21 @@ class TestSubcommands:
         assert np.isfinite(summary["curvature_slope"])
 
 
+    def test_sweep_reads_only_the_boundary_limits(self, tmp_path, capsys, monkeypatch):
+        """sweep needs g_i(0) alone: it runs neither the curvature nor the
+        suite."""
+        def unused(*args):
+            raise AssertionError("sweep computed what it does not report")
+
+        monkeypatch.setattr(verify, "run_suite", unused)
+        monkeypatch.setattr(geometry, "sectional_curvatures", unused)
+        path = os.path.join(CONFIG_DIR, "sweep_d2_3.json")
+        assert cli.main(["sweep", "--config", path, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "sweep_report.json").read_text())
+        assert len(report["points"]) == 5
+        assert "pairwise distinct: True" in capsys.readouterr().out
+
+
 class TestRicciFlatGates:
     def test_oracle_exit_zero(self, tmp_path):
         """u_dot vanishes in Ricci-flat mode; its deviation is measured
@@ -356,6 +372,10 @@ class TestConfigHardening:
         ("output", "thin", "x"),
         (None, "seed_coeffs", 5),
         ("sweep", "ratios", 3),
+        ("sweep", "ratios", []),
+        ("sweep", "ratios", [2.0]),
+        ("sweep", "ratios", [1.0, -1.0]),
+        ("sweep", "ratios", [0.0, 1.0]),
         ("sweep", "coeff_index", 1.5),
         (None, "initial_step", -1),
         (None, "initial_step", 0),
@@ -370,6 +390,17 @@ class TestConfigHardening:
         path = write_config(tmp_path, payload)
         assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
+
+
+    def test_bad_sweep_ratios_rejected_before_writing(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "factors": [{"dim": 2}, {"dim": 3}], "seed_coeffs": [-1e-6, 1e-6],
+            "sweep": {"ratios": [1.0, -1.0]},
+        })
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 2
+        assert "sweep.ratios" in capsys.readouterr().err
+        assert not out.exists()
 
 
 _JSON_VALUES = st.recursive(
@@ -456,6 +487,24 @@ def test_underflowing_atol_exits_2_without_numpy_warnings(tmp_path, capsys):
         code = cli.main(["solve", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "must not contain infs or NaNs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, flag", [
+    ("ricci-flat", "ricci_flat_d2_3", "--seed-eps0=1e308"),
+    ("solve", "r2_d2_3", "--seed-eps=2=1e308"),
+])
+def test_overflowing_seed_exits_2_without_numpy_warnings(tmp_path, capsys, command,
+                                                         config, flag):
+    """Finite seed coefficients whose seed overflows |v|^2 are named as
+    the fault, before any projection or Lyapunov test warns about them."""
+    path = os.path.join(CONFIG_DIR, f"{config}.json")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--config", path, "--out", str(out), flag])
+    assert code == 2
+    assert "seed_coeffs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entry_point_runs_without_runpy_warning():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import solitonforge as sf
+from conftest import SOLITON_CASES
 from solitonforge import verify
 from solitonforge.errors import IncompleteInputs, TooFewSamples
 
@@ -115,6 +116,7 @@ class TestRunSuite:
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "lyapunov_monotone" in failed
+        assert not [c.name for c in report.checks if c.passed and c.measured > c.tolerance]
 
     def test_report_serializes(self, pipeline):
         import json
@@ -130,3 +132,94 @@ class TestRunSuite:
         lines = report.summary_lines()
         assert len(lines) == len(report.checks)
         assert all(line.startswith("[PASS]") for line in lines)
+
+
+class TestPassRule:
+    """Every check passes iff measured <= tolerance and its side condition
+    holds; measured is oriented so that smaller is better."""
+
+    def test_passed_is_derived_not_given(self):
+        assert verify.Check("c", "", measured=1.0, tolerance=1.0).passed
+        assert not verify.Check("c", "", measured=1.0, tolerance=0.5).passed
+        assert not verify.Check("c", "", measured=0.0, tolerance=1.0,
+                                requires=False).passed
+        assert not verify.Check("c", "", measured=math.nan, tolerance=1.0).passed
+        with pytest.raises(TypeError):
+            verify.Check("c", "", measured=0.0, tolerance=1.0, passed=True)
+
+    @pytest.mark.parametrize("name", SOLITON_CASES)
+    def test_no_pass_above_tolerance(self, pipeline, name):
+        case = pipeline(name)
+        report = verify.run_suite(case.traj, case.profile, case.curv, case.spec)
+        assert report.passed
+        assert all(c.measured <= c.tolerance for c in report.checks)
+
+    def test_ricci_measured_is_minus_min_ricci(self, pipeline):
+        case = pipeline("d2_3")
+        ric_factor = case.curv.ric_factor.copy()
+        ric_factor[len(ric_factor) // 2, 1] = -1e-6
+        curv = dataclasses.replace(case.curv, ric_factor=ric_factor)
+        report = verify.run_suite(case.traj, case.profile, curv, case.spec)
+        check = next(c for c in report.checks if c.name == "ricci_nonnegative")
+        assert check.measured == 1e-6
+        assert not check.passed
+
+    @pytest.mark.parametrize("field", ["ric_tt", "ric_factor"])
+    def test_nan_ricci_fails(self, pipeline, field):
+        case = pipeline("d2_3")
+        values = getattr(case.curv, field).copy()
+        values[len(values) // 2] = math.nan
+        curv = dataclasses.replace(case.curv, **{field: values})
+        report = verify.run_suite(case.traj, case.profile, curv, case.spec)
+        check = next(c for c in report.checks if c.name == "ricci_nonnegative")
+        assert not check.passed
+
+    @pytest.mark.parametrize("part", ["terminal_norm", "kappa_plus_one"])
+    def test_nan_in_either_part_fails_origin_limit(self, pipeline, part):
+        """max(1e-9, nan) is 1e-9: a NaN part must not vanish into the max."""
+        case = pipeline("d2_3")
+        traj = case.traj
+        if part == "terminal_norm":
+            X = traj.X.copy()
+            X[-1, 0] = math.nan
+            traj = dataclasses.replace(traj, X=X)
+        else:
+            L = traj.L.copy()
+            L[-1] = math.nan
+            traj = dataclasses.replace(traj, L=L)
+        report = verify.run_suite(traj, case.profile, case.curv, case.spec)
+        check = next(c for c in report.checks if c.name == "origin_limit")
+        assert math.isnan(check.details[part])
+        assert not check.passed
+
+    @pytest.mark.parametrize("field", ["g", "g_dot"])
+    def test_nan_in_either_part_fails_collapse_g1(self, pipeline, field):
+        case = pipeline("d2_3")
+        values = getattr(case.profile, field).copy()
+        values[:, 0] = math.nan
+        profile = dataclasses.replace(case.profile, **{field: values})
+        _, checks = verify.boundary_checks(profile)
+        check = next(c for c in checks if c.name == "collapse_g1")
+        assert not check.passed
+
+
+class TestBoundaryChecks:
+    def test_parity_rule(self, pipeline):
+        """g_1 is odd about t = 0 and g_2 even, so g_1' and g_2 are fitted
+        in t^2 and g_1, g_2' in t."""
+        case = pipeline("d2_3")
+        prof = case.profile
+        boundary, _ = verify.boundary_checks(prof)
+        idx = verify._boundary_nodes(prof.t, 5)
+        t = prof.t[idx]
+
+        def fit(values, parity):
+            return verify.richardson_extrapolate(
+                list(zip(t, values)), order=len(t) - 1, parity=parity)[0]
+
+        assert boundary["g_0"] == [fit(prof.g[idx, 0], "none"),
+                                   fit(prof.g[idx, 1], "even")]
+        assert boundary["g_dot_0"] == [fit(prof.g_dot[idx, 0], "even"),
+                                       fit(prof.g_dot[idx, 1], "none")]
+        assert boundary["u_dot_0"] == fit(prof.u_dot[idx], "none")
+        assert boundary["u_ddot_0"] == fit(prof.u_ddot[idx], "even")
