@@ -36,7 +36,7 @@ OUT_ENV_VAR = "SOLITONFORGE_OUT"
 
 _TOP_KEYS = {
     "factors", "gauge_C", "seed_coeffs", "s_start", "s_max", "origin_tol",
-    "rtol", "atol", "max_steps", "initial_step", "mode", "output", "sweep",
+    "rtol", "atol", "max_steps", "mode", "output", "sweep",
 }
 _FACTOR_KEYS = {"dim", "lambda"}
 _OUTPUT_KEYS = {"directory", "formats", "thin", "plots"}
@@ -164,17 +164,7 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
 
     s_start = _finite(raw.get("s_start", ProblemSpec.s_start), "s_start")
     s_max = _finite(raw.get("s_max", ProblemSpec.s_max), "s_max")
-    initial_step = raw.get("initial_step", StepControls.initial_step)
-    if initial_step is not None:
-        # the bounds of scipy's first_step, which the Radau stepper keeps
-        initial_step = _as_float(initial_step)
-        if not (math.isfinite(initial_step) and 0 < initial_step <= s_max - s_start):
-            raise ParseError(
-                "initial_step must be null or a finite number in "
-                f"(0, s_max - s_start], got {raw['initial_step']!r}"
-            )
     controls = StepControls(
-        initial_step=initial_step,
         rtol=_tolerance(raw.get("rtol", StepControls.rtol), "rtol"),
         atol=_tolerance(raw.get("atol", StepControls.atol), "atol"),
         max_steps=_integer(raw.get("max_steps", StepControls.max_steps), "max_steps",

@@ -12,18 +12,19 @@ so an implicit method (Radau) is used; an explicit embedded pair would be
 stability-limited to O(1) steps and could never reach the origin
 tolerance in the available step budget.
 
-The Radau stepper is the package's own (``radau.Radau``, scipy's method
-and step control in numpy alone), so the flow loads no ``scipy`` module.
-It takes ``phase.rhs`` and ``phase.rhs_jacobian`` as they are: the flow
-is autonomous and ``rhs`` takes the stepper's stage-major stack of three
-states.  The Ricci-flat projection is the stepper's ``project`` hook:
-each accepted state is projected before the stepper's one
-right-hand-side call of the step, so every ``phase.rhs`` call, the
-seed's included, is the stepper's.  Every failure of a step is a
+The Radau stepper is the package's own (``radau.Radau``, Hairer &
+Wanner's Radau IIA in numpy alone), so the flow loads no ``scipy``
+module.  It takes ``phase.rhs`` and ``phase.rhs_jacobian`` as they are:
+the flow is autonomous and ``rhs`` takes the stepper's stage-major stack
+of three states.  The Ricci-flat projection is the stepper's ``project``
+hook: each accepted state is projected before the stepper's one
+right-hand-side call of the step, so every ``phase.rhs`` call of
+``integrate`` is the stepper's.  Every failure of a step is a
 ``ValueError``, which the loop reports as ``StepLimitExceeded``.  The
-per-step monitors read the stepper's state without copying it, and the
-step loop follows ``radau.py``'s rule of computing every value bit for
-bit as before: it only drops numpy calls that compute nothing.
+per-step monitors read the stepper's state without copying it.  The step
+loop answers to the stepper's accuracy contract (``radau.py``): a change
+to it that alters the steps or the work must pass the accuracy tests in
+``tests/test_flow.py`` and re-pin ``SHIPPED_WORK`` there.
 
 Each accepted step starts from the sample recorded before it, so the
 dense output needs only the samples, their abscissae and each step's
@@ -57,6 +58,8 @@ from .radau import Radau
 # floor for L, which is -1 at the origin, beyond roundoff.
 MONOTONE_SLACK = 1e-13
 L_FLOOR = -1.0 - 1e-9
+# The phase speed |f| below which a state counts as a rest point.
+REST_SPEED = 1e-13
 
 
 class DenseOutput:
@@ -137,12 +140,15 @@ def seed(spec: ProblemSpec) -> PhasePoint:
     Soliton mode requires eps0 < 0 and eps_i > 0 so the displaced point
     enters {L < 0} with all Y_i > 0.  Ricci-flat mode rescales the
     displaced point onto {L = 0, H = 1}.  Coefficients so large that
-    |v|^2 overflows raise SeedLeavesWrongRegion naming seed_coeffs.
+    |v|^2 overflows, a soliton seed outside the unit ball and a
+    Ricci-flat seed that projects onto a rest point raise
+    SeedLeavesWrongRegion naming seed_coeffs.
     """
     crit = critical_point(spec).as_vector()
     # finite but huge coefficients overflow |v|^2, which is checked below
     with np.errstate(over="ignore"):
-        v = crit + spec.seed_coeffs[0] * phase.unstable_eigenvector_fast(spec)
+        head = crit + spec.seed_coeffs[0] * phase.unstable_eigenvector_fast(spec)
+        v = head.copy()
         for i in range(1, spec.r):
             v[spec.r + i] += spec.seed_coeffs[i]
         vv = float(v @ v)
@@ -155,16 +161,36 @@ def seed(spec: ProblemSpec) -> PhasePoint:
 
     if spec.mode is Mode.SOLITON:
         if any(c != 0.0 for c in spec.seed_coeffs):
-            if not phase.lyapunov(p) < 0:
-                raise SeedLeavesWrongRegion(
-                    f"seed has L = {phase.lyapunov(p):.3e} >= 0; "
-                    "eps0 must be negative"
-                )
+            L = phase.lyapunov(p)
+            if not L < 0:
+                raise SeedLeavesWrongRegion(_outside_ball(spec.seed_coeffs, head, L))
             if not np.all(p.Y > 0):
                 raise NonPositiveY(f"seed has non-positive Y: {p.Y}")
         return p
-    return PhasePoint.from_vector(
-        spec.s_start, _project_ricci_flat(v, np.sqrt(spec.dims)))
+    sqrt_d = np.sqrt(spec.dims)
+    y = _project_ricci_flat(v, sqrt_d)
+    f = phase.rhs(y, sqrt_d)
+    speed = math.sqrt(f @ f)
+    if speed < REST_SPEED:
+        raise SeedLeavesWrongRegion(
+            f"seed_coeffs {list(spec.seed_coeffs)} project onto a rest point "
+            f"of the Ricci-flat flow (|f| = {speed:.3e})"
+        )
+    return PhasePoint.from_vector(spec.s_start, y)
+
+
+def _outside_ball(coeffs, head: np.ndarray, L: float) -> str:
+    """The message for a soliton seed with L >= 0, naming the coefficient
+    that adds most to L.  The first coefficient moves the seed within the
+    (X_1, Y_1) plane, to ``head``, and each further one along a unit Y_i
+    direction orthogonal to it, so L = (|head|^2 - 1) + sum of eps_i^2."""
+    parts = [float(head @ head) - 1.0] + [c * c for c in coeffs[1:]]
+    i = int(np.argmax(parts))
+    message = (f"seed_coeffs[{i}] = {coeffs[i]!r} puts the seed at "
+               f"L = {L:.3e} >= 0, outside the unit ball")
+    if i == 0 and not coeffs[0] < 0:
+        message += "; eps0 must be negative"
+    return message
 
 
 def _project_ricci_flat(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
@@ -199,8 +225,8 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     r = spec.r
     prev_L = float(y0 @ y0) - 1.0
 
-    # An atol or step near underflow overflows the stepper's norms and
-    # Newton matrices; its finiteness checks report that as a ValueError,
+    # An atol near underflow overflows the stepper's norms and Newton
+    # matrices; its finiteness checks report that as a ValueError,
     # so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         solver = Radau(
@@ -211,10 +237,9 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
             t_bound=spec.s_max,
             rtol=sc.rtol,
             atol=sc.atol,
-            first_step=sc.initial_step,
             project=None if soliton else lambda y: _project_ricci_flat(y, sqrt_d),
         )
-        stationary = float(np.sqrt(solver.f @ solver.f)) < 1e-13  # seeded at the rest point
+        stationary = float(np.sqrt(solver.f @ solver.f)) < REST_SPEED  # seeded at a rest point
         termination = "stationary" if stationary else "s_max"
         while solver.status == "running" and not stationary:
             if len(Qs) >= sc.max_steps:

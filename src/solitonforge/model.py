@@ -44,14 +44,27 @@ class FactorSpec:
             )
 
 
+# The smallest rtol the Radau stepper is given: below it the error test
+# asks for less than about a hundred ulps of each component.
+RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class StepControls:
     """Adaptive-integration controls."""
 
-    initial_step: float | None = None
     rtol: float = 1e-10
     atol: float = 1e-10
     max_steps: int = 100_000
+
+    def __post_init__(self):
+        if not self.rtol >= RTOL_FLOOR:
+            raise ValidationError(
+                f"rtol must be >= 100 * machine epsilon ({RTOL_FLOOR:.3g}), "
+                f"got {self.rtol!r}"
+            )
+        if not self.atol > 0:
+            raise ValidationError(f"atol must be positive, got {self.atol!r}")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Radau IIA (order 5) stepper for the autonomous phase flow.
 
 The method, its constants and its step control are those of Hairer &
-Wanner, *Solving ODEs II*, §IV.8, in the form that scipy 1.17's
-``scipy.integrate.Radau`` implements them, for a callable dense Jacobian
-and forward integration: the same tableau constants, Newton tolerance
-and iteration, initial step selection, step-size predictor, Jacobian
-reuse, ``nextafter`` minimum step, ``rtol`` floor and ``first_step``
-bounds, and the same ``nfev``, ``njev`` and ``nlu`` bookkeeping.
+Wanner, *Solving ODEs II*, §IV.8, for a callable dense Jacobian and
+forward integration: the tableau constants, the Newton tolerance and
+iteration, the initial step selection, the step-size predictor, the
+Jacobian reuse and the ``nextafter`` minimum step, with ``nfev``,
+``njev`` and ``nlu`` counting right-hand-side evaluations, Jacobians and
+factorisations.
 
 It lives in the package for two reasons.  Importing ``scipy.integrate``
 pulls in ``scipy.special``, ``scipy.optimize`` and ``scipy.sparse.linalg``,
@@ -19,15 +19,14 @@ Unlike scipy's generic interface, it takes the flow as it is: the flow
 is autonomous, so ``fun(y)`` and ``jac(y)`` take no time, and ``fun``
 gets the three collocation stages as the stage-major (3, n) stack that
 ``phase.rhs`` takes.  Every failure of a step raises ``ValueError``.
+The step controls are not checked here: ``model.StepControls`` owns the
+rules for ``rtol`` and ``atol``.
 
 It uses numpy alone, so the flow loads no ``scipy`` module.  Each Newton
 matrix (2r×2r, r ≤ 3) is inverted once when it is formed, and every
 solve with it is one matrix-vector product; the three collocation stages
-are evaluated in one call of ``fun``.  This is a deliberate departure
-from scipy's LU factorisation and per-stage calls: the stepper is no
-longer bit-identical to scipy's Radau.  Its states agree with scipy's to
-well within the tolerances, not to the last bit.  A singular Newton
-matrix raises numpy's ``LinAlgError``, a ``ValueError``.
+are evaluated in one call of ``fun``.  A singular Newton matrix raises
+numpy's ``LinAlgError``, a ``ValueError``.
 
 The simplified Newton iteration is linear in the stage values F and in
 the transformed increments W.  In the eigenbasis of the tableau its
@@ -45,23 +44,25 @@ stacked input ``v = [F ; W/h]``, ``dW = K @ v``, the scaled RMS norm and
 ``Z = T W``.  For n = 2r ≤ 6 this replaces a dozen small numpy calls
 (complex arithmetic, two solves, three row copies) by one matrix-vector
 product.  The update is the same linear map, summed in another order, so
-it agrees with the two-solve form to a few ulps rather than bit for bit;
-on the shipped configs the steps and the ``nfev``, ``njev`` and ``nlu``
-counts are unchanged.  The real inverse is kept for the error estimate.
+it agrees with the two-solve form to a few ulps rather than bit for bit.
+The real inverse is kept for the error estimate.
 
-Every other part of a step computes its values bit for bit as the
-textbook form would: each arithmetic operation keeps its operands and
-their order, and only numpy calls that compute nothing (temporaries,
-wrappers, repeated scans) are left out of the hot path.  That is a rule
-for changes to this module, not only a property of it.  The stepper's
-agreement with stock scipy Radau (``tests/test_flow.py``) depends on
-taking the same step and Newton decisions, and one ulp in the wrong
-place can flip a convergence test, add a Newton iteration and make the
-steps diverge from there on; the work counts of the shipped configs are
-pinned in the tests for that reason.  Step control runs on Python floats
-(``math.nextafter``, ``abs``, ``math.sqrt``), which round as numpy's
-scalars do; ``_initial_step`` keeps numpy scalars so that a degenerate
-scale gives inf or nan, as scipy's does, instead of raising.
+The stepper answers to an accuracy contract, which ``tests/test_flow.py``
+checks: each step's end agrees with a tight reference integration over
+the same interval to within a hundredth of the step's error scale, the
+verify checks move by less than 1% of their tolerances when the
+tolerances tighten a hundredfold, and a linear problem ends on its
+closed-form solution.  The work of each shipped config (steps, ``nfev``,
+``njev``, ``nlu`` and rejected attempts) is pinned there as
+``SHIPPED_WORK``.  A change that alters the steps or the work must pass
+the accuracy tests and re-pin ``SHIPPED_WORK``, with the old and new
+counts in CHANGES.md.  A change that means to leave them alone computes
+every value bit for bit as before: one ulp in the wrong place can flip a
+convergence test, add a Newton iteration and make the steps diverge from
+there on.  Step control runs on Python floats (``math.nextafter``,
+``abs``, ``math.sqrt``), which round as numpy's scalars do;
+``_initial_step`` keeps numpy scalars so that a degenerate scale gives
+inf or nan instead of raising.
 
 Finiteness is checked where a bad value can first do harm, and no more
 often.  `_lu` scans each Newton matrix before inverting it.  The Newton
@@ -70,7 +71,7 @@ a non-finite entry in the stacked input ``v = [F ; W/h]`` or in
 ``f + ZE`` makes every entry of the product with the inverse, and so the
 scaled norm, non-finite, and only then are the inputs scanned.  A
 non-finite F ends the iteration unconverged; a non-finite ``W/h`` or
-``f + ZE`` raises ``ValueError`` with scipy's message.
+``f + ZE`` raises ``ValueError`` with the message ``_NOT_FINITE``.
 
 A ``project`` hook maps each accepted state to the one the next step
 starts from, before the step's single ``fun`` call, so that ``y`` and
@@ -80,7 +81,6 @@ starts from, before the step's single ``fun`` call, so that ``y`` and
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -195,28 +195,19 @@ class Radau:
     state is not projected.  A caller may also replace ``y`` and ``f``
     between steps (``f`` must then be ``fun(y)``).
 
-    Besides scipy's ``nfev``, ``njev`` and ``nlu``, the stepper counts
+    Besides ``nfev``, ``njev`` and ``nlu``, the stepper counts
     ``nrejected``, the step attempts it discarded (by the error test or
     after a Newton iteration that failed to converge), and records the
     smallest and largest accepted step in ``h_min`` and ``h_max``.
     """
 
     def __init__(self, fun, jac, t0: float, y0, t_bound: float,
-                 rtol: float, atol: float, first_step: float | None = None,
-                 project=None):
+                 rtol: float, atol: float, project=None):
         y0 = np.asarray(y0, dtype=float)
         if not np.isfinite(y0).all():
             raise ValueError("All components of the initial state `y0` must be finite.")
         if not t_bound > t0:
             raise ValueError("`t_bound` must exceed `t0`.")
-        if rtol < 100 * EPS:
-            warnings.warn(
-                "At least one element of `rtol` is too small. "
-                f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
-                stacklevel=2,
-            )
-        if atol < 0:
-            raise ValueError("`atol` must be positive.")
 
         self._fun = fun
         self._jac = jac
@@ -229,21 +220,12 @@ class Radau:
         self.nfev = 0
         self.njev = 0
         self.nlu = 0
-        self.rtol = max(rtol, 100 * EPS)
+        self.rtol = rtol
         self.atol = atol
-        # scipy computes the Newton tolerance from the rtol it was given,
-        # before the floor above
         self.newton_tol = max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
 
         self.f = self.fun(y0)
-        if first_step is None:
-            self.h_abs = self._initial_step()
-        elif first_step <= 0:
-            raise ValueError("`first_step` must be positive.")
-        elif first_step > np.abs(t_bound - t0):
-            raise ValueError("`first_step` exceeds bounds.")
-        else:
-            self.h_abs = first_step
+        self.h_abs = self._initial_step()
         self.h_abs_old = None
         self.error_norm_old = None
 
@@ -303,13 +285,13 @@ class Radau:
 
     def _initial_step(self) -> float:
         """Hairer, Nørsett & Wanner's starting step for an order-3 error
-        estimate (*Solving ODEs I*, §II.4), as scipy selects it."""
+        estimate (*Solving ODEs I*, §II.4)."""
         y0, f0 = self.y, self.f
         interval_length = abs(self.t_bound - self.t)
         scale = self.atol + np.abs(y0) * self.rtol
-        # numpy scalars, as scipy's: with an atol near underflow the norms
-        # overflow, and the divisions below must give inf or nan rather
-        # than raise ZeroDivisionError
+        # numpy scalars: with an atol near underflow the norms overflow,
+        # and the divisions below must give inf or nan rather than raise
+        # ZeroDivisionError
         d0 = np.float64(_norm(y0 / scale))
         d1 = np.float64(_norm(f0 / scale))
         if d0 < 1e-5 or d1 < 1e-5:

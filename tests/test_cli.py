@@ -299,6 +299,34 @@ class TestConfigHardening:
         argv = ["solve", "--config", path, "--out", str(tmp_path), f"--tol={tol}"]
         assert cli.main(argv) == 2
 
+    def test_tol_below_the_rtol_floor_exits_2(self, tmp_path, capsys, monkeypatch):
+        """An rtol below 100 machine epsilons is a ValidationError naming
+        rtol, raised before anything is integrated."""
+        monkeypatch.setattr(flow, "run", lambda spec: pytest.fail("integrated"))
+        path = os.path.join(CONFIG_DIR, "bryant_d2.json")
+        argv = ["verify", "--config", path, "--out", str(tmp_path / "o"), "--tol", "1e-20"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "rtol" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, config, flag, named", [
+        ("solve", "r2_d2_3", "--seed-eps=2=1e150", "seed_coeffs[1] = 1e+150"),
+        ("ricci-flat", "ricci_flat_d2_3", "--seed-eps0=1e150", "rest point"),
+    ])
+    def test_seed_outside_its_region_names_seed_coeffs(self, tmp_path, capsys, command,
+                                                       config, flag, named):
+        """A soliton seed pushed out of the unit ball by one coefficient
+        names that coefficient; a Ricci-flat seed that projects onto a
+        rest point names seed_coeffs.  Both exit 2 and write nothing."""
+        path = os.path.join(CONFIG_DIR, f"{config}.json")
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", path, "--out", str(out), flag]) == 2
+        err = capsys.readouterr().err
+        assert "SeedLeavesWrongRegion" in err and "seed_coeffs" in err and named in err
+        assert "eps0" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("flag, key", [
         ("--seed-eps0={}", "--seed-eps0"),
@@ -445,6 +473,7 @@ _MAIN_SLOTS = _CONFIG_SLOTS + [("factors[1]", key) for key in sorted(cli._FACTOR
 @given(slot=st.sampled_from(_MAIN_SLOTS), value=_JSON_VALUES)
 @example(slot=("factors[1]", "dim"), value=10**400)
 @example(slot=(None, "atol"), value=1e-300)
+@example(slot=(None, "rtol"), value=1e-20)
 @settings(max_examples=500, deadline=None)
 def test_any_single_value_solves_or_exits_cleanly(slot, value):
     """main(["solve", ...]) on a short valid run with any one key replaced

@@ -132,6 +132,25 @@ class TestValidation:
         with pytest.raises(ValidationError):
             sf.FactorSpec(3, -1.0)
 
+    @pytest.mark.parametrize("controls, key", [
+        ({"rtol": 1e-20}, "rtol"),
+        ({"rtol": 0.0}, "rtol"),
+        ({"rtol": math.nan}, "rtol"),
+        ({"atol": 0.0}, "atol"),
+        ({"atol": -1e-10}, "atol"),
+        ({"atol": math.nan}, "atol"),
+    ])
+    def test_step_controls_reject_bad_tolerances(self, controls, key):
+        """StepControls owns the tolerance rules for every caller: an rtol
+        below 100 machine epsilons or an atol that is not > 0 is a
+        ValidationError naming the key."""
+        with pytest.raises(ValidationError, match=key):
+            sf.StepControls(**controls)
+
+    def test_step_controls_accept_the_rtol_floor(self):
+        floor = 100 * np.finfo(float).eps
+        assert sf.StepControls(rtol=floor, atol=1e-300).rtol == floor
+
     def test_default_seed_coeffs(self):
         spec = sf.ProblemSpec(
             factors=(sf.FactorSpec(2, 1.0), sf.FactorSpec(3, 2.0))
