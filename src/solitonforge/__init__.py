@@ -18,7 +18,6 @@ from .geometry import (
     asymptotics,
     ricci_components,
     sectional_curvatures,
-    soliton_residual,
 )
 from .model import (
     Constants,
@@ -91,7 +90,6 @@ __all__ = [
     "run_suite",
     "sectional_curvatures",
     "seed",
-    "soliton_residual",
     "validate_spec",
     "vector_field",
     "__version__",

@@ -3,8 +3,10 @@
 Subcommands
     solve       integrate and reconstruct, export the profile
     verify      solve + full verification suite (exit 0 iff all checks pass)
-    curvature   solve + curvature report
-    oracle      solve + independent second-order cross-validation
+    curvature   solve + curvature report (exit 0 iff min Ric >= -1e-8 and
+                |Ric + Hess u| <= 1e-6)
+    oracle      solve + independent second-order cross-validation, started
+                at the first profile sample with t >= 10 t[0]
     ricci-flat  solve in Ricci-flat mode, report the flatness residuals
                 (exit 0 iff |L|, |H - 1| <= 1e-8 and |Ric| <= 1e-6)
     sweep       grid of seed-coefficient ratios, one output set per point
@@ -306,8 +308,15 @@ def _solve(cfg: RunConfig):
     return traj, profile
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def _export_run(cfg: RunConfig, traj, profile, extra_json: dict | None = None) -> dict:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     summary = {
         "dims": list(cfg.spec.dims),
         "lambdas": list(cfg.spec.lambdas),
@@ -345,9 +354,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     traj, profile = _solve(cfg)
     curv = geometry.sectional_curvatures(profile, cfg.spec)
     report = verify.run_suite(traj, profile, curv, cfg.spec)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_json(report.to_dict(), os.path.join(cfg.out_dir, "verify_report.json"))
     _export_run(cfg, traj, profile)
+    _write_json(report.to_dict(), os.path.join(cfg.out_dir, "verify_report.json"))
     for line in report.summary_lines():
         print(line)
     print(f"verify: {'PASS' if report.passed else 'FAIL'} "
@@ -358,7 +366,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_curvature(cfg: RunConfig) -> int:
     traj, profile = _solve(cfg)
     curv = geometry.sectional_curvatures(profile, cfg.spec)
-    asym = geometry.asymptotics(profile, cfg.spec)
+    asym = geometry.asymptotics(profile, curv)
     extra = {
         "min_ricci": curv.min_ricci(),
         "soliton_residual_max": curv.soliton_residual_max,
@@ -378,7 +386,11 @@ def cmd_curvature(cfg: RunConfig) -> int:
     print(f"curvature: min Ricci {curv.min_ricci():.3e}, "
           f"residual {curv.soliton_residual_max:.3e}, "
           f"|K| slope {asym.curvature_slope:+.4f}")
-    return 0
+    failed = [c for c in verify.curvature_checks(curv) if not c.passed]
+    for c in failed:
+        print(f"curvature: FAIL {c.name}: measured {c.measured:.6g} "
+              f"(tol {c.tolerance:.2g})", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
@@ -389,7 +401,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         100.0 * t0, float(profile.t[-1])))
     devs = oracle.compare_profiles(profile, run)
     extra = {
-        "oracle_t0": t0,
+        "oracle_t0": state.t,
         "oracle_deviations": devs,
         "conservation_drift": run.conservation_drift(),
     }
@@ -425,7 +437,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not 1 <= idx < len(base):
         raise ParseError(f"sweep coeff_index {idx} out of range for r={len(base)}")
     results = []
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     for k, ratio in enumerate(cfg.sweep_ratios):
         coeffs = list(base)
         coeffs[idx] = ratio * abs(base[0])

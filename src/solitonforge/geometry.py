@@ -11,6 +11,11 @@ and the sectional curvatures are -gdd_i/g_i (mixed with d/dt),
 (K_h - gd_i^2)/g_i^2 within a factor, with K_h the sectional curvature
 of the Einstein factor itself (modeled as a round sphere; exactly 1 for
 a unit round sphere).
+
+`sectional_curvatures` is the one place a curvature quantity is
+computed: it evaluates `ricci_components` once and derives the scalar
+curvature and the soliton residual from those arrays.  `asymptotics`
+fits the tail of the report it is given.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ class CurvatureReport:
     ric_factor: np.ndarray           # (n, r)
     sectional_mixed_t: np.ndarray    # (n, r): K(U_i ^ d/dt)
     sectional_cross: np.ndarray      # (n, r, r), symmetric, 0 on diagonal
-    sectional_within: np.ndarray     # (n, r, 2): [min, max] using K_h bounds
+    sectional_within: np.ndarray     # (n, r): (K_h - g_dot^2) / g^2
     scalar_R: np.ndarray             # (n,)
-    soliton_residual_max: float
+    soliton_residual_max: float      # max |Ric + Hess u|
 
     def min_ricci(self) -> float:
         # np.minimum, not min(): a NaN in either array must come through
@@ -71,29 +76,6 @@ def ricci_components(profile: MetricProfile, spec: ProblemSpec):
     return ric_tt, ric_factor
 
 
-def soliton_residual(profile: MetricProfile, spec: ProblemSpec) -> float:
-    """max |Ric + Hess u| over samples and unit directions.
-
-    Hess u is u_ddot on the normal direction and u_dot * g_dot/g on unit
-    factor directions.
-    """
-    return _soliton_residual(profile, *ricci_components(profile, spec))
-
-
-def _soliton_residual(profile: MetricProfile, ric_tt, ric_factor) -> float:
-    res_tt = np.abs(ric_tt + profile.u_ddot)
-    res_factor = np.abs(
-        ric_factor + profile.u_dot[:, None] * profile.g_dot / profile.g
-    )
-    return float(max(res_tt.max(), res_factor.max()))
-
-
-def scalar_curvature(profile: MetricProfile, spec: ProblemSpec) -> np.ndarray:
-    """R = Ric(d/dt) + sum d_i Ric(U_i)."""
-    ric_tt, ric_factor = ricci_components(profile, spec)
-    return ric_tt + (spec.dims * ric_factor).sum(axis=1)
-
-
 def scalar_curvature_from_potential(profile: MetricProfile) -> np.ndarray:
     """Second route: R = -(u_ddot + tr L * u_dot), the trace of the steady
     soliton equation."""
@@ -103,59 +85,43 @@ def scalar_curvature_from_potential(profile: MetricProfile) -> np.ndarray:
 def sectional_curvatures(profile: MetricProfile, spec: ProblemSpec) -> CurvatureReport:
     """All three sectional-curvature families plus Ricci and scalar data.
 
-    The within-factor planes use `default_k_h_bounds`: each Einstein factor
-    is modeled as the round sphere of its Einstein constant.
+    The scalar curvature is R = Ric(d/dt) + sum d_i Ric(U_i), and the
+    soliton residual is max |Ric + Hess u|, where Hess u is u_ddot on the
+    normal direction and u_dot * g_dot/g on unit factor directions.  The
+    within-factor planes model each Einstein factor as the round sphere
+    of its Einstein constant, K_h = lambda_i / (d_i - 1) (0 for d_i = 1,
+    where a factor has no 2-planes of its own).
     """
-    if np.any(profile.g == 0):
-        raise ZeroG("warping function vanishes")
-    r = spec.r
-    k_h_bounds = default_k_h_bounds(spec)
+    ric_tt, ric_factor = ricci_components(profile, spec)
+    d = spec.dims
     g, gd = profile.g, profile.g_dot
-    mixed = -profile.g_ddot / g
     rel = gd / g
     cross = -rel[:, :, None] * rel[:, None, :]
-    for i in range(r):
-        cross[:, i, i] = 0.0
+    diag = np.arange(spec.r)
+    cross[:, diag, diag] = 0.0
+    k_h = np.divide(spec.lambdas, d - 1, out=np.zeros(spec.r), where=d > 1)
 
-    within = np.zeros((len(profile.t), r, 2))
-    for i in range(r):
-        lo, hi = k_h_bounds[i]
-        within[:, i, 0] = (lo - gd[:, i] ** 2) / g[:, i] ** 2
-        within[:, i, 1] = (hi - gd[:, i] ** 2) / g[:, i] ** 2
-
-    ric_tt, ric_factor = ricci_components(profile, spec)
+    res_tt = np.abs(ric_tt + profile.u_ddot)
+    res_factor = np.abs(ric_factor + profile.u_dot[:, None] * gd / g)
     return CurvatureReport(
         t=profile.t.copy(),
         ric_tt=ric_tt,
         ric_factor=ric_factor,
-        sectional_mixed_t=mixed,
+        sectional_mixed_t=-profile.g_ddot / g,
         sectional_cross=cross,
-        sectional_within=within,
-        scalar_R=ric_tt + (spec.dims * ric_factor).sum(axis=1),
-        soliton_residual_max=_soliton_residual(profile, ric_tt, ric_factor),
+        sectional_within=(k_h - gd**2) / g**2,
+        scalar_R=ric_tt + (d * ric_factor).sum(axis=1),
+        soliton_residual_max=float(max(res_tt.max(), res_factor.max())),
     )
-
-
-def default_k_h_bounds(spec: ProblemSpec) -> list[tuple[float, float]]:
-    """(min, max) of the sectional curvature of each Einstein factor, as
-    the round sphere's K_h = lambda_i / (d_i - 1) (0 for d_i = 1, where a
-    factor has no 2-planes of its own and the bound is unused)."""
-    bounds = []
-    for f in spec.factors:
-        if f.dim > 1:
-            k = f.einstein_const / (f.dim - 1)
-        else:
-            k = 0.0
-        bounds.append((k, k))
-    return bounds
 
 
 def _loglog_slope(t: np.ndarray, v: np.ndarray) -> float:
     return float(np.polyfit(np.log(t), np.log(np.abs(v)), 1)[0])
 
 
-def asymptotics(profile: MetricProfile, spec: ProblemSpec) -> AsymptoticsReport:
-    """Tail fits over the final TAIL_DECADES decades of t."""
+def asymptotics(profile: MetricProfile, curv: CurvatureReport) -> AsymptoticsReport:
+    """Tail fits over the final TAIL_DECADES decades of t, from a profile
+    and its curvature report."""
     t = profile.t
     if t[-1] / t[0] < 10.0 ** (TAIL_DECADES + 1):
         raise InsufficientTail(
@@ -168,19 +134,14 @@ def asymptotics(profile: MetricProfile, spec: ProblemSpec) -> AsymptoticsReport:
     g_gdot = (profile.g * profile.g_dot)[-1]
     g_sq_over_t = (profile.g[-1] ** 2) / t[-1]
     g_sq_exp = np.array(
-        [_loglog_slope(tt, profile.g[tail, i] ** 2) for i in range(spec.r)]
+        [_loglog_slope(tt, profile.g[tail, i] ** 2) for i in range(profile.r)]
     )
 
     # dominant sectional curvature at large t: the within-factor planes,
     # (K_h - g_dot^2) / g^2 ~ K_h / g^2 (mixed and cross planes fall off a
     # full power of t faster and drown in roundoff first)
-    bounds = default_k_h_bounds(spec)
-    K_dom = np.zeros(tail.sum())
-    for i in range(spec.r):
-        if spec.dims[i] > 1:
-            K_i = (bounds[i][1] - profile.g_dot[tail, i] ** 2) / profile.g[tail, i] ** 2
-            K_dom = np.maximum(K_dom, np.abs(K_i))
-    R_all = scalar_curvature(profile, spec)
+    K_dom = np.abs(curv.sectional_within[tail][:, profile.spec.dims > 1]).max(axis=1)
+    R_all = curv.scalar_R
     curvature_slope = _loglog_slope(tt, K_dom)
     scalar_slope = _loglog_slope(tt, R_all[tail])
 

@@ -129,7 +129,8 @@ def validate_spec(spec: ProblemSpec) -> ProblemSpec:
         BadNormalization: first factor's Einstein constant is not d_1 - 1.
         NonNegativeGauge: the gauge constant is >= 0.
         BadSeedSign: seed coefficients have the wrong sign for the mode.
-        ValidationError: other structural problems.
+        ValidationError: other structural problems, such as Ricci-flat
+            mode with a single factor.
     """
     if spec.r < 1:
         raise ValidationError("at least one factor is required")
@@ -155,6 +156,12 @@ def validate_spec(spec: ProblemSpec) -> ProblemSpec:
         if any(not e > 0 for e in rest):
             raise BadSeedSign(f"soliton mode requires eps_i > 0 for i >= 2, got {rest}")
     else:
+        if spec.r == 1:
+            raise ValidationError(
+                "mode ricci_flat needs at least two factors, got one: with r = 1 "
+                "the Ricci-flat set {L = 0, H = 1} is just the two rest points, "
+                "so there is no trajectory to integrate"
+            )
         if any(e < 0 for e in rest):
             raise BadSeedSign(f"ricci-flat mode requires eps_i >= 0, got {rest}")
     if not spec.s_max > spec.s_start:

@@ -6,17 +6,17 @@ The cross-check integrates the coupled system for (g_i, u) directly,
                   + u_dot (gd_i / g_i) + (gd_i / g_i)^2
     u_ddot      = sum_i d_i gdd_i / g_i
 
-starting from mid-trajectory data of a reconstructed profile (never at
-the singular collapse t = 0), and monitors the conserved quantity
+starting from a sample of a reconstructed profile (never at the
+singular collapse t = 0), with the profile's own closed-form g, g_dot
+and u_dot there, and monitors the conserved quantity
 
     sum_i d_i lambda_i / g_i^2 + tr(L^2) - (u_dot - tr L)^2
 
 which must stay at the gauge constant C along exact solutions.
 
-``scipy.integrate`` and ``scipy.interpolate`` are imported inside the
-functions that use them: importing them takes about as long as a
-``solitonforge verify`` run spends integrating, and only the oracle
-needs them.
+``scipy.integrate`` is imported inside the function that uses it:
+importing it takes about as long as a ``solitonforge verify`` run spends
+integrating, and only the oracle needs it.
 """
 
 from __future__ import annotations
@@ -59,26 +59,17 @@ class OracleRun:
 
 
 def init_from_profile(profile: MetricProfile, t0: float) -> SecondOrderState:
-    """Interpolate (g, g_dot, u_dot) at t0 from a profile.
+    """The profile's own (g, g_dot, u_dot) at its first sample with t >= t0.
 
-    Cubic Hermite interpolation uses the profile's own derivative fields,
-    so the interpolation error is O(h^4) in the sample spacing.
+    Starting at a sample needs no interpolation, so the start carries the
+    profile's closed-form values whatever the sample spacing.
     """
-    from scipy.interpolate import CubicHermiteSpline
-
     t = profile.t
     if not (t[0] < t0 < t[-1]):
         raise OutOfRange(f"t0 = {t0:g} outside profile range ({t[0]:g}, {t[-1]:g})")
-    g = np.array([
-        CubicHermiteSpline(t, profile.g[:, i], profile.g_dot[:, i])(t0)
-        for i in range(profile.r)
-    ])
-    g_dot = np.array([
-        CubicHermiteSpline(t, profile.g_dot[:, i], profile.g_ddot[:, i])(t0)
-        for i in range(profile.r)
-    ])
-    u_dot = float(CubicHermiteSpline(t, profile.u_dot, profile.u_ddot)(t0))
-    return SecondOrderState(t=float(t0), g=g, g_dot=g_dot, u_dot=u_dot)
+    k = int(np.searchsorted(t, t0))
+    return SecondOrderState(t=float(t[k]), g=profile.g[k].copy(),
+                            g_dot=profile.g_dot[k].copy(), u_dot=float(profile.u_dot[k]))
 
 
 def conservation_quantity(y: np.ndarray, spec: ProblemSpec) -> float:

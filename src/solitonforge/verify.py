@@ -11,7 +11,8 @@ reported-only Q_limits), one for (f) and one for (g) and the Y_i decay
 rates.  run_suite evaluates the dense output once per window and fits
 every quantity of that window from the same arrays.  The t = 0 limits
 need only the profile: boundary_checks computes them and their checks
-on their own, for a caller that wants no more than g_i(0).
+on their own, for a caller that wants no more than g_i(0).  Likewise
+curvature_checks gates a curvature report alone, for `curvature`.
 """
 
 from __future__ import annotations
@@ -334,20 +335,8 @@ def run_suite(
         details={"H_max": h_max, "L_plus_1_minus_H_max": float(lh.max())},
     ))
 
-    # (j) nonnegative Ricci and soliton-equation residual; measured is
-    # -min Ric, so that it passes at or below the tolerance like the rest
-    checks.append(Check(
-        "ricci_nonnegative",
-        "smallest Ricci eigenvalue is nonnegative",
-        measured=-curv.min_ricci(),
-        tolerance=1e-8,
-    ))
-    checks.append(Check(
-        "soliton_residual",
-        "max |Ric + Hess u| over samples and directions",
-        measured=curv.soliton_residual_max,
-        tolerance=1e-6,
-    ))
+    # (j) nonnegative Ricci and soliton-equation residual
+    checks.extend(curvature_checks(curv))
 
     # (k) the potential's boundary value by two routes
     u0_quad = -(traj.H[0] - 1.0) / (2.0 * b2)  # gauge u(s_0) = 0 + exact tail
@@ -379,6 +368,28 @@ def run_suite(
     ))
 
     return VerifyReport(checks=checks, diagnostics=diag)
+
+
+def curvature_checks(curv: CurvatureReport) -> list[Check]:
+    """Nonnegative Ricci and the steady soliton equation Ric + Hess u = 0.
+
+    measured is -min Ric for the first, so that it passes at or below
+    the tolerance like the rest.
+    """
+    return [
+        Check(
+            "ricci_nonnegative",
+            "smallest Ricci eigenvalue is nonnegative",
+            measured=-curv.min_ricci(),
+            tolerance=1e-8,
+        ),
+        Check(
+            "soliton_residual",
+            "max |Ric + Hess u| over samples and directions",
+            measured=curv.soliton_residual_max,
+            tolerance=1e-6,
+        ),
+    ]
 
 
 # profile fields extrapolated to t = 0, each with its order of derivative

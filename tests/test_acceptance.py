@@ -138,7 +138,7 @@ def test_criterion_07_curvature_signs_and_decay(pipeline, name):
         assert case.curv.sectional_within[mid].min() > 0
         assert case.curv.sectional_mixed_t.min() >= -1e-8
         assert case.curv.sectional_within.min() >= -1e-8
-    a = geometry.asymptotics(case.profile, case.spec)
+    a = geometry.asymptotics(case.profile, case.curv)
     assert a.curvature_slope == pytest.approx(-1.0, abs=0.1)
     assert a.scalar_slope == pytest.approx(-1.0, abs=0.1)
     assert np.all(np.diff(a.R_t2_ladder) > 0)
@@ -150,7 +150,7 @@ def test_criterion_08_paraboloid_asymptotics(pipeline, name):
     """g_i g_i' -> lambda_i/sqrt(-C) +/- 1e-3 and g_i^2/t -> 2 lambda_i /
     sqrt(-C) +/- 1e-2 relative."""
     case = pipeline(name)
-    a = geometry.asymptotics(case.profile, case.spec)
+    a = geometry.asymptotics(case.profile, case.curv)
     lam = case.spec.lambdas
     root_c = math.sqrt(-case.spec.gauge_C)
     assert np.abs(a.g_gdot_limit - lam / root_c).max() <= 1e-3

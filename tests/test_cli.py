@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import solitonforge as sf
 from solitonforge import cli, flow, geometry, verify
 from solitonforge.errors import ParseError, SolitonForgeError
 
@@ -229,6 +230,20 @@ class TestSubcommands:
         assert summary["min_ricci"] >= -1e-8
         assert np.isfinite(summary["curvature_slope"])
 
+    def test_curvature_computes_ricci_once(self, tmp_path, monkeypatch):
+        """The report feeds the exports, the gate and the tail fits, so a
+        curvature run evaluates the Ricci components once."""
+        calls = []
+        ricci = geometry.ricci_components
+
+        def counted(profile, spec):
+            calls.append(1)
+            return ricci(profile, spec)
+
+        monkeypatch.setattr(geometry, "ricci_components", counted)
+        path = os.path.join(CONFIG_DIR, "bryant_d2.json")
+        assert cli.main(["curvature", "--config", path, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_sweep_reads_only_the_boundary_limits(self, tmp_path, capsys, monkeypatch):
         """sweep needs g_i(0) alone: it runs neither the curvature nor the
@@ -278,6 +293,75 @@ class TestRicciFlatGates:
         path = os.path.join(CONFIG_DIR, "ricci_flat_d2_3.json")
         assert cli.main(["ricci-flat", "--config", path, "--out", str(tmp_path)]) == code
         assert ("FAIL" in capsys.readouterr().out) == (code == 1)
+
+    @pytest.mark.parametrize("command, config", [
+        ("ricci-flat", "bryant_d2"),
+        ("ricci-flat", "r1_d9"),
+        ("solve", {"factors": [{"dim": 2}], "mode": "ricci_flat"}),
+    ])
+    def test_single_factor_ricci_flat_rejected(self, tmp_path, capsys, monkeypatch,
+                                               command, config):
+        """With r = 1 the Ricci-flat set is just the two rest points: the
+        spec is a ValidationError naming factors and mode, raised before
+        anything is integrated or written."""
+        monkeypatch.setattr(flow, "run", lambda spec: pytest.fail("integrated"))
+        path = (write_config(tmp_path, config) if isinstance(config, dict)
+                else os.path.join(CONFIG_DIR, f"{config}.json"))
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "factors" in err and "mode" in err
+        assert "seed_coeffs" not in err
+        assert not out.exists()
+
+
+class TestCurvatureGates:
+    @pytest.mark.parametrize("bump, code, failed", [
+        ({}, 0, None),
+        ({"ricci": -2e-8}, 1, "ricci_nonnegative"),
+        ({"residual": 2e-6}, 1, "soliton_residual"),
+    ])
+    def test_curvature_exit_follows_checks(self, tmp_path, monkeypatch, capsys,
+                                           bump, code, failed):
+        """curvature exits 1 when min Ric < -1e-8 or |Ric + Hess u| > 1e-6,
+        with the same stdout, and names the failing check on stderr."""
+        curvatures = geometry.sectional_curvatures
+
+        def bumped(profile, spec):
+            curv = curvatures(profile, spec)
+            return dataclasses.replace(
+                curv, ric_tt=curv.ric_tt + bump.get("ricci", 0.0),
+                soliton_residual_max=curv.soliton_residual_max
+                + bump.get("residual", 0.0))
+
+        monkeypatch.setattr(geometry, "sectional_curvatures", bumped)
+        path = os.path.join(CONFIG_DIR, "bryant_d2.json")
+        assert cli.main(["curvature", "--config", path, "--out", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        assert out.startswith("curvature: min Ricci") and "FAIL" not in out
+        assert (f"FAIL {failed}" in err) if failed else err == ""
+        assert (tmp_path / "curvature.csv").exists()
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command, config", [
+        ("solve", "bryant_d2"),
+        ("verify", "bryant_d2"),
+        ("sweep", "sweep_d2_3"),
+    ])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys,
+                                                    command, config, below):
+        """--out naming a file, or a path below a file, is an IoError
+        naming the directory (exit 2), not a raw OSError."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = os.path.join(str(blocker), below) if below else str(blocker)
+        path = os.path.join(CONFIG_DIR, f"{config}.json")
+        assert cli.main([command, "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "IoError" in err and f"cannot create output directory {out}" in err
+        assert blocker.read_text() == ""
 
 
 class TestConfigHardening:
@@ -534,6 +618,13 @@ def test_overflowing_seed_exits_2_without_numpy_warnings(tmp_path, capsys, comma
     assert code == 2
     assert "seed_coeffs" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_every_public_name_resolves():
+    """Each name in solitonforge.__all__ is an attribute of the package,
+    so a stale export fails here rather than in a user's import."""
+    missing = [name for name in sf.__all__ if not hasattr(sf, name)]
+    assert missing == []
 
 
 def test_module_entry_point_runs_without_runpy_warning():

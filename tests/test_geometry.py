@@ -42,18 +42,20 @@ class TestSolitonResidual:
     @pytest.mark.parametrize("name", SOLITON_CASES)
     def test_residual_small(self, pipeline, name):
         case = pipeline(name)
-        assert geometry.soliton_residual(case.profile, case.spec) <= 1e-6
+        assert geometry.sectional_curvatures(
+            case.profile, case.spec).soliton_residual_max <= 1e-6
 
     def test_ricci_flat_residual(self, pipeline):
         case = pipeline("rf_d2_3")
-        assert geometry.soliton_residual(case.profile, case.spec) <= 1e-6
+        assert geometry.sectional_curvatures(
+            case.profile, case.spec).soliton_residual_max <= 1e-6
 
     def test_fault_injection_detects_corruption(self, pipeline):
         """Corrupting g_ddot_1 by 1e-3 must push the residual above 1e-4."""
         case = pipeline("d2")
         prof = dataclasses.replace(case.profile, g_ddot=case.profile.g_ddot.copy())
         prof.g_ddot[:, 0] += 1e-3
-        assert geometry.soliton_residual(prof, case.spec) >= 1e-4
+        assert geometry.sectional_curvatures(prof, case.spec).soliton_residual_max >= 1e-4
 
 
 class TestScalarCurvature:
@@ -62,7 +64,7 @@ class TestScalarCurvature:
         the steady equation."""
         for name in ("d2", "d2_3", "d2_2_3"):
             case = pipeline(name)
-            R1 = geometry.scalar_curvature(case.profile, case.spec)
+            R1 = case.curv.scalar_R
             R2 = geometry.scalar_curvature_from_potential(case.profile)
             scale = np.abs(R1).max()
             assert np.abs(R1 - R2).max() <= 1e-6 * scale
@@ -96,16 +98,12 @@ class TestSectional:
         assert np.abs(curv.sectional_cross - curv.sectional_cross.transpose(0, 2, 1)).max() == 0
         assert np.abs(curv.sectional_cross[:, 0, 0]).max() == 0
 
-    def test_within_interval_ordering(self, pipeline):
-        curv = pipeline("d2_3").curv
-        assert np.all(curv.sectional_within[:, :, 0] <= curv.sectional_within[:, :, 1])
-
 
 class TestAsymptotics:
     @pytest.mark.parametrize("name", SOLITON_CASES)
     def test_paraboloid_limits(self, pipeline, name):
         case = pipeline(name)
-        a = geometry.asymptotics(case.profile, case.spec)
+        a = geometry.asymptotics(case.profile, case.curv)
         lam = case.spec.lambdas
         root_c = np.sqrt(-case.spec.gauge_C)
         assert a.g_gdot_limit == pytest.approx(lam / root_c, abs=1e-3)
@@ -114,12 +112,12 @@ class TestAsymptotics:
 
     def test_curvature_decay_slopes(self, pipeline):
         for name in ("d2", "d2_3"):
-            a = geometry.asymptotics(pipeline(name).profile, pipeline(name).spec)
+            a = geometry.asymptotics(pipeline(name).profile, pipeline(name).curv)
             assert a.curvature_slope == pytest.approx(-1.0, abs=0.1)
             assert a.scalar_slope == pytest.approx(-1.0, abs=0.1)
 
     def test_scalar_ratio_unbounded(self, pipeline):
-        a = geometry.asymptotics(pipeline("d2").profile, pipeline("d2").spec)
+        a = geometry.asymptotics(pipeline("d2").profile, pipeline("d2").curv)
         assert np.all(np.diff(a.R_t2_ladder) > 0)
         assert a.R_t2_ladder[-1] / a.R_t2_ladder[0] > 10.0
 
@@ -135,4 +133,4 @@ class TestAsymptotics:
                 fields[key] = val[:n]
         truncated = type(prof)(**fields)
         with pytest.raises(InsufficientTail):
-            geometry.asymptotics(truncated, pipeline("d2").spec)
+            geometry.asymptotics(truncated, pipeline("d2").curv)

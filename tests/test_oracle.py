@@ -1,6 +1,9 @@
 """Independent second-order (t-space) cross-validation of the pipeline."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from solitonforge import oracle
 from solitonforge.errors import OutOfRange
 
 from conftest import SOLITON_CASES
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def run_oracle(case, decades=1.0):
@@ -25,24 +30,51 @@ class TestInit:
         prof = pipeline("d2_3").profile
         k = len(prof.t) // 2
         state = oracle.init_from_profile(prof, float(prof.t[k]))
-        assert state.g == pytest.approx(prof.g[k], rel=1e-12)
-        assert state.g_dot == pytest.approx(prof.g_dot[k], rel=1e-12)
-        assert state.u_dot == pytest.approx(prof.u_dot[k], rel=1e-12)
+        assert state.t == prof.t[k]
+        assert np.array_equal(state.g, prof.g[k])
+        assert np.array_equal(state.g_dot, prof.g_dot[k])
+        assert state.u_dot == prof.u_dot[k]
+
+    def test_between_samples_starts_at_the_next_sample(self, pipeline):
+        """A t0 between two samples starts the oracle at the later one,
+        with that sample's own values."""
+        prof = pipeline("d2").profile
+        k = len(prof.t) // 3
+        t_mid = 0.5 * (prof.t[k] + prof.t[k + 1])
+        state = oracle.init_from_profile(prof, float(t_mid))
+        assert state.t == prof.t[k + 1]
+        assert np.array_equal(state.g, prof.g[k + 1])
+        assert np.array_equal(state.g_dot, prof.g_dot[k + 1])
+        assert state.u_dot == prof.u_dot[k + 1]
 
     def test_t_zero_out_of_range(self, pipeline):
         with pytest.raises(OutOfRange):
             oracle.init_from_profile(pipeline("d2").profile, 0.0)
 
-    def test_interpolated_point_consistent(self, pipeline):
-        """Between samples the interpolation stays within dense-output
-        accuracy of the closed-form profile relations."""
-        prof = pipeline("d2").profile
-        k = len(prof.t) // 3
-        t_mid = 0.5 * (prof.t[k] + prof.t[k + 1])
-        state = oracle.init_from_profile(prof, float(t_mid))
-        # g' interpolation against a finite difference of g across the gap
-        fd = (prof.g[k + 1] - prof.g[k]) / (prof.t[k + 1] - prof.t[k])
-        assert state.g_dot == pytest.approx(fd, rel=1e-3)
+    def test_oracle_run_loads_no_scipy_interpolate(self, tmp_path):
+        """An `oracle` run starts at a sample and so interpolates nothing:
+        it loads scipy.integrate for the integration, and not
+        scipy.interpolate."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys\n"
+            "import solitonforge.cli\n"
+            "code = solitonforge.cli.main(sys.argv[1:])\n"
+            "print('scipy.integrate' in sys.modules, "
+            "'scipy.interpolate' in sys.modules, code)\n"
+        )
+        config = os.path.join(CONFIG_DIR, "bryant_d2.json")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "oracle", "--config", config,
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True False 0"
 
 
 class TestConservation:
