@@ -15,13 +15,16 @@ tolerance in the available step budget.
 The Radau stepper is the package's own (``radau.Radau``, Hairer &
 Wanner's Radau IIA in numpy alone), so the flow loads no ``scipy``
 module.  It takes ``phase.rhs`` and ``phase.rhs_jacobian`` as they are:
-the flow is autonomous and ``rhs`` takes the stepper's stage-major stack
-of three states.  The Ricci-flat projection is the stepper's ``project``
-hook: each accepted state is projected before the stepper's one
-right-hand-side call of the step, so every ``phase.rhs`` call of
-``integrate`` is the stepper's.  Every failure of a step is a
-``ValueError``, which the loop reports as ``StepLimitExceeded``.  The
-per-step monitors read the stepper's state without copying it.  The step
+the flow is autonomous, and ``rhs`` takes one state (n,) or the
+stepper's stage-major (3, n) stack of stages and evaluates it on Python
+floats, bit for bit as the numpy expressions would.  It is called through
+the module, so that a wrapper set on ``phase.rhs`` sees every call.  The
+Ricci-flat projection is the stepper's ``project`` hook: each accepted
+state is projected before the stepper's one right-hand-side call of the
+step, so every ``phase.rhs`` call of ``integrate`` is the stepper's.
+Every failure of a step is a ``ValueError``, which the loop reports as
+``StepLimitExceeded``.  The per-step monitors read the stepper's state
+without copying it.  The step
 loop answers to the stepper's accuracy contract (``radau.py``): a change
 to it that alters the steps or the work must pass the accuracy tests in
 ``tests/test_flow.py`` and re-pin ``SHIPPED_WORK`` there.

@@ -14,6 +14,13 @@ and u_dot there, and monitors the conserved quantity
 
 which must stay at the gauge constant C along exact solutions.
 
+The field (``t_field``) has 2r + 1 ≤ 7 components, so it is evaluated on
+Python floats, where numpy's per-call overhead would outweigh the
+arithmetic.  The system is defined only where every g_i is positive: a
+start with a g_i that is not finite and positive, or with a non-finite
+g_dot or u_dot, is rejected with ``ValidationError`` naming the field,
+and a g_i that reaches 0 during the run raises ``BlowUp``.
+
 ``scipy.integrate`` is imported inside the function that uses it:
 importing it takes about as long as a ``solitonforge verify`` run spends
 integrating, and only the oracle needs it.
@@ -21,11 +28,12 @@ integrating, and only the oracle needs it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, NoOverlap, OutOfRange, StepLimitExceeded
+from .errors import BlowUp, NoOverlap, OutOfRange, StepLimitExceeded, ValidationError
 from .model import Mode, ProblemSpec
 from .reconstruct import MetricProfile
 
@@ -84,37 +92,85 @@ def conservation_quantity(y: np.ndarray, spec: ProblemSpec) -> float:
     )
 
 
+def t_field(v: list, d: list, lam: list) -> list:
+    """The t-space vector field at one packed state [g, g_dot, u_dot], on
+    Python floats, with the factors' d_i and lambda_i as lists.
+
+    The operations are those of the numpy expressions
+
+        rel = g_dot / g;  tr L = d . rel
+        gdd / g = lam / g^2 - (tr L) rel + u_dot rel + rel^2
+        u_ddot = d . (gdd / g)
+
+    in the same order, with both dot products summed left to right.  numpy
+    would send them to a BLAS dot, whose summation order is not fixed, so
+    the values agree with the numpy form to a few ulps rather than bit for
+    bit.  A g_i that is 0, or whose square underflows to 0, raises
+    ``ZeroDivisionError``.
+    """
+    r = len(d)
+    g = v[:r]
+    gd = v[r:2 * r]
+    ud = v[-1]
+    rel = [b / a for a, b in zip(g, gd)]
+    tr_L = 0.0
+    for di, q in zip(d, rel):
+        tr_L += di * q
+    gdd_over_g = [l / (a * a) - tr_L * q + ud * q + q * q
+                  for l, a, q in zip(lam, g, rel)]
+    u_dd = 0.0
+    for di, q in zip(d, gdd_over_g):
+        u_dd += di * q
+    return gd + [q * a for q, a in zip(gdd_over_g, g)] + [u_dd]
+
+
+def _check_start(state: SecondOrderState) -> None:
+    """Reject a start the t-space system is not defined at: every g_i
+    finite and positive, g_dot and u_dot finite."""
+    if not np.all(np.isfinite(state.g) & (state.g > 0)):
+        raise ValidationError(f"oracle start state: g must be finite and positive, got {state.g}")
+    if not np.all(np.isfinite(state.g_dot)):
+        raise ValidationError(f"oracle start state: g_dot must be finite, got {state.g_dot}")
+    if not math.isfinite(state.u_dot):
+        raise ValidationError(f"oracle start state: u_dot must be finite, got {state.u_dot}")
+
+
 def integrate_second_order(
     state: SecondOrderState, spec: ProblemSpec, t_end: float
 ) -> OracleRun:
-    """Adaptive integration of the t-space system from `state` to t_end."""
+    """Adaptive integration of the t-space system from `state` to t_end.
+
+    The start must have every g_i finite and positive and a finite g_dot
+    and u_dot; any other raises ``ValidationError`` naming the field.  The
+    field is ``t_field``; a g_i that reaches 0 inside it ends the run with
+    ``BlowUp``, as does one that falls below 1e-12 or a non-finite sample.
+    """
     from scipy.integrate import solve_ivp
 
+    _check_start(state)
     r = spec.r
-    d, lam = spec.dims, spec.lambdas
+    d, lam = spec.dims.tolist(), spec.lambdas.tolist()
 
     def rhs(t, y):
-        g, gd, ud = y[:r], y[r:2 * r], y[-1]
-        rel = gd / g
-        tr_L = d @ rel
-        gdd_over_g = lam / g**2 - tr_L * rel + ud * rel + rel**2
-        u_dd = d @ gdd_over_g
-        return np.concatenate([gd, gdd_over_g * g, [u_dd]])
+        return t_field(y.tolist(), d, lam)
 
     def collapse(t, y):
         return float(y[:r].min()) - 1e-12
     collapse.terminal = True
 
-    sol = solve_ivp(
-        rhs,
-        (state.t, t_end),
-        state.as_vector(),
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-12,
-        dense_output=True,
-        events=collapse,
-    )
+    try:
+        sol = solve_ivp(
+            rhs,
+            (state.t, t_end),
+            state.as_vector(),
+            method="DOP853",
+            rtol=1e-12,
+            atol=1e-12,
+            dense_output=True,
+            events=collapse,
+        )
+    except ZeroDivisionError as exc:   # g_i, or g_i^2 by underflow, reached 0
+        raise BlowUp(f"a warping function reached 0 before t = {t_end:g}") from exc
     if sol.status == -1:
         raise StepLimitExceeded(f"oracle integration failed: {sol.message}")
     if sol.status == 1 or not np.all(np.isfinite(sol.y)):

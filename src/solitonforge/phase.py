@@ -52,25 +52,48 @@ def _check_lengths(p: PhasePoint, spec: ProblemSpec) -> None:
         )
 
 
+def _field(v: list, sd: list) -> list:
+    """The vector field at one packed state, on Python floats."""
+    r = len(sd)
+    X = v[:r]
+    Y = v[r:]
+    sx2 = 0.0
+    for x in X:   # left to right, as numpy reduces fewer than eight terms
+        sx2 += x * x
+    a = sx2 - 1.0
+    return ([x * a + y * y / s for x, y, s in zip(X, Y, sd)]
+            + [y * (sx2 - x / s) for x, y, s in zip(X, Y, sd)])
+
+
 def rhs(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
     """Vector field on the packed state [X, Y]; hot path for the integrator.
 
-    `y` may also be a stack of states along its leading axes, such as the
-    (3, 2r) stages of one Radau step; the result has the shape of `y`.
-    Both halves are written straight into one output array, and the sum
-    is ``np.add.reduce`` without ``.sum``'s Python wrapper: the same
-    operations, on the same operands in the same order, as the textbook
-    expressions in the module docstring, so the values are those of
-    evaluating them one by one.
+    `y` is one state of shape (n,) = (2r,) or a stack of states of shape
+    (k, n), such as the (3, n) stages of one Radau step; the result has
+    the shape of `y`, and any other shape raises ``ValueError``.
+
+    With n ≤ 6, numpy's per-call overhead would outweigh the arithmetic,
+    so the field is evaluated on Python floats: one ``tolist``, the
+    textbook expressions of the module docstring entry by entry, one
+    ``np.array`` back.  Python floats are IEEE doubles and round as
+    numpy's elementwise operations do, and ``sum_j X_j^2`` is summed left
+    to right, as numpy's ``add.reduce`` sums so few terms; so the values
+    are bit for bit those of the expressions evaluated in numpy, inf and
+    NaN included.  No BLAS dot is involved: its summation order is not
+    fixed, and on some inputs it differs from the left-to-right sum in the
+    last bit.  Powers are written ``x * x``, since ``x ** 2`` raises
+    ``OverflowError`` where numpy gives inf; every division is by
+    ``sqrt(d_i) > 0``.
     """
-    r = sqrt_d.size
-    X = y[..., :r]
-    Y = y[..., r:]
-    sx2 = np.add.reduce(X * X, axis=-1, keepdims=True)
-    out = np.empty(y.shape)
-    np.add(X * (sx2 - 1.0), Y * Y / sqrt_d, out=out[..., :r])
-    np.multiply(Y, sx2 - X / sqrt_d, out=out[..., r:])
-    return out
+    sd = sqrt_d.tolist()
+    if y.ndim not in (1, 2) or y.shape[-1] != 2 * len(sd):
+        raise ValueError(
+            f"phase.rhs takes a state ({2 * len(sd)},) or a stack "
+            f"(k, {2 * len(sd)}), not an array of shape {y.shape}"
+        )
+    if y.ndim == 1:
+        return np.array(_field(y.tolist(), sd))
+    return np.array([_field(v, sd) for v in y.tolist()])
 
 
 def rhs_jacobian(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:

@@ -17,8 +17,9 @@ state between steps, which scipy keeps in private fields; here ``t``,
 
 Unlike scipy's generic interface, it takes the flow as it is: the flow
 is autonomous, so ``fun(y)`` and ``jac(y)`` take no time, and ``fun``
-gets the three collocation stages as the stage-major (3, n) stack that
-``phase.rhs`` takes.  Every failure of a step raises ``ValueError``.
+gets either one state (n,) or the three collocation stages as one
+stage-major (3, n) stack, the two shapes ``phase.rhs`` takes.  Every
+failure of a step raises ``ValueError``.
 The step controls are not checked here: ``model.StepControls`` owns the
 rules for ``rtol`` and ``atol``.
 

@@ -10,9 +10,9 @@ import pytest
 
 import solitonforge as sf
 from solitonforge import oracle
-from solitonforge.errors import OutOfRange
+from solitonforge.errors import BlowUp, OutOfRange, ValidationError
 
-from conftest import SOLITON_CASES
+from conftest import SOLITON_CASES, make_spec
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -123,3 +123,83 @@ class TestCrossValidation:
         case = pipeline("rf_d2_3")
         run = run_oracle(case)
         assert np.abs(run.u_dot).max() <= 1e-8
+
+
+def _start(spec, **fields):
+    """A valid start of the t-space system for `spec`, with fields replaced."""
+    r = spec.r
+    state = oracle.SecondOrderState(t=1.0, g=np.linspace(0.5, 1.0, r),
+                                    g_dot=np.linspace(1.0, 0.5, r), u_dot=-0.3)
+    return dataclasses.replace(state, **fields)
+
+
+class TestStartState:
+    """A start the t-space system is not defined at is rejected before
+    anything is integrated, with the field named."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("g", np.array([0.0, 1.0])),
+        ("g", np.array([-0.5, 1.0])),
+        ("g", np.array([0.5, np.nan])),
+        ("g", np.array([0.5, np.inf])),
+        ("g_dot", np.array([np.nan, 0.5])),
+        ("g_dot", np.array([1.0, -np.inf])),
+        ("u_dot", np.nan),
+        ("u_dot", np.inf),
+    ])
+    def test_bad_start_rejected(self, field, value):
+        spec = make_spec("d2_3")
+        state = _start(spec, **{field: value})
+        with pytest.raises(ValidationError, match=rf"\b{field} must be finite"):
+            oracle.integrate_second_order(state, spec, 2.0)
+
+    def test_g_squared_underflowing_to_zero_is_a_blow_up(self):
+        """g_1 = 1e-200 is a valid start, but g_1^2 is 0 in doubles, so the
+        field divides by zero on its first evaluation."""
+        spec = make_spec("d2_3")
+        state = _start(spec, g=np.array([1e-200, 1.0]))
+        with pytest.raises(BlowUp, match="reached 0"):
+            oracle.integrate_second_order(state, spec, 2.0)
+
+
+class TestField:
+    @staticmethod
+    def _numpy_field(y, d, lam):
+        """The t-space field as numpy expressions, with BLAS dots."""
+        r = d.size
+        g, gd, ud = y[:r], y[r:2 * r], y[-1]
+        rel = gd / g
+        tr_L = d @ rel
+        gdd_over_g = lam / g**2 - tr_L * rel + ud * rel + rel**2
+        u_dd = d @ gdd_over_g
+        return np.concatenate([gd, gdd_over_g * g, [u_dd]])
+
+    @staticmethod
+    def _term_scale(y, d, lam):
+        """Per entry, the size of the terms it is summed from: the ulp
+        to measure a change of summation order in, since the sum itself
+        may cancel to far below its terms."""
+        r = d.size
+        g, gd, ud = y[:r], y[r:2 * r], y[-1]
+        rel = gd / g
+        tr_abs = d @ np.abs(rel)
+        q = lam / g**2 + tr_abs * np.abs(rel) + abs(ud) * np.abs(rel) + rel**2
+        return np.concatenate([np.abs(gd), q * g, [d @ q]])
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_matches_numpy_form_to_4_ulp(self, r):
+        """t_field sums its two dot products left to right where numpy
+        calls BLAS, so the two agree to a few ulps of the terms summed."""
+        rng = np.random.default_rng(20 + r)
+        for _ in range(500):
+            d = rng.integers(2, 10, r).astype(float)
+            lam = d - 1.0 + rng.uniform(-0.5, 0.5, r)
+            g = 10.0 ** rng.uniform(-3, 3, r)
+            gd = rng.uniform(-1, 1, r) * 10.0 ** rng.uniform(-3, 3, r)
+            y = np.concatenate([g, gd, [rng.uniform(-5, 5)]])
+            got = np.array(oracle.t_field(y.tolist(), d.tolist(), lam.tolist()))
+            expected = self._numpy_field(y, d, lam)
+            ulp = np.spacing(self._term_scale(y, d, lam))
+            assert np.all(np.abs(got - expected) <= 4 * ulp)
+            # the g' entries are copied, not computed
+            assert np.array_equal(got[:r], gd)

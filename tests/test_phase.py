@@ -120,6 +120,43 @@ class TestTextbookFormulas:
             expected = np.array([self._field(row, sqrt_d) for row in stack])
             assert np.array_equal(phase.rhs(stack, sqrt_d), expected)
 
+    @staticmethod
+    def _numpy_field(y, sqrt_d):
+        """The module docstring's formulas as numpy expressions on a state
+        or a stack, with IEEE results and no warnings for inf and NaN."""
+        r = sqrt_d.size
+        X, Y = y[..., :r], y[..., r:]
+        with np.errstate(all="ignore"):
+            sx2 = np.add.reduce(X * X, axis=-1, keepdims=True)
+            return np.concatenate(
+                [X * (sx2 - 1.0) + Y * Y / sqrt_d, Y * (sx2 - X / sqrt_d)], axis=-1
+            )
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_ieee_special_entries(self, r):
+        """Zeros of both signs, infinities, NaN, squares that overflow and
+        subnormals give numpy's values bit for bit, NaN in the same places,
+        in both shapes; nothing raises."""
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200,
+                   5e-324, -2.5e-310, 1e-160, 0.5, -1.5]
+        rng = np.random.default_rng(30 + r)
+        for _ in range(200):
+            sqrt_d = np.sqrt(rng.integers(2, 10, r).astype(float))
+            for shape in ((2 * r,), (3, 2 * r)):
+                y = rng.choice(special, shape)
+                got = phase.rhs(y, sqrt_d)
+                expected = self._numpy_field(y, sqrt_d)
+                assert got.shape == expected.shape
+                nan = np.isnan(expected)
+                assert np.array_equal(np.isnan(got), nan)
+                assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (), (5,), (3, 3)])
+    def test_other_shapes_raise(self, shape):
+        """A state (n,) or a stack (k, n) with n = 2r; anything else raises."""
+        with pytest.raises(ValueError, match="phase.rhs takes"):
+            phase.rhs(np.zeros(shape), np.sqrt([2.0, 3.0]))
+
 
 class TestScalars:
     def test_lyapunov_values(self):
