@@ -437,6 +437,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not 1 <= idx < len(base):
         raise ParseError(f"sweep coeff_index {idx} out of range for r={len(base)}")
     results = []
+    failed = False
     _make_out_dir(cfg.out_dir)
     for k, ratio in enumerate(cfg.sweep_ratios):
         coeffs = list(base)
@@ -446,12 +447,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
             cfg, spec=point_spec,
             out_dir=os.path.join(cfg.out_dir, f"sweep_{k:02d}"), plots=())
         traj, profile = _solve(point_cfg)
-        boundary, _ = verify.boundary_checks(profile)
+        boundary, checks = verify.boundary_checks(profile)
         g0, g0_err = boundary["g_0"], boundary["g_0_err"]
         results.append({"ratio": ratio, "g_0": g0, "g_0_err": g0_err})
         _export_run(point_cfg, traj, profile, extra_json=results[-1])
         print(f"sweep[{k}]: ratio {ratio:g} -> g_{idx + 1}(0) = {g0[idx]:.8f} "
               f"(+/- {g0_err[idx]:.2e})")
+        for c in checks:
+            if not c.passed:
+                failed = True
+                print(f"sweep[{k}]: ratio {ratio:g}: FAIL {c.name}: measured "
+                      f"{c.measured:.6g} (tol {c.tolerance:.2g})", file=sys.stderr)
     _write_json({"coeff_index": idx, "points": results},
                 os.path.join(cfg.out_dir, "sweep_report.json"))
     # pairwise distinctness beyond combined extrapolation error estimates
@@ -463,7 +469,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             if abs(ga - gb) <= ea + eb:
                 distinct = False
     print(f"sweep: g_{idx + 1}(0) values pairwise distinct: {distinct}")
-    return 0 if distinct else 1
+    return 0 if distinct and not failed else 1
 
 
 _COMMANDS = {

@@ -23,11 +23,20 @@ Ricci-flat projection is the stepper's ``project`` hook: each accepted
 state is projected before the stepper's one right-hand-side call of the
 step, so every ``phase.rhs`` call of ``integrate`` is the stepper's.
 Every failure of a step is a ``ValueError``, which the loop reports as
-``StepLimitExceeded``.  The per-step monitors read the stepper's state
-without copying it.  The step
-loop answers to the stepper's accuracy contract (``radau.py``): a change
-to it that alters the steps or the work must pass the accuracy tests in
-``tests/test_flow.py`` and re-pin ``SHIPPED_WORK`` there.
+``StepLimitExceeded``.
+
+The per-step monitors (|y|^2 for L and the origin test, and Y > 0) and
+the Ricci-flat projection run on Python floats, from one ``tolist()`` of
+the state, with their sums taken left to right: at 2r ≤ 6 components a
+numpy call costs more than its arithmetic.  They are no longer BLAS dots,
+whose summation order is not fixed, so they agree with the numpy forms to
+an ulp or so rather than bit for bit.  A state that the projection cannot
+take onto {L = 0, H = 1} (H = 0, or |X|^2 > 1 at H = 1) raises
+``ValueError``: a failed step during the run, ``SeedLeavesWrongRegion``
+at the seed.  The step loop answers to the stepper's accuracy contract
+(``radau.py``): a change to it that alters the steps or the work must
+pass the accuracy tests in ``tests/test_flow.py`` and re-pin
+``SHIPPED_WORK`` there.
 
 Each accepted step starts from the sample recorded before it, so the
 dense output needs only the samples, their abscissae and each step's
@@ -171,7 +180,12 @@ def seed(spec: ProblemSpec) -> PhasePoint:
                 raise NonPositiveY(f"seed has non-positive Y: {p.Y}")
         return p
     sqrt_d = np.sqrt(spec.dims)
-    y = _project_ricci_flat(v, sqrt_d)
+    try:
+        y = np.array(_project_ricci_flat(v.tolist(), sqrt_d.tolist()))
+    except ValueError as exc:
+        raise SeedLeavesWrongRegion(
+            f"seed_coeffs {list(spec.seed_coeffs)} put the seed where {exc}"
+        ) from None
     f = phase.rhs(y, sqrt_d)
     speed = math.sqrt(f @ f)
     if speed < REST_SPEED:
@@ -196,18 +210,36 @@ def _outside_ball(coeffs, head: np.ndarray, L: float) -> str:
     return message
 
 
-def _project_ricci_flat(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
-    """Rescale X so that H = 1 and then Y so that L = 0, with the spec's
-    sqrt(d_i) computed once by the caller."""
-    r = sqrt_d.size
-    y = y.copy()
-    h = sqrt_d @ y[:r]
-    y[:r] /= h
-    sx2 = y[:r] @ y[:r]
-    sy2 = y[r:] @ y[r:]
+def _sum_of_squares(v: list) -> float:
+    """sum of v_i^2 on Python floats, left to right."""
+    total = 0.0
+    for x in v:
+        total += x * x
+    return total
+
+
+def _project_ricci_flat(v: list, sqrt_d: list) -> list:
+    """Rescale X so that H = 1 and then Y so that L = 0, on Python floats,
+    with the spec's sqrt(d_i) computed once by the caller.  A state with
+    H = 0, or with |X|^2 > 1 once H = 1, has no such rescaling and raises
+    ValueError."""
+    r = len(sqrt_d)
+    h = 0.0
+    for s, x in zip(sqrt_d, v):
+        h += s * x
+    if h == 0:
+        raise ValueError("H = 0, which no rescaling of X takes to 1")
+    X = [x / h for x in v[:r]]
+    Y = v[r:]
+    sx2 = _sum_of_squares(X)
+    sy2 = _sum_of_squares(Y)
     if sy2 > 0:
-        y[r:] *= np.sqrt((1.0 - sx2) / sy2)
-    return y
+        ratio = (1.0 - sx2) / sy2
+        if not ratio >= 0:
+            raise ValueError(f"|X|^2 = {sx2!r} at H = 1, so no Y gives L = 0")
+        c = math.sqrt(ratio)
+        Y = [y * c for y in Y]
+    return X + Y
 
 
 def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
@@ -219,6 +251,7 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     StepLimitExceeded past the step budget or when the stepper fails.
     """
     sqrt_d = np.sqrt(spec.dims)
+    sd = sqrt_d.tolist()
     sc = spec.step_controls
     soliton = spec.mode is Mode.SOLITON
     y0 = start.as_vector()
@@ -240,7 +273,8 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
             t_bound=spec.s_max,
             rtol=sc.rtol,
             atol=sc.atol,
-            project=None if soliton else lambda y: _project_ricci_flat(y, sqrt_d),
+            project=None if soliton else
+            lambda y: np.array(_project_ricci_flat(y.tolist(), sd)),
         )
         stationary = float(np.sqrt(solver.f @ solver.f)) < REST_SPEED  # seeded at a rest point
         termination = "stationary" if stationary else "s_max"
@@ -256,10 +290,11 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
             Qs.append(solver.dense)
 
             y = solver.y   # the stepper replaces its state each step, never writes to it
-            yy = float(y @ y)
+            v = y.tolist()
+            yy = _sum_of_squares(v)
             L = yy - 1.0
             if soliton:
-                if np.minimum.reduce(y[r:]) <= 0:
+                if min(v[r:]) <= 0:
                     raise InvariantViolated("Y_positive", solver.t, f"Y = {y[r:]}")
                 if L > prev_L + MONOTONE_SLACK * (1.0 + abs(prev_L)):
                     raise InvariantViolated(

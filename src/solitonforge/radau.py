@@ -23,30 +23,42 @@ failure of a step raises ``ValueError``.
 The step controls are not checked here: ``model.StepControls`` owns the
 rules for ``rtol`` and ``atol``.
 
-It uses numpy alone, so the flow loads no ``scipy`` module.  Each Newton
-matrix (2r×2r, r ≤ 3) is inverted once when it is formed, and every
-solve with it is one matrix-vector product; the three collocation stages
-are evaluated in one call of ``fun``.  A singular Newton matrix raises
-numpy's ``LinAlgError``, a ``ValueError``.
+It uses numpy alone, so the flow loads no ``scipy`` module.  The three
+collocation stages are evaluated in one call of ``fun``.  Whenever the
+Newton matrices are refreshed, both of them, ``MU_REAL/h I - J`` and
+``MU_COMPLEX/h I - J`` (2r×2r, r ≤ 3), are written into one (2, n, n)
+complex stack and inverted by `_lu` in one ``np.linalg.inv`` call; the
+real inverse is the real part of the first member's.  ``nlu`` counts
+matrices, two per refresh.  A singular Newton matrix raises numpy's
+``LinAlgError``, a ``ValueError``.
 
 The simplified Newton iteration is linear in the stage values F and in
-the transformed increments W.  In the eigenbasis of the tableau its
-update is ``dW0 = inv(MU_REAL/h - J) (TI0 F - MU_REAL W0/h)`` for the
-real eigenvalue and the complex analogue for MU_COMPLEX.  Whenever the
-two Newton matrices are inverted, the stepper folds both inverses, the
-complex one split into its real and imaginary parts, together with
-``TI`` and the eigenvalues into one real (3n, 6n) operator
+the stage increments Z.  In the eigenbasis of the tableau, with
+``W = TI Z``, its update is ``dW0 = inv(MU_REAL/h - J) (TI0 F - MU_REAL
+W0/h)`` for the real eigenvalue and the complex analogue for MU_COMPLEX.
+Each refresh folds both inverses, the complex one split into its real and
+imaginary parts, together with ``T``, ``TI`` and the eigenvalues into one
+real (6n, 6n) operator
 
     K = blockdiag(inv_real, [[Re, -Im], [Im, Re]] of inv_complex)
         @ [TI ⊗ I | -M0 ⊗ I],
+    newton_op = [K ; (T ⊗ I) K] @ blockdiag(I, TI ⊗ I),
 
-so that an iteration is one call of ``fun``, one finiteness check of the
-stacked input ``v = [F ; W/h]``, ``dW = K @ v``, the scaled RMS norm and
-``Z = T W``.  For n = 2r ≤ 6 this replaces a dozen small numpy calls
-(complex arithmetic, two solves, three row copies) by one matrix-vector
-product.  The update is the same linear map, summed in another order, so
-it agrees with the two-solve form to a few ulps rather than bit for bit.
-The real inverse is kept for the error estimate.
+which maps the stacked input ``v = [F ; Z/h]`` to ``[dW ; dZ]``, so that
+an iteration is one call of ``fun``, one matrix-vector product, the
+scaled RMS norm of dW and ``Z + dZ``: W is never formed.  The same
+refresh builds the (n, 4n) error operator ``inv_real [I | E ⊗ I]``,
+which maps ``[f ; Z/h]`` to the error estimate ``inv_real (f + Z^T E /
+h)``.  Neither operator holds h: the Z/h of their input is the current
+step's, and the step that ends at ``t_bound``, like any h recomputed as
+``t_new - t``, differs from the h of the refresh in its last bits, which
+an operator with 1/h folded in would multiply into every update.  For n
+= 2r ≤ 6 numpy's per-call overhead outweighs the arithmetic, so folding
+``T W`` and ``W += dW`` into the Newton product, and ``Z^T E / h`` and
+``f + Z^T E / h`` into the error product, saves more than the larger
+products cost.  The maps are the same linear maps as the textbook forms,
+summed in another order, so they agree with them to a few ulps rather
+than bit for bit.
 
 The stepper answers to an accuracy contract, which ``tests/test_flow.py``
 checks: each step's end agrees with a tight reference integration over
@@ -55,24 +67,29 @@ verify checks move by less than 1% of their tolerances when the
 tolerances tighten a hundredfold, and a linear problem ends on its
 closed-form solution.  The work of each shipped config (steps, ``nfev``,
 ``njev``, ``nlu`` and rejected attempts) is pinned there as
-``SHIPPED_WORK``.  A change that alters the steps or the work must pass
-the accuracy tests and re-pin ``SHIPPED_WORK``, with the old and new
-counts in CHANGES.md.  A change that means to leave them alone computes
-every value bit for bit as before: one ulp in the wrong place can flip a
-convergence test, add a Newton iteration and make the steps diverge from
-there on.  Step control runs on Python floats (``math.nextafter``,
+``SHIPPED_WORK``, and that of a few more specs as ``WIDER_WORK``.  A
+change that alters the steps or the work must pass the accuracy tests
+and re-pin both, with the old and new counts in CHANGES.md.  A change
+that means to leave them alone must leave both pins as they are.  If it
+sums anything in another order, as the stage-space operators above did,
+each step moves by an ulp or so; the step sizes follow the error norm,
+so the run carries that along (the tail's last abscissa moved by up to
+5e-7 relative), and a convergence or Jacobian test that lands within
+about 1e-4 of its threshold flips, adding or saving a step or a few
+evaluations on that input (6 of 400 generated inputs did).  Step control runs on Python floats (``math.nextafter``,
 ``abs``, ``math.sqrt``), which round as numpy's scalars do;
 ``_initial_step`` keeps numpy scalars so that a degenerate scale gives
 inf or nan instead of raising.
 
 Finiteness is checked where a bad value can first do harm, and no more
-often.  `_lu` scans each Newton matrix before inverting it.  The Newton
-iteration and the error estimate do not scan their inputs on every call:
-a non-finite entry in the stacked input ``v = [F ; W/h]`` or in
-``f + ZE`` makes every entry of the product with the inverse, and so the
-scaled norm, non-finite, and only then are the inputs scanned.  A
-non-finite F ends the iteration unconverged; a non-finite ``W/h`` or
-``f + ZE`` raises ``ValueError`` with the message ``_NOT_FINITE``.
+often.  `_lu` scans each stack of Newton matrices once before inverting
+it.  The Newton iteration and the error estimate do not scan their inputs
+on every call: a non-finite entry in the stacked input ``[F ; Z/h]`` or
+``[f ; Z/h]`` makes every entry of the product with the operator, and so
+the scaled norm, non-finite, and only then are the inputs scanned.  A
+non-finite F ends the iteration unconverged; a non-finite ``Z/h``, or a
+non-finite f in the error estimate, raises ``ValueError`` with the
+message ``_NOT_FINITE``.
 
 A ``project`` hook maps each accepted state to the one the next step
 starts from, before the step's single ``fun`` call, so that ``y`` and
@@ -152,22 +169,23 @@ def _check_finite(a: np.ndarray) -> None:
 
 
 def _lu(a: np.ndarray) -> np.ndarray:
-    """The factorisation of a Newton matrix: the inverse of `a`."""
+    """The factorisation of a Newton matrix, or of a stack of them: the
+    inverse of each, from one finiteness scan and one LAPACK call."""
     _check_finite(a)
     return np.linalg.inv(a)
 
 
-def _error_estimate(inv: np.ndarray, b: np.ndarray, scale: np.ndarray):
-    """The error estimate ``inv @ b`` and its scaled RMS norm.
+def _error_estimate(error_op: np.ndarray, u: np.ndarray, scale: np.ndarray):
+    """The error estimate ``error_op @ u`` and its scaled RMS norm.
 
-    A non-finite b raises `_check_finite`'s ValueError.  Any non-finite
-    entry of b makes every entry of the product, and so the norm,
-    non-finite, so b is scanned only when the norm comes out non-finite.
+    A non-finite u raises `_check_finite`'s ValueError.  Any non-finite
+    entry of u makes every entry of the product, and so the norm,
+    non-finite, so u is scanned only when the norm comes out non-finite.
     """
-    error = inv @ b
+    error = error_op @ u
     error_norm = _norm(error / scale)
     if not math.isfinite(error_norm):
-        _check_finite(b)
+        _check_finite(u)
     return error, error_norm
 
 
@@ -232,10 +250,9 @@ class Radau:
 
         self.J = np.asarray(jac(y0), dtype=float)
         self.njev = 1
-        self.I = np.identity(self.n)
         self.current_jac = True
-        self.LU_real = None
-        self.K = None
+        self.error_op = None
+        self.newton_op = None
         self.t_old = None
         self.y_old = None
         self.dense = None
@@ -244,14 +261,27 @@ class Radau:
         self.h_max = 0.0
 
         n = self.n
-        # [TI (x) I | -M0 (x) I] maps the stacked Newton input [F ; W/h]
-        # to the right-hand sides of the real system and of the complex
-        # one split into its real and imaginary rows
-        self._kron = np.hstack([np.kron(TI, self.I), -np.kron(M0, self.I)])
+        I = np.identity(n)
+        kron_TI = np.kron(TI, I)
+        # [TI (x) I | -(M0 (x) I)(TI (x) I)] maps the stacked Newton input
+        # [F ; Z/h] to the right-hand sides of the real system and of the
+        # complex one split into its real and imaginary rows
+        self._rhs_map = np.hstack([kron_TI, -np.kron(M0, I).dot(kron_TI)])
+        self._kron_T = np.kron(T, I)
+        # [I | E (x) I] maps [f ; Z/h] to f + Z^T E / h
+        self._error_map = np.hstack([I, np.kron(E, I)])
+        # both Newton matrices, MU_REAL/h I - J and MU_COMPLEX/h I - J
+        self._matrices = np.empty((2, n, n), dtype=complex)
+        self._diagonals = self._matrices.reshape(2, -1)[:, ::n + 1]   # views
         self._block = np.zeros((3 * n, 3 * n))
+        self._newton_op = np.empty((6 * n, 6 * n))
+        self._error_op = np.empty((n, 4 * n))
         self._v = np.empty(6 * n)
         self._vF = self._v[:3 * n].reshape(3, n)
-        self._vW = self._v[3 * n:].reshape(3, n)
+        self._vZ = self._v[3 * n:].reshape(3, n)
+        self._u = np.empty(4 * n)
+        self._uf = self._u[:n]
+        self._uZ = self._u[n:].reshape(3, n)
         self._scale = np.empty((3, n))   # the error scale, once per stage
 
     def fun(self, y):
@@ -263,26 +293,39 @@ class Radau:
         return np.asarray(self._jac(y), dtype=float)
 
     def lu(self, a):
-        self.nlu += 1
+        """`_lu` of a matrix or a stack of them, counting each matrix."""
+        self.nlu += math.prod(a.shape[:-2])
         return _lu(a)
 
     def _newton_operators(self, h, J):
-        """Invert both Newton matrices of step size h and fold them into K.
+        """Invert both Newton matrices of step size h, in one stacked call,
+        and build the two operators the step applies.
 
-        Returns ``(LU_real, K)``: the inverse of the real matrix, which the
-        error estimate applies, and the (3n, 6n) operator that takes the
-        stacked input ``[F ; W/h]`` (stage by stage) to the Newton update
-        ``dW`` in one matrix-vector product.
+        Returns ``(error_op, newton_op)``: the (n, 4n) error operator,
+        which takes ``[f ; Z/h]`` to the error estimate, and the (6n, 6n)
+        Newton operator, which takes the stacked input ``[F ; Z/h]``
+        (stage by stage) to ``[dW ; dZ]``.  Neither holds h itself: the
+        Z/h of their input is the current step's.  Both are buffers of
+        the stepper, rewritten by the next call.
         """
-        LU_real = self.lu(MU_REAL / h * self.I - J)
-        LU_complex = self.lu(MU_COMPLEX / h * self.I - J)
         n = self.n
+        A = self._matrices
+        np.negative(J, out=A)
+        self._diagonals[0] += MU_REAL / h
+        self._diagonals[1] += MU_COMPLEX / h
+        inv = self.lu(A)
+        inv_real = inv[0].real
+        inv_complex = inv[1]
         B = self._block
-        B[:n, :n] = LU_real
-        B[n:2 * n, n:2 * n] = B[2 * n:, 2 * n:] = LU_complex.real
-        B[n:2 * n, 2 * n:] = -LU_complex.imag
-        B[2 * n:, n:2 * n] = LU_complex.imag
-        return LU_real, B.dot(self._kron)
+        B[:n, :n] = inv_real
+        B[n:2 * n, n:2 * n] = B[2 * n:, 2 * n:] = inv_complex.real
+        B[n:2 * n, 2 * n:] = -inv_complex.imag
+        B[2 * n:, n:2 * n] = inv_complex.imag
+        G = self._newton_op
+        np.dot(B, self._rhs_map, out=G[:3 * n])
+        np.dot(self._kron_T, G[:3 * n], out=G[3 * n:])
+        np.dot(inv_real, self._error_map, out=self._error_op)
+        return self._error_op, G
 
     def _initial_step(self) -> float:
         """Hairer, Nørsett & Wanner's starting step for an order-3 error
@@ -315,12 +358,10 @@ class Radau:
         t, t_old = self.t, self.t_old
         h_old = t - t_old
         x0, x1, x2 = [(t + h * c - t_old) / h_old for c in _C]
-        p = np.array([[x0, x1, x2],
-                      [x0 * x0, x1 * x1, x2 * x2],
-                      [x0 * x0 * x0, x1 * x1 * x1, x2 * x2 * x2]])
-        z = np.dot(self.dense, p)
-        z += self.y_old[:, None]
-        return z.T - self.y
+        p = np.array([[x0, x0 * x0, x0 * x0 * x0],
+                      [x1, x1 * x1, x1 * x1 * x1],
+                      [x2, x2 * x2, x2 * x2 * x2]])
+        return p.dot(self.dense.T) + (self.y_old - self.y)
 
     def step(self) -> None:
         """Take one accepted step, or raise ValueError (see the class)."""
@@ -343,8 +384,8 @@ class Radau:
             error_norm_old = self.error_norm_old
 
         J = self.J
-        LU_real = self.LU_real
-        K = self.K
+        error_op = self.error_op
+        newton_op = self.newton_op
         current_jac = self.current_jac
         abs_y = np.abs(y)
         newton_scale = atol + abs_y * rtol
@@ -368,39 +409,41 @@ class Radau:
 
             converged = False
             while not converged:
-                if K is None:
-                    LU_real, K = self._newton_operators(h, J)
+                if newton_op is None:
+                    error_op, newton_op = self._newton_operators(h, J)
 
                 converged, n_iter, Z, rate = self._solve_collocation(
-                    y, h, Z0, newton_scale, K)
+                    y, h, Z0, newton_scale, newton_op)
 
                 if not converged:
                     if current_jac:
                         break
                     J = self.jac(y)
                     current_jac = True
-                    K = None
+                    newton_op = None
 
             if not converged:
                 h_abs *= 0.5
-                K = None
+                newton_op = None
                 self.nrejected += 1
                 continue
 
             y_new = y + Z[-1]
-            ZE = Z.T.dot(E) / h
+            u = self._u   # [f ; Z/h], the error operator's input
+            self._uf[...] = f
+            np.divide(Z, h, out=self._uZ)
             scale = atol + np.maximum(abs_y, np.abs(y_new)) * rtol
-            error, error_norm = _error_estimate(LU_real, f + ZE, scale)
+            error, error_norm = _error_estimate(error_op, u, scale)
             safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
 
             if rejected and error_norm > 1:
-                error, error_norm = _error_estimate(
-                    LU_real, self.fun(y + error) + ZE, scale)
+                self._uf[...] = self.fun(y + error)
+                error, error_norm = _error_estimate(error_op, u, scale)
 
             if error_norm > 1:
                 factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
                 h_abs *= max(MIN_FACTOR, safety * factor)
-                K = None
+                newton_op = None
                 rejected = True
                 self.nrejected += 1
             else:
@@ -414,7 +457,7 @@ class Radau:
         if not recompute_jac and factor < 1.2:
             factor = 1
         else:
-            K = None
+            newton_op = None
 
         if recompute_jac:
             J = self.jac(y_new)
@@ -435,8 +478,8 @@ class Radau:
         self.y = y_new
         self.f = f_new
 
-        self.LU_real = LU_real
-        self.K = K
+        self.error_op = error_op
+        self.newton_op = newton_op
         self.current_jac = current_jac
         self.J = J
 
@@ -448,19 +491,19 @@ class Radau:
         if t_new - self.t_bound >= 0:
             self.status = "finished"
 
-    def _solve_collocation(self, y, h, Z0, scale, K):
+    def _solve_collocation(self, y, h, Z0, scale, newton_op):
         """Simplified Newton iteration for the stage increments Z.
 
-        ``K`` is the fused operator of `_newton_operators` for this h.
-        Returns (converged, iterations, Z, rate of convergence).
+        ``newton_op`` is the Newton operator of `_newton_operators` for
+        this h.  Returns (converged, iterations, Z, rate of convergence).
+        Z0 is not written to.
         """
-        W = TI.dot(Z0)
-        W_flat = W.reshape(-1)   # a view: updating it updates W
+        n3 = 3 * self.n
         Z = Z0
         self._scale[...] = scale
         scale = self._scale.reshape(-1)
 
-        v, vF, vW = self._v, self._vF, self._vW
+        v, vF, vZ = self._v, self._vF, self._vZ
 
         dW_norm_old = None
         converged = False
@@ -471,15 +514,15 @@ class Radau:
             vF[...] = fun(y + Z)   # all three stages in one call
             self.nfev += 3
 
-            np.divide(W, h, out=vW)
-            dW = K.dot(v)
-            dW_norm = _norm(dW / scale)
+            np.divide(Z, h, out=vZ)
+            dWZ = newton_op.dot(v)
+            dW_norm = _norm(dWZ[:n3] / scale)
             if not math.isfinite(dW_norm):
                 # a non-finite entry of v makes every entry of dW, and so
                 # the norm, non-finite; only then is v scanned.  A
                 # non-finite stage value ends the iteration unconverged,
                 # so a fresh Jacobian or a shorter step follows; a
-                # non-finite W/h means h has underflowed, and is an error
+                # non-finite Z/h means h has underflowed, and is an error
                 if not np.isfinite(vF).all():
                     break
                 _check_finite(v)
@@ -491,8 +534,7 @@ class Radau:
                     rate ** (NEWTON_MAXITER - k) / (1 - rate) * dW_norm > tol)):
                 break
 
-            W_flat += dW
-            Z = T.dot(W)
+            Z = Z + dWZ[n3:].reshape(Z.shape)
 
             if (dW_norm == 0 or
                     rate is not None and rate / (1 - rate) * dW_norm < tol):

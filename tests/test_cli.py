@@ -260,6 +260,41 @@ class TestSubcommands:
         assert "pairwise distinct: True" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("planted, code", [
+        (None, 0),
+        ("collapse_g1", 1),
+        ("noncollapsing_factors", 1),
+    ])
+    def test_sweep_exit_follows_boundary_checks(self, tmp_path, capsys, monkeypatch,
+                                                planted, code):
+        """sweep exits 1 when a point fails one of its boundary checks, and
+        names the point and the check on stderr; stdout and the report are
+        those of a passing sweep."""
+        boundary_checks = verify.boundary_checks
+        points = []
+
+        def planted_failure(profile):
+            boundary, checks = boundary_checks(profile)
+            points.append(profile)
+            if len(points) == 3:   # the point of ratio 2
+                checks = [dataclasses.replace(c, measured=2 * c.tolerance)
+                          if c.name == planted else c for c in checks]
+            return boundary, checks
+
+        monkeypatch.setattr(verify, "boundary_checks", planted_failure)
+        path = os.path.join(CONFIG_DIR, "sweep_d2_3.json")
+        assert cli.main(["sweep", "--config", path, "--out", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        assert "pairwise distinct: True" in out and "FAIL" not in out
+        report = json.loads((tmp_path / "sweep_report.json").read_text())
+        assert len(report["points"]) == 5
+        if planted is None:
+            assert err == ""
+        else:
+            assert err.splitlines() == [
+                f"sweep[2]: ratio 2: FAIL {planted}: measured 0.002 (tol 0.001)"]
+
+
 class TestRicciFlatGates:
     def test_oracle_exit_zero(self, tmp_path):
         """u_dot vanishes in Ricci-flat mode; its deviation is measured

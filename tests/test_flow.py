@@ -1,6 +1,8 @@
 """Seeding and adaptive integration of the phase flow."""
 
 import dataclasses
+import json
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +70,19 @@ class TestSeed:
         never move; flow.seed rejects it naming seed_coeffs."""
         with pytest.raises(SeedLeavesWrongRegion, match="seed_coeffs.*rest point"):
             flow.seed(spec)
+
+    def test_ricci_flat_seed_without_a_projection(self, tmp_path):
+        """A Ricci-flat seed with H = 0 has no rescaling onto {H = 1}:
+        flow.seed rejects it naming seed_coeffs, and the CLI exits 2.  A
+        state with |X|^2 > 1 at H = 1 has no Y that gives L = 0."""
+        spec = make_spec("rf_d2_3").with_seed_coeffs((-0.5, 1e-4))
+        with pytest.raises(SeedLeavesWrongRegion, match=r"seed_coeffs.*H = 0"):
+            flow.seed(spec)
+        config = os.path.join(CONFIG_DIR, "ricci_flat_d2_3.json")
+        assert cli.main(["ricci-flat", "--config", config, "--out", str(tmp_path),
+                         "--seed-eps0=-0.5"]) == 2
+        with pytest.raises(ValueError, match="no Y gives L = 0"):
+            flow._project_ricci_flat([2.0, -1.0, 0.5, 0.5], [1.0, 1.0])
 
     def test_ricci_flat_seed_on_invariant_set(self):
         spec = make_spec("rf_d2_3")
@@ -349,6 +364,44 @@ def test_shipped_config_work_is_pinned(monkeypatch, name):
     assert (traj.n_steps, s.nfev, s.njev, s.nlu, s.nrejected) == SHIPPED_WORK[name]
 
 
+# The same counts for specs that no entry of SHIPPED_WORK covers: the r = 3
+# Ricci-flat fixture spec rf_d2_2_3, and the five points of
+# configs/sweep_d2_3.json in ratio order, as `solitonforge sweep` runs them
+WIDER_WORK = {
+    "rf_d2_2_3": [(607, 4329, 9, 78, 8)],
+    "sweep_d2_3": [
+        (1264, 9870, 255, 736, 11),
+        (1267, 9891, 255, 738, 11),
+        (1266, 9779, 255, 736, 11),
+        (1275, 9968, 253, 748, 12),
+        (1280, 10003, 253, 750, 12),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDER_WORK))
+def test_wider_work_is_pinned(monkeypatch, tmp_path, name):
+    """As test_shipped_config_work_is_pinned, for WIDER_WORK; the sweep's
+    points are counted through the `sweep` command itself."""
+    solvers = []
+
+    class Recorded(radau.Radau):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(flow, "Radau", Recorded)
+    if name == "sweep_d2_3":
+        config = os.path.join(CONFIG_DIR, f"{name}.json")
+        assert cli.main(["sweep", "--config", config, "--out", str(tmp_path)]) == 0
+        steps = [json.loads((tmp_path / f"sweep_{k:02d}" / "profile.json").read_text())
+                 ["n_steps"] for k in range(len(solvers))]
+    else:
+        steps = [sf.run(make_spec(name)).n_steps]
+    work = [(n, s.nfev, s.njev, s.nlu, s.nrejected) for n, s in zip(steps, solvers)]
+    assert work == WIDER_WORK[name]
+
+
 def _toy(**kwargs):
     """The stepper on y'' + 10 y' + y = 0, y(0) = (1, 0), over [0, 5]."""
     fun = lambda y: np.stack([y[..., 1], -y[..., 0] - 10.0 * y[..., 1]], axis=-1)
@@ -432,8 +485,10 @@ class TestFactorisation:
     """The Newton matrices' inversion and its failures."""
 
     def test_nlu_counts_every_factorisation(self, monkeypatch):
+        """nlu counts the matrices inverted, a stack counting each of its
+        members."""
         solvers = []
-        calls = []
+        matrices = []
 
         class Recorded(radau.Radau):
             def __init__(self, *args, **kwargs):
@@ -443,7 +498,7 @@ class TestFactorisation:
         lu = radau._lu
 
         def counted(a):
-            calls.append(1)
+            matrices.append(math.prod(a.shape[:-2]))
             return lu(a)
 
         monkeypatch.setattr(flow, "Radau", Recorded)
@@ -451,12 +506,13 @@ class TestFactorisation:
         sf.run(make_spec("d2"))
         [solver] = solvers
         assert solver.nlu > 0
-        assert solver.nlu == len(calls)
+        assert solver.nlu == sum(matrices)
 
     def test_factorisation_failures(self, monkeypatch, tmp_path):
-        """A non-finite Newton matrix raises ValueError; a singular one
-        raises numpy's LinAlgError (a ValueError too), which ends a run
-        in StepLimitExceeded and the CLI in exit 2."""
+        """A non-finite Newton matrix raises ValueError, also when it is
+        only the complex member of the stacked pair; a singular one raises
+        numpy's LinAlgError (a ValueError too), which ends a run in
+        StepLimitExceeded and the CLI in exit 2."""
         solver = radau.Radau(lambda y: -y, lambda y: -np.eye(2), 0.0,
                              np.ones(2), t_bound=1.0, rtol=1e-3, atol=1e-6)
         with pytest.raises(ValueError, match=radau._NOT_FINITE):
@@ -464,6 +520,11 @@ class TestFactorisation:
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             solver.lu(np.zeros((2, 2), dtype=complex))
         assert solver.nlu == 2
+        pair = np.array([np.eye(2), (1 + 1j) * np.eye(2)])
+        pair[1, 0, 1] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match=radau._NOT_FINITE):
+            solver.lu(pair)
+        assert solver.nlu == 4
         assert issubclass(np.linalg.LinAlgError, ValueError)
 
         lu = radau._lu
@@ -540,8 +601,9 @@ class TestRadauStepper:
 
 
 class TestFusedNewtonUpdate:
-    """The fused real operator K against the eigenbasis form of the
-    simplified Newton update: one real and one complex solve."""
+    """The stage-space Newton operator and the error operator against the
+    eigenbasis form of the simplified Newton update (one real and one
+    complex solve) and the textbook error estimate."""
 
     @staticmethod
     def _reference(J, h, F, W):
@@ -556,6 +618,9 @@ class TestFusedNewtonUpdate:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_matches_eigenbasis_update(self, n):
+        """The Newton operator takes [F ; Z/h] to the eigenbasis update dW
+        and its image dZ = T dW, and the error operator takes [f ; Z/h] to
+        inv_real (f + Z^T E / h), each to 1e-13 of the largest entry."""
         rng = np.random.default_rng(n)
         solver = radau.Radau(lambda y: -y, lambda y: -np.eye(n), 0.0,
                              np.ones(n), t_bound=1.0, rtol=1e-6, atol=1e-9)
@@ -564,15 +629,20 @@ class TestFusedNewtonUpdate:
             h = 10.0 ** rng.uniform(-4, 1)
             F = rng.standard_normal((n, 3))      # one stage per column
             W = rng.standard_normal((3, n))
+            f = rng.standard_normal(n)
+            Z = radau.T.dot(W)
             nlu = solver.nlu
-            LU_real, K = solver._newton_operators(h, J)
+            error_op, newton_op = solver._newton_operators(h, J)
             assert solver.nlu == nlu + 2
             inv_real, expected = self._reference(J, h, F, W)
-            assert K.shape == (3 * n, 6 * n)
-            assert np.array_equal(LU_real, inv_real)
-            got = K @ np.concatenate([F.T.ravel(), (W / h).ravel()])
-            assert np.abs(got.reshape(3, n) - expected).max() <= (
-                1e-13 * np.abs(expected).max())
+            got = newton_op @ np.concatenate([F.T.ravel(), (Z / h).ravel()])
+            dW, dZ = got.reshape(2, 3, n)
+            assert np.abs(dW - expected).max() <= 1e-13 * np.abs(expected).max()
+            image = radau.T.dot(expected)
+            assert np.abs(dZ - image).max() <= 1e-13 * np.abs(image).max()
+            error = error_op @ np.concatenate([f, (Z / h).ravel()])
+            reference = inv_real @ (f + Z.T.dot(radau.E) / h)
+            assert np.abs(error - reference).max() <= 1e-13 * np.abs(reference).max()
 
     @staticmethod
     def _solve(fun, Z0):

@@ -12,7 +12,7 @@ import solitonforge as sf
 from solitonforge import oracle
 from solitonforge.errors import BlowUp, OutOfRange, ValidationError
 
-from conftest import SOLITON_CASES, make_spec
+from conftest import CASES, SOLITON_CASES, make_spec
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -85,6 +85,44 @@ class TestConservation:
         assert run.conservation_drift() <= 1e-8
         # the conserved quantity equals the gauge constant C
         assert run.conservation[0] == pytest.approx(case.spec.gauge_C, abs=1e-8)
+
+
+    @staticmethod
+    def _per_sample(y, spec):
+        """The conserved quantity of one state as numpy expressions, with
+        a BLAS dot for tr L."""
+        r = spec.r
+        g, gd, ud = y[:r], y[r:2 * r], y[-1]
+        rel = gd / g
+        tr_L = spec.dims @ rel
+        return float((spec.dims * spec.lambdas / g**2).sum()
+                     + (spec.dims * rel**2).sum() - (ud - tr_L) ** 2)
+
+    @staticmethod
+    def _term_scale(y, spec):
+        """The size of the terms the quantity is summed from, as in
+        TestField: the ulp to measure a change of summation order in."""
+        r = spec.r
+        g, gd, ud = y[:r], y[r:2 * r], y[-1]
+        rel = gd / g
+        return float((spec.dims * spec.lambdas / g**2).sum()
+                     + (spec.dims * rel**2).sum()
+                     + (abs(ud) + spec.dims @ np.abs(rel)) ** 2)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_per_sample_form_to_4_ulp(self, pipeline, name):
+        """The one vectorised pass over the samples sums tr L left to right
+        where the per-sample form calls BLAS, so each sample's value, and
+        the drift, agree with it to 4 ulps of the terms summed."""
+        case = pipeline(name)
+        run = run_oracle(case)
+        states = np.column_stack([run.g, run.g_dot, run.u_dot])
+        expected = np.array([self._per_sample(y, case.spec) for y in states])
+        ulp = np.spacing([self._term_scale(y, case.spec) for y in states])
+        assert run.conservation.shape == expected.shape
+        assert np.all(np.abs(run.conservation - expected) <= 4 * ulp)
+        drift = np.abs(expected - expected[0]).max()
+        assert abs(run.conservation_drift() - drift) <= 4 * (ulp[0] + ulp.max())
 
 
 class TestCrossValidation:
