@@ -1,15 +1,28 @@
 """Command-line batch tool: config parsing, orchestration, and export.
 
-Subcommands
-    solve       integrate and reconstruct, export the profile
-    verify      solve + full verification suite (exit 0 iff all checks pass)
-    curvature   solve + curvature report (exit 0 iff min Ric >= -1e-8 and
-                |Ric + Hess u| <= 1e-6)
+Subcommands; each gated one exits 1 iff one of the checks after its colon
+fails:
+    solve       integrate and reconstruct, export the profile (no gate)
+    verify      solve + full verification suite: every check of
+                verify.run_suite
+    curvature   solve + curvature report: verify.curvature_checks
+                (ricci_nonnegative, soliton_residual)
     oracle      solve + independent second-order cross-validation, started
-                at the first profile sample with t >= 10 t[0]
-    ricci-flat  solve in Ricci-flat mode, report the flatness residuals
-                (exit 0 iff |L|, |H - 1| <= 1e-8 and |Ric| <= 1e-6)
-    sweep       grid of seed-coefficient ratios, one output set per point
+                at the first profile sample with t >= 10 t[0]:
+                verify.oracle_checks (oracle_deviation, conservation_drift)
+    ricci-flat  solve in Ricci-flat mode, report the flatness residuals:
+                verify.ricci_flat_checks (max_abs_L, max_abs_H_minus_1,
+                max_abs_ricci, max_abs_u_dot)
+    sweep       grid of seed-coefficient ratios, one output set per point:
+                verify.boundary_checks at each point (collapse_g1,
+                collapse_g1_ddot, potential_boundary_derivatives,
+                noncollapsing_factors) and verify.distinct_check across
+                them (pairwise_distinct)
+
+The tolerances live with the checks in `verify`; this module compares no
+measured value with a bound.  Every gated command but `verify`, which
+prints its whole report, exits through `_gate`, the one reporter of
+failing checks on stderr.
 
 Config files are strict JSON: unknown keys are rejected so a misspelled
 tolerance can never silently fall back to a default; an absent key takes
@@ -342,6 +355,15 @@ def _export_run(cfg: RunConfig, traj, profile, extra_json: dict | None = None) -
     return summary
 
 
+def _gate(label: str, checks) -> int:
+    """Exit code 1 iff one of checks fails, each failing check named on
+    stderr after label."""
+    failed = [c for c in checks if not c.passed]
+    for c in failed:
+        print(f"{label}: FAIL {c}", file=sys.stderr)
+    return int(bool(failed))
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     traj, profile = _solve(cfg)
     _export_run(cfg, traj, profile)
@@ -375,6 +397,11 @@ def cmd_curvature(cfg: RunConfig) -> int:
         "curvature_slope": asym.curvature_slope,
         "scalar_slope": asym.scalar_slope,
     }
+    if cfg.spec.mode is Mode.RICCI_FLAT:
+        # the paraboloid limits and the fit of R (zero up to roundoff) hold
+        # for solitons only; a Ricci-flat end is a cone
+        extra.update(dict.fromkeys(("g_gdot_limits", "g_sq_over_t_limits",
+                                    "scalar_slope")))
     _export_run(cfg, traj, profile, extra_json=extra)
     if "csv" in cfg.formats:
         _write_table(os.path.join(cfg.out_dir, "curvature.csv"), (
@@ -386,11 +413,7 @@ def cmd_curvature(cfg: RunConfig) -> int:
     print(f"curvature: min Ricci {curv.min_ricci():.3e}, "
           f"residual {curv.soliton_residual_max:.3e}, "
           f"|K| slope {asym.curvature_slope:+.4f}")
-    failed = [c for c in verify.curvature_checks(curv) if not c.passed]
-    for c in failed:
-        print(f"curvature: FAIL {c.name}: measured {c.measured:.6g} "
-              f"(tol {c.tolerance:.2g})", file=sys.stderr)
-    return 1 if failed else 0
+    return _gate("curvature", verify.curvature_checks(curv))
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
@@ -399,17 +422,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
     state = oracle.init_from_profile(profile, t0)
     run = oracle.integrate_second_order(state, cfg.spec, t_end=min(
         100.0 * t0, float(profile.t[-1])))
-    devs = oracle.compare_profiles(profile, run)
-    extra = {
-        "oracle_t0": state.t,
-        "oracle_deviations": devs,
-        "conservation_drift": run.conservation_drift(),
-    }
-    _export_run(cfg, traj, profile, extra_json=extra)
-    worst = max(devs.values())
-    print(f"oracle: max relative deviation {worst:.3e}, "
-          f"conservation drift {run.conservation_drift():.3e}")
-    return 0 if worst <= 1e-6 and run.conservation_drift() <= 1e-8 else 1
+    devs, drift = oracle.compare_profiles(profile, run), run.conservation_drift()
+    _export_run(cfg, traj, profile, extra_json={
+        "oracle_t0": state.t, "oracle_deviations": devs, "conservation_drift": drift})
+    checks = verify.oracle_checks(devs, drift)
+    print(f"oracle: max relative deviation {checks[0].measured:.3e}, "
+          f"conservation drift {drift:.3e}")
+    return _gate("oracle", checks)
 
 
 def cmd_ricci_flat(cfg: RunConfig) -> int:
@@ -417,18 +436,14 @@ def cmd_ricci_flat(cfg: RunConfig) -> int:
     validate_spec(spec)
     cfg = replace(cfg, spec=spec)
     traj, profile = _solve(cfg)
-    ric_tt, ric_factor = geometry.ricci_components(profile, cfg.spec)
-    max_L = float(np.abs(traj.L).max())
-    max_H = float(np.abs(traj.H - 1.0).max())
-    max_ric = float(max(np.abs(ric_tt).max(), np.abs(ric_factor).max()))
-    extra = {"max_abs_L": max_L, "max_abs_H_minus_1": max_H,
-             "max_abs_ricci": max_ric,
-             "max_abs_u_dot": float(np.abs(profile.u_dot).max())}
-    _export_run(cfg, traj, profile, extra_json=extra)
-    flat = max_L <= 1e-8 and max_H <= 1e-8 and max_ric <= 1e-6
+    checks = verify.ricci_flat_checks(
+        traj, profile, geometry.ricci_components(profile, cfg.spec))
+    _export_run(cfg, traj, profile, extra_json={c.name: c.measured for c in checks})
+    code = _gate("ricci-flat", checks)
+    max_L, max_H, max_ric = (c.measured for c in checks[:3])
     print(f"ricci-flat: |L| <= {max_L:.3e}, |H-1| <= {max_H:.3e}, "
-          f"|Ric| <= {max_ric:.3e} ({'PASS' if flat else 'FAIL'})")
-    return 0 if flat else 1
+          f"|Ric| <= {max_ric:.3e} ({'FAIL' if code else 'PASS'})")
+    return code
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -437,7 +452,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not 1 <= idx < len(base):
         raise ParseError(f"sweep coeff_index {idx} out of range for r={len(base)}")
     results = []
-    failed = False
+    code = 0
     _make_out_dir(cfg.out_dir)
     for k, ratio in enumerate(cfg.sweep_ratios):
         coeffs = list(base)
@@ -453,23 +468,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
         _export_run(point_cfg, traj, profile, extra_json=results[-1])
         print(f"sweep[{k}]: ratio {ratio:g} -> g_{idx + 1}(0) = {g0[idx]:.8f} "
               f"(+/- {g0_err[idx]:.2e})")
-        for c in checks:
-            if not c.passed:
-                failed = True
-                print(f"sweep[{k}]: ratio {ratio:g}: FAIL {c.name}: measured "
-                      f"{c.measured:.6g} (tol {c.tolerance:.2g})", file=sys.stderr)
+        code |= _gate(f"sweep[{k}]: ratio {ratio:g}", checks)
     _write_json({"coeff_index": idx, "points": results},
                 os.path.join(cfg.out_dir, "sweep_report.json"))
-    # pairwise distinctness beyond combined extrapolation error estimates
-    distinct = True
-    for a in range(len(results)):
-        for b in range(a + 1, len(results)):
-            ga, gb = results[a]["g_0"][idx], results[b]["g_0"][idx]
-            ea, eb = results[a]["g_0_err"][idx], results[b]["g_0_err"][idx]
-            if abs(ga - gb) <= ea + eb:
-                distinct = False
-    print(f"sweep: g_{idx + 1}(0) values pairwise distinct: {distinct}")
-    return 0 if distinct and not failed else 1
+    distinct = verify.distinct_check([p["g_0"][idx] for p in results],
+                                     [p["g_0_err"][idx] for p in results])
+    print(f"sweep: g_{idx + 1}(0) values pairwise distinct: {distinct.passed}")
+    return _gate("sweep", [distinct]) | code
 
 
 _COMMANDS = {

@@ -11,8 +11,14 @@ reported-only Q_limits), one for (f) and one for (g) and the Y_i decay
 rates.  run_suite evaluates the dense output once per window and fits
 every quantity of that window from the same arrays.  The t = 0 limits
 need only the profile: boundary_checks computes them and their checks
-on their own, for a caller that wants no more than g_i(0).  Likewise
-curvature_checks gates a curvature report alone, for `curvature`.
+on their own, for a caller that wants no more than g_i(0).
+
+Each gated CLI command exits 1 iff one of its builder's checks fails:
+run_suite for `verify`; curvature_checks, a curvature report alone, for
+`curvature`; oracle_checks, the oracle's deviations and conservation
+drift, for `oracle`; ricci_flat_checks, the flatness residuals, for
+`ricci-flat`; and boundary_checks per point plus distinct_check across
+the points for `sweep`.  Each tolerance is written once, here.
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ class Check:
 
     def __post_init__(self, requires: bool) -> None:
         self.passed = bool(self.measured <= self.tolerance and requires)
+
+    def __str__(self) -> str:
+        """The one form in which a check is printed, on a PASS or FAIL line."""
+        return f"{self.name}: measured {self.measured:.6g} (tol {self.tolerance:.2g})"
 
     def to_dict(self) -> dict:
         return {
@@ -94,11 +104,8 @@ class VerifyReport:
         }
 
     def summary_lines(self) -> list[str]:
-        return [
-            f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: measured {c.measured:.6g} "
-            f"(tol {c.tolerance:.2g}) - {c.description}"
-            for c in self.checks
-        ]
+        return [f"[{'PASS' if c.passed else 'FAIL'}] {c} - {c.description}"
+                for c in self.checks]
 
 
 def richardson_extrapolate(values, order: int, parity: str = "none"):
@@ -377,19 +384,47 @@ def curvature_checks(curv: CurvatureReport) -> list[Check]:
     the tolerance like the rest.
     """
     return [
-        Check(
-            "ricci_nonnegative",
-            "smallest Ricci eigenvalue is nonnegative",
-            measured=-curv.min_ricci(),
-            tolerance=1e-8,
-        ),
-        Check(
-            "soliton_residual",
-            "max |Ric + Hess u| over samples and directions",
-            measured=curv.soliton_residual_max,
-            tolerance=1e-6,
-        ),
+        Check("ricci_nonnegative", "smallest Ricci eigenvalue is nonnegative",
+              -curv.min_ricci(), 1e-8),
+        Check("soliton_residual", "max |Ric + Hess u| over samples and directions",
+              curv.soliton_residual_max, 1e-6),
     ]
+
+
+def oracle_checks(devs: dict, drift: float) -> list[Check]:
+    """The independent second-order solve against the profile: the largest
+    relative deviation of `oracle.compare_profiles`, and the drift of the
+    solve's conserved quantity."""
+    return [
+        Check("oracle_deviation", "max relative deviation of the oracle from "
+              "the profile", _worst(*devs.values()), 1e-6, details=devs),
+        Check("conservation_drift", "drift of the oracle's conserved quantity",
+              drift, 1e-8),
+    ]
+
+
+def ricci_flat_checks(traj: Trajectory, profile: MetricProfile, ric) -> list[Check]:
+    """Ricci-flat mode's claims, each named after the summary key that
+    `ricci-flat` fills with its measured value; ric is (ric_tt, ric_factor)."""
+    return [Check(name, description, _worst(*(np.abs(a).max() for a in parts)), tol)
+            for name, description, parts, tol in (
+                ("max_abs_L", "L = 0 along the flow", [traj.L], 1e-8),
+                ("max_abs_H_minus_1", "H = 1 along the flow", [traj.H - 1.0], 1e-8),
+                ("max_abs_ricci", "every Ricci component vanishes", ric, 1e-6),
+                ("max_abs_u_dot", "u' = 0: the potential is trivial",
+                 [profile.u_dot], 1e-12))]
+
+
+def distinct_check(values, errors) -> Check:
+    """A sweep's claim that its points are distinct solutions: their g_i(0)
+    values differ pairwise by more than the sum of the two extrapolation
+    error estimates.  measured is the largest overlap, err_a + err_b -
+    |value_a - value_b|, over the pairs, and must be negative."""
+    v, e = np.asarray(values), np.asarray(errors)
+    a, b = np.triu_indices(v.size, 1)
+    overlap = _worst(e[a] + e[b] - np.abs(v[a] - v[b]))
+    return Check("pairwise_distinct", "g_i(0) values differ beyond their "
+                 "combined error estimates", overlap, 0.0, requires=overlap < 0)
 
 
 # profile fields extrapolated to t = 0, each with its order of derivative
@@ -424,41 +459,26 @@ def boundary_checks(profile: MetricProfile):
     ud_0, udd_0 = boundary["u_dot_0"], boundary["u_ddot_0"]
 
     checks = [
-        Check(
-            "collapse_g1",
-            "g_1(0) = 0 and g_1'(0) = 1 (smooth collapse of the sphere factor)",
-            measured=_worst(abs(g_0[0]), abs(gd_0[0] - 1.0)),
-            tolerance=1e-3,
-            details={"g1_0": g_0[0], "g1_dot_0": gd_0[0],
-                     "errors": [errors["g"][0], errors["g_dot"][0]]},
-        ),
-        Check(
-            "collapse_g1_ddot",
-            "g_1''(0) = 0",
-            measured=abs(gdd_0[0]),
-            tolerance=1e-2,
-            details={"error": errors["g_ddot"][0]},
-        ),
-        Check(
-            "potential_boundary_derivatives",
-            "u'(0) = 0 with u''(0) finite",
-            measured=abs(ud_0),
-            tolerance=1e-3,
-            requires=math.isfinite(udd_0),
-            details={"u_dot_0": ud_0, "u_ddot_0": udd_0,
-                     "errors": [errors["u_dot"], errors["u_ddot"]]},
-        ),
+        Check("collapse_g1",
+              "g_1(0) = 0 and g_1'(0) = 1 (smooth collapse of the sphere factor)",
+              _worst(abs(g_0[0]), abs(gd_0[0] - 1.0)), 1e-3,
+              {"g1_0": g_0[0], "g1_dot_0": gd_0[0],
+               "errors": [errors["g"][0], errors["g_dot"][0]]}),
+        Check("collapse_g1_ddot", "g_1''(0) = 0", abs(gdd_0[0]), 1e-2,
+              {"error": errors["g_ddot"][0]}),
+        Check("potential_boundary_derivatives", "u'(0) = 0 with u''(0) finite",
+              abs(ud_0), 1e-3, {"u_dot_0": ud_0, "u_ddot_0": udd_0,
+                                "errors": [errors["u_dot"], errors["u_ddot"]]},
+              requires=math.isfinite(udd_0)),
     ]
     if profile.r > 1:
         checks.append(Check(
             "noncollapsing_factors",
             "g_i(0) > 0 and g_i'(0) = 0 with finite g_i''(0) (i > 1)",
-            measured=_worst(*(abs(v) for v in gd_0[1:])),
-            tolerance=1e-3,
+            _worst(*(abs(v) for v in gd_0[1:])), 1e-3,
+            {"g_0": g_0[1:], "g_dot_0": gd_0[1:], "g_ddot_0": gdd_0[1:]},
             requires=(all(v > 0 for v in g_0[1:])
-                      and all(math.isfinite(v) for v in gdd_0[1:] + gddd_0[1:])),
-            details={"g_0": g_0[1:], "g_dot_0": gd_0[1:], "g_ddot_0": gdd_0[1:]},
-        ))
+                      and all(math.isfinite(v) for v in gdd_0[1:] + gddd_0[1:]))))
     return boundary, checks
 
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import solitonforge as sf
-from solitonforge import cli, flow, geometry, verify
+from solitonforge import cli, flow, geometry, oracle, reconstruct, verify
 from solitonforge.errors import ParseError, SolitonForgeError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -304,30 +306,71 @@ class TestRicciFlatGates:
         summary = json.loads((tmp_path / "profile.json").read_text())
         assert summary["oracle_deviations"]["u_dot"] <= 1e-6
 
+    @pytest.mark.parametrize("plant, failed", [
+        ({}, None),
+        ({"g": 2e-6}, "oracle_deviation: measured 2e-06 (tol 1e-06)"),
+        ({"g_dot": math.nan}, "oracle_deviation: measured nan (tol 1e-06)"),
+        ({"drift": 2e-8}, "conservation_drift: measured 2e-08 (tol 1e-08)"),
+    ], ids=["nothing", "deviation", "nan_deviation", "drift"])
+    def test_oracle_exit_follows_checks(self, tmp_path, monkeypatch, capsys,
+                                        plant, failed):
+        """oracle (here on bryant_d2) exits 1 when a deviation exceeds 1e-6,
+        is NaN in any field, or the conservation drift exceeds 1e-8, and
+        names the failing check on stderr."""
+        compare, drift = oracle.compare_profiles, oracle.OracleRun.conservation_drift
+
+        def planted_compare(profile, run):
+            devs = compare(profile, run)
+            devs.update((k, v) for k, v in plant.items() if k in devs)
+            return devs
+
+        monkeypatch.setattr(oracle, "compare_profiles", planted_compare)
+        monkeypatch.setattr(oracle.OracleRun, "conservation_drift",
+                            lambda run: plant.get("drift", drift(run)))
+        path = os.path.join(CONFIG_DIR, "bryant_d2.json")
+        code = cli.main(["oracle", "--config", path, "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert out.startswith("oracle: max relative deviation")
+        assert code == (failed is not None)
+        assert err.splitlines() == ([f"oracle: FAIL {failed}"] if failed else [])
+
     @pytest.mark.parametrize("bump, code", [
         ({}, 0),
         ({"ricci": 2e-6}, 1),
         ({"L": 2e-8}, 1),
         ({"H": 2e-8}, 1),
+        ({"u_dot": 2e-12}, 1),
+        ({"ric_factor": math.nan}, 1),
     ])
     def test_ricci_flat_exit_follows_residuals(self, tmp_path, monkeypatch,
                                                capsys, bump, code):
-        run, ricci = flow.run, geometry.ricci_components
+        run, build = flow.run, reconstruct.build_profile
+        ricci = geometry.ricci_components
 
         def bumped_run(spec):
             traj = run(spec)
             return dataclasses.replace(traj, L=traj.L + bump.get("L", 0.0),
                                        H=traj.H + bump.get("H", 0.0))
 
+        def bumped_build(traj, spec):
+            profile = build(traj, spec)
+            return dataclasses.replace(
+                profile, u_dot=profile.u_dot + bump.get("u_dot", 0.0))
+
         def bumped_ricci(profile, spec):
             ric_tt, ric_factor = ricci(profile, spec)
+            # one entry, and not the first: max() would drop it
+            ric_factor[-1, -1] += bump.get("ric_factor", 0.0)
             return ric_tt + bump.get("ricci", 0.0), ric_factor
 
         monkeypatch.setattr(flow, "run", bumped_run)
+        monkeypatch.setattr(reconstruct, "build_profile", bumped_build)
         monkeypatch.setattr(geometry, "ricci_components", bumped_ricci)
         path = os.path.join(CONFIG_DIR, "ricci_flat_d2_3.json")
         assert cli.main(["ricci-flat", "--config", path, "--out", str(tmp_path)]) == code
-        assert ("FAIL" in capsys.readouterr().out) == (code == 1)
+        out, err = capsys.readouterr()
+        assert ("FAIL" in out) == (code == 1)
+        assert ("ricci-flat: FAIL max_abs_" in err) == (code == 1)
 
     @pytest.mark.parametrize("command, config", [
         ("ricci-flat", "bryant_d2"),
@@ -376,6 +419,17 @@ class TestCurvatureGates:
         assert out.startswith("curvature: min Ricci") and "FAIL" not in out
         assert (f"FAIL {failed}" in err) if failed else err == ""
         assert (tmp_path / "curvature.csv").exists()
+
+    def test_ricci_flat_curvature_writes_no_soliton_tail_fits(self, tmp_path):
+        """A Ricci-flat end is a cone, where g g' and g^2/t grow and R is
+        roundoff: those fields are null, and only the 1/t^2 decay of |K|
+        is reported."""
+        path = os.path.join(CONFIG_DIR, "ricci_flat_d2_3.json")
+        assert cli.main(["curvature", "--config", path, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "profile.json").read_text())
+        for key in ("g_gdot_limits", "g_sq_over_t_limits", "scalar_slope"):
+            assert summary[key] is None
+        assert summary["curvature_slope"] == pytest.approx(-2.0, abs=0.01)
 
 
 class TestOutputDirectory:
@@ -704,3 +758,53 @@ def test_overflowing_profile_exits_2_without_numpy_warnings(
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve", "r2_d2_3"),
+    ("verify", "r2_d2_3"),
+    ("curvature", "r2_d2_3"),
+    ("oracle", "r2_d2_3"),
+    ("ricci-flat", "ricci_flat_d2_3"),
+    ("sweep", "sweep_d2_3"),
+])
+def test_readme_gate_tables_match_the_gates(tmp_path, monkeypatch, command,
+                                             config):
+    """README's command table names exactly the checks that gate the
+    command on a shipped config (those it hands to _gate, or run_suite's
+    for verify), and its checks table gives each of them its tolerance:
+    the docs cannot name a check that no longer exists, nor a stale
+    tolerance."""
+    named, tolerances = {}, {}
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        for line in fh:
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            if len(cells) == 3 and cells[0].startswith("`"):
+                key = cells[0].strip("`")
+                if key in cli._COMMANDS:
+                    named[key] = set(re.findall(r"`(\w+)`", cells[2]))
+                else:
+                    tolerances[key] = float(cells[2])
+    assert set(named) == set(cli._COMMANDS)
+    assert set(tolerances) == set().union(*named.values())
+
+    returned = []
+    gate, run_suite = cli._gate, verify.run_suite
+
+    def recorded_gate(label, checks):
+        returned.extend(checks)
+        return gate(label, checks)
+
+    def recorded_suite(*args):
+        report = run_suite(*args)
+        returned.extend(report.checks)
+        return report
+
+    monkeypatch.setattr(cli, "_gate", recorded_gate)
+    monkeypatch.setattr(verify, "run_suite", recorded_suite)
+
+    path = os.path.join(CONFIG_DIR, f"{config}.json")
+    assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 0
+    assert {c.name for c in returned} == named[command]
+    assert all(tolerances[c.name] == c.tolerance for c in returned)

@@ -202,6 +202,16 @@ class TestPassRule:
         check = next(c for c in checks if c.name == "collapse_g1")
         assert not check.passed
 
+    @pytest.mark.parametrize("values, errors, passed", [
+        ([1.0, 1.6, 3.0], [0.25, 0.25, 0.25], True),
+        ([1.0, 1.5, 3.0], [0.25, 0.25, 0.25], False),   # a pair just touches
+        ([1.0, 1.6, 3.0], [0.25, math.nan, 0.25], False),
+    ])
+    def test_distinct_check_is_strict(self, values, errors, passed):
+        """Two g_i(0) values are distinct iff they differ by more than the
+        sum of their error estimates, like sweep's pairwise test."""
+        assert verify.distinct_check(values, errors).passed is passed
+
 
 class TestBoundaryChecks:
     def test_parity_rule(self, pipeline):
