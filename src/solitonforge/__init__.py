@@ -36,7 +36,7 @@ from .oracle import (
     init_from_profile,
     integrate_second_order,
 )
-from .phase import PhasePoint, linearization, lyapunov, vector_field
+from .phase import PhasePoint, lyapunov
 from .reconstruct import MetricProfile, build_profile
 from .verify import VerifyReport, richardson_extrapolate, run_suite
 
@@ -81,7 +81,6 @@ __all__ = [
     "init_from_profile",
     "integrate",
     "integrate_second_order",
-    "linearization",
     "lyapunov",
     "parse_config",
     "ricci_components",
@@ -91,6 +90,5 @@ __all__ = [
     "sectional_curvatures",
     "seed",
     "validate_spec",
-    "vector_field",
     "__version__",
 ]

@@ -5,8 +5,13 @@ fails:
     solve       integrate and reconstruct, export the profile (no gate)
     verify      solve + full verification suite: every check of
                 verify.run_suite
-    curvature   solve + curvature report: verify.curvature_checks
-                (ricci_nonnegative, soliton_residual)
+    curvature   solve + curvature report and tail fits:
+                verify.curvature_checks (ricci_nonnegative,
+                soliton_residual), and in soliton mode verify.tail_checks
+                on the same report and fits (curvature_signs,
+                curvature_decay, scalar_decay, scalar_growth,
+                g_sq_exponent, paraboloid_g_gdot, paraboloid_g_sq_over_t,
+                scalar_two_routes)
     oracle      solve + independent second-order cross-validation, started
                 at the first profile sample with t >= 10 t[0]:
                 verify.oracle_checks (oracle_deviation, conservation_drift)
@@ -397,11 +402,14 @@ def cmd_curvature(cfg: RunConfig) -> int:
         "curvature_slope": asym.curvature_slope,
         "scalar_slope": asym.scalar_slope,
     }
+    checks = verify.curvature_checks(curv)
     if cfg.spec.mode is Mode.RICCI_FLAT:
         # the paraboloid limits and the fit of R (zero up to roundoff) hold
         # for solitons only; a Ricci-flat end is a cone
         extra.update(dict.fromkeys(("g_gdot_limits", "g_sq_over_t_limits",
                                     "scalar_slope")))
+    else:
+        checks += verify.tail_checks(asym, curv, cfg.spec)
     _export_run(cfg, traj, profile, extra_json=extra)
     if "csv" in cfg.formats:
         _write_table(os.path.join(cfg.out_dir, "curvature.csv"), (
@@ -413,7 +421,7 @@ def cmd_curvature(cfg: RunConfig) -> int:
     print(f"curvature: min Ricci {curv.min_ricci():.3e}, "
           f"residual {curv.soliton_residual_max:.3e}, "
           f"|K| slope {asym.curvature_slope:+.4f}")
-    return _gate("curvature", verify.curvature_checks(curv))
+    return _gate("curvature", checks)
 
 
 def cmd_oracle(cfg: RunConfig) -> int:

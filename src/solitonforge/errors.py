@@ -27,10 +27,6 @@ class BadSeedSign(ValidationError):
     """Seed coefficients have the wrong sign for the requested mode."""
 
 
-class LengthMismatch(ValidationError):
-    """A state vector does not match the number of factors."""
-
-
 # --- flow ---
 
 class SeedLeavesWrongRegion(SolitonForgeError):

@@ -130,9 +130,6 @@ class Trajectory:
     def r(self) -> int:
         return self.X.shape[1]
 
-    def point(self, k: int) -> PhasePoint:
-        return PhasePoint(s=float(self.s[k]), X=self.X[k].copy(), Y=self.Y[k].copy())
-
     def states_at(self, s_values: np.ndarray) -> np.ndarray:
         """Dense-output states, shape (len(s_values), 2r)."""
         s_values = np.asarray(s_values, dtype=float)
@@ -334,15 +331,6 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
         kappa_estimate=float(L[-1]),
         dense=dense,
     )
-
-
-def dense_sample(traj: Trajectory, s_values) -> list[PhasePoint]:
-    """Interpolated states at the requested abscissae."""
-    s_values = np.asarray(s_values, dtype=float)
-    if s_values.size == 0:
-        return []
-    states = traj.states_at(s_values)
-    return [PhasePoint.from_vector(float(s), y) for s, y in zip(s_values, states)]
 
 
 def run(spec: ProblemSpec) -> Trajectory:

@@ -44,6 +44,7 @@ class CurvatureReport:
     sectional_within: np.ndarray     # (n, r): (K_h - g_dot^2) / g^2
     scalar_R: np.ndarray             # (n,)
     soliton_residual_max: float      # max |Ric + Hess u|
+    scalar_R_gap: float              # max |R + (u_ddot + tr L u_dot)|
 
     def min_ricci(self) -> float:
         # np.minimum, not min(): a NaN in either array must come through
@@ -60,7 +61,6 @@ class AsymptoticsReport:
     curvature_slope: float          # d log|K| / d log t, target -1
     scalar_slope: float             # d log R / d log t, target -1
     R_t2_ladder: np.ndarray         # R * t^2 on a geometric ladder of t
-    ladder_t: np.ndarray
 
 
 def ricci_components(profile: MetricProfile, spec: ProblemSpec):
@@ -76,21 +76,18 @@ def ricci_components(profile: MetricProfile, spec: ProblemSpec):
     return ric_tt, ric_factor
 
 
-def scalar_curvature_from_potential(profile: MetricProfile) -> np.ndarray:
-    """Second route: R = -(u_ddot + tr L * u_dot), the trace of the steady
-    soliton equation."""
-    return -(profile.u_ddot + profile.tr_L() * profile.u_dot)
-
-
 def sectional_curvatures(profile: MetricProfile, spec: ProblemSpec) -> CurvatureReport:
     """All three sectional-curvature families plus Ricci and scalar data.
 
     The scalar curvature is R = Ric(d/dt) + sum d_i Ric(U_i), and the
     soliton residual is max |Ric + Hess u|, where Hess u is u_ddot on the
     normal direction and u_dot * g_dot/g on unit factor directions.  The
-    within-factor planes model each Einstein factor as the round sphere
-    of its Einstein constant, K_h = lambda_i / (d_i - 1) (0 for d_i = 1,
-    where a factor has no 2-planes of its own).
+    trace of the steady equation gives R a second route, -(u_ddot + tr L
+    u_dot), and scalar_R_gap is the largest difference of the two routes;
+    a NaN in either maximum comes through.  The within-factor planes model
+    each Einstein factor as the round sphere of its Einstein constant,
+    K_h = lambda_i / (d_i - 1) (0 for d_i = 1, where a factor has no
+    2-planes of its own).
     """
     ric_tt, ric_factor = ricci_components(profile, spec)
     d = spec.dims
@@ -103,6 +100,7 @@ def sectional_curvatures(profile: MetricProfile, spec: ProblemSpec) -> Curvature
 
     res_tt = np.abs(ric_tt + profile.u_ddot)
     res_factor = np.abs(ric_factor + profile.u_dot[:, None] * gd / g)
+    scalar_R = ric_tt + (d * ric_factor).sum(axis=1)
     return CurvatureReport(
         t=profile.t.copy(),
         ric_tt=ric_tt,
@@ -110,8 +108,10 @@ def sectional_curvatures(profile: MetricProfile, spec: ProblemSpec) -> Curvature
         sectional_mixed_t=-profile.g_ddot / g,
         sectional_cross=cross,
         sectional_within=(k_h - gd**2) / g**2,
-        scalar_R=ric_tt + (d * ric_factor).sum(axis=1),
-        soliton_residual_max=float(max(res_tt.max(), res_factor.max())),
+        scalar_R=scalar_R,
+        soliton_residual_max=float(np.maximum(res_tt.max(), res_factor.max())),
+        scalar_R_gap=float(np.abs(
+            scalar_R + (profile.u_ddot + profile.tr_L() * profile.u_dot)).max()),
     )
 
 
@@ -130,32 +130,19 @@ def asymptotics(profile: MetricProfile, curv: CurvatureReport) -> AsymptoticsRep
         )
     tail = t >= t[-1] / 10.0**TAIL_DECADES
     tt = t[tail]
-
-    g_gdot = (profile.g * profile.g_dot)[-1]
-    g_sq_over_t = (profile.g[-1] ** 2) / t[-1]
-    g_sq_exp = np.array(
-        [_loglog_slope(tt, profile.g[tail, i] ** 2) for i in range(profile.r)]
-    )
-
     # dominant sectional curvature at large t: the within-factor planes,
     # (K_h - g_dot^2) / g^2 ~ K_h / g^2 (mixed and cross planes fall off a
     # full power of t faster and drown in roundoff first)
     K_dom = np.abs(curv.sectional_within[tail][:, profile.spec.dims > 1]).max(axis=1)
-    R_all = curv.scalar_R
-    curvature_slope = _loglog_slope(tt, K_dom)
-    scalar_slope = _loglog_slope(tt, R_all[tail])
-
     # geometric ladder across the tail for the R * t^2 growth check
-    ladder_t = np.geomspace(tt[0], tt[-1], 25)
-    idx = np.unique(np.searchsorted(t, ladder_t).clip(0, len(t) - 1))
-    ladder = R_all[idx] * t[idx] ** 2
-
+    rungs = np.searchsorted(t, np.geomspace(tt[0], tt[-1], 25))
+    idx = np.unique(rungs.clip(0, len(t) - 1))
     return AsymptoticsReport(
-        g_gdot_limit=g_gdot,
-        g_sq_over_t_limit=g_sq_over_t,
-        g_sq_exponent=g_sq_exp,
-        curvature_slope=curvature_slope,
-        scalar_slope=scalar_slope,
-        R_t2_ladder=ladder,
-        ladder_t=t[idx],
+        g_gdot_limit=(profile.g * profile.g_dot)[-1],
+        g_sq_over_t_limit=profile.g[-1] ** 2 / t[-1],
+        g_sq_exponent=np.array(
+            [_loglog_slope(tt, profile.g[tail, i] ** 2) for i in range(profile.r)]),
+        curvature_slope=_loglog_slope(tt, K_dom),
+        scalar_slope=_loglog_slope(tt, curv.scalar_R[tail]),
+        R_t2_ladder=curv.scalar_R[idx] * t[idx] ** 2,
     )

@@ -118,7 +118,6 @@ class Constants:
 
     beta: float
     beta_hat: float
-    total_dim_n: int
 
 
 def validate_spec(spec: ProblemSpec) -> ProblemSpec:
@@ -170,14 +169,9 @@ def validate_spec(spec: ProblemSpec) -> ProblemSpec:
 
 
 def constants(spec: ProblemSpec) -> Constants:
-    """beta = 1/sqrt(d_1), beta_hat = +sqrt(1 - beta^2), n = sum d_i."""
-    d1 = spec.factors[0].dim
-    beta = 1.0 / math.sqrt(d1)
-    return Constants(
-        beta=beta,
-        beta_hat=math.sqrt(1.0 - beta * beta),
-        total_dim_n=int(sum(f.dim for f in spec.factors)),
-    )
+    """beta = 1/sqrt(d_1) and beta_hat = +sqrt(1 - beta^2)."""
+    beta = 1.0 / math.sqrt(spec.factors[0].dim)
+    return Constants(beta=beta, beta_hat=math.sqrt(1.0 - beta * beta))
 
 
 def critical_point(spec: ProblemSpec):

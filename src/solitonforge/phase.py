@@ -1,4 +1,4 @@
-"""First-order phase-space system: vector field, invariant scalars, linearization.
+"""First-order phase-space system: the vector field, its Jacobian and L.
 
 State is (X, Y) in R^r x R^r with independent variable s.  The flow is
 
@@ -7,6 +7,12 @@ State is (X, Y) in R^r x R^r with independent variable s.  The flow is
 
 The scalar L = sum(X^2 + Y^2) - 1 satisfies L' = 2 L sum(X^2) along the
 flow, and H = sum(sqrt(d_i) X_i) marks the Ricci-flat subspace H = 1.
+
+The critical point (X_1, Y_1) = (beta, beta_hat) is hyperbolic, with
+spectrum beta^2 - 1 (r times), beta^2 (r - 1 times) and 2 beta^2; the
+unstable direction of 2 beta^2 is `unstable_eigenvector_fast`.  The
+spectrum and the identity for L' are claims that `verify.run_suite`
+checks (`spectrum`, `lyapunov_identity`) from `rhs` and `rhs_jacobian`.
 """
 
 from __future__ import annotations
@@ -15,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch
-from .model import ProblemSpec, constants, critical_point
+from .model import ProblemSpec, constants
 
 
 @dataclass(frozen=True)
@@ -34,22 +39,6 @@ class PhasePoint:
     def from_vector(s: float, y: np.ndarray) -> "PhasePoint":
         r = y.size // 2
         return PhasePoint(s=s, X=y[:r].copy(), Y=y[r:].copy())
-
-
-@dataclass(frozen=True)
-class LinearizationReport:
-    """Jacobian at the critical point with its spectrum and unstable basis."""
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray          # closed form, sorted ascending
-    unstable_basis: list[np.ndarray]  # one 2r-vector per unstable direction
-
-
-def _check_lengths(p: PhasePoint, spec: ProblemSpec) -> None:
-    if p.X.shape != (spec.r,) or p.Y.shape != (spec.r,):
-        raise LengthMismatch(
-            f"state has shapes {p.X.shape}/{p.Y.shape}, expected ({spec.r},)"
-        )
 
 
 def _field(v: list, sd: list) -> list:
@@ -122,44 +111,9 @@ def rhs_jacobian(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
     return J
 
 
-def vector_field(p: PhasePoint, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (dX, dY) at a phase point."""
-    _check_lengths(p, spec)
-    d = rhs(p.as_vector(), np.sqrt(spec.dims))
-    return d[: spec.r], d[spec.r:]
-
-
 def lyapunov(p: PhasePoint) -> float:
     """L = sum(X^2 + Y^2) - 1."""
     return float(p.X @ p.X + p.Y @ p.Y - 1.0)
-
-
-def hamiltonian_H(p: PhasePoint, spec: ProblemSpec) -> float:
-    """H = sum(sqrt(d_i) X_i); Ricci-flat trajectories live in H = 1."""
-    _check_lengths(p, spec)
-    return float(np.sqrt(spec.dims) @ p.X)
-
-
-def lyapunov_derivative_identity(p: PhasePoint, spec: ProblemSpec) -> float:
-    """Residual of the identity L' = 2 L sum(X^2) against the vector field.
-
-    Returns |dL(vector_field) - 2 L sum(X^2)|, which must be at machine
-    precision for every finite state.
-    """
-    dX, dY = vector_field(p, spec)
-    dL = 2.0 * (p.X @ dX + p.Y @ dY)
-    return float(abs(dL - 2.0 * lyapunov(p) * (p.X @ p.X)))
-
-
-def eigenvalue_multiset(spec: ProblemSpec) -> np.ndarray:
-    """Closed-form spectrum at the critical point, sorted ascending.
-
-    beta^2 - 1 with multiplicity r, beta^2 with multiplicity r - 1, and
-    2 beta^2 once.
-    """
-    b2 = constants(spec).beta ** 2
-    vals = [b2 - 1.0] * spec.r + [b2] * (spec.r - 1) + [2.0 * b2]
-    return np.sort(np.array(vals))
 
 
 def unstable_eigenvector_fast(spec: ProblemSpec) -> np.ndarray:
@@ -171,23 +125,3 @@ def unstable_eigenvector_fast(spec: ProblemSpec) -> np.ndarray:
     v[spec.r] = c.beta_hat
     return v
 
-
-def linearization(spec: ProblemSpec) -> LinearizationReport:
-    """Jacobian of the vector field at the critical point, with its
-    closed-form spectrum and an unstable basis.
-
-    The (X_1, Y_1) block is [[3 b^2 - 1, 2 b bh], [b bh, 0]]; the remaining
-    diagonal entries are b^2 - 1 on X_i and b^2 on Y_i (i > 1).  The
-    unstable basis is (2 beta, beta_hat) in the (X_1, Y_1) plane followed
-    by the unit Y_i directions.
-    """
-    crit = critical_point(spec)
-    J = rhs_jacobian(crit.as_vector(), np.sqrt(spec.dims))
-    basis = [unstable_eigenvector_fast(spec)]
-    for i in range(1, spec.r):
-        e = np.zeros(2 * spec.r)
-        e[spec.r + i] = 1.0
-        basis.append(e)
-    return LinearizationReport(
-        matrix=J, eigenvalues=eigenvalue_multiset(spec), unstable_basis=basis
-    )

@@ -11,14 +11,21 @@ reported-only Q_limits), one for (f) and one for (g) and the Y_i decay
 rates.  run_suite evaluates the dense output once per window and fits
 every quantity of that window from the same arrays.  The t = 0 limits
 need only the profile: boundary_checks computes them and their checks
-on their own, for a caller that wants no more than g_i(0).
+on their own, for a caller that wants no more than g_i(0).  The phase
+system's own claims, the spectrum at the critical point and the
+identity L' = 2 L sum X^2, are checked from `phase.rhs` and
+`phase.rhs_jacobian`; the curvature signs and decay and the paraboloid
+end are tail_checks on the fits of `geometry.asymptotics`, which needs
+three decades of t, so run_suite raises InsufficientTail on a shorter
+run.
 
 Each gated CLI command exits 1 iff one of its builder's checks fails:
-run_suite for `verify`; curvature_checks, a curvature report alone, for
-`curvature`; oracle_checks, the oracle's deviations and conservation
-drift, for `oracle`; ricci_flat_checks, the flatness residuals, for
-`ricci-flat`; and boundary_checks per point plus distinct_check across
-the points for `sweep`.  Each tolerance is written once, here.
+run_suite for `verify`; curvature_checks, a curvature report alone, and
+in soliton mode tail_checks on its fits, for `curvature`; oracle_checks,
+the oracle's deviations and conservation drift, for `oracle`;
+ricci_flat_checks, the flatness residuals, for `ricci-flat`; and
+boundary_checks per point plus distinct_check across the points for
+`sweep`.  Each tolerance is written once, here.
 """
 
 from __future__ import annotations
@@ -28,10 +35,11 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from . import geometry, phase
 from .errors import IncompleteInputs, TooFewSamples
 from .flow import L_FLOOR, MONOTONE_SLACK, Trajectory
-from .geometry import CurvatureReport
-from .model import Mode, ProblemSpec, constants
+from .geometry import AsymptoticsReport, CurvatureReport
+from .model import Mode, ProblemSpec, constants, critical_point
 from .reconstruct import MetricProfile
 
 
@@ -159,12 +167,6 @@ def _intercept_vs_L(L: np.ndarray, v: np.ndarray):
     lin = np.polynomial.polynomial.polyfit(L, v, 1)[0]
     quad = np.polynomial.polynomial.polyfit(L, v, 2)[0]
     return float(lin), float(abs(lin - quad))
-
-
-def fit_exponent(traj: Trajectory, values_log, lo: float, hi: float) -> float:
-    """Slope of log(quantity) against s over a seed-end window."""
-    s, X, Y, L = _window_states(traj, lo, hi)
-    return float(np.polyfit(s, values_log(X, Y, L), 1)[0])
 
 
 # --------------------------------------------------------------------------
@@ -374,6 +376,30 @@ def run_suite(
         details={"u0_quadrature": u0_quad, "u0_product": u0_prod},
     ))
 
+    # (l) the critical point is a zero of the field with the closed-form
+    # spectrum, and L' = 2 L sum X^2 holds on at most 200 strided samples;
+    # one field evaluation covers the critical point (row 0) and the samples
+    crit = critical_point(spec).as_vector()
+    stride = -(-len(traj.s) // 200)
+    X, Y, L = traj.X[::stride], traj.Y[::stride], traj.L[::stride]
+    F = phase.rhs(np.vstack([crit, np.hstack([X, Y])]), sqrt_d)
+    eig = np.sort(np.linalg.eigvals(phase.rhs_jacobian(crit, sqrt_d)).real)
+    closed = np.sort([b2 - 1.0] * r + [b2] * (r - 1) + [2.0 * b2])
+    dL = 2.0 * (np.einsum("ij,ij->i", X, F[1:, :r])
+                + np.einsum("ij,ij->i", Y, F[1:, r:]))
+    identity = np.abs(dL - 2.0 * L * np.einsum("ij,ij->i", X, X)) / (1.0 + np.abs(L))
+    checks += [
+        Check("spectrum", "the critical point is a zero of the field with "
+              "spectrum beta^2 - 1 (r times), beta^2 (r - 1 times), 2 beta^2",
+              _worst(np.abs(eig - closed).max(), np.abs(F[0]).max()), 1e-10,
+              {"eigenvalues": eig, "closed_form": closed}),
+        Check("lyapunov_identity", "L' = 2 L sum X^2 along the flow, relative "
+              "to 1 + |L|", _worst(identity), 1e-12, {"samples": int(L.size)}),
+    ]
+
+    # (m) curvature signs and decay, and the paraboloid end
+    checks.extend(tail_checks(geometry.asymptotics(profile, curv), curv, spec))
+
     return VerifyReport(checks=checks, diagnostics=diag)
 
 
@@ -388,6 +414,55 @@ def curvature_checks(curv: CurvatureReport) -> list[Check]:
               -curv.min_ricci(), 1e-8),
         Check("soliton_residual", "max |Ric + Hess u| over samples and directions",
               curv.soliton_residual_max, 1e-6),
+    ]
+
+
+def tail_checks(asym: AsymptoticsReport, curv: CurvatureReport,
+                spec: ProblemSpec) -> list[Check]:
+    """The soliton's curvature and its paraboloid end, from the tail fits
+    of `geometry.asymptotics` and the curvature report they came from.
+
+    For r > 1 the planes across two factors have K < 0 at t >= 100 t_0
+    (measured: the largest such K); for r = 1 every sectional curvature is
+    positive on the first half of the samples and >= -1e-8 after it
+    (measured: minus the smallest on the first half).  R t^2 must rise
+    from rung to rung of the ladder, by more than 10x in all; measured is
+    its largest fall between two rungs.  Both are sign claims, with
+    tolerance 0: the other measured values converge as the integration
+    tolerances shrink, but these follow where the tail's samples, and its
+    last sample, happen to fall.
+    """
+    if spec.r > 1:
+        large = curv.t >= 100.0 * curv.t[0]
+        sign = _worst(curv.sectional_cross[large][:, ~np.eye(spec.r, dtype=bool)])
+        floor = True
+    else:
+        planes = np.stack([curv.sectional_mixed_t, curv.sectional_within])
+        sign = -planes[:, curv.t <= curv.t[len(curv.t) // 2]].min()
+        floor = planes.min() >= -1e-8
+    ladder = asym.R_t2_ladder
+    fall = _worst(-np.diff(ladder))
+    g_gdot = spec.lambdas / math.sqrt(-spec.gauge_C)  # the limit of g_i g_i'
+    return [
+        Check("curvature_signs", "K < 0 across two factors at large t (r > 1); "
+              "every K > 0 (r = 1)", sign, 0.0, requires=sign < 0 and floor),
+        Check("curvature_decay", "|K| decays like 1/t: log-log slope + 1",
+              abs(asym.curvature_slope + 1.0), 0.1),
+        Check("scalar_decay", "R decays like 1/t: log-log slope + 1",
+              abs(asym.scalar_slope + 1.0), 0.1),
+        Check("scalar_growth", "R t^2 increases along the tail ladder, by more "
+              "than 10x", fall, 0.0,
+              requires=fall < 0 and 0 < 10.0 * ladder[0] < ladder[-1]),
+        Check("g_sq_exponent", "g_i^2 grows like t: log-log slope - 1",
+              _worst(np.abs(asym.g_sq_exponent - 1.0)), 0.05),
+        Check("paraboloid_g_gdot", "g_i g_i' -> lambda_i / sqrt(-C)",
+              _worst(np.abs(asym.g_gdot_limit - g_gdot)), 1e-3),
+        Check("paraboloid_g_sq_over_t", "g_i^2 / t -> 2 lambda_i / sqrt(-C), "
+              "relative", _worst(np.abs(asym.g_sq_over_t_limit - 2.0 * g_gdot)
+                                 / (2.0 * g_gdot)), 1e-2),
+        Check("scalar_two_routes", "R from the Ricci trace matches -(u'' + tr L "
+              "u'), relative to max |R|",
+              curv.scalar_R_gap / np.abs(curv.scalar_R).max(), 1e-6),
     ]
 
 

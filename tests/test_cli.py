@@ -398,12 +398,18 @@ class TestCurvatureGates:
         ({}, 0, None),
         ({"ricci": -2e-8}, 1, "ricci_nonnegative"),
         ({"residual": 2e-6}, 1, "soliton_residual"),
+        ({"g_gdot": 2e-3}, 1, "paraboloid_g_gdot"),
+        ({"slope": 0.2}, 1, "curvature_decay"),
+        ({"ladder": 0.5}, 1, "scalar_growth"),
     ])
     def test_curvature_exit_follows_checks(self, tmp_path, monkeypatch, capsys,
                                            bump, code, failed):
-        """curvature exits 1 when min Ric < -1e-8 or |Ric + Hess u| > 1e-6,
-        with the same stdout, and names the failing check on stderr."""
-        curvatures = geometry.sectional_curvatures
+        """curvature exits 1 when min Ric < -1e-8, |Ric + Hess u| > 1e-6,
+        or a soliton tail claim fails (here g g' off its limit by 2e-3,
+        a |K| slope of -0.8, and an R t^2 ladder with one falling rung),
+        with the same stdout, and names the failing check, alone, on
+        stderr."""
+        curvatures, asymptotics = geometry.sectional_curvatures, geometry.asymptotics
 
         def bumped(profile, spec):
             curv = curvatures(profile, spec)
@@ -412,13 +418,63 @@ class TestCurvatureGates:
                 soliton_residual_max=curv.soliton_residual_max
                 + bump.get("residual", 0.0))
 
+        def bumped_tail(profile, curv):
+            asym = asymptotics(profile, curv)
+            ladder = asym.R_t2_ladder.copy()
+            if "ladder" in bump:
+                ladder[3] = ladder[2] * bump["ladder"]
+            return dataclasses.replace(
+                asym, g_gdot_limit=asym.g_gdot_limit + bump.get("g_gdot", 0.0),
+                curvature_slope=asym.curvature_slope + bump.get("slope", 0.0),
+                R_t2_ladder=ladder)
+
         monkeypatch.setattr(geometry, "sectional_curvatures", bumped)
+        monkeypatch.setattr(geometry, "asymptotics", bumped_tail)
         path = os.path.join(CONFIG_DIR, "bryant_d2.json")
         assert cli.main(["curvature", "--config", path, "--out", str(tmp_path)]) == code
         out, err = capsys.readouterr()
         assert out.startswith("curvature: min Ricci") and "FAIL" not in out
-        assert (f"FAIL {failed}" in err) if failed else err == ""
+        assert re.findall(r"curvature: FAIL (\w+):", err) == ([failed] if failed else [])
         assert (tmp_path / "curvature.csv").exists()
+
+    def test_nan_residual_fails(self, tmp_path, monkeypatch, capsys):
+        """A NaN in u' must reach soliton_residual_max, which Python's
+        max() would drop, and fail the soliton_residual check."""
+        build_profile = reconstruct.build_profile
+
+        def planted(traj, spec):
+            profile = build_profile(traj, spec)
+            u_dot = profile.u_dot.copy()
+            u_dot[-1] = math.nan
+            return dataclasses.replace(profile, u_dot=u_dot)
+
+        monkeypatch.setattr(reconstruct, "build_profile", planted)
+        path = os.path.join(CONFIG_DIR, "bryant_d2.json")
+        assert cli.main(["curvature", "--config", path, "--out", str(tmp_path)]) == 1
+        summary = json.loads((tmp_path / "profile.json").read_text())
+        assert math.isnan(summary["soliton_residual_max"])
+        assert "curvature: FAIL soliton_residual:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "curvature"])
+    def test_run_too_short_for_the_tail_fits_exits_2(self, tmp_path, capsys,
+                                                     command):
+        """Both commands fit the tail, and a run with fewer than three
+        decades of t has too little tail to fit: exit 2, not a verdict."""
+        with open(os.path.join(CONFIG_DIR, "bryant_d2.json"), encoding="utf-8") as fh:
+            config = dict(json.load(fh), s_max=30.0)
+        path = write_config(tmp_path, config)
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "error [InsufficientTail]" in capsys.readouterr().err
+
+    def test_truncated_tail_fails_the_paraboloid_limits(self, tmp_path, capsys):
+        """At s_max = 300 the tail is long enough to fit but g g' and g^2/t
+        are still short of their limits: curvature exits 1 on those two."""
+        with open(os.path.join(CONFIG_DIR, "bryant_d2.json"), encoding="utf-8") as fh:
+            config = dict(json.load(fh), s_max=300.0)
+        path = write_config(tmp_path, config)
+        assert cli.main(["curvature", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert re.findall(r"curvature: FAIL (\w+):", capsys.readouterr().err) == [
+            "paraboloid_g_gdot", "paraboloid_g_sq_over_t"]
 
     def test_ricci_flat_curvature_writes_no_soliton_tail_fits(self, tmp_path):
         """A Ricci-flat end is a cone, where g g' and g^2/t grow and R is

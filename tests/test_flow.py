@@ -88,7 +88,7 @@ class TestSeed:
         spec = make_spec("rf_d2_3")
         p = flow.seed(spec)
         assert abs(phase.lyapunov(p)) <= 1e-12
-        assert abs(phase.hamiltonian_H(p, spec) - 1.0) <= 1e-12
+        assert abs(p.X @ np.sqrt(spec.dims) - 1.0) <= 1e-12   # H, as traj.H
 
 
 class TestIntegrate:
@@ -194,7 +194,7 @@ class TestIntegrate:
                 msg = super().step()
                 p = phase.PhasePoint.from_vector(self.t, self.y)
                 assert abs(phase.lyapunov(p)) <= 1e-12
-                assert abs(phase.hamiltonian_H(p, spec) - 1.0) <= 1e-12
+                assert abs(p.X @ np.sqrt(spec.dims) - 1.0) <= 1e-12   # H, as traj.H
                 assert np.array_equal(self.f, phase.rhs(self.y, sqrt_d))
                 states.append(self.y.copy())
                 return msg
@@ -270,14 +270,13 @@ class TestIntegrate:
         assert err.value.s > 1.0
 
     def test_decay_exponents_near_seed(self, pipeline):
-        from solitonforge.verify import fit_exponent
-
         case = pipeline("d2_3")
         traj, spec = case.traj, case.spec
         b2 = sf.constants(spec).beta ** 2
         L0 = abs(traj.L[0])
-        expo_L = fit_exponent(traj, lambda X, Y, L: np.log(-L), 1.5 * L0, 50 * L0)
-        expo_Y = fit_exponent(traj, lambda X, Y, L: np.log(Y[:, 1]), 1.5 * L0, 50 * L0)
+        s, X, Y, L = verify._window_states(traj, 1.5 * L0, 50 * L0)
+        expo_L = np.polyfit(s, np.log(-L), 1)[0]
+        expo_Y = np.polyfit(s, np.log(Y[:, 1]), 1)[0]
         assert expo_L == pytest.approx(2 * b2, rel=0.05)
         assert expo_Y == pytest.approx(b2, rel=0.05)
 
@@ -306,12 +305,13 @@ class TestDenseSample:
     def test_knot_reproduction(self, pipeline):
         traj = pipeline("d2").traj
         k = len(traj.s) // 2
-        [p] = flow.dense_sample(traj, [traj.s[k]])
-        assert p.X == pytest.approx(traj.X[k], abs=1e-12)
-        assert p.Y == pytest.approx(traj.Y[k], abs=1e-12)
+        [y] = traj.states_at([traj.s[k]])
+        assert y[:traj.r] == pytest.approx(traj.X[k], abs=1e-12)
+        assert y[traj.r:] == pytest.approx(traj.Y[k], abs=1e-12)
 
     def test_empty_input(self, pipeline):
-        assert flow.dense_sample(pipeline("d2").traj, []) == []
+        traj = pipeline("d2").traj
+        assert traj.states_at([]).shape == (0, 2 * traj.r)
 
     def test_midpoint_consistent_with_flow(self, pipeline):
         """Dense output at a midpoint feeds the vector field consistently:
@@ -321,10 +321,9 @@ class TestDenseSample:
         k = len(traj.s) // 4
         s_mid = 0.5 * (traj.s[k] + traj.s[k + 1])
         h = (traj.s[k + 1] - traj.s[k]) * 1e-4
-        pm, p0, pp = flow.dense_sample(traj, [s_mid - h, s_mid, s_mid + h])
-        dX, dY = sf.vector_field(p0, spec)
-        fd = (pp.as_vector() - pm.as_vector()) / (2 * h)
-        assert fd == pytest.approx(np.concatenate([dX, dY]), rel=1e-6, abs=1e-10)
+        ym, y0, yp = traj.states_at([s_mid - h, s_mid, s_mid + h])
+        fd = (yp - ym) / (2 * h)
+        assert fd == pytest.approx(phase.rhs(y0, np.sqrt(spec.dims)), rel=1e-6, abs=1e-10)
 
 
 def _config_spec(name):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from solitonforge import geometry
+from solitonforge import geometry, verify
 from solitonforge.errors import InsufficientTail
 
 from conftest import RICCI_FLAT_CASES, SOLITON_CASES
@@ -61,13 +61,20 @@ class TestSolitonResidual:
 class TestScalarCurvature:
     def test_two_routes_agree(self, pipeline):
         """Trace of the Ricci tensor vs -(u_ddot + tr L u_dot), the trace of
-        the steady equation."""
+        the steady equation: the report's gap, and verify's
+        scalar_two_routes check on it."""
         for name in ("d2", "d2_3", "d2_2_3"):
             case = pipeline(name)
             R1 = case.curv.scalar_R
-            R2 = geometry.scalar_curvature_from_potential(case.profile)
+            prof = case.profile
+            R2 = -(prof.u_ddot + prof.tr_L() * prof.u_dot)
             scale = np.abs(R1).max()
             assert np.abs(R1 - R2).max() <= 1e-6 * scale
+            assert case.curv.scalar_R_gap == np.abs(R1 - R2).max()
+            a = geometry.asymptotics(prof, case.curv)
+            [check] = [c for c in verify.tail_checks(a, case.curv, case.spec)
+                       if c.name == "scalar_two_routes"]
+            assert check.passed and check.tolerance == 1e-6
 
 
 class TestSectional:
@@ -108,7 +115,10 @@ class TestAsymptotics:
         root_c = np.sqrt(-case.spec.gauge_C)
         assert a.g_gdot_limit == pytest.approx(lam / root_c, abs=1e-3)
         assert a.g_sq_over_t_limit == pytest.approx(2 * lam / root_c, rel=1e-2)
-        assert a.g_sq_exponent == pytest.approx(np.ones(case.spec.r), abs=0.05)
+        [check] = [c for c in verify.tail_checks(a, case.curv, case.spec)
+                   if c.name == "g_sq_exponent"]
+        assert check.passed and check.tolerance == 0.05
+        assert check.measured == np.abs(a.g_sq_exponent - 1.0).max()
 
     def test_curvature_decay_slopes(self, pipeline):
         for name in ("d2", "d2_3"):

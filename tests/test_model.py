@@ -57,7 +57,7 @@ class TestConstants:
             factors=(sf.FactorSpec(2, 1.0), sf.FactorSpec(3, 2.0)),
             seed_coeffs=(-1e-4, 1e-4),
         )
-        assert sf.constants(spec).total_dim_n == 5
+        assert spec.dims.sum() == 5   # n = sum d_i, the total dimension
 
     @given(valid_specs)
     @settings(max_examples=50, deadline=None)
@@ -78,15 +78,16 @@ class TestCriticalPoint:
     def test_fixed_point_property(self, spec):
         p = sf.critical_point(spec)
         assert abs(phase.lyapunov(p)) <= 1e-15
-        dX, dY = sf.vector_field(p, spec)
-        assert np.abs(dX).max() <= 1e-14
-        assert np.abs(dY).max() <= 1e-14
+        f = phase.rhs(p.as_vector(), np.sqrt(spec.dims))
+        assert np.abs(f[:spec.r]).max() <= 1e-14
+        assert np.abs(f[spec.r:]).max() <= 1e-14
 
     @given(valid_specs)
     @settings(max_examples=50, deadline=None)
     def test_hamiltonian_is_one(self, spec):
         p = sf.critical_point(spec)
-        assert phase.hamiltonian_H(p, spec) == pytest.approx(1.0, abs=1e-14)
+        # H = sum sqrt(d_i) X_i, as the flow computes traj.H
+        assert p.X @ np.sqrt(spec.dims) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestValidation:

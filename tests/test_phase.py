@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solitonforge as sf
-from solitonforge import phase
-from solitonforge.errors import LengthMismatch
+from solitonforge import phase, verify
 
 SPEC_R1_D2 = sf.ProblemSpec(factors=(sf.FactorSpec(2, 1.0),))
 SPEC_D2_3 = sf.ProblemSpec(
@@ -20,6 +19,34 @@ def point(X, Y, s=0.0):
     return phase.PhasePoint(s=s, X=np.asarray(X, float), Y=np.asarray(Y, float))
 
 
+def field(p, spec):
+    """(dX, dY) of phase.rhs at a phase point."""
+    d = phase.rhs(p.as_vector(), np.sqrt(spec.dims))
+    return d[:spec.r], d[spec.r:]
+
+
+def hamiltonian(p, spec):
+    """H = sum sqrt(d_i) X_i, as the flow computes traj.H."""
+    return float(p.X @ np.sqrt(spec.dims))
+
+
+def identity_residual(p, spec):
+    """|L' - 2 L sum X^2| with L' taken along phase.rhs."""
+    dX, dY = field(p, spec)
+    dL = 2.0 * (p.X @ dX + p.Y @ dY)
+    return float(abs(dL - 2.0 * phase.lyapunov(p) * (p.X @ p.X)))
+
+
+def jacobian_at_critical_point(spec):
+    return phase.rhs_jacobian(sf.critical_point(spec).as_vector(), np.sqrt(spec.dims))
+
+
+def closed_form_spectrum(spec):
+    """beta^2 - 1 (r times), beta^2 (r - 1 times) and 2 beta^2, sorted."""
+    b2 = sf.constants(spec).beta ** 2
+    return np.sort([b2 - 1.0] * spec.r + [b2] * (spec.r - 1) + [2.0 * b2])
+
+
 # bounded random states for the algebraic identities
 states_r2 = st.tuples(
     st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
@@ -30,23 +57,23 @@ states_r2 = st.tuples(
 class TestVectorField:
     def test_critical_point_is_fixed(self):
         p = sf.critical_point(SPEC_D2_3)
-        dX, dY = sf.vector_field(p, SPEC_D2_3)
+        dX, dY = field(p, SPEC_D2_3)
         assert np.abs(dX).max() <= 1e-15
         assert np.abs(dY).max() <= 1e-15
 
     def test_r1_frozen_value(self):
-        dX, dY = sf.vector_field(point([0.0], [1.0]), SPEC_R1_D2)
+        dX, dY = field(point([0.0], [1.0]), SPEC_R1_D2)
         assert dX[0] == pytest.approx(0.7071068, abs=1e-7)
         assert dY[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_r2_frozen_values(self):
-        dX, dY = sf.vector_field(point([0.2, 0.1], [0.6, 0.3]), SPEC_D2_3)
+        dX, dY = field(point([0.2, 0.1], [0.6, 0.3]), SPEC_D2_3)
         assert dX == pytest.approx([0.0645584, -0.0430385], abs=1e-7)
         assert dY == pytest.approx([-0.0548528, -0.0023205], abs=1e-7)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            sf.vector_field(point([0.2], [0.6]), SPEC_D2_3)
+        with pytest.raises(ValueError, match="phase.rhs takes"):
+            field(point([0.2], [0.6]), SPEC_D2_3)
 
     @given(states_r2)
     @settings(max_examples=100, deadline=None)
@@ -54,11 +81,11 @@ class TestVectorField:
         """Negating any Y_i maps solutions to solutions: dX is even in Y_i
         and dY_i flips sign with Y_i."""
         X, Y = map(np.array, XY)
-        dX, dY = sf.vector_field(point(X, Y), SPEC_D2_3)
+        dX, dY = field(point(X, Y), SPEC_D2_3)
         for i in range(2):
             Yf = Y.copy()
             Yf[i] = -Yf[i]
-            dXf, dYf = sf.vector_field(point(X, Yf), SPEC_D2_3)
+            dXf, dYf = field(point(X, Yf), SPEC_D2_3)
             assert dXf == pytest.approx(dX, abs=1e-14)
             expected = dY.copy()
             expected[i] = -expected[i]
@@ -165,12 +192,12 @@ class TestScalars:
         assert phase.lyapunov(point([0.2, 0.1], [0.6, 0.3])) == pytest.approx(-0.5, abs=1e-15)
 
     def test_hamiltonian_values(self):
-        assert phase.hamiltonian_H(sf.critical_point(SPEC_D2_3), SPEC_D2_3) == pytest.approx(1.0, abs=1e-15)
-        assert phase.hamiltonian_H(point([0.0, 0.0], [0.0, 0.0]), SPEC_D2_3) == 0.0
-        assert phase.hamiltonian_H(point([0.2, 0.1], [0.6, 0.3]), SPEC_D2_3) == pytest.approx(0.4560477, abs=1e-7)
+        assert hamiltonian(sf.critical_point(SPEC_D2_3), SPEC_D2_3) == pytest.approx(1.0, abs=1e-15)
+        assert hamiltonian(point([0.0, 0.0], [0.0, 0.0]), SPEC_D2_3) == 0.0
+        assert hamiltonian(point([0.2, 0.1], [0.6, 0.3]), SPEC_D2_3) == pytest.approx(0.4560477, abs=1e-7)
 
     def test_identity_at_frozen_point(self):
-        res = phase.lyapunov_derivative_identity(point([0.2, 0.1], [0.6, 0.3]), SPEC_D2_3)
+        res = identity_residual(point([0.2, 0.1], [0.6, 0.3]), SPEC_D2_3)
         assert res <= 1e-12
 
     @given(states_r2)
@@ -178,46 +205,50 @@ class TestScalars:
     def test_identity_everywhere(self, XY):
         X, Y = XY
         p = point(X, Y)
-        res = phase.lyapunov_derivative_identity(p, SPEC_D2_3)
+        res = identity_residual(p, SPEC_D2_3)
         assert res <= 1e-12 * (1.0 + abs(phase.lyapunov(p)))
 
 
 class TestLinearization:
     def test_block_structure_d2(self):
-        rep = phase.linearization(SPEC_R1_D2)
+        J = jacobian_at_critical_point(SPEC_R1_D2)
         b = 1.0 / np.sqrt(2.0)
         bh = np.sqrt(1.0 - b * b)
         expected = np.array([[3 * b * b - 1.0, 2 * b * bh], [b * bh, 0.0]])
-        assert rep.matrix == pytest.approx(expected, abs=1e-15)
+        assert J == pytest.approx(expected, abs=1e-15)
 
     def test_offblock_diagonal_entries(self):
-        rep = phase.linearization(SPEC_D2_3)
+        J = jacobian_at_critical_point(SPEC_D2_3)
         b2 = 0.5
         # X_2 row: diagonal beta^2 - 1; Y_2 row: diagonal beta^2
-        assert rep.matrix[1, 1] == pytest.approx(b2 - 1.0, abs=1e-15)
-        assert rep.matrix[3, 3] == pytest.approx(b2, abs=1e-15)
+        assert J[1, 1] == pytest.approx(b2 - 1.0, abs=1e-15)
+        assert J[3, 3] == pytest.approx(b2, abs=1e-15)
 
-    def test_eigenvalue_multiset_d2_r2(self):
-        rep = phase.linearization(SPEC_D2_3)
-        assert np.sort(rep.eigenvalues) == pytest.approx([-0.5, -0.5, 0.5, 1.0], abs=1e-15)
+    def test_eigenvalue_multiset_d2_r2(self, pipeline):
+        """The closed form that verify's spectrum check holds the
+        numerical eigenvalues to, on the d = (2, 3) run."""
+        case = pipeline("d2_3")
+        report = verify.run_suite(case.traj, case.profile, case.curv, case.spec)
+        [check] = [c for c in report.checks if c.name == "spectrum"]
+        assert check.details["closed_form"] == pytest.approx([-0.5, -0.5, 0.5, 1.0], abs=1e-15)
+        assert check.details["eigenvalues"] == pytest.approx([-0.5, -0.5, 0.5, 1.0], abs=1e-10)
 
     def test_unstable_eigenvector(self):
-        rep = phase.linearization(SPEC_R1_D2)
-        v = rep.unstable_basis[0]
+        J = jacobian_at_critical_point(SPEC_R1_D2)
+        v = phase.unstable_eigenvector_fast(SPEC_R1_D2)
         assert v == pytest.approx([1.4142136, 0.7071068], abs=1e-7)
         # eigenvector for eigenvalue 2 beta^2 = 1
-        assert rep.matrix @ v == pytest.approx(1.0 * v, abs=1e-12)
+        assert J @ v == pytest.approx(1.0 * v, abs=1e-12)
 
     def test_stable_block_eigenvector_d2(self):
-        rep = phase.linearization(SPEC_R1_D2)
+        J = jacobian_at_critical_point(SPEC_R1_D2)
         v = np.array([1.0, -1.0])
-        assert rep.matrix @ v == pytest.approx(-0.5 * v, abs=1e-12)
+        assert J @ v == pytest.approx(-0.5 * v, abs=1e-12)
 
     def test_closed_form_matches_numerical_eigensolve(self):
         for spec in (SPEC_R1_D2, SPEC_D2_3):
-            rep = phase.linearization(spec)
-            numeric = np.sort(np.linalg.eigvals(rep.matrix).real)
-            assert numeric == pytest.approx(np.sort(rep.eigenvalues), abs=1e-10)
+            numeric = np.sort(np.linalg.eigvals(jacobian_at_critical_point(spec)).real)
+            assert numeric == pytest.approx(closed_form_spectrum(spec), abs=1e-10)
 
     def test_jacobian_matches_finite_differences(self):
         spec = SPEC_D2_3

@@ -8,7 +8,7 @@ import pytest
 
 import solitonforge as sf
 from conftest import SOLITON_CASES
-from solitonforge import verify
+from solitonforge import geometry, phase, verify
 from solitonforge.errors import IncompleteInputs, TooFewSamples
 
 
@@ -70,7 +70,8 @@ class TestRunSuite:
     def test_one_dense_evaluation_per_window(self, pipeline, monkeypatch, name,
                                              windows):
         """Each seed-end window is evaluated once, and the fits from its
-        shared arrays equal fit_exponent's on the same window."""
+        shared arrays equal a fit of log(-L) and log Y_i against s on a
+        fresh evaluation of the same window."""
         case = pipeline(name)
         window_states = verify._window_states
         calls = []
@@ -84,11 +85,10 @@ class TestRunSuite:
         assert len(calls) == len(set(calls)) == windows
         lo_g, hi_g = calls[-1]
         d = report.diagnostics
-        assert d["L_exponent"] == verify.fit_exponent(
-            case.traj, lambda X, Y, L: np.log(-L), lo_g, hi_g)
+        s, X, Y, L = window_states(case.traj, lo_g, hi_g)
+        assert d["L_exponent"] == float(np.polyfit(s, np.log(-L), 1)[0])
         for i, expo in enumerate(d.get("Y_exponents", []), start=1):
-            assert expo == verify.fit_exponent(
-                case.traj, lambda X, Y, L: np.log(Y[:, i]), lo_g, hi_g)
+            assert expo == float(np.polyfit(s, np.log(Y[:, i]), 1)[0])
 
     def test_ricci_flat_mode_rejected(self, pipeline):
         case = pipeline("rf_d2_3")
@@ -211,6 +211,95 @@ class TestPassRule:
         """Two g_i(0) values are distinct iff they differ by more than the
         sum of their error estimates, like sweep's pairwise test."""
         assert verify.distinct_check(values, errors).passed is passed
+
+
+def _tail_checks(case, asym=None, curv=None):
+    """verify.tail_checks on a pipeline case, with the fits or the
+    curvature report replaced; a name -> Check mapping."""
+    curv = curv or case.curv
+    asym = asym or geometry.asymptotics(case.profile, case.curv)
+    return {c.name: c for c in verify.tail_checks(asym, curv, case.spec)}
+
+
+def _replace_at(values, index, value):
+    values = values.copy()
+    values[index] = value
+    return values
+
+
+class TestTailChecks:
+    """Each tail check fails on its own planted fault, and on a NaN."""
+
+    @pytest.mark.parametrize("field, change, failed", [
+        ("g_gdot_limit", lambda v: v + 2e-3, "paraboloid_g_gdot"),
+        ("g_gdot_limit", lambda v: v * math.nan, "paraboloid_g_gdot"),
+        ("g_sq_over_t_limit", lambda v: v * 1.02, "paraboloid_g_sq_over_t"),
+        ("g_sq_exponent", lambda v: v + 0.06, "g_sq_exponent"),
+        ("curvature_slope", lambda v: v - 0.11, "curvature_decay"),
+        ("curvature_slope", lambda v: math.nan, "curvature_decay"),
+        ("scalar_slope", lambda v: v + 0.11, "scalar_decay"),
+        ("R_t2_ladder", lambda v: _replace_at(v, 5, v[4]), "scalar_growth"),
+        ("R_t2_ladder", lambda v: _replace_at(v, 0, v[-1] / 9.0), "scalar_growth"),
+        ("R_t2_ladder", lambda v: -v[::-1], "scalar_growth"),
+        ("R_t2_ladder", lambda v: _replace_at(v, 3, math.nan), "scalar_growth"),
+    ])
+    def test_planted_fit_fails_its_check(self, pipeline, field, change, failed):
+        case = pipeline("d2_3")
+        asym = geometry.asymptotics(case.profile, case.curv)
+        asym = dataclasses.replace(asym, **{field: change(getattr(asym, field))})
+        checks = _tail_checks(case, asym=asym)
+        assert [n for n, c in checks.items() if not c.passed] == [failed]
+
+    @pytest.mark.parametrize("name, field, index, value", [
+        # r > 1: one plane across two factors with K >= 0 at large t
+        ("d2_3", "sectional_cross", (-1, 0, 1), 0.0),
+        ("d2_3", "sectional_cross", (-1, 1, 0), math.nan),
+        # r = 1: K <= 0 on the first half, or below -1e-8 after it
+        ("d2", "sectional_mixed_t", (10, 0), 0.0),
+        ("d2", "sectional_within", (-1, 0), -2e-8),
+        ("d2", "sectional_within", (10, 0), math.nan),
+    ])
+    def test_planted_sign_fails_curvature_signs(self, pipeline, name, field, index,
+                                                value):
+        case = pipeline(name)
+        curv = dataclasses.replace(case.curv, **{
+            field: _replace_at(getattr(case.curv, field), index, value)})
+        checks = _tail_checks(case, curv=curv)
+        assert [n for n, c in checks.items() if not c.passed] == ["curvature_signs"]
+
+    @pytest.mark.parametrize("gap", [2e-6, math.nan])
+    def test_scalar_gap_fails_scalar_two_routes(self, pipeline, gap):
+        case = pipeline("d2_3")
+        scale = np.abs(case.curv.scalar_R).max()
+        curv = dataclasses.replace(case.curv, scalar_R_gap=gap * scale)
+        checks = _tail_checks(case, curv=curv)
+        assert [n for n, c in checks.items() if not c.passed] == ["scalar_two_routes"]
+
+
+class TestPhaseChecks:
+    def test_shifted_jacobian_fails_spectrum(self, pipeline, monkeypatch):
+        """The spectrum check reads the eigenvalues of phase.rhs_jacobian at
+        the critical point: shifted by 1e-9, they fail it, and only it."""
+        case = pipeline("d2_3")
+        jacobian = phase.rhs_jacobian
+        monkeypatch.setattr(phase, "rhs_jacobian",
+                            lambda y, sqrt_d: jacobian(y, sqrt_d) + 1e-9 * np.eye(y.size))
+        report = verify.run_suite(case.traj, case.profile, case.curv, case.spec)
+        assert [c.name for c in report.checks if not c.passed] == ["spectrum"]
+
+    def test_identity_fails_on_an_inconsistent_L(self, pipeline):
+        """L is a function of the state, so an L moved off it by 1e-9 fails
+        the identity (the first sample is always among the at most 200
+        strided ones)."""
+        case = pipeline("d2_3")
+        traj = case.traj
+        L = traj.L.copy()
+        L[::7] += 1e-9
+        report = verify.run_suite(dataclasses.replace(traj, L=L), case.profile,
+                                  case.curv, case.spec)
+        check = next(c for c in report.checks if c.name == "lyapunov_identity")
+        assert not check.passed
+        assert 100 < check.details["samples"] <= 200
 
 
 class TestBoundaryChecks:
