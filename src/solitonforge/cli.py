@@ -379,9 +379,11 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     traj, profile = _solve(cfg)
+    # the profile is written first, so that a run the suite cannot judge
+    # (too short for the tail fits, exit 2) still leaves it to the user
+    _export_run(cfg, traj, profile)
     curv = geometry.sectional_curvatures(profile, cfg.spec)
     report = verify.run_suite(traj, profile, curv, cfg.spec)
-    _export_run(cfg, traj, profile)
     _write_json(report.to_dict(), os.path.join(cfg.out_dir, "verify_report.json"))
     for line in report.summary_lines():
         print(line)

@@ -16,7 +16,7 @@ The Radau stepper is the package's own (``radau.Radau``, Hairer &
 Wanner's Radau IIA in numpy alone), so the flow loads no ``scipy``
 module.  It takes ``phase.rhs`` and ``phase.rhs_jacobian`` as they are:
 the flow is autonomous, and ``rhs`` takes one state (n,) or the
-stepper's stage-major (3, n) stack of stages and evaluates it on Python
+stepper's stage-major (5, n) stack of stages and evaluates it on Python
 floats, bit for bit as the numpy expressions would.  It is called through
 the module, so that a wrapper set on ``phase.rhs`` sees every call.  The
 Ricci-flat projection is the stepper's ``project`` hook: each accepted
@@ -78,7 +78,7 @@ class DenseOutput:
     """Piecewise Radau interpolant over the accepted steps.
 
     Step k covers [ts[k], ts[k+1]] and is samples[k] + Q[k] @ (x, x^2,
-    x^3) with x = (s - ts[k]) / h[k] and h = np.diff(ts): the stepper's
+    ..., x^5) with x = (s - ts[k]) / h[k] and h = np.diff(ts): the stepper's
     ``dense`` polynomial (and scipy's ``RadauDenseOutput``), since each
     step starts from the sample before it and its step size is the
     difference of its ends, bit for bit.  A call evaluates all abscissae
@@ -90,7 +90,7 @@ class DenseOutput:
     def __init__(self, ts: np.ndarray, samples: np.ndarray, Q: np.ndarray) -> None:
         self.ts = ts             # (step + 1,)
         self.samples = samples   # (step + 1, n)
-        self.Q = Q               # (step, n, 3)
+        self.Q = Q               # (step, n, 5)
 
     def __call__(self, s) -> np.ndarray:
         """States at the abscissae: shape (n,) for a scalar, else (n, N)."""
@@ -102,7 +102,7 @@ class DenseOutput:
         t_old = ts[k]
         x = (flat - t_old) / (ts[k + 1] - t_old)
         # one power at a time: gathering Q[k] whole would hold an
-        # (N, n, 3) copy, which shows in the peak memory of a request
+        # (N, n, 5) copy, which shows in the peak memory of a request
         y = self.samples[k]
         power = np.ones_like(x)
         for j in range(self.Q.shape[2]):

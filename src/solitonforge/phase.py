@@ -58,7 +58,7 @@ def rhs(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
     """Vector field on the packed state [X, Y]; hot path for the integrator.
 
     `y` is one state of shape (n,) = (2r,) or a stack of states of shape
-    (k, n), such as the (3, n) stages of one Radau step; the result has
+    (k, n), such as the (5, n) stages of one Radau step; the result has
     the shape of `y`, and any other shape raises ``ValueError``.
 
     With n ≤ 6, numpy's per-call overhead would outweigh the arithmetic,

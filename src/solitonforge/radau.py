@@ -1,12 +1,15 @@
-"""Radau IIA (order 5) stepper for the autonomous phase flow.
+"""Radau IIA (order 9, five stages) stepper for the autonomous phase flow.
 
-The method, its constants and its step control are those of Hairer &
-Wanner, *Solving ODEs II*, §IV.8, for a callable dense Jacobian and
-forward integration: the tableau constants, the Newton tolerance and
-iteration, the initial step selection, the step-size predictor, the
-Jacobian reuse and the ``nextafter`` minimum step, with ``nfev``,
-``njev`` and ``nlu`` counting right-hand-side evaluations, Jacobians and
-factorisations.
+The method and its step control are those of Hairer & Wanner, *Solving
+ODEs II*, §IV.8, and of their variable-order RADAU code (J. Comput. Appl.
+Math. 111 (1999) 93-111) at five stages: the tableau constants, the
+simplified Newton iteration, the embedded error estimate, the initial
+step selection, the step-size predictor, the Jacobian reuse and the
+``nextafter`` minimum step, with ``nfev``, ``njev`` and ``nlu`` counting
+right-hand-side evaluations, Jacobians and factorisations.  The error
+estimate has order 5, so the number of steps goes as tol^(-1/6); the
+three-stage Radau5's order-3 estimate gave tol^(-1/4), about four times
+as many steps on the shipped configs.
 
 It lives in the package for two reasons.  Importing ``scipy.integrate``
 pulls in ``scipy.special``, ``scipy.optimize`` and ``scipy.sparse.linalg``,
@@ -17,37 +20,38 @@ state between steps, which scipy keeps in private fields; here ``t``,
 
 Unlike scipy's generic interface, it takes the flow as it is: the flow
 is autonomous, so ``fun(y)`` and ``jac(y)`` take no time, and ``fun``
-gets either one state (n,) or the three collocation stages as one
-stage-major (3, n) stack, the two shapes ``phase.rhs`` takes.  Every
+gets either one state (n,) or the five collocation stages as one
+stage-major (5, n) stack, the two shapes ``phase.rhs`` takes.  Every
 failure of a step raises ``ValueError``.
 The step controls are not checked here: ``model.StepControls`` owns the
 rules for ``rtol`` and ``atol``.
 
-It uses numpy alone, so the flow loads no ``scipy`` module.  The three
-collocation stages are evaluated in one call of ``fun``.  Whenever the
-Newton matrices are refreshed, both of them, ``MU_REAL/h I - J`` and
-``MU_COMPLEX/h I - J`` (2r×2r, r ≤ 3), are written into one (2, n, n)
-complex stack and inverted by `_lu` in one ``np.linalg.inv`` call; the
-real inverse is the real part of the first member's.  ``nlu`` counts
-matrices, two per refresh.  A singular Newton matrix raises numpy's
-``LinAlgError``, a ``ValueError``.
+It uses numpy alone, so the flow loads no ``scipy`` module.  The five
+collocation stages are evaluated in one call of ``fun``.  A^-1 has one
+real eigenvalue MU_REAL and two complex pairs, so the Newton iteration
+needs three matrices: whenever they are refreshed, ``MU_REAL/h I - J``
+and ``MU_COMPLEX[k]/h I - J`` (2r×2r, r ≤ 3) are written into one
+(3, n, n) complex stack and inverted by `_lu` in one ``np.linalg.inv``
+call; the real inverse is the real part of the first member's.  ``nlu``
+counts matrices, three per refresh.  A singular Newton matrix raises
+numpy's ``LinAlgError``, a ``ValueError``.
 
 The simplified Newton iteration is linear in the stage values F and in
 the stage increments Z.  In the eigenbasis of the tableau, with
 ``W = TI Z``, its update is ``dW0 = inv(MU_REAL/h - J) (TI0 F - MU_REAL
-W0/h)`` for the real eigenvalue and the complex analogue for MU_COMPLEX.
-Each refresh folds both inverses, the complex one split into its real and
-imaginary parts, together with ``T``, ``TI`` and the eigenvalues into one
-real (6n, 6n) operator
+W0/h)`` for the real eigenvalue and the complex analogue for each
+MU_COMPLEX.  Each refresh folds the three inverses, each complex one
+split into its real and imaginary parts, together with ``T``, ``TI`` and
+the eigenvalues into one real (10n, 10n) operator
 
-    K = blockdiag(inv_real, [[Re, -Im], [Im, Re]] of inv_complex)
+    K = blockdiag(inv_real, [[Re, -Im], [Im, Re]] of each inv_complex)
         @ [TI ⊗ I | -M0 ⊗ I],
     newton_op = [K ; (T ⊗ I) K] @ blockdiag(I, TI ⊗ I),
 
 which maps the stacked input ``v = [F ; Z/h]`` to ``[dW ; dZ]``, so that
 an iteration is one call of ``fun``, one matrix-vector product, the
 scaled RMS norm of dW and ``Z + dZ``: W is never formed.  The same
-refresh builds the (n, 4n) error operator ``inv_real [I | E ⊗ I]``,
+refresh builds the (n, 6n) error operator ``inv_real [I | E ⊗ I]``,
 which maps ``[f ; Z/h]`` to the error estimate ``inv_real (f + Z^T E /
 h)``.  Neither operator holds h: the Z/h of their input is the current
 step's, and the step that ends at ``t_bound``, like any h recomputed as
@@ -59,6 +63,19 @@ an operator with 1/h folded in would multiply into every update.  For n
 products cost.  The maps are the same linear maps as the textbook forms,
 summed in another order, so they agree with them to a few ulps rather
 than bit for bit.
+
+Two constants differ from the textbook's.  The error test aims at
+``ERROR_TARGET`` = 0.3 of the error scale ``atol + rtol |y|``: at 1 the
+longer steps break the accuracy contract below.  The config tolerances
+keep their meaning.  The Newton tolerance is a tenth of Hairer &
+Wanner's ``max(10 eps / rtol, min(0.03, sqrt(rtol)))``.  Deep in a
+soliton's tail (|y| from 2e-6 to 1e-4) the profile's u_ddot, which is
+negative, is about sum(X^2 + Y^2 - sqrt(d) X): a cancellation that
+measures how far the state sits off the slow manifold X = Y^2 / sqrt(d).
+There the state's offset from it is the Newton solve's residue, not
+truncation error.  At the textbook tolerance 25-35 samples of every
+soliton fixture get a positive u_ddot between 1e-18 and 1.2e-17; at a
+tenth of it no sample exceeds 6.3e-20.
 
 The stepper answers to an accuracy contract, which ``tests/test_flow.py``
 checks: each step's end agrees with a tight reference integration over
@@ -99,45 +116,85 @@ starts from, before the step's single ``fun`` call, so that ``y`` and
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 EPS = np.finfo(float).eps
 
-S6 = 6 ** 0.5
+STAGES = 5
 
-# Butcher tableau.  A is not used directly: the Newton iteration works in
-# the eigenbasis A = T diag(MU_REAL, MU_COMPLEX, conj(MU_COMPLEX)) T^-1.
-C = np.array([(4 - S6) / 10, (4 + S6) / 10, 1])
+# Butcher tableau, from the Gauss-Radau nodes C (the zeros of
+# P_5(2x - 1) - P_4(2x - 1), Legendre polynomials P_k), A_ij the integral
+# of the j-th Lagrange basis polynomial on C over [0, C_i]; the literals
+# are correctly rounded, and tests/test_flow.py rebuilds them.  A is not
+# used directly: the Newton iteration works in the real eigenbasis of
+# A^-1 = T M0 TI, with one real eigenvalue MU_REAL and two complex pairs,
+# whose members MU_COMPLEX (one of each pair) act on the real and
+# imaginary rows of their block as [[Re, -Im], [Im, Re]].
+C = np.array([0.05710419611451768, 0.2768430136381238, 0.5835904323689168,
+              0.8602401356562195, 1.0])
 _C = C.tolist()   # the abscissae as Python floats, for the warm start
-E = np.array([-13 - 7 * S6, -13 + 7 * S6, -1]) / 3
+# The error estimate's weights E = A^-T (b_hat - b) / gamma0, where the
+# embedded weights (gamma0, b_hat) on the nodes (0, C), gamma0 =
+# 1 / MU_REAL, have order 5 and b is the last row of A
+E = np.array([-27.78093394406464, 3.641478498049213, -1.2525477211691187,
+              0.5920031671845428, -0.2])
 
-MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
-MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
-              - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6)))
+MU_REAL = 6.2867047517292765
+MU_COMPLEX = np.array([3.655694325463572 - 6.543736899360077j,
+                       5.70095329867179 - 3.2102656003085497j])
 
 T = np.array([
-    [0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
-    [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
-    [1, 1, 0]])
+    [0.013576867344947943, -0.010242047817908826, -0.04767387729029572,
+     -0.011478515255229515, 0.01401985889287541],
+    [0.0016179004017190875, 0.05017286451737106, 0.09433181918161143,
+     -0.007668830749180163, -0.024708578426518527],
+    [0.07915785334744721, -0.23053953404341795, -0.1027030453801259,
+     0.01939846399882895, -0.08180035370375117],
+    [0.41225608268046143, 0.37789390224886127, -0.46674413033249434,
+     0.40760117128019907, -0.19968242788680252],
+    [1.0, 1.0, 0.0, 1.0, 0.0]])
 TI = np.array([
-    [4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
-    [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
-    [0.50287263494578682, -2.57192694985560522, 0.59603920482822492]])
-# diag(MU_REAL, MU_COMPLEX) acting on (W0, Re W1, Im W1) as a real matrix
+    [27.697693775684087, 12.783337911304406, 3.20848938671343,
+     -0.9514904122489162, 0.7415504960259897],
+    [5.344186437834912, 4.593615567759161, -3.0363603234594243,
+     1.050660190231459, -0.27277861186429625],
+    [-3.748059807439805, 3.984965736343885, 1.0444156416080188,
+     -1.1840985681379486, 0.44991777015678036],
+    [-33.041880213519, -17.376953479063566, -0.17212906325400557,
+     -0.09916977798254265, 0.5312281158383066],
+    [8.611443979875292, -9.699991409528808, -1.9147286396968743,
+     -2.41869200608494, 1.0474634879353375]])
+# the eigenvalues acting on (W0, Re W1, Im W1, Re W2, Im W2) as a real
+# matrix: TI A^-1 T
+_M1, _M2 = MU_COMPLEX
 M0 = np.array([
-    [MU_REAL, 0, 0],
-    [0, MU_COMPLEX.real, -MU_COMPLEX.imag],
-    [0, MU_COMPLEX.imag, MU_COMPLEX.real]])
+    [MU_REAL, 0, 0, 0, 0],
+    [0, _M1.real, -_M1.imag, 0, 0],
+    [0, _M1.imag, _M1.real, 0, 0],
+    [0, 0, 0, _M2.real, -_M2.imag],
+    [0, 0, 0, _M2.imag, _M2.real]])
+# the three Newton matrices' shifts, MU / h I - J, one per row
+_MU = np.concatenate([[MU_REAL], MU_COMPLEX])[:, None]
 
-# Dense-output coefficients: a step's interpolant is
-# y_old + Q @ (x, x^2, x^3) with Q = Z^T P and x = (s - t_old) / h.
+# Dense-output coefficients: a step's interpolant is y_old + Q @ (x, x^2,
+# ..., x^5) with Q = Z^T P and x = (s - t_old) / h; P is the inverse
+# transpose of the matrix [C_i^k], k = 1..5.
 P = np.array([
-    [13/3 + 7*S6/3, -23/3 - 22*S6/3, 10/3 + 5 * S6],
-    [13/3 - 7*S6/3, -23/3 + 22*S6/3, 10/3 - 5 * S6],
-    [1/3, -8/3, 10/3]])
+    [27.78093394406464, -208.02785730090133, 524.1878839694918,
+     -543.8283560361325, 199.88739542347736],
+    [-3.641478498049213, 77.88337605511782, -264.89491356822634,
+     317.67586907995275, -127.022853068795],
+    [1.2525477211691187, -29.167414317829696, 137.90290440413477,
+     -202.09087094360743, 92.10283313613321],
+    [-0.5920031671845428, 14.111895563613205, -72.39587480540027,
+     123.04335789978718, -64.16737549081559],
+    [0.2, -4.8, 25.2, -44.8, 25.2]])
 
 NEWTON_MAXITER = 6  # Newton iterations per collocation solve
+ERROR_TARGET = 0.3  # the error norm a step aims at, a share of the error scale
 MIN_FACTOR = 0.2    # smallest step-size decrease after a rejection
 MAX_FACTOR = 10     # largest step-size increase
 
@@ -159,8 +216,8 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     if error_norm_old is None or h_abs_old is None:
         multiplier = 1
     else:
-        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
-    return min(1, multiplier) * error_norm ** -0.25
+        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** (1 / 6)
+    return min(1, multiplier) * error_norm ** (-1 / 6)
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -190,21 +247,23 @@ def _error_estimate(error_op: np.ndarray, u: np.ndarray, scale: np.ndarray):
 
 
 class Radau:
-    """Implicit Runge-Kutta Radau IIA stepper of order 5, forward in t.
+    """Implicit Runge-Kutta Radau IIA stepper of order 9 (five stages),
+    forward in t.
 
     ``fun(y)`` is the right-hand side and ``jac(y)`` its dense Jacobian.
-    ``fun`` must also take the three collocation stages at once, as a
-    (3, n) ``y`` of one state per row, and return the (3, n) values.
+    ``fun`` must also take the five collocation stages at once, as a
+    (5, n) ``y`` of one state per row, and return the (5, n) values.
     ``step()`` advances by one accepted step; ``status`` becomes
     ``"finished"`` once ``t`` reaches ``t_bound``.  A step that cannot be
     taken raises ``ValueError``: ``TOO_SMALL_STEP`` once the step size is
     below the spacing of floats at ``t``, or the errors above.
 
-    After each accepted step, ``dense`` holds its (n, 3) dense-output
-    coefficients Q: the step's interpolant is ``y_old + Q @ (x, x^2,
-    x^3)`` with ``x = (s - t_old) / (t - t_old)``, where ``t_old`` and
-    ``y_old`` are the state the step started from and ``t - t_old`` is
-    its size, bit for bit.  The next Newton iteration starts from it.
+    After each accepted step, ``dense`` holds its (n, 5) dense-output
+    coefficients Q: the step's interpolant, a quintic, is ``y_old + Q @
+    (x, x^2, ..., x^5)`` with ``x = (s - t_old) / (t - t_old)``, where
+    ``t_old`` and ``y_old`` are the state the step started from and ``t -
+    t_old`` is its size, bit for bit.  The next Newton iteration starts
+    from it.
 
     ``project``, if given, maps each accepted state to the state the next
     step starts from (the flow's Ricci-flat projection).  It is applied to
@@ -241,7 +300,8 @@ class Radau:
         self.nlu = 0
         self.rtol = rtol
         self.atol = atol
-        self.newton_tol = max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
+        # a tenth of Hairer & Wanner's tolerance (see the module docstring)
+        self.newton_tol = 0.1 * max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
 
         self.f = self.fun(y0)
         self.h_abs = self._initial_step()
@@ -262,27 +322,29 @@ class Radau:
 
         n = self.n
         I = np.identity(n)
+        s = STAGES
         kron_TI = np.kron(TI, I)
         # [TI (x) I | -(M0 (x) I)(TI (x) I)] maps the stacked Newton input
         # [F ; Z/h] to the right-hand sides of the real system and of the
-        # complex one split into its real and imaginary rows
+        # two complex ones, each split into its real and imaginary rows
         self._rhs_map = np.hstack([kron_TI, -np.kron(M0, I).dot(kron_TI)])
         self._kron_T = np.kron(T, I)
         # [I | E (x) I] maps [f ; Z/h] to f + Z^T E / h
         self._error_map = np.hstack([I, np.kron(E, I)])
-        # both Newton matrices, MU_REAL/h I - J and MU_COMPLEX/h I - J
-        self._matrices = np.empty((2, n, n), dtype=complex)
-        self._diagonals = self._matrices.reshape(2, -1)[:, ::n + 1]   # views
-        self._block = np.zeros((3 * n, 3 * n))
-        self._newton_op = np.empty((6 * n, 6 * n))
-        self._error_op = np.empty((n, 4 * n))
-        self._v = np.empty(6 * n)
-        self._vF = self._v[:3 * n].reshape(3, n)
-        self._vZ = self._v[3 * n:].reshape(3, n)
-        self._u = np.empty(4 * n)
+        # the three Newton matrices, MU_REAL/h I - J and MU_COMPLEX[k]/h I - J
+        self._matrices = np.empty((3, n, n), dtype=complex)
+        self._diagonals = self._matrices.reshape(3, -1)[:, ::n + 1]   # views
+        self._block = np.zeros((s * n, s * n))
+        self._blocks = self._block.reshape(s, n, s, n)   # view: [row, :, col]
+        self._newton_op = np.empty((2 * s * n, 2 * s * n))
+        self._error_op = np.empty((n, (s + 1) * n))
+        self._v = np.empty(2 * s * n)
+        self._vF = self._v[:s * n].reshape(s, n)
+        self._vZ = self._v[s * n:].reshape(s, n)
+        self._u = np.empty((s + 1) * n)
         self._uf = self._u[:n]
-        self._uZ = self._u[n:].reshape(3, n)
-        self._scale = np.empty((3, n))   # the error scale, once per stage
+        self._uZ = self._u[n:].reshape(s, n)
+        self._scale = np.empty((s, n))   # the error scale, once per stage
 
     def fun(self, y):
         self.nfev += 1
@@ -298,37 +360,36 @@ class Radau:
         return _lu(a)
 
     def _newton_operators(self, h, J):
-        """Invert both Newton matrices of step size h, in one stacked call,
-        and build the two operators the step applies.
+        """Invert the three Newton matrices of step size h, in one stacked
+        call, and build the two operators the step applies.
 
-        Returns ``(error_op, newton_op)``: the (n, 4n) error operator,
-        which takes ``[f ; Z/h]`` to the error estimate, and the (6n, 6n)
-        Newton operator, which takes the stacked input ``[F ; Z/h]``
+        Returns ``(error_op, newton_op)``: the (n, 6n) error operator,
+        which takes ``[f ; Z/h]`` to the error estimate, and the (10n,
+        10n) Newton operator, which takes the stacked input ``[F ; Z/h]``
         (stage by stage) to ``[dW ; dZ]``.  Neither holds h itself: the
         Z/h of their input is the current step's.  Both are buffers of
         the stepper, rewritten by the next call.
         """
-        n = self.n
+        sn = STAGES * self.n
         A = self._matrices
         np.negative(J, out=A)
-        self._diagonals[0] += MU_REAL / h
-        self._diagonals[1] += MU_COMPLEX / h
+        self._diagonals += _MU / h
         inv = self.lu(A)
         inv_real = inv[0].real
-        inv_complex = inv[1]
-        B = self._block
-        B[:n, :n] = inv_real
-        B[n:2 * n, n:2 * n] = B[2 * n:, 2 * n:] = inv_complex.real
-        B[n:2 * n, 2 * n:] = -inv_complex.imag
-        B[2 * n:, n:2 * n] = inv_complex.imag
+        B = self._blocks
+        B[0, :, 0] = inv_real
+        for i, inv_complex in ((1, inv[1]), (3, inv[2])):
+            B[i, :, i] = B[i + 1, :, i + 1] = inv_complex.real
+            B[i, :, i + 1] = -inv_complex.imag
+            B[i + 1, :, i] = inv_complex.imag
         G = self._newton_op
-        np.dot(B, self._rhs_map, out=G[:3 * n])
-        np.dot(self._kron_T, G[:3 * n], out=G[3 * n:])
+        np.dot(self._block, self._rhs_map, out=G[:sn])
+        np.dot(self._kron_T, G[:sn], out=G[sn:])
         np.dot(inv_real, self._error_map, out=self._error_op)
         return self._error_op, G
 
     def _initial_step(self) -> float:
-        """Hairer, Nørsett & Wanner's starting step for an order-3 error
+        """Hairer, Nørsett & Wanner's starting step for an order-5 error
         estimate (*Solving ODEs I*, §II.4)."""
         y0, f0 = self.y, self.f
         interval_length = abs(self.t_bound - self.t)
@@ -349,7 +410,7 @@ class Radau:
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 4)
+            h1 = (0.01 / max(d1, d2)) ** (1 / 6)
         # a Python float, so that the step control runs on Python floats
         return float(min(100 * h0, h1, interval_length))
 
@@ -357,10 +418,8 @@ class Radau:
         """Newton start Z0: the last step's interpolant at t + h C, minus y."""
         t, t_old = self.t, self.t_old
         h_old = t - t_old
-        x0, x1, x2 = [(t + h * c - t_old) / h_old for c in _C]
-        p = np.array([[x0, x0 * x0, x0 * x0 * x0],
-                      [x1, x1 * x1, x1 * x1 * x1],
-                      [x2, x2 * x2, x2 * x2 * x2]])
+        p = np.array([list(accumulate([(t + h * c - t_old) / h_old] * STAGES, mul))
+                      for c in _C])   # the powers x, x^2, ..., x^5 of each node
         return p.dot(self.dense.T) + (self.y_old - self.y)
 
     def step(self) -> None:
@@ -403,7 +462,7 @@ class Radau:
             h_abs = abs(h)
 
             if self.dense is None:
-                Z0 = np.zeros((3, y.shape[0]))
+                Z0 = np.zeros((STAGES, y.shape[0]))
             else:
                 Z0 = self._warm_start(h)
 
@@ -432,7 +491,7 @@ class Radau:
             u = self._u   # [f ; Z/h], the error operator's input
             self._uf[...] = f
             np.divide(Z, h, out=self._uZ)
-            scale = atol + np.maximum(abs_y, np.abs(y_new)) * rtol
+            scale = ERROR_TARGET * (atol + np.maximum(abs_y, np.abs(y_new)) * rtol)
             error, error_norm = _error_estimate(error_op, u, scale)
             safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
 
@@ -498,7 +557,7 @@ class Radau:
         this h.  Returns (converged, iterations, Z, rate of convergence).
         Z0 is not written to.
         """
-        n3 = 3 * self.n
+        sn = STAGES * self.n
         Z = Z0
         self._scale[...] = scale
         scale = self._scale.reshape(-1)
@@ -511,12 +570,12 @@ class Radau:
         tol = self.newton_tol
         fun = self._fun
         for k in range(NEWTON_MAXITER):
-            vF[...] = fun(y + Z)   # all three stages in one call
-            self.nfev += 3
+            vF[...] = fun(y + Z)   # all five stages in one call
+            self.nfev += STAGES
 
             np.divide(Z, h, out=vZ)
             dWZ = newton_op.dot(v)
-            dW_norm = _norm(dWZ[:n3] / scale)
+            dW_norm = _norm(dWZ[:sn] / scale)
             if not math.isfinite(dW_norm):
                 # a non-finite entry of v makes every entry of dW, and so
                 # the norm, non-finite; only then is v scanned.  A
@@ -534,7 +593,7 @@ class Radau:
                     rate ** (NEWTON_MAXITER - k) / (1 - rate) * dW_norm > tol)):
                 break
 
-            Z = Z + dWZ[n3:].reshape(Z.shape)
+            Z = Z + dWZ[sn:].reshape(Z.shape)
 
             if (dW_norm == 0 or
                     rate is not None and rate / (1 - rate) * dW_norm < tol):

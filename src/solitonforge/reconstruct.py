@@ -11,7 +11,7 @@ The quadratures need no second integrator: every accepted step of the
 flow carries a fixed Gauss-Legendre rule, evaluated in one vectorised
 call of the trajectory's dense output (so each node is read from its own
 step's interpolant), and the per-step increments are summed.  The Radau
-interpolant is a cubic in s on each step, so the rule is exact for the
+interpolant is a quintic in s on each step, so the rule is exact for the
 polynomial integrands H - 1 and sum(X^2); sqrt(L / C) and 1 / w are
 smooth there and the rule has converged far below the flow's tolerance.
 In Ricci-flat mode the t integrand needs log w inside each step, which a
@@ -67,9 +67,10 @@ class MetricProfile:
         return (self.spec.dims * self.g_dot / self.g).sum(axis=1)
 
 
-# Gauss-Legendre points per accepted step.  Four make the rule exact for
-# polynomials of degree 7, which covers sum(X^2) on a cubic interpolant.
-_GL_POINTS = 4
+# Gauss-Legendre points per accepted step.  Six make the rule exact for
+# polynomials of degree 11, which covers sum(X^2), of degree 10, on a
+# quintic interpolant.
+_GL_POINTS = 6
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
 
 

@@ -459,12 +459,19 @@ class TestCurvatureGates:
     def test_run_too_short_for_the_tail_fits_exits_2(self, tmp_path, capsys,
                                                      command):
         """Both commands fit the tail, and a run with fewer than three
-        decades of t has too little tail to fit: exit 2, not a verdict."""
+        decades of t has too little tail to fit: exit 2, not a verdict.
+        `verify` has written the profile before the suite runs, so the
+        partial run is kept; `curvature` needs its tail fits for
+        profile.json."""
         with open(os.path.join(CONFIG_DIR, "bryant_d2.json"), encoding="utf-8") as fh:
             config = dict(json.load(fh), s_max=30.0)
         path = write_config(tmp_path, config)
-        assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
         assert "error [InsufficientTail]" in capsys.readouterr().err
+        if command == "verify":
+            assert (out / "profile.csv").is_file() and (out / "profile.json").is_file()
+            assert not (out / "verify_report.json").exists()
 
     def test_truncated_tail_fails_the_paraboloid_limits(self, tmp_path, capsys):
         """At s_max = 300 the tail is long enough to fit but g g' and g^2/t

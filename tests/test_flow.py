@@ -152,8 +152,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("name", ["d2_3", "rf_d2_3"])
     def test_stages_share_one_rhs_call(self, monkeypatch, name):
-        """Each Newton iteration evaluates its three stages in one
-        phase.rhs call on a (3, 2r) stack; every other call is one state.
+        """Each Newton iteration evaluates its five stages in one
+        phase.rhs call on a (5, 2r) stack; every other call is one state.
         In Ricci-flat mode the stepper projects each accepted state before
         its one call, and the flow tests the seed with the stepper's f;
         the one call that is not the stepper's is flow.seed's rest-point
@@ -175,11 +175,11 @@ class TestIntegrate:
         monkeypatch.setattr(flow, "Radau", Recorded)
         sf.run(make_spec(name))
         [solver] = solvers
-        stacked = shapes.count((3, 4))
+        stacked = shapes.count((5, 4))
         single = shapes.count((4,))
         assert stacked > 0 and stacked + single == len(shapes)
         seed_calls = 0 if name == "d2_3" else 1
-        assert 3 * stacked + single == solver.nfev + seed_calls
+        assert 5 * stacked + single == solver.nfev + seed_calls
 
     def test_ricci_flat_steps_start_on_the_invariant_set(self, monkeypatch):
         """After every accepted Ricci-flat step the stepper's own state is
@@ -332,14 +332,14 @@ def _config_spec(name):
 
 # (n_steps, nfev, njev, nlu, nrejected) of each shipped single-run config
 SHIPPED_WORK = {
-    "bryant_d2": (1343, 10501, 248, 728, 9),
-    "r1_d3": (1330, 10260, 251, 726, 6),
-    "r1_d4": (1331, 10414, 252, 724, 6),
-    "r1_d9": (1314, 10295, 255, 722, 5),
-    "r2_d2_3": (1267, 9891, 255, 738, 11),
-    "r2_d3_5": (1267, 9876, 258, 736, 10),
-    "r3_d2_2_3": (1219, 9606, 257, 736, 11),
-    "ricci_flat_d2_3": (633, 4544, 8, 78, 8),
+    "bryant_d2": (341, 6398, 290, 933, 19),
+    "r1_d3": (342, 6414, 296, 960, 18),
+    "r1_d4": (342, 6459, 297, 972, 21),
+    "r1_d9": (338, 6395, 306, 996, 20),
+    "r2_d2_3": (342, 6489, 285, 951, 25),
+    "r2_d3_5": (339, 6431, 292, 954, 21),
+    "r3_d2_2_3": (334, 6391, 284, 942, 24),
+    "ricci_flat_d2_3": (120, 1822, 31, 141, 2),
 }
 
 
@@ -367,13 +367,13 @@ def test_shipped_config_work_is_pinned(monkeypatch, name):
 # Ricci-flat fixture spec rf_d2_2_3, and the five points of
 # configs/sweep_d2_3.json in ratio order, as `solitonforge sweep` runs them
 WIDER_WORK = {
-    "rf_d2_2_3": [(607, 4329, 9, 78, 8)],
+    "rf_d2_2_3": [(115, 1697, 38, 150, 2)],
     "sweep_d2_3": [
-        (1264, 9870, 255, 736, 11),
-        (1267, 9891, 255, 738, 11),
-        (1266, 9779, 255, 736, 11),
-        (1275, 9968, 253, 748, 12),
-        (1280, 10003, 253, 750, 12),
+        (340, 6487, 283, 945, 26),
+        (342, 6489, 285, 951, 25),
+        (342, 6504, 286, 954, 24),
+        (342, 6539, 288, 960, 25),
+        (343, 6525, 288, 957, 23),
     ],
 }
 
@@ -601,19 +601,22 @@ class TestRadauStepper:
 
 class TestFusedNewtonUpdate:
     """The stage-space Newton operator and the error operator against the
-    eigenbasis form of the simplified Newton update (one real and one
-    complex solve) and the textbook error estimate."""
+    eigenbasis form of the simplified Newton update (one real and two
+    complex solves) and the textbook error estimate."""
 
     @staticmethod
     def _reference(J, h, F, W):
         n = J.shape[0]
         inv_real = np.linalg.inv(radau.MU_REAL / h * np.eye(n) - J)
-        inv_complex = np.linalg.inv(radau.MU_COMPLEX / h * np.eye(n) - J)
         f_real = F.dot(radau.TI[0]) - radau.MU_REAL / h * W[0]
-        f_complex = (F.dot(radau.TI[1] + 1j * radau.TI[2])
-                     - radau.MU_COMPLEX / h * (W[1] + 1j * W[2]))
-        dW_complex = inv_complex @ f_complex
-        return inv_real, np.stack([inv_real @ f_real, dW_complex.real, dW_complex.imag])
+        dW = [inv_real @ f_real]
+        for i, mu in ((1, radau.MU_COMPLEX[0]), (3, radau.MU_COMPLEX[1])):
+            inv_complex = np.linalg.inv(mu / h * np.eye(n) - J)
+            f_complex = (F.dot(radau.TI[i] + 1j * radau.TI[i + 1])
+                         - mu / h * (W[i] + 1j * W[i + 1]))
+            dW_complex = inv_complex @ f_complex
+            dW += [dW_complex.real, dW_complex.imag]
+        return inv_real, np.stack(dW)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_matches_eigenbasis_update(self, n):
@@ -626,16 +629,16 @@ class TestFusedNewtonUpdate:
         for _ in range(20):
             J = rng.standard_normal((n, n))
             h = 10.0 ** rng.uniform(-4, 1)
-            F = rng.standard_normal((n, 3))      # one stage per column
-            W = rng.standard_normal((3, n))
+            F = rng.standard_normal((n, 5))      # one stage per column
+            W = rng.standard_normal((5, n))
             f = rng.standard_normal(n)
             Z = radau.T.dot(W)
             nlu = solver.nlu
             error_op, newton_op = solver._newton_operators(h, J)
-            assert solver.nlu == nlu + 2
+            assert solver.nlu == nlu + 3
             inv_real, expected = self._reference(J, h, F, W)
             got = newton_op @ np.concatenate([F.T.ravel(), (Z / h).ravel()])
-            dW, dZ = got.reshape(2, 3, n)
+            dW, dZ = got.reshape(2, 5, n)
             assert np.abs(dW - expected).max() <= 1e-13 * np.abs(expected).max()
             image = radau.T.dot(expected)
             assert np.abs(dZ - image).max() <= 1e-13 * np.abs(image).max()
@@ -652,22 +655,88 @@ class TestFusedNewtonUpdate:
         scale = solver.atol + solver.rtol * np.abs(solver.y)
         nfev = solver.nfev
         result = solver._solve_collocation(solver.y, h, Z0, scale, K)
-        assert solver.nfev == nfev + 3
+        assert solver.nfev == nfev + 5
         return result
 
     def test_non_finite_w_raises(self):
         """A finite F with a non-finite W/h raises the solve's ValueError,
         which flow.integrate turns into StepLimitExceeded."""
         with pytest.raises(ValueError, match=radau._NOT_FINITE):
-            self._solve(lambda y: np.zeros_like(y), np.full((3, 2), np.nan))
+            self._solve(lambda y: np.zeros_like(y), np.full((5, 2), np.nan))
 
     def test_non_finite_f_ends_unconverged(self):
         """A non-finite stage value ends the iteration unconverged, so the
         stepper retries with a fresh Jacobian or a halved step."""
         fun = lambda y: np.full_like(y, np.nan) if y.ndim == 2 else -y
-        converged, n_iter, Z, rate = self._solve(fun, np.zeros((3, 2)))
+        converged, n_iter, Z, rate = self._solve(fun, np.zeros((5, 2)))
         assert (converged, n_iter, rate) == (False, 1, None)
-        assert np.array_equal(Z, np.zeros((3, 2)))
+        assert np.array_equal(Z, np.zeros((5, 2)))
+
+
+def _radau_iia(s):
+    """The s-stage Radau IIA constants rebuilt from the Gauss-Radau nodes,
+    in numpy: the nodes c, the tableau A, the eigenvalues of A^-1, the
+    error weights E = A^-T (b_hat - b) / gamma0 and the dense-output
+    matrix P."""
+    legendre = np.polynomial.Legendre
+    p = legendre.basis(s, domain=[0, 1]) - legendre.basis(s - 1, domain=[0, 1])
+    c = np.sort(p.roots().real)
+    c = c - p(c) / p.deriv()(c)   # one Newton step polishes the roots
+    c[-1] = 1.0
+    k = np.arange(s)
+    V = c[:, None] ** k
+    # A_ij is the integral over [0, c_i] of the j-th Lagrange polynomial,
+    # whose power-basis coefficients are the j-th column of V^-1
+    A = (c[:, None] ** (k + 1) / (k + 1)) @ np.linalg.inv(V)
+    mu = np.linalg.eigvals(np.linalg.inv(A))
+    gamma0 = 1 / mu[np.argmin(np.abs(mu.imag))].real
+    # embedded weights on (0, c): gamma0 + sum b_hat = 1 and
+    # sum b_hat c^(k-1) = 1/k for k = 2..s
+    b_hat = np.linalg.solve(V.T, 1.0 / (k + 1) - gamma0 * (k == 0))
+    E = np.linalg.solve(A.T, b_hat - A[-1]) / gamma0
+    P = np.linalg.inv(c[:, None] ** (k + 1)).T
+    return c, A, mu, E, P
+
+
+class TestTableau:
+    """The five-stage constants of radau.py against their construction
+    from the Gauss-Radau nodes, and the construction against the
+    three-stage constants of Hairer & Wanner's RADAU5."""
+
+    def test_five_stage_constants(self):
+        c, A, mu, E, P = _radau_iia(5)
+        assert np.abs(c - radau.C).max() <= 1e-15
+        k = np.arange(1, 6)
+        # simplifying conditions: A c^(k-1) = c^k / k
+        assert np.abs(A @ c[:, None] ** (k - 1) - c[:, None] ** k / k).max() <= 1e-13
+        expected = sorted([radau.MU_REAL, *radau.MU_COMPLEX, *radau.MU_COMPLEX.conj()],
+                          key=lambda z: (z.real, z.imag))
+        assert np.abs(np.sort_complex(mu) - expected).max() <= 1e-12
+        assert np.abs(radau.TI @ np.linalg.inv(A) @ radau.T - radau.M0).max() <= 1e-12
+        assert np.abs(radau.T @ radau.TI - np.eye(5)).max() <= 1e-13
+        assert np.abs(E - radau.E).max() <= 1e-12 * np.abs(E).max()
+        assert np.abs(P - radau.P).max() <= 1e-12 * np.abs(P).max()
+        # the embedded weights that radau.E encodes have order 5
+        gamma0 = 1 / radau.MU_REAL
+        b_hat = A[-1] + gamma0 * A.T @ radau.E
+        assert gamma0 + b_hat.sum() == pytest.approx(1.0, abs=1e-13)
+        assert np.abs(b_hat @ c[:, None] ** (k[1:] - 1) - 1 / k[1:]).max() <= 1e-13
+        # P reproduces the stage increments at the nodes
+        Z = np.random.default_rng(5).standard_normal((5, 3))
+        Q = Z.T @ radau.P
+        assert np.abs(Q @ (c[:, None] ** k).T - Z.T).max() <= 1e-12
+
+    def test_three_stage_construction(self):
+        """At s = 3 the construction gives RADAU5's closed forms."""
+        s6 = 6 ** 0.5
+        c, _, mu, E, P = _radau_iia(3)
+        assert np.abs(c - [(4 - s6) / 10, (4 + s6) / 10, 1]).max() <= 1e-13
+        assert np.abs(E - np.array([-13 - 7 * s6, -13 + 7 * s6, -1]) / 3).max() <= 1e-13
+        assert np.abs(P - [[13 / 3 + 7 * s6 / 3, -23 / 3 - 22 * s6 / 3, 10 / 3 + 5 * s6],
+                           [13 / 3 - 7 * s6 / 3, -23 / 3 + 22 * s6 / 3, 10 / 3 - 5 * s6],
+                           [1 / 3, -8 / 3, 10 / 3]]).max() <= 1e-13
+        mu_real = mu[np.argmin(np.abs(mu.imag))]
+        assert abs(mu_real - (3 + 3 ** (2 / 3) - 3 ** (1 / 3))) <= 1e-13
 
 
 class TestDenseOutput:

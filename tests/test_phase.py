@@ -94,11 +94,11 @@ class TestVectorField:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_stack_of_states_matches_one_at_a_time(self, r):
-        """A (3, 2r) stack, the form in which the Radau stages are
+        """A (5, 2r) stack, the form in which the Radau stages are
         evaluated, gives each row's own field, bit for bit."""
         rng = np.random.default_rng(r)
         sqrt_d = np.sqrt(rng.integers(2, 10, r).astype(float))
-        stack = rng.uniform(-1.0, 1.0, (3, 2 * r))
+        stack = rng.uniform(-1.0, 1.0, (5, 2 * r))
         fields = phase.rhs(stack, sqrt_d)
         assert fields.shape == stack.shape
         for field, y in zip(fields, stack):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import solitonforge as sf
 from solitonforge import reconstruct
@@ -110,6 +111,20 @@ class TestArclength:
         assert np.abs(t_interp - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
+def _five_point_derivative(f, t):
+    """df/dt at t[2:-2]: the derivative of the quartic through each sample
+    and its two neighbours on either side, fourth order on any grid."""
+    windows = sliding_window_view(t, 5)
+    width = windows[:, -1:] - windows[:, :1]
+    x = (windows - windows[:, 2:3]) / width      # offsets in window widths
+    V = x[:, None, :] ** np.arange(5)[:, None]    # V[m, k, j] = x_j^k
+    e1 = np.zeros((5, 1))
+    e1[1] = 1.0
+    # weights with sum_j w_j x_j^k = delta_k1, so sum_j w_j f_j = f'(centre)
+    w = np.linalg.solve(V, np.broadcast_to(e1, V.shape[:2] + (1,)))[..., 0]
+    return (w * sliding_window_view(f, 5)).sum(axis=1) / width[:, 0]
+
+
 class TestThirdDerivative:
     def test_consistency_with_finite_differences(self, pipeline):
         """d(g_ddot)/dt from the closed form matches centered finite
@@ -121,13 +136,12 @@ class TestThirdDerivative:
         t = prof.t[sl]
         for i in range(case.spec.r):
             gdd = prof.g_ddot[sl, i]
-            fd = np.gradient(gdd, t)
-            formula = prof.g_dddot[sl, i]
+            fd = _five_point_derivative(gdd, t)
+            formula = prof.g_dddot[sl, i][2:-2]
             mask = np.abs(formula) > 1e-12
             rel = np.abs(fd[mask] - formula[mask]) / np.abs(formula[mask])
-            # np.gradient is only second order, and the grid spacing here is
-            # about 1% of t, so the truncation error is a few times 1e-4; the
-            # median keeps endpoint artifacts out of the comparison
+            # a fourth-order stencil on samples about 7% of t apart;
+            # the median keeps isolated artifacts out of the comparison
             assert np.median(rel) <= 1e-3
 
     def test_finite_at_both_ends(self, pipeline):
