@@ -36,7 +36,6 @@ from .oracle import (
     init_from_profile,
     integrate_second_order,
 )
-from .phase import PhasePoint, lyapunov
 from .reconstruct import MetricProfile, build_profile
 from .verify import VerifyReport, richardson_extrapolate, run_suite
 
@@ -64,7 +63,6 @@ __all__ = [
     "MetricProfile",
     "Mode",
     "OracleRun",
-    "PhasePoint",
     "ProblemSpec",
     "RunConfig",
     "SecondOrderState",
@@ -81,7 +79,6 @@ __all__ = [
     "init_from_profile",
     "integrate",
     "integrate_second_order",
-    "lyapunov",
     "parse_config",
     "ricci_components",
     "richardson_extrapolate",

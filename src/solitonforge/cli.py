@@ -98,7 +98,7 @@ def _finite(value, key: str) -> float:
 
 
 def _tolerance(value, key: str) -> float:
-    """An integrator tolerance: a finite number > 0."""
+    """A tolerance: a finite number > 0."""
     tol = _as_float(value)
     if not (math.isfinite(tol) and tol > 0):
         raise ParseError(f"{key} must be a finite number > 0, got {value!r}")
@@ -197,7 +197,7 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
         seed_coeffs=None if seed_coeffs is None else _numbers(seed_coeffs, "seed_coeffs"),
         s_start=s_start,
         s_max=s_max,
-        origin_tol=_finite(raw.get("origin_tol", ProblemSpec.origin_tol), "origin_tol"),
+        origin_tol=_tolerance(raw.get("origin_tol", ProblemSpec.origin_tol), "origin_tol"),
         step_controls=controls,
         mode=mode,
     )
@@ -346,7 +346,7 @@ def _export_run(cfg: RunConfig, traj, profile, extra_json: dict | None = None) -
         "kappa_estimate": traj.kappa_estimate,
         "t_first": float(profile.t[0]),
         "t_last": float(profile.t[-1]),
-        "u_gauge": profile.u_gauge,
+        "u_gauge": "u(s_0) = 0",
     }
     if extra_json:
         summary.update(extra_json)

@@ -38,11 +38,17 @@ at the seed.  The step loop answers to the stepper's accuracy contract
 pass the accuracy tests in ``tests/test_flow.py`` and re-pin
 ``SHIPPED_WORK`` there.
 
+A state is a plain packed vector [X, Y] of shape (2r,): ``seed`` returns
+one and ``integrate`` starts from one at ``spec.s_start``.
+
 Each accepted step starts from the sample recorded before it, so the
 dense output needs only the samples, their abscissae and each step's
 interpolant coefficients Q.  It evaluates any set of abscissae in one
 vectorised pass (one ``searchsorted``, then one array operation per
-power of the local abscissa).
+power of the local abscissa), and every step's polynomial at the same
+fractions of the step in one product (``DenseOutput.at_fractions``, which
+reconstruct's quadrature reads its nodes from); the Q format is known to
+this module alone.
 """
 
 from __future__ import annotations
@@ -56,12 +62,10 @@ from . import phase
 from .errors import (
     InvariantViolated,
     NonPositiveY,
-    OutOfRange,
     SeedLeavesWrongRegion,
     StepLimitExceeded,
 )
 from .model import Mode, ProblemSpec, critical_point
-from .phase import PhasePoint
 from .radau import Radau
 
 # The step monitors' bounds on L, which verify's lyapunov_monotone check
@@ -93,14 +97,13 @@ class DenseOutput:
         self.Q = Q               # (step, n, 5)
 
     def __call__(self, s) -> np.ndarray:
-        """States at the abscissae: shape (n,) for a scalar, else (n, N)."""
+        """States at the N abscissae of a 1-D array: shape (n, N)."""
         s = np.asarray(s, dtype=float)
-        flat = s.ravel()
         ts = self.ts
-        k = np.searchsorted(ts, flat, side="left") - 1
+        k = np.searchsorted(ts, s, side="left") - 1
         np.clip(k, 0, ts.size - 2, out=k)
         t_old = ts[k]
-        x = (flat - t_old) / (ts[k + 1] - t_old)
+        x = (s - t_old) / (ts[k + 1] - t_old)
         # one power at a time: gathering Q[k] whole would hold an
         # (N, n, 5) copy, which shows in the peak memory of a request
         y = self.samples[k]
@@ -108,12 +111,19 @@ class DenseOutput:
         for j in range(self.Q.shape[2]):
             power *= x
             y += self.Q[k, :, j] * power[:, None]
-        return y[0] if s.ndim == 0 else y.T
+        return y.T
+
+    def at_fractions(self, x: np.ndarray) -> np.ndarray:
+        """Every step's interpolant at the m fractions x of the step (x = 0
+        its start, 1 its end): shape (step, n, m)."""
+        powers = np.asarray(x, dtype=float) ** np.arange(1, self.Q.shape[2] + 1)[:, None]
+        return self.samples[:-1, :, None] + self.Q @ powers
 
 
 @dataclass
 class Trajectory:
-    """An integrated trajectory: accepted samples plus derived scalars."""
+    """An integrated trajectory: the accepted samples, L and H at each,
+    and the dense output (None when the seed is a rest point)."""
 
     spec: ProblemSpec
     s: np.ndarray        # (n,), strictly increasing
@@ -122,29 +132,25 @@ class Trajectory:
     L: np.ndarray        # (n,)
     H: np.ndarray        # (n,)
     termination: str     # "origin" | "stationary" | "s_max"
-    n_steps: int
-    kappa_estimate: float
     dense: DenseOutput | None = None
 
     @property
     def r(self) -> int:
         return self.X.shape[1]
 
-    def states_at(self, s_values: np.ndarray) -> np.ndarray:
-        """Dense-output states, shape (len(s_values), 2r)."""
-        s_values = np.asarray(s_values, dtype=float)
-        if s_values.size == 0:
-            return np.empty((0, 2 * self.r))
-        if s_values.min() < self.s[0] or s_values.max() > self.s[-1]:
-            raise OutOfRange(
-                f"requested s in [{s_values.min():g}, {s_values.max():g}], "
-                f"trajectory covers [{self.s[0]:g}, {self.s[-1]:g}]"
-            )
-        return np.atleast_2d(self.dense(s_values).T)
+    @property
+    def n_steps(self) -> int:
+        return self.s.size - 1
+
+    @property
+    def kappa_estimate(self) -> float:
+        """The terminal L, which tends to kappa = -1 at the origin."""
+        return float(self.L[-1])
 
 
-def seed(spec: ProblemSpec) -> PhasePoint:
-    """Initial state: critical point displaced along the unstable directions.
+def seed(spec: ProblemSpec) -> np.ndarray:
+    """Initial state, packed as [X, Y]: the critical point displaced along
+    the unstable directions.
 
     Soliton mode requires eps0 < 0 and eps_i > 0 so the displaced point
     enters {L < 0} with all Y_i > 0.  Ricci-flat mode rescales the
@@ -153,7 +159,7 @@ def seed(spec: ProblemSpec) -> PhasePoint:
     Ricci-flat seed that projects onto a rest point raise
     SeedLeavesWrongRegion naming seed_coeffs.
     """
-    crit = critical_point(spec).as_vector()
+    crit = critical_point(spec)
     # finite but huge coefficients overflow |v|^2, which is checked below
     with np.errstate(over="ignore"):
         head = crit + spec.seed_coeffs[0] * phase.unstable_eigenvector_fast(spec)
@@ -166,16 +172,14 @@ def seed(spec: ProblemSpec) -> PhasePoint:
             f"seed_coeffs {list(spec.seed_coeffs)} put the seed out of "
             f"floating-point range (|v|^2 = {vv})"
         )
-    p = PhasePoint.from_vector(spec.s_start, v)
-
     if spec.mode is Mode.SOLITON:
         if any(c != 0.0 for c in spec.seed_coeffs):
-            L = phase.lyapunov(p)
+            L = vv - 1.0
             if not L < 0:
                 raise SeedLeavesWrongRegion(_outside_ball(spec.seed_coeffs, head, L))
-            if not np.all(p.Y > 0):
-                raise NonPositiveY(f"seed has non-positive Y: {p.Y}")
-        return p
+            if not np.all(v[spec.r:] > 0):
+                raise NonPositiveY(f"seed has non-positive Y: {v[spec.r:]}")
+        return v
     sqrt_d = np.sqrt(spec.dims)
     try:
         y = np.array(_project_ricci_flat(v.tolist(), sqrt_d.tolist()))
@@ -190,7 +194,7 @@ def seed(spec: ProblemSpec) -> PhasePoint:
             f"seed_coeffs {list(spec.seed_coeffs)} project onto a rest point "
             f"of the Ricci-flat flow (|f| = {speed:.3e})"
         )
-    return PhasePoint.from_vector(spec.s_start, y)
+    return y
 
 
 def _outside_ball(coeffs, head: np.ndarray, L: float) -> str:
@@ -239,8 +243,9 @@ def _project_ricci_flat(v: list, sqrt_d: list) -> list:
     return X + Y
 
 
-def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
-    """Integrate the phase flow from a seed, monitoring invariants per step.
+def integrate(spec: ProblemSpec, y0: np.ndarray) -> Trajectory:
+    """Integrate the phase flow from the state y0 at spec.s_start,
+    monitoring invariants per step.
 
     Terminates at the first accepted step with ||(X, Y)|| < origin_tol
     (soliton mode) or at s_max.  Raises InvariantViolated if an accepted
@@ -251,9 +256,8 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
     sd = sqrt_d.tolist()
     sc = spec.step_controls
     soliton = spec.mode is Mode.SOLITON
-    y0 = start.as_vector()
-    ss = [start.s]
-    ys = [y0.copy()]
+    ss = [spec.s_start]
+    ys = [y0]
     Qs = []   # each accepted step's dense-output coefficients
     r = spec.r
     prev_L = float(y0 @ y0) - 1.0
@@ -265,7 +269,7 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
         solver = Radau(
             lambda y: phase.rhs(y, sqrt_d),
             lambda y: phase.rhs_jacobian(y, sqrt_d),
-            start.s,
+            spec.s_start,
             y0,
             t_bound=spec.s_max,
             rtol=sc.rtol,
@@ -327,8 +331,6 @@ def integrate(spec: ProblemSpec, start: PhasePoint) -> Trajectory:
         L=L,
         H=H,
         termination=termination,
-        n_steps=len(Qs),
-        kappa_estimate=float(L[-1]),
         dense=dense,
     )
 

@@ -174,13 +174,11 @@ def constants(spec: ProblemSpec) -> Constants:
     return Constants(beta=beta, beta_hat=math.sqrt(1.0 - beta * beta))
 
 
-def critical_point(spec: ProblemSpec):
-    """The hyperbolic rest point: X_1 = beta, Y_1 = beta_hat, others zero."""
-    from .phase import PhasePoint  # local import to avoid a cycle
-
+def critical_point(spec: ProblemSpec) -> np.ndarray:
+    """The hyperbolic rest point, packed as [X, Y]: X_1 = beta,
+    Y_1 = beta_hat, others zero."""
     c = constants(spec)
-    X = np.zeros(spec.r)
-    Y = np.zeros(spec.r)
-    X[0] = c.beta
-    Y[0] = c.beta_hat
-    return PhasePoint(s=spec.s_start, X=X, Y=Y)
+    y = np.zeros(2 * spec.r)
+    y[0] = c.beta
+    y[spec.r] = c.beta_hat
+    return y

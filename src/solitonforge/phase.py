@@ -1,6 +1,7 @@
-"""First-order phase-space system: the vector field, its Jacobian and L.
+"""First-order phase-space system: the vector field and its Jacobian.
 
-State is (X, Y) in R^r x R^r with independent variable s.  The flow is
+A state is the packed vector [X, Y] of R^2r, a plain (2r,) array, with
+independent variable s.  The flow is
 
     X_i' = X_i (sum_j X_j^2 - 1) + Y_i^2 / sqrt(d_i)
     Y_i' = Y_i (sum_j X_j^2 - X_i / sqrt(d_i))
@@ -17,28 +18,9 @@ checks (`spectrum`, `lyapunov_identity`) from `rhs` and `rhs_jacobian`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ProblemSpec, constants
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """One phase-space state: abscissa s and the vectors X, Y."""
-
-    s: float
-    X: np.ndarray
-    Y: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.X, self.Y])
-
-    @staticmethod
-    def from_vector(s: float, y: np.ndarray) -> "PhasePoint":
-        r = y.size // 2
-        return PhasePoint(s=s, X=y[:r].copy(), Y=y[r:].copy())
 
 
 def _field(v: list, sd: list) -> list:
@@ -109,11 +91,6 @@ def rhs_jacobian(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
     flat[r * n::n + 1] -= Y / sqrt_d            # Y rows, X columns
     flat[r * n + r::n + 1] = sx2 - X / sqrt_d   # Y rows, Y columns
     return J
-
-
-def lyapunov(p: PhasePoint) -> float:
-    """L = sum(X^2 + Y^2) - 1."""
-    return float(p.X @ p.X + p.Y @ p.Y - 1.0)
 
 
 def unstable_eigenvector_fast(spec: ProblemSpec) -> np.ndarray:

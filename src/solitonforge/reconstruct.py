@@ -8,14 +8,16 @@ vanishes identically and w is integrated from (log w)' = -sum(X^2) with
 the gauge w(s_0) = 1.
 
 The quadratures need no second integrator: every accepted step of the
-flow carries a fixed Gauss-Legendre rule, evaluated in one vectorised
-call of the trajectory's dense output (so each node is read from its own
-step's interpolant), and the per-step increments are summed.  The Radau
-interpolant is a quintic in s on each step, so the rule is exact for the
-polynomial integrands H - 1 and sum(X^2); sqrt(L / C) and 1 / w are
-smooth there and the rule has converged far below the flow's tolerance.
-In Ricci-flat mode the t integrand needs log w inside each step, which a
-nested rule on [s_k, node] supplies.
+flow carries a fixed Gauss-Legendre rule, and the per-step increments
+are summed.  Each node sits at a fixed fraction of its own step, so all
+nodes are read in one product from the steps' interpolants
+(``DenseOutput.at_fractions``), with no abscissa to compute and no step
+to search for.  The Radau interpolant is a quintic in s on each step, so
+the rule is exact for the polynomial integrands H - 1 and sum(X^2);
+sqrt(L / C) and 1 / w are smooth there and the rule has converged far
+below the flow's tolerance.  In Ricci-flat mode the t integrand needs
+log w inside each step, which a nested rule on [s_k, node] supplies: its
+nodes sit at the products x_i x_j of the node fractions.
 
 The un-sampled tail below the first sample is estimated from the exact
 exponential rates at the critical point: L ~ e^{2 b^2 s} gives
@@ -56,8 +58,6 @@ class MetricProfile:
     u_ddot: np.ndarray
     L: np.ndarray
     H: np.ndarray
-    gauge_C: float
-    u_gauge: str = "u(s_0) = 0"
 
     @property
     def r(self) -> int:
@@ -72,6 +72,10 @@ class MetricProfile:
 # quintic interpolant.
 _GL_POINTS = 6
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
+# The nodes as fractions of their step, and the nested rule's nodes on
+# [s_k, node i] as fractions of the step, x_i x_j in row-major order.
+_NODE_X = 0.5 * (1.0 + _GL_X)
+_NESTED_X = np.outer(_NODE_X, _NODE_X).ravel()
 
 
 def _cumulative(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
@@ -82,36 +86,29 @@ def _cumulative(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
     """
     r = spec.r
     q = _GL_POINTS
-    m = traj.s.size - 1
     sqrt_d = np.sqrt(spec.dims)
-    s_k = traj.s[:-1, None]
     half = 0.5 * np.diff(traj.s)[:, None]
-    nodes = s_k + half * (1.0 + _GL_X)           # (step, node)
-    weights = half * _GL_W
+    weights = half * _GL_W                       # (step, node)
     ricci_flat = spec.mode is Mode.RICCI_FLAT
 
-    if ricci_flat:
-        # log w at each node: log w(s_k) plus a nested rule on [s_k, node]
-        sub_half = 0.5 * (nodes - s_k)[:, :, None]
-        sub_nodes = s_k[:, :, None] + sub_half * (1.0 + _GL_X)
-        y = traj.dense(np.concatenate([nodes.ravel(), sub_nodes.ravel()]))
-    else:
-        y = traj.dense(nodes.ravel())
-    X, Y = y[:r], y[r:]
-    sx2 = np.einsum("ij,ij->j", X, X)
-    h_minus_1 = sqrt_d @ X[:, : m * q] - 1.0
-    du = (weights * h_minus_1.reshape(m, q)).sum(axis=1)
+    x = np.concatenate([_NODE_X, _NESTED_X]) if ricci_flat else _NODE_X
+    y = traj.dense.at_fractions(x)               # (step, 2r, node)
+    X, Y = y[:, :r], y[:, r:]
+    sx2 = np.einsum("kin,kin->kn", X, X)
+    du = (weights * (sqrt_d @ X[:, :, :q] - 1.0)).sum(axis=1)
 
     if ricci_flat:
-        dlog_w = -(weights * sx2[: m * q].reshape(m, q)).sum(axis=1)
+        dlog_w = -(weights * sx2[:, :q]).sum(axis=1)
         log_w_k = np.concatenate([[0.0], np.cumsum(dlog_w)[:-1]])
-        sub_sx2 = sx2[m * q:].reshape(m, q, q)
-        node_log_w = log_w_k[:, None] - (sub_half * _GL_W * sub_sx2).sum(axis=2)
+        # log w at each node: log w(s_k) plus the nested rule on [s_k, node]
+        sub_weights = (half * _NODE_X)[:, :, None] * _GL_W
+        sub_sx2 = sx2[:, q:].reshape(-1, q, q)
+        node_log_w = log_w_k[:, None] - (sub_weights * sub_sx2).sum(axis=2)
         dt = (weights * np.exp(-node_log_w)).sum(axis=1)
         increments = np.column_stack([dlog_w, dt, du])
     else:
-        ell = sx2 + np.einsum("ij,ij->j", Y, Y) - 1.0
-        dt = (weights * np.sqrt(ell.reshape(m, q) / spec.gauge_C)).sum(axis=1)
+        ell = sx2 + np.einsum("kin,kin->kn", Y, Y) - 1.0
+        dt = (weights * np.sqrt(ell / spec.gauge_C)).sum(axis=1)
         increments = np.column_stack([dt, du])
 
     cum = np.cumsum(increments, axis=0)
@@ -195,5 +192,4 @@ def build_profile(traj: Trajectory, spec: ProblemSpec) -> MetricProfile:
         u_ddot=u_ddot,
         L=traj.L.copy(),
         H=traj.H.copy(),
-        gauge_C=spec.gauge_C,
     )

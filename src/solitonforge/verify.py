@@ -154,9 +154,9 @@ def _window_states(traj: Trajectory, lo: float, hi: float, n: int = 250):
     s_lo = float(np.interp(lo, absL, traj.s))
     s_hi = float(np.interp(hi, absL, traj.s))
     s_grid = np.linspace(s_lo, s_hi, n)
-    states = traj.states_at(s_grid)
+    y = traj.dense(s_grid)
     r = traj.r
-    X, Y = states[:, :r], states[:, r:]
+    X, Y = y[:r].T, y[r:].T
     L = np.einsum("ij,ij->i", X, X) + np.einsum("ij,ij->i", Y, Y) - 1.0
     return s_grid, X, Y, L
 
@@ -379,7 +379,7 @@ def run_suite(
     # (l) the critical point is a zero of the field with the closed-form
     # spectrum, and L' = 2 L sum X^2 holds on at most 200 strided samples;
     # one field evaluation covers the critical point (row 0) and the samples
-    crit = critical_point(spec).as_vector()
+    crit = critical_point(spec)
     stride = -(-len(traj.s) // 200)
     X, Y, L = traj.X[::stride], traj.Y[::stride], traj.L[::stride]
     F = phase.rhs(np.vstack([crit, np.hstack([X, Y])]), sqrt_d)

@@ -43,7 +43,7 @@ def test_criterion_01_fixed_point_and_spectrum(pipeline):
             )
             coeffs = (-1e-4,) + (1e-4,) * (r - 1)
             spec = sf.ProblemSpec(factors=factors, seed_coeffs=coeffs)
-            y = sf.critical_point(spec).as_vector()
+            y = sf.critical_point(spec)
             sqrt_d = np.sqrt(spec.dims)
             assert np.abs(phase.rhs(y, sqrt_d)).max() <= 1e-14
             b2 = sf.constants(spec).beta ** 2

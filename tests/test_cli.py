@@ -630,6 +630,8 @@ class TestConfigHardening:
         (None, "s_start", "x"),
         (None, "s_max", "big"),
         (None, "origin_tol", "x"),
+        (None, "origin_tol", 0),
+        (None, "origin_tol", -1e-8),
         ("factors", "lambda", "x"),
         (None, "max_steps", "many"),
         (None, "max_steps", 2.5),
@@ -871,3 +873,16 @@ def test_readme_gate_tables_match_the_gates(tmp_path, monkeypatch, command,
     assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 0
     assert {c.name for c in returned} == named[command]
     assert all(tolerances[c.name] == c.tolerance for c in returned)
+
+
+def test_readme_library_use_runs(monkeypatch, capsys):
+    """README's "Library use" example runs as written from the repository
+    root, and its suite passes."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Library use", 1)[1]
+    [block] = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    monkeypatch.chdir(root)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "spectrum" in capsys.readouterr().out

@@ -28,11 +28,12 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 class TestSeed:
     def test_bryant_seed_values(self):
         spec = make_spec("d2")
-        p = sf.seed(spec)
+        y = sf.seed(spec)
         b = 1.0 / np.sqrt(2.0)
-        assert p.X[0] == pytest.approx(b + (-1e-4) * 2 * b, abs=1e-12)
-        assert p.Y[0] == pytest.approx(np.sqrt(1 - b * b) * (1 - 1e-4), abs=1e-12)
-        L = phase.lyapunov(p)
+        assert y.shape == (2,)   # [X_1, Y_1]
+        assert y[0] == pytest.approx(b + (-1e-4) * 2 * b, abs=1e-12)
+        assert y[1] == pytest.approx(np.sqrt(1 - b * b) * (1 - 1e-4), abs=1e-12)
+        L = y @ y - 1.0
         assert L < 0
         # L ~ 2 (1 + beta^2) eps0 to first order
         assert L == pytest.approx(2 * (1 + b * b) * -1e-4, rel=1e-3)
@@ -86,9 +87,9 @@ class TestSeed:
 
     def test_ricci_flat_seed_on_invariant_set(self):
         spec = make_spec("rf_d2_3")
-        p = flow.seed(spec)
-        assert abs(phase.lyapunov(p)) <= 1e-12
-        assert abs(p.X @ np.sqrt(spec.dims) - 1.0) <= 1e-12   # H, as traj.H
+        y = flow.seed(spec)
+        assert abs(y @ y - 1.0) <= 1e-12   # L
+        assert abs(y[:spec.r] @ np.sqrt(spec.dims) - 1.0) <= 1e-12   # H, as traj.H
 
 
 class TestIntegrate:
@@ -99,6 +100,18 @@ class TestIntegrate:
         assert np.sqrt(y_end @ y_end) < 1e-6
         assert traj.L[-1] == pytest.approx(-1.0, abs=1e-6)
         assert traj.kappa_estimate == pytest.approx(-1.0, abs=1e-6)
+
+    def test_derived_fields_follow_replace(self, pipeline):
+        """n_steps and kappa_estimate are read from s and L, so a
+        trajectory copied with other samples reports its own."""
+        traj = pipeline("d2_3").traj
+        assert traj.n_steps == traj.s.size - 1
+        L2 = traj.L * 0.5
+        copy = dataclasses.replace(traj, L=L2)
+        assert copy.kappa_estimate == L2[-1]
+        assert copy.kappa_estimate != traj.kappa_estimate
+        shorter = dataclasses.replace(traj, s=traj.s[:10])
+        assert shorter.n_steps == 9
 
     def test_lyapunov_monotone_multi_factor(self, pipeline):
         traj = pipeline("d2_3").traj
@@ -192,9 +205,9 @@ class TestIntegrate:
         class Recorded(radau.Radau):
             def step(self):
                 msg = super().step()
-                p = phase.PhasePoint.from_vector(self.t, self.y)
-                assert abs(phase.lyapunov(p)) <= 1e-12
-                assert abs(p.X @ np.sqrt(spec.dims) - 1.0) <= 1e-12   # H, as traj.H
+                y = self.y
+                assert abs(y @ y - 1.0) <= 1e-12   # L
+                assert abs(y[:spec.r] @ sqrt_d - 1.0) <= 1e-12   # H, as traj.H
                 assert np.array_equal(self.f, phase.rhs(self.y, sqrt_d))
                 states.append(self.y.copy())
                 return msg
@@ -305,13 +318,13 @@ class TestDenseSample:
     def test_knot_reproduction(self, pipeline):
         traj = pipeline("d2").traj
         k = len(traj.s) // 2
-        [y] = traj.states_at([traj.s[k]])
+        y = traj.dense([traj.s[k]])[:, 0]
         assert y[:traj.r] == pytest.approx(traj.X[k], abs=1e-12)
         assert y[traj.r:] == pytest.approx(traj.Y[k], abs=1e-12)
 
     def test_empty_input(self, pipeline):
         traj = pipeline("d2").traj
-        assert traj.states_at([]).shape == (0, 2 * traj.r)
+        assert traj.dense([]).shape == (2 * traj.r, 0)
 
     def test_midpoint_consistent_with_flow(self, pipeline):
         """Dense output at a midpoint feeds the vector field consistently:
@@ -321,7 +334,7 @@ class TestDenseSample:
         k = len(traj.s) // 4
         s_mid = 0.5 * (traj.s[k] + traj.s[k + 1])
         h = (traj.s[k + 1] - traj.s[k]) * 1e-4
-        ym, y0, yp = traj.states_at([s_mid - h, s_mid, s_mid + h])
+        ym, y0, yp = traj.dense([s_mid - h, s_mid, s_mid + h]).T
         fd = (yp - ym) / (2 * h)
         assert fd == pytest.approx(phase.rhs(y0, np.sqrt(spec.dims)), rel=1e-6, abs=1e-10)
 
@@ -816,6 +829,21 @@ class TestDenseOutput:
         assert got.shape == expected.shape
         tol = 8 * np.finfo(float).eps * np.abs(expected).max()
         assert np.abs(got - expected).max() <= tol
-        scalar = dense(ts[7])
-        assert scalar.shape == (dense.samples.shape[1],)
-        assert np.abs(scalar - reference(ts[7])).max() <= tol
+
+    @pytest.mark.parametrize("name", ["d2_3", "rf_d2_2_3"])
+    def test_fractions_match_ode_solution(self, pipeline, name):
+        """Every step's polynomial at fixed fractions of the step, against
+        scipy's interpolant of that step; fraction 0 is the step's sample."""
+        dense = pipeline(name).traj.dense
+        ts = dense.ts
+        x = np.array([0.0, 0.03, 0.5, 0.97, 1.0])
+        got = dense.at_fractions(x)
+        assert got.shape == (ts.size - 1, dense.samples.shape[1], x.size)
+        assert np.array_equal(got[:, :, 0], dense.samples[:-1])
+        expected = np.stack([
+            RadauDenseOutput(ts[k], ts[k + 1], dense.samples[k], dense.Q[k])(
+                ts[k] + x * (ts[k + 1] - ts[k]))
+            for k in range(ts.size - 1)
+        ])
+        tol = 8 * np.finfo(float).eps * np.abs(expected).max()
+        assert np.abs(got - expected).max() <= tol

@@ -69,25 +69,26 @@ class TestConstants:
 
 class TestCriticalPoint:
     def test_d1_2_values(self):
-        p = sf.critical_point(spec_r1(2))
-        assert p.X[0] == pytest.approx(0.7071068, abs=1e-7)
-        assert p.Y[0] == pytest.approx(0.7071068, abs=1e-7)
+        y = sf.critical_point(spec_r1(2))
+        assert y.shape == (2,)   # [X_1, Y_1]
+        assert y[0] == pytest.approx(0.7071068, abs=1e-7)
+        assert y[1] == pytest.approx(0.7071068, abs=1e-7)
 
     @given(valid_specs)
     @settings(max_examples=50, deadline=None)
     def test_fixed_point_property(self, spec):
-        p = sf.critical_point(spec)
-        assert abs(phase.lyapunov(p)) <= 1e-15
-        f = phase.rhs(p.as_vector(), np.sqrt(spec.dims))
+        y = sf.critical_point(spec)
+        assert abs(y @ y - 1.0) <= 1e-15   # L
+        f = phase.rhs(y, np.sqrt(spec.dims))
         assert np.abs(f[:spec.r]).max() <= 1e-14
         assert np.abs(f[spec.r:]).max() <= 1e-14
 
     @given(valid_specs)
     @settings(max_examples=50, deadline=None)
     def test_hamiltonian_is_one(self, spec):
-        p = sf.critical_point(spec)
+        y = sf.critical_point(spec)
         # H = sum sqrt(d_i) X_i, as the flow computes traj.H
-        assert p.X @ np.sqrt(spec.dims) == pytest.approx(1.0, abs=1e-14)
+        assert y[:spec.r] @ np.sqrt(spec.dims) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestValidation:

@@ -15,30 +15,32 @@ SPEC_D2_3 = sf.ProblemSpec(
 )
 
 
-def point(X, Y, s=0.0):
-    return phase.PhasePoint(s=s, X=np.asarray(X, float), Y=np.asarray(Y, float))
+def point(X, Y):
+    """The packed state [X, Y]."""
+    return np.concatenate([np.asarray(X, float), np.asarray(Y, float)])
 
 
-def field(p, spec):
-    """(dX, dY) of phase.rhs at a phase point."""
-    d = phase.rhs(p.as_vector(), np.sqrt(spec.dims))
+def field(y, spec):
+    """(dX, dY) of phase.rhs at a packed state."""
+    d = phase.rhs(y, np.sqrt(spec.dims))
     return d[:spec.r], d[spec.r:]
 
 
-def hamiltonian(p, spec):
+def hamiltonian(y, spec):
     """H = sum sqrt(d_i) X_i, as the flow computes traj.H."""
-    return float(p.X @ np.sqrt(spec.dims))
+    return float(y[:spec.r] @ np.sqrt(spec.dims))
 
 
-def identity_residual(p, spec):
+def identity_residual(y, spec):
     """|L' - 2 L sum X^2| with L' taken along phase.rhs."""
-    dX, dY = field(p, spec)
-    dL = 2.0 * (p.X @ dX + p.Y @ dY)
-    return float(abs(dL - 2.0 * phase.lyapunov(p) * (p.X @ p.X)))
+    X, Y = y[:spec.r], y[spec.r:]
+    dX, dY = field(y, spec)
+    dL = 2.0 * (X @ dX + Y @ dY)
+    return float(abs(dL - 2.0 * (y @ y - 1.0) * (X @ X)))
 
 
 def jacobian_at_critical_point(spec):
-    return phase.rhs_jacobian(sf.critical_point(spec).as_vector(), np.sqrt(spec.dims))
+    return phase.rhs_jacobian(sf.critical_point(spec), np.sqrt(spec.dims))
 
 
 def closed_form_spectrum(spec):
@@ -56,8 +58,8 @@ states_r2 = st.tuples(
 
 class TestVectorField:
     def test_critical_point_is_fixed(self):
-        p = sf.critical_point(SPEC_D2_3)
-        dX, dY = field(p, SPEC_D2_3)
+        y = sf.critical_point(SPEC_D2_3)
+        dX, dY = field(y, SPEC_D2_3)
         assert np.abs(dX).max() <= 1e-15
         assert np.abs(dY).max() <= 1e-15
 
@@ -187,9 +189,13 @@ class TestTextbookFormulas:
 
 class TestScalars:
     def test_lyapunov_values(self):
-        assert phase.lyapunov(sf.critical_point(SPEC_D2_3)) == pytest.approx(0.0, abs=1e-15)
-        assert phase.lyapunov(point([0.0, 0.0], [0.0, 0.0])) == -1.0
-        assert phase.lyapunov(point([0.2, 0.1], [0.6, 0.3])) == pytest.approx(-0.5, abs=1e-15)
+        """L = sum(X^2 + Y^2) - 1 = y . y - 1 on the packed state."""
+        y = sf.critical_point(SPEC_D2_3)
+        assert y @ y - 1.0 == pytest.approx(0.0, abs=1e-15)
+        y = point([0.0, 0.0], [0.0, 0.0])
+        assert y @ y - 1.0 == -1.0
+        y = point([0.2, 0.1], [0.6, 0.3])
+        assert y @ y - 1.0 == pytest.approx(-0.5, abs=1e-15)
 
     def test_hamiltonian_values(self):
         assert hamiltonian(sf.critical_point(SPEC_D2_3), SPEC_D2_3) == pytest.approx(1.0, abs=1e-15)
@@ -204,9 +210,9 @@ class TestScalars:
     @settings(max_examples=200, deadline=None)
     def test_identity_everywhere(self, XY):
         X, Y = XY
-        p = point(X, Y)
-        res = identity_residual(p, SPEC_D2_3)
-        assert res <= 1e-12 * (1.0 + abs(phase.lyapunov(p)))
+        y = point(X, Y)
+        res = identity_residual(y, SPEC_D2_3)
+        assert res <= 1e-12 * (1.0 + abs(y @ y - 1.0))
 
 
 class TestLinearization:

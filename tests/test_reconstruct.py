@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import solitonforge as sf
-from solitonforge import reconstruct
+from solitonforge import flow, reconstruct
 from solitonforge.errors import QuadratureFailure
 
 from conftest import MULTI_FACTOR_CASES, RICCI_FLAT_CASES, SOLITON_CASES, make_spec
@@ -206,6 +207,40 @@ def _t_rel_by_rule(traj, spec, points):
     return t_rel
 
 
+def _cumulative_by_abscissae(traj, spec):
+    """reconstruct._cumulative with every Gauss-Legendre node (and, in
+    Ricci-flat mode, every node of the nested rule on [s_k, node]) placed
+    at its absolute abscissa and evaluated through traj.dense, which
+    finds each node's step again."""
+    x, wx = np.polynomial.legendre.leggauss(6)
+    q, r, m = x.size, spec.r, traj.s.size - 1
+    sqrt_d = np.sqrt(spec.dims)
+    s_k = traj.s[:-1, None]
+    half = 0.5 * np.diff(traj.s)[:, None]
+    nodes = s_k + half * (1.0 + x)
+    weights = half * wx
+    ricci_flat = spec.mode is sf.Mode.RICCI_FLAT
+    abscissae = [nodes.ravel()]
+    if ricci_flat:
+        sub_half = 0.5 * (nodes - s_k)[:, :, None]
+        abscissae.append((s_k[:, :, None] + sub_half * (1.0 + x)).ravel())
+    y = traj.dense(np.concatenate(abscissae))
+    X, Y = y[:r], y[r:]
+    sx2 = (X * X).sum(axis=0)
+    du = (weights * (sqrt_d @ X[:, :m * q] - 1.0).reshape(m, q)).sum(axis=1)
+    if ricci_flat:
+        dlog_w = -(weights * sx2[:m * q].reshape(m, q)).sum(axis=1)
+        log_w_k = np.concatenate([[0.0], np.cumsum(dlog_w)[:-1]])
+        sub_sx2 = sx2[m * q:].reshape(m, q, q)
+        node_log_w = log_w_k[:, None] - (sub_half * wx * sub_sx2).sum(axis=2)
+        increments = [dlog_w, (weights * np.exp(-node_log_w)).sum(axis=1), du]
+    else:
+        ell = (sx2 + (Y * Y).sum(axis=0) - 1.0).reshape(m, q)
+        increments = [(weights * np.sqrt(ell / spec.gauge_C)).sum(axis=1), du]
+    cum = np.cumsum(np.column_stack(increments), axis=0)
+    return np.vstack([np.zeros(len(increments)), cum])
+
+
 class TestCumulativeQuadrature:
     """t, u and log w against references that bypass reconstruct's
     quadrature, and its failure path."""
@@ -249,16 +284,28 @@ class TestCumulativeQuadrature:
         ref = prof.t[0] + _t_rel_by_rule(case.traj, case.spec, 10)
         assert np.all(np.abs(prof.t - ref) <= 1e-9 * prof.t)
 
+    @pytest.mark.parametrize("name", ["d2_3", "rf_d2_2_3"])
+    def test_nodes_read_by_fraction_match_abscissae(self, pipeline, name):
+        """Each node read from its step's polynomial at a fixed fraction
+        gives the cumulative columns that evaluating the dense output at
+        the node's absolute abscissa gives."""
+        case = pipeline(name)
+        ref = _cumulative_by_abscissae(case.traj, case.spec)
+        got = reconstruct._cumulative(case.traj, case.spec)
+        assert got.shape == ref.shape
+        for column in range(ref.shape[1]):
+            a, b = got[:, column], ref[:, column]
+            assert np.all(np.abs(a - b) <= 1e-10 * np.abs(b) + 1e-12)
+
     def test_non_finite_increment_raises(self, pipeline):
+        """A step whose polynomial is not finite fails the quadrature,
+        and the message names that step."""
         case = pipeline("d2")
         traj = case.traj
-        s_bad = traj.s[100]
-
-        def dense(s):
-            y = traj.dense(s)
-            y[:, np.asarray(s) > s_bad] = np.nan
-            return y
-
+        Q = traj.dense.Q.copy()
+        Q[100:] = np.nan
+        dense = flow.DenseOutput(traj.dense.ts, traj.dense.samples, Q)
         broken = dataclasses.replace(traj, dense=dense)
-        with pytest.raises(QuadratureFailure, match="not finite"):
+        step = re.escape(f"[{traj.s[100]:.6g}, {traj.s[101]:.6g}]")
+        with pytest.raises(QuadratureFailure, match="not finite on the step " + step):
             reconstruct.build_profile(broken, case.spec)
