@@ -129,7 +129,8 @@ def validate_spec(spec: ProblemSpec) -> ProblemSpec:
         NonNegativeGauge: the gauge constant is >= 0.
         BadSeedSign: seed coefficients have the wrong sign for the mode.
         ValidationError: other structural problems, such as Ricci-flat
-            mode with a single factor.
+            mode with a single factor, or an origin_tol that is not a
+            finite number > 0.
     """
     if spec.r < 1:
         raise ValidationError("at least one factor is required")
@@ -165,6 +166,9 @@ def validate_spec(spec: ProblemSpec) -> ProblemSpec:
             raise BadSeedSign(f"ricci-flat mode requires eps_i >= 0, got {rest}")
     if not spec.s_max > spec.s_start:
         raise ValidationError("s_max must exceed s_start")
+    if not (math.isfinite(spec.origin_tol) and spec.origin_tol > 0):
+        raise ValidationError(
+            f"origin_tol must be a finite number > 0, got {spec.origin_tol!r}")
     return spec
 
 

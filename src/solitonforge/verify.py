@@ -560,10 +560,10 @@ def boundary_checks(profile: MetricProfile):
 def _boundary_nodes(t: np.ndarray, n: int) -> np.ndarray:
     """Indices of n geometrically spread samples just above t_min."""
     targets = t[0] * 1.6 ** np.arange(n)
-    idx = np.unique(np.searchsorted(t, targets).clip(0, len(t) - 1))
+    # a set, not np.unique: np.unique's first call imports numpy.ma
+    idx = set(np.searchsorted(t, targets).clip(0, len(t) - 1).tolist())
     k = 0
-    while idx.size < n and k < len(t):
-        if k not in idx:
-            idx = np.unique(np.append(idx, k))
+    while len(idx) < n and k < len(t):
+        idx.add(k)
         k += 1
-    return np.sort(idx)[:n]
+    return np.array(sorted(idx)[:n])

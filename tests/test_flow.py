@@ -618,7 +618,8 @@ class TestRadauStepper:
     def test_package_loads_no_scipy(self, tmp_path):
         """Importing the package and its CLI loads no scipy module at all,
         and neither does a `verify` run: the stepper's linear algebra is
-        numpy's."""
+        numpy's.  Nor does the run load numpy.ma, which the first
+        np.unique call imports."""
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -632,6 +633,7 @@ class TestRadauStepper:
             "print(loaded())\n"
             "code = solitonforge.cli.main(sys.argv[1:])\n"
             "print(loaded(), code)\n"
+            "print('numpy.ma' in sys.modules)\n"
         )
         config = os.path.join(CONFIG_DIR, "bryant_d2.json")
         proc = subprocess.run(
@@ -642,7 +644,8 @@ class TestRadauStepper:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "[]"
-        assert lines[-1] == "[] 0"
+        assert lines[-2] == "[] 0"
+        assert lines[-1] == "False"
 
     def test_underflowing_step_raises_too_small_step(self, monkeypatch):
         """When every stacked stage is non-finite, no Newton iteration

@@ -130,6 +130,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             sf.validate_spec(spec)
 
+    @pytest.mark.parametrize("origin_tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_origin_tol_must_be_finite_and_positive(self, origin_tol):
+        """An origin_tol that is not > 0 would never stop a run at the
+        origin, and an infinite one would stop it at once."""
+        spec = sf.ProblemSpec(factors=(sf.FactorSpec(2, 1.0),), origin_tol=origin_tol)
+        with pytest.raises(ValidationError, match="origin_tol"):
+            sf.validate_spec(spec)
+
     def test_factor_requires_positive_lambda(self):
         with pytest.raises(ValidationError):
             sf.FactorSpec(3, -1.0)

@@ -10,7 +10,13 @@ import pytest
 
 import solitonforge as sf
 from solitonforge import oracle
-from solitonforge.errors import BlowUp, OutOfRange, ValidationError
+from solitonforge.errors import (
+    BlowUp,
+    OutOfRange,
+    SolitonForgeError,
+    StepLimitExceeded,
+    ValidationError,
+)
 
 from conftest import CASES, SOLITON_CASES, make_spec
 
@@ -197,6 +203,134 @@ class TestStartState:
         spec = make_spec("d2_3")
         state = _start(spec, g=np.array([1e-200, 1.0]))
         with pytest.raises(BlowUp, match="reached 0"):
+            oracle.integrate_second_order(state, spec, 2.0)
+
+
+def _solve_ivp_run(state, spec, t_end):
+    """The oracle run through scipy's ``solve_ivp``, with the same field,
+    tolerances, collapse event and error mapping: the reference that the
+    package's DOP853 loop repeats bit for bit."""
+    from scipy.integrate import solve_ivp
+
+    r = spec.r
+    d, lam = spec.dims.tolist(), spec.lambdas.tolist()
+
+    def rhs(t, y):
+        return oracle.t_field(y.tolist(), d, lam)
+
+    def collapse(t, y):
+        return float(y[:r].min()) - 1e-12
+    collapse.terminal = True
+
+    try:
+        sol = solve_ivp(rhs, (state.t, t_end), state.as_vector(), method="DOP853",
+                        rtol=1e-12, atol=1e-12, dense_output=True, events=collapse)
+    except ZeroDivisionError as exc:
+        raise BlowUp(f"a warping function reached 0 before t = {t_end:g}") from exc
+    if sol.status == -1:
+        raise StepLimitExceeded(f"oracle integration failed: {sol.message}")
+    if sol.status == 1 or not np.all(np.isfinite(sol.y)):
+        raise BlowUp(f"a warping function left (0, inf) before t = {t_end:g}")
+    return oracle.OracleRun(
+        t=sol.t, g=sol.y[:r].T, g_dot=sol.y[r:2 * r].T, u_dot=sol.y[-1],
+        conservation=oracle.conservation_quantity(sol.y, spec), dense=sol.sol)
+
+
+def _outcome(state, spec, t_end, integrate):
+    """A run's samples, or the class and message of the error it raised."""
+    try:
+        run = integrate(state, spec, t_end)
+    except SolitonForgeError as exc:
+        return type(exc), str(exc)
+    return [getattr(run, f) for f in ("t", "g", "g_dot", "u_dot", "conservation")]
+
+
+def _assert_same_outcome(state, spec, t_end):
+    got = _outcome(state, spec, t_end, oracle.integrate_second_order)
+    expected = _outcome(state, spec, t_end, _solve_ivp_run)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+    return got
+
+
+class TestSolveIvpIdentity:
+    """The package's DOP853 step loop against ``solve_ivp`` itself: the
+    same samples, dense output and deviations bit for bit, and the same
+    errors."""
+
+    # d2_2_3 is the spec of the shipped r3_d2_2_3 config
+    @pytest.mark.parametrize("name", ["d2_3", "rf_d2_2_3", "d2_2_3"])
+    def test_run_is_bit_identical(self, pipeline, name):
+        case = pipeline(name)
+        prof = case.profile
+        t0 = 10.0 * float(prof.t[0])   # as cmd_oracle
+        state = oracle.init_from_profile(prof, t0)
+        t_end = min(100.0 * t0, float(prof.t[-1]))
+        run = oracle.integrate_second_order(state, case.spec, t_end)
+        ref = _solve_ivp_run(state, case.spec, t_end)
+        for field in ("t", "g", "g_dot", "u_dot", "conservation"):
+            assert np.array_equal(getattr(run, field), getattr(ref, field)), field
+        # the whole profile grid, most of which lies outside the run, where
+        # both extrapolate from the end steps, and the step ends, each of
+        # which takes the step before it
+        t = np.concatenate([prof.t, run.t])
+        assert np.array_equal(run.dense(t), ref.dense(t))
+        assert oracle.compare_profiles(prof, run) == oracle.compare_profiles(prof, ref)
+
+    @pytest.mark.parametrize("g, g_dot", [
+        ([0.5, 1.0], [-3.0, 0.5]),     # g_1 falls through 1e-12
+        ([1e-13, 1.0], [-3.0, 0.5]),   # g_1 starts in (0, 1e-12] and falls
+        ([5e-13, 1.0], [1.0, 0.5]),    # g_1 starts in (0, 1e-12] and rises
+    ])
+    def test_collapse_fails_as_solve_ivp(self, g, g_dot):
+        """Near g_1 = 0 the field is singular, and the step size falls
+        below ten ulps of t before the collapse event can fire."""
+        spec = make_spec("d2_3")
+        state = _start(spec, g=np.array(g), g_dot=np.array(g_dot))
+        assert _assert_same_outcome(state, spec, 10.0)[0] is StepLimitExceeded
+
+    @pytest.mark.parametrize("g1, expected", [
+        (0.5, BlowUp),     # falls through 1e-12
+        (1e-12, BlowUp),   # starts at 1e-12: min(g) - 1e-12 is 0 there
+        (5e-13, None),     # starts below 1e-12: no sign change, ever
+    ])
+    def test_collapse_event_as_solve_ivp(self, monkeypatch, g1, expected):
+        """With a field in which g_1 falls at unit speed, the event fires
+        on a sign change of min(g) - 1e-12 between two step ends, an end
+        at 0 included; a run that starts below 1e-12 goes on past g_1 = 0
+        to t_end, as solve_ivp's does."""
+        monkeypatch.setattr(oracle, "t_field",
+                            lambda v, d, lam: [-1.0] + [0.0] * (len(v) - 1))
+        spec = make_spec("d2_3")
+        state = _start(spec, g=np.array([g1, 1.0]))
+        got = _assert_same_outcome(state, spec, 2.0)
+        if expected is None:
+            assert got[1][-1, 0] < 0.0
+        else:
+            assert got == (expected, "a warping function left (0, inf) before t = 2")
+
+    @pytest.mark.parametrize("t_end", [1.0, 0.9])
+    def test_empty_and_backward_runs_as_solve_ivp(self, t_end):
+        """t_end at the start gives a run of length 0, whose dense output is
+        the start state; a t_end before it integrates backward."""
+        spec = make_spec("d2_3")
+        state = _start(spec, g_dot=np.array([0.1, 0.1]))
+        _assert_same_outcome(state, spec, t_end)
+        run = oracle.integrate_second_order(state, spec, t_end)
+        ref = _solve_ivp_run(state, spec, t_end)
+        t = np.array([0.8, 0.95, 1.0, 1.1])
+        assert np.array_equal(run.dense(t), ref.dense(t))
+
+    def test_non_finite_field_at_the_start_ends_the_run(self):
+        """g_1 = 1e-160 is a valid start, but lambda_1 / g_1^2 overflows and
+        the field is not finite there, so the initial step size is NaN.
+        solve_ivp's step loop rejects such a step without end; this one
+        stops with the step-size error."""
+        spec = make_spec("d2_3")
+        state = _start(spec, g=np.array([1e-160, 1.0]))
+        with pytest.raises(StepLimitExceeded, match="less than spacing"):
             oracle.integrate_second_order(state, spec, 2.0)
 
 
