@@ -136,6 +136,7 @@ def asymptotics(profile: MetricProfile, curv: CurvatureReport) -> AsymptoticsRep
     K_dom = np.abs(curv.sectional_within[tail][:, profile.spec.dims > 1]).max(axis=1)
     # geometric ladder across the tail for the R * t^2 growth check
     rungs = np.searchsorted(t, np.geomspace(tt[0], tt[-1], 25))
+    # a set, not np.unique: np.unique's first call imports numpy.ma
     idx = np.array(sorted(set(rungs.clip(0, len(t) - 1).tolist())))
     return AsymptoticsReport(
         g_gdot_limit=(profile.g * profile.g_dot)[-1],

@@ -236,23 +236,25 @@ def _solve_ivp_run(state, spec, t_end):
         conservation=oracle.conservation_quantity(sol.y, spec), dense=sol.sol)
 
 
-def _outcome(state, spec, t_end, integrate):
-    """A run's samples, or the class and message of the error it raised."""
+def _outcome(integrate, state, spec, t_end):
+    """The run, or the class and message of the error it raised."""
     try:
-        run = integrate(state, spec, t_end)
+        return integrate(state, spec, t_end)
     except SolitonForgeError as exc:
         return type(exc), str(exc)
-    return [getattr(run, f) for f in ("t", "g", "g_dot", "u_dot", "conservation")]
 
 
-def _assert_same_outcome(state, spec, t_end):
-    got = _outcome(state, spec, t_end, oracle.integrate_second_order)
-    expected = _outcome(state, spec, t_end, _solve_ivp_run)
+def _same_outcome(state, spec, t_end):
+    """The package's run and solve_ivp's, after asserting that both raised
+    the same error or sampled the same arrays bit for bit."""
+    got = _outcome(oracle.integrate_second_order, state, spec, t_end)
+    expected = _outcome(_solve_ivp_run, state, spec, t_end)
     if isinstance(expected, tuple):
         assert got == expected
     else:
-        assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
-    return got
+        for field in ("t", "g", "g_dot", "u_dot", "conservation"):
+            assert np.array_equal(getattr(got, field), getattr(expected, field)), field
+    return got, expected
 
 
 class TestSolveIvpIdentity:
@@ -267,11 +269,8 @@ class TestSolveIvpIdentity:
         prof = case.profile
         t0 = 10.0 * float(prof.t[0])   # as cmd_oracle
         state = oracle.init_from_profile(prof, t0)
-        t_end = min(100.0 * t0, float(prof.t[-1]))
-        run = oracle.integrate_second_order(state, case.spec, t_end)
-        ref = _solve_ivp_run(state, case.spec, t_end)
-        for field in ("t", "g", "g_dot", "u_dot", "conservation"):
-            assert np.array_equal(getattr(run, field), getattr(ref, field)), field
+        run, ref = _same_outcome(state, case.spec, min(100.0 * t0, float(prof.t[-1])))
+        assert isinstance(run, oracle.OracleRun)
         # the whole profile grid, most of which lies outside the run, where
         # both extrapolate from the end steps, and the step ends, each of
         # which takes the step before it
@@ -289,7 +288,8 @@ class TestSolveIvpIdentity:
         below ten ulps of t before the collapse event can fire."""
         spec = make_spec("d2_3")
         state = _start(spec, g=np.array(g), g_dot=np.array(g_dot))
-        assert _assert_same_outcome(state, spec, 10.0)[0] is StepLimitExceeded
+        outcome, _ = _same_outcome(state, spec, 10.0)
+        assert outcome[0] is StepLimitExceeded
 
     @pytest.mark.parametrize("g1, expected", [
         (0.5, BlowUp),     # falls through 1e-12
@@ -305,11 +305,11 @@ class TestSolveIvpIdentity:
                             lambda v, d, lam: [-1.0] + [0.0] * (len(v) - 1))
         spec = make_spec("d2_3")
         state = _start(spec, g=np.array([g1, 1.0]))
-        got = _assert_same_outcome(state, spec, 2.0)
+        outcome, _ = _same_outcome(state, spec, 2.0)
         if expected is None:
-            assert got[1][-1, 0] < 0.0
+            assert outcome.g[-1, 0] < 0.0
         else:
-            assert got == (expected, "a warping function left (0, inf) before t = 2")
+            assert outcome == (expected, "a warping function left (0, inf) before t = 2")
 
     @pytest.mark.parametrize("t_end", [1.0, 0.9])
     def test_empty_and_backward_runs_as_solve_ivp(self, t_end):
@@ -317,9 +317,7 @@ class TestSolveIvpIdentity:
         the start state; a t_end before it integrates backward."""
         spec = make_spec("d2_3")
         state = _start(spec, g_dot=np.array([0.1, 0.1]))
-        _assert_same_outcome(state, spec, t_end)
-        run = oracle.integrate_second_order(state, spec, t_end)
-        ref = _solve_ivp_run(state, spec, t_end)
+        run, ref = _same_outcome(state, spec, t_end)
         t = np.array([0.8, 0.95, 1.0, 1.1])
         assert np.array_equal(run.dense(t), ref.dense(t))
 
