@@ -3,7 +3,8 @@ multiply warped products, with a verification suite for every limit,
 inequality, and asymptotic regime the construction is supposed to satisfy.
 
 Pipeline: a first-order phase-space flow is launched from the unstable
-manifold of a hyperbolic critical point (``flow``), the metric and soliton
+manifold of a hyperbolic critical point and, for a soliton, ends on the
+slow manifold at the origin (``flow``, ``manifold``), the metric and soliton
 potential are reconstructed from the trajectory (``reconstruct``), curvature
 is evaluated in closed form (``geometry``), an independent second-order
 integration cross-validates the result (``oracle``), and ``verify`` turns

@@ -348,6 +348,10 @@ def _export_run(cfg: RunConfig, traj, profile, extra_json: dict | None = None) -
         "t_last": float(profile.t[-1]),
         "u_gauge": "u(s_0) = 0",
     }
+    if cfg.spec.mode is Mode.SOLITON:
+        # n_steps counts the intervals between samples; the tail's samples
+        # lie on a fixed grid, so its steps are counted apart
+        summary.update(radau_steps=traj.radau_steps, tail_steps=traj.tail_steps)
     if extra_json:
         summary.update(extra_json)
     if "csv" in cfg.formats:
@@ -372,7 +376,8 @@ def _gate(label: str, checks) -> int:
 def cmd_solve(cfg: RunConfig) -> int:
     traj, profile = _solve(cfg)
     _export_run(cfg, traj, profile)
-    print(f"solve: {traj.n_steps} steps, termination={traj.termination}, "
+    print(f"solve: {traj.s.size} samples, {traj.radau_steps} Radau steps and "
+          f"{traj.tail_steps} tail steps, termination={traj.termination}, "
           f"t in [{profile.t[0]:.6g}, {profile.t[-1]:.6g}]")
     return 0
 

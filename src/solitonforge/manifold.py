@@ -1,0 +1,200 @@
+"""The slow manifold at the origin, on which a soliton trajectory ends.
+
+At the origin of the phase flow the X directions contract at rate 1 and
+the Y directions are neutral, so the tail of a soliton trajectory lies
+on a centre manifold X = h(w), with w = Y^2 componentwise (Carr,
+*Applications of Centre Manifold Theory*, Springer 1981).  The pair
+(X, w) obeys the closed polynomial system
+
+    X_i' = X_i (|X|^2 - 1) + w_i / sqrt(d_i)
+    w_j' = 2 w_j (|X|^2 - X_j / sqrt(d_j))
+
+and the invariance of the graph X = h(w) reads
+
+    h = w / sqrt(d) + h |h|^2 - Dh(w) w'.
+
+w' has no term below degree 2, so the degree-k part of the right-hand
+side involves only the parts of h below degree k: fixed-point iteration
+from h = w / sqrt(d) fixes one more degree per pass.  The Taylor
+coefficients are unique, although centre manifolds need not be.
+``graph`` builds h to degree ``DEGREE`` = 4, once per ``dims``; the
+flow leaves the stiff system at w of about 1e-4, where the truncation
+term w^5 is below 1e-20.
+
+On the graph the flow is the r-dimensional system in w alone.  In
+tau = log s and z = s w it reads
+
+    dz_j/dtau = z_j (1 - 2 z_j / d_j + 2 s (|h|^2 - g_j / sqrt(d_j)))
+
+with g = h - w / sqrt(d), the graph's terms of degree 2 and more, so
+that s |h|^2 and s g are O(1/s).  As s grows, z tends to the fixed
+point d/2, which is the 1/s decay of |Y|^2 along the tail.  The system
+is not stiff: its linearisation there has the eigenvalue -1 in tau, and
+an explicit method's steps grow as z settles.  ``reduced_field`` is this
+field on Python floats, for the flow's DOP853 loop.
+
+Polynomials are coefficient arrays over the monomials of a ``Ring``:
+truncated multivariate polynomials, whose sum is the sum of the arrays
+and whose product, partial derivatives and values are the ring's.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from operator import mul
+
+import numpy as np
+
+# the degree to which the graph h is built
+DEGREE = 4
+
+
+class Ring:
+    """Polynomials in r variables truncated at total degree N.
+
+    A polynomial is its coefficient array over the monomials of degree at
+    most N in graded order: the constant, then w_1 .. w_r, then the
+    monomials of degree 2, and so on.  Leading axes hold several
+    polynomials, such as the r components of a graph, and every operation
+    broadcasts over them.  ``mul`` drops the terms above degree N.
+    """
+
+    def __init__(self, r: int, degree: int) -> None:
+        # each monomial as the sorted tuple of its variables' indices;
+        # upto[k] monomials have degree at most k
+        monomials, upto = [()], [1]
+        for k in range(1, degree + 1):
+            monomials += combinations_with_replacement(range(r), k)
+            upto.append(len(monomials))
+        index = {m: a for a, m in enumerate(monomials)}
+        self.r, self.degree, self.size = r, degree, len(monomials)
+        self.exponents = np.array([[m.count(j) for j in range(r)] for m in monomials],
+                                  dtype=int).reshape(-1, r)
+        # each monomial of degree >= 1 is a monomial before it times one
+        # variable: (index of that monomial, variable)
+        self.chain = [(index[m[:-1]], m[-1]) for m in monomials[1:]]
+        # products: the pairs (a, b) of monomials whose product c has degree
+        # at most N, grouped by c; every c is 1 * c, so no group is empty
+        pairs = sorted((index[tuple(sorted(a + b))], i, j)
+                       for i, a in enumerate(monomials)
+                       for j, b in enumerate(monomials[:upto[degree - len(a)]]))
+        c, self._a, self._b = np.array(pairs).T
+        self._groups = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+        # d/dw_j takes monomial a with a j in it to the monomial without
+        # one of them, times their count: (source, target, factor) per j
+        self._deriv = []
+        for j in range(r):
+            src = [a for a, m in enumerate(monomials) if j in m]
+            dst = [index[_without(monomials[a], j)] for a in src]
+            self._deriv.append((np.array(src, dtype=int), np.array(dst, dtype=int),
+                                self.exponents[src, j].astype(float)))
+
+    def variables(self) -> np.ndarray:
+        """w_1 .. w_r: an (r, size) stack."""
+        v = np.zeros((self.r, self.size))
+        v[:, 1:1 + self.r] = np.eye(self.r)
+        return v
+
+    def mul(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The product p q, truncated at degree N."""
+        return np.add.reduceat(p[..., self._a] * q[..., self._b], self._groups, axis=-1)
+
+    def deriv(self, p: np.ndarray, j: int) -> np.ndarray:
+        """The partial derivative of p in w_j."""
+        src, dst, factor = self._deriv[j]
+        out = np.zeros_like(p)
+        out[..., dst] = p[..., src] * factor
+        return out
+
+    def jacobian(self, p: np.ndarray) -> np.ndarray:
+        """All partial derivatives: axis -2 is the variable."""
+        return np.stack([self.deriv(p, j) for j in range(self.r)], axis=-2)
+
+    def monomials(self, w: np.ndarray) -> np.ndarray:
+        """Every monomial's value at the points w (..., r): shape (..., size)."""
+        w = np.asarray(w, dtype=float)
+        m = np.empty(w.shape[:-1] + (self.size,))
+        m[..., 0] = 1.0
+        for k, (parent, var) in enumerate(self.chain, start=1):
+            m[..., k] = m[..., parent] * w[..., var]
+        return m
+
+    def evaluate(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The values of the polynomials p (..., size) at the points w
+        (..., r): shape w.shape[:-1] + p.shape[:-1]."""
+        m = self.monomials(w)
+        return (m @ p.reshape(-1, self.size).T).reshape(m.shape[:-1] + p.shape[:-1])
+
+
+def _without(monomial: tuple, j: int) -> tuple:
+    i = monomial.index(j)
+    return monomial[:i] + monomial[i + 1:]
+
+
+@lru_cache(maxsize=None)
+def ring(r: int) -> Ring:
+    """The ring the graphs in r variables live in, built once per r."""
+    return Ring(r, DEGREE)
+
+
+@lru_cache(maxsize=None)
+def graph(dims: tuple) -> np.ndarray:
+    """The coefficients of h, a read-only (r, size) stack of ``ring(r)``,
+    built once per tuple of factor dimensions."""
+    r = len(dims)
+    R = ring(r)
+    sqrt_d = np.sqrt(np.array(dims, dtype=float))[:, None]
+    w = R.variables()
+    linear = w / sqrt_d
+    h = linear
+    for _ in range(DEGREE - 1):   # each pass fixes one more degree
+        sq = R.mul(h, h).sum(axis=0)
+        w_dot = 2.0 * R.mul(w, sq - h / sqrt_d)
+        h = linear + R.mul(h, sq) - R.mul(R.jacobian(h), w_dot).sum(axis=-2)
+    h.setflags(write=False)   # every caller shares the cached array
+    return h
+
+
+def on_graph(dims: tuple, w: np.ndarray) -> np.ndarray:
+    """X = h(w) at the points w (..., r)."""
+    return ring(len(dims)).evaluate(graph(dims), w)
+
+
+def offset(dims: tuple, X: np.ndarray, Y: np.ndarray) -> float:
+    """The largest |X - h(Y^2)| over the components of states (..., r)."""
+    return float(np.abs(X - on_graph(dims, Y * Y)).max())
+
+
+@lru_cache(maxsize=None)
+def reduced_field(dims: tuple):
+    """dz/dtau of the flow on the graph, as ``field(tau, z)`` on a list z
+    of Python floats, returning a list; built once per ``dims``.
+
+    g = h - w / sqrt(d) is summed from the graph's terms of degree 2 and
+    more, so that s g carries no cancellation.
+    """
+    r = len(dims)
+    first = 1 + r   # the first monomial of degree 2
+    chain = ring(r).chain[first - 1:]
+    rows = graph(dims)[:, first:].tolist()
+    d = [float(x) for x in dims]
+    sd = [math.sqrt(x) for x in d]
+
+    def field(tau, z):
+        inv_s = math.exp(-tau)
+        w = [inv_s * v for v in z]
+        m = [1.0] + w
+        for parent, var in chain:
+            m.append(m[parent] * w[var])
+        high = m[first:]
+        g = [sum(map(mul, row, high)) for row in rows]
+        hh = 0.0
+        for wj, sj, gj in zip(w, sd, g):
+            x = wj / sj + gj
+            hh += x * x
+        return [v * (1.0 - 2.0 * v / dj + 2.0 * (hh - gj / sj) / inv_s)
+                for v, dj, sj, gj in zip(z, d, sd, g)]
+
+    return field

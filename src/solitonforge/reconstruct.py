@@ -7,17 +7,20 @@ log w, where w = -du/dt + tr L is the frame factor relating s to t
 vanishes identically and w is integrated from (log w)' = -sum(X^2) with
 the gauge w(s_0) = 1.
 
-The quadratures need no second integrator: every accepted step of the
-flow carries a fixed Gauss-Legendre rule, and the per-step increments
-are summed.  Each node sits at a fixed fraction of its own step, so all
-nodes are read in one product from the steps' interpolants
-(``DenseOutput.at_fractions``), with no abscissa to compute and no step
-to search for.  The Radau interpolant is a quintic in s on each step, so
-the rule is exact for the polynomial integrands H - 1 and sum(X^2);
-sqrt(L / C) and 1 / w are smooth there and the rule has converged far
-below the flow's tolerance.  In Ricci-flat mode the t integrand needs
-log w inside each step, which a nested rule on [s_k, node] supplies: its
-nodes sit at the products x_i x_j of the node fractions.
+The quadratures need no second integrator: every interval between two
+samples carries a fixed Gauss-Legendre rule, and the per-interval
+increments are summed.  Each node sits at a fixed fraction of its
+interval, so each segment of the trajectory hands over all its nodes,
+and ds/dx there, in one call (``at_fractions``), with no abscissa to
+compute and no step to search for.  A Radau step is linear in s, with
+ds/dx its length; its interpolant is a quintic in s, so the rule is
+exact for the polynomial integrands H - 1 and sum(X^2), and sqrt(L / C)
+and 1 / w are smooth there, the rule converged far below the flow's
+tolerance.  An interval of the tail is linear in tau = log s, with ds =
+s dtau; its integrands are smooth in tau over a twelfth of a decade.
+In Ricci-flat mode the t integrand needs log w inside each step, which
+a nested rule on [s_k, node] supplies: its nodes sit at the products
+x_i x_j of the node fractions, weighted by ds/dx there.
 
 The un-sampled tail below the first sample is estimated from the exact
 exponential rates at the critical point: L ~ e^{2 b^2 s} gives
@@ -87,12 +90,13 @@ def _cumulative(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
     r = spec.r
     q = _GL_POINTS
     sqrt_d = np.sqrt(spec.dims)
-    half = 0.5 * np.diff(traj.s)[:, None]
-    weights = half * _GL_W                       # (step, node)
     ricci_flat = spec.mode is Mode.RICCI_FLAT
 
     x = np.concatenate([_NODE_X, _NESTED_X]) if ricci_flat else _NODE_X
-    y = traj.dense.at_fractions(x)               # (step, 2r, node)
+    nodes = [seg.at_fractions(x) for seg in traj.segments]
+    y = np.concatenate([y for y, _ in nodes])            # (interval, 2r, node)
+    ds_dx = np.concatenate([rate for _, rate in nodes])  # (interval, node)
+    weights = 0.5 * ds_dx[:, :q] * _GL_W                 # (interval, node)
     X, Y = y[:, :r], y[:, r:]
     sx2 = np.einsum("kin,kin->kn", X, X)
     du = (weights * (sqrt_d @ X[:, :, :q] - 1.0)).sum(axis=1)
@@ -101,7 +105,7 @@ def _cumulative(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
         dlog_w = -(weights * sx2[:, :q]).sum(axis=1)
         log_w_k = np.concatenate([[0.0], np.cumsum(dlog_w)[:-1]])
         # log w at each node: log w(s_k) plus the nested rule on [s_k, node]
-        sub_weights = (half * _NODE_X)[:, :, None] * _GL_W
+        sub_weights = (0.5 * ds_dx[:, q:].reshape(-1, q, q) * _NODE_X[:, None]) * _GL_W
         sub_sx2 = sx2[:, q:].reshape(-1, q, q)
         node_log_w = log_w_k[:, None] - (sub_weights * sub_sx2).sum(axis=2)
         dt = (weights * np.exp(-node_log_w)).sum(axis=1)
@@ -129,7 +133,7 @@ def _tail_t0(spec: ProblemSpec, w: np.ndarray) -> float:
 
 def build_profile(traj: Trajectory, spec: ProblemSpec) -> MetricProfile:
     """Evaluate every recovered field along the trajectory."""
-    if traj.dense is None:
+    if not traj.segments:
         raise QuadratureFailure("trajectory has no dense output (stationary seed?)")
     if np.any(traj.Y == 0):
         raise ZeroY("a Y component vanishes; warping functions undefined")

@@ -14,10 +14,11 @@ need only the profile: boundary_checks computes them and their checks
 on their own, for a caller that wants no more than g_i(0).  The phase
 system's own claims, the spectrum at the critical point and the
 identity L' = 2 L sum X^2, are checked from `phase.rhs` and
-`phase.rhs_jacobian`; the curvature signs and decay and the paraboloid
-end are tail_checks on the fits of `geometry.asymptotics`, which needs
-three decades of t, so run_suite raises InsufficientTail on a shorter
-run.
+`phase.rhs_jacobian`; that the tail starts on the slow manifold, from
+the Radau state at the switch and the graph of `manifold`.  The
+curvature signs and decay and the paraboloid end are tail_checks on the
+fits of `geometry.asymptotics`, which needs three decades of t, so
+run_suite raises InsufficientTail on a shorter run.
 
 Each gated CLI command exits 1 iff one of its builder's checks fails:
 run_suite for `verify`; curvature_checks, a curvature report alone, and
@@ -35,7 +36,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from . import geometry, phase
+from . import geometry, manifold, phase
 from .errors import IncompleteInputs, TooFewSamples
 from .flow import L_FLOOR, MONOTONE_SLACK, Trajectory
 from .geometry import AsymptoticsReport, CurvatureReport
@@ -232,6 +233,19 @@ def run_suite(
         details={"ratios": ratio_end, "targets": 1.0 / sqrt_d,
                  "sample_s": float(traj.s[k_star])},
     ))
+
+    # the tail starts on the slow manifold: the Radau state at the switch
+    # lies on the graph X = h(Y^2) to roundoff
+    for tail in traj.segments[1:]:
+        k = int(np.searchsorted(traj.s, tail.s[0]))
+        checks.append(Check(
+            "slow_manifold_offset",
+            "the state where the tail leaves the Radau stepper lies on the slow "
+            "manifold X = h(Y^2)",
+            measured=manifold.offset(tuple(d.tolist()), traj.X[k], traj.Y[k]),
+            tolerance=1e-12,
+            details={"switch_s": float(traj.s[k])},
+        ))
 
     # (d) X_i / Y_i^2 -> 1/(sqrt(d_i)(1 + beta^2)) at the seed end (i > 1)
     if r > 1:

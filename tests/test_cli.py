@@ -196,6 +196,30 @@ class TestSubcommands:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["passed"] is True
 
+    def test_step_counts_reported(self, tmp_path, capsys):
+        """profile.json's n_steps is the CSV's row count less one, and
+        radau_steps and tail_steps count each segment's steps; solve
+        prints both counts."""
+        path = os.path.join(CONFIG_DIR, "r2_d2_3.json")
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        summary = json.loads((tmp_path / "profile.json").read_text())
+        _, columns = cli.read_profile_csv(str(tmp_path / "profile.csv"))
+        assert summary["n_steps"] == len(columns["s"]) - 1
+        traj = sf.run(cli.parse_config(path).spec)
+        assert (summary["radau_steps"], summary["tail_steps"]) == (
+            traj.segments[0].steps, traj.segments[1].steps)
+        assert 0 < summary["tail_steps"] < summary["radau_steps"] < summary["n_steps"]
+        assert (f"{traj.s.size} samples, {summary['radau_steps']} Radau steps and "
+                f"{summary['tail_steps']} tail steps") in out
+
+    def test_verify_report_names_the_switch_check(self, tmp_path):
+        path = os.path.join(CONFIG_DIR, "r3_d2_2_3.json")
+        assert cli.main(["verify", "--config", path, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        [check] = [c for c in report["checks"] if c["name"] == "slow_manifold_offset"]
+        assert check["passed"] and check["tolerance"] == 1e-12
+
     def test_ricci_flat_subcommand(self, tmp_path, capsys):
         path = os.path.join(CONFIG_DIR, "ricci_flat_d2_3.json")
         code = cli.main(["ricci-flat", "--config", path, "--out", str(tmp_path)])

@@ -13,7 +13,7 @@ from scipy.integrate import OdeSolution
 from scipy.integrate._ivp.radau import RadauDenseOutput
 
 import solitonforge as sf
-from solitonforge import cli, flow, geometry, phase, radau, verify
+from solitonforge import cli, flow, geometry, manifold, phase, radau, verify
 from solitonforge.errors import (
     InvariantViolated,
     SeedLeavesWrongRegion,
@@ -244,7 +244,7 @@ class TestIntegrate:
 
     def test_step_range_brackets_every_step(self, monkeypatch):
         """The stepper's h_min and h_max are the smallest and largest of
-        the accepted steps the trajectory records."""
+        the accepted steps its segment of the trajectory records."""
         solvers = []
 
         class Recorded(radau.Radau):
@@ -253,10 +253,10 @@ class TestIntegrate:
                 solvers.append(self)
 
         monkeypatch.setattr(flow, "Radau", Recorded)
-        traj = sf.run(_config_spec("bryant_d2"))
+        radau_segment = sf.run(_config_spec("bryant_d2")).segments[0]
         [solver] = solvers
-        h = np.diff(traj.s)
-        assert h.size == traj.n_steps
+        h = np.diff(radau_segment.ts)
+        assert h.size == radau_segment.steps
         assert np.all((solver.h_min <= h) & (h <= solver.h_max))
         assert (solver.h_min, solver.h_max) == (h.min(), h.max())
         assert type(solver.h_min) is type(solver.h_max) is float
@@ -339,30 +339,188 @@ class TestDenseSample:
         assert fd == pytest.approx(phase.rhs(y0, np.sqrt(spec.dims)), rel=1e-6, abs=1e-10)
 
 
+class TestTail:
+    """The tail segment on the slow manifold."""
+
+    def test_segments_meet_at_the_switch(self, pipeline):
+        """The Radau segment ends at the first sample with |y| below
+        TAIL_SWITCH, where the tail starts; the trajectory's samples are
+        the Radau segment's and then the tail's after the switch."""
+        traj = pipeline("d2_3").traj
+        radau_segment, tail = traj.segments
+        assert isinstance(radau_segment, flow.RadauSegment)
+        assert isinstance(tail, flow.TailSegment)
+        norms = np.linalg.norm(radau_segment.samples, axis=1)
+        assert norms[-1] < flow.TAIL_SWITCH <= norms[-2]
+        assert tail.s[0] == radau_segment.ts[-1]
+        assert np.array_equal(traj.s, np.concatenate([radau_segment.ts, tail.s[1:]]))
+        assert traj.n_steps == radau_segment.steps + tail.s.size - 1
+        assert traj.radau_steps == radau_segment.steps
+        assert traj.tail_steps == tail.steps < tail.s.size
+
+    @pytest.mark.parametrize("name", ["d2", "d2_2_3"])
+    def test_samples_on_a_fixed_grid(self, pipeline, name):
+        """Between the switch and the end the tail's samples are the points
+        10^(k/12) of s, every one of them in that range."""
+        tail = pipeline(name).traj.segments[1]
+        k = np.round(np.log10(tail.s[1:-1]) * flow.TAIL_SAMPLES_PER_DECADE)
+        assert np.array_equal(np.diff(k), np.ones(k.size - 1))
+        assert np.array_equal(tail.s[1:-1], 10.0 ** (k / flow.TAIL_SAMPLES_PER_DECADE))
+        assert 10.0 ** ((k[0] - 1) / 12) <= tail.s[0] and tail.s[-1] <= 10.0 ** ((k[-1] + 1) / 12)
+        assert np.array_equal(tail.taus[1:-1], np.log(tail.s[1:-1]))
+
+    def test_ends_where_the_norm_crosses_origin_tol(self, pipeline):
+        """The last sample lies where |y| falls through origin_tol on the
+        tail's dense output, to a few ulps."""
+        case = pipeline("d2_3")
+        traj, tol = case.traj, case.spec.origin_tol
+        assert traj.termination == "origin"
+        y_end = np.concatenate([traj.X[-1], traj.Y[-1]])
+        assert abs(np.linalg.norm(y_end) / tol - 1.0) <= 1e-14
+        assert np.linalg.norm(y_end) <= tol
+        tail = traj.segments[1]
+        before = tail.states_at_tau(np.array(tail.taus[-1] - 1e-9))
+        assert np.linalg.norm(before) > tol
+
+    def test_states_on_the_graph(self, pipeline):
+        """Every tail sample is X = h(Y^2) with Y = sqrt(z/s), up to the
+        rounding of Y^2, and the trajectory's dense output gives the
+        samples back."""
+        case = pipeline("d2_2_3")
+        traj = case.traj
+        k = traj.segments[0].steps
+        dims = tuple(case.spec.dims.tolist())
+        X = manifold.on_graph(dims, traj.Y[k + 1:] ** 2)
+        assert np.abs(traj.X[k + 1:] / X - 1.0).max() <= 1e-15
+        y = traj.dense(traj.s)
+        samples = np.hstack([traj.X, traj.Y]).T
+        # the switch, on a segment boundary, is the Radau segment's
+        assert np.abs(y[:, :k + 1] - samples[:, :k + 1]).max() <= 1e-14
+        assert np.abs(y[:, k + 1:] / samples[:, k + 1:] - 1.0).max() <= 1e-13
+
+    def test_quadrature_nodes(self, pipeline):
+        """The tail's nodes at fractions 0 and 1 of an interval are its
+        samples, and ds/dx = s dtau."""
+        tail = pipeline("d2_3").traj.segments[1]
+        y, ds_dx = tail.at_fractions(np.array([0.0, 0.5, 1.0]))
+        samples = tail.states_at_tau(tail.taus)
+        assert np.array_equal(y[:, :, 0], samples[:-1])
+        assert np.abs(y[:, :, 2] / samples[1:] - 1.0).max() <= 1e-14
+        dtau = np.diff(tail.taus)
+        assert np.allclose(ds_dx[:, 0], (tail.s[:-1]) * dtau, rtol=1e-13)
+        assert np.allclose(ds_dx[:, 1], np.exp(tail.taus[:-1] + 0.5 * dtau) * dtau, rtol=1e-15)
+
+    @pytest.mark.parametrize("name", ["d2", "d2_3"])
+    def test_tail_accuracy(self, pipeline, name):
+        """From the switch state, the tail's Y agrees with the Radau stepper
+        at rtol = 1e-13 and an atol far below |Y| to 1e-7 relative
+        (measured: 1.8e-10 on d2 and 1.4e-8 on d2_3; the Radau stepper at
+        the shipped tolerances reaches 2.2e-6 and 2.6e-6)."""
+        case = pipeline(name)
+        traj, r = case.traj, case.spec.r
+        sqrt_d = np.sqrt(case.spec.dims)
+        k = traj.segments[0].steps
+        ref = radau.Radau(lambda y: phase.rhs(y, sqrt_d),
+                          lambda y: phase.rhs_jacobian(y, sqrt_d),
+                          traj.s[k], np.concatenate([traj.X[k], traj.Y[k]]),
+                          t_bound=traj.s[-1], rtol=1e-13, atol=1e-25)
+        ts, ys, Qs = [ref.t], [ref.y], []
+        while ref.status == "running":
+            ref.step()
+            ts.append(ref.t)
+            ys.append(ref.y)
+            Qs.append(ref.dense)
+        Y = flow.RadauSegment(np.array(ts), np.array(ys), np.array(Qs), ref.nfev)(
+            traj.s[k + 1:])[r:].T
+        assert np.abs(traj.Y[k + 1:] / Y - 1.0).max() <= 1e-7
+
+    def test_ends_at_s_max(self):
+        """An s_max inside the tail ends the run there, with its sample."""
+        spec = dataclasses.replace(make_spec("d2_3"), s_max=1e10)
+        traj = sf.run(spec)
+        assert traj.termination == "s_max"
+        assert traj.s[-1] == 1e10
+        assert traj.segments[1].s[-2] < 1e10
+
+    def test_step_budget_counts_the_tail(self, pipeline):
+        """max_steps bounds the steps of both segments together."""
+        traj = pipeline("d2").traj
+        spec = make_spec("d2")
+        controls = spec.step_controls
+        for budget, raises in ((traj.radau_steps + traj.tail_steps - 1, True),
+                               (traj.radau_steps + traj.tail_steps, False)):
+            limited = dataclasses.replace(
+                spec, step_controls=dataclasses.replace(controls, max_steps=budget))
+            if raises:
+                with pytest.raises(StepLimitExceeded, match=f"within {budget} steps"):
+                    sf.run(limited)
+            else:
+                assert sf.run(limited).n_steps == traj.n_steps
+
+    @pytest.mark.parametrize("invariant, bad", [("Y_positive", "Y"), ("L_decreasing", "L")])
+    def test_tail_samples_pass_the_monitors(self, invariant, bad):
+        """A tail sample with a non-positive Y, or a larger L than the one
+        before it, ends the run with the monitor's name."""
+        y = np.array([[0.01, 0.01], [0.005, 0.005], [0.001, 0.002]])
+        s = np.array([1e4, 2e4, 3e4])
+        if bad == "Y":
+            y[2, 1] = -1e-3
+        else:
+            y[2] = [0.01, 0.02]
+        with pytest.raises(InvariantViolated) as err:
+            flow._check_tail(y, s, 1)
+        assert err.value.invariant == invariant
+        assert err.value.s == 3e4
+
+    def test_ricci_flat_has_one_segment(self, pipeline):
+        traj = pipeline("rf_d2_3").traj
+        [segment] = traj.segments
+        assert isinstance(segment, flow.RadauSegment)
+        assert traj.tail_steps == 0 and traj.radau_steps == traj.n_steps
+
+
 def _config_spec(name):
     return cli.parse_config(os.path.join(CONFIG_DIR, f"{name}.json")).spec
 
 
-# (n_steps, nfev, njev, nlu, nrejected) of each shipped single-run config
+# (n_steps, nfev, njev, nlu, nrejected) of each shipped single-run config:
+# n_steps counts the intervals between the trajectory's samples, and the
+# rest is the Radau stepper's work
 SHIPPED_WORK = {
-    "bryant_d2": (330, 5497, 242, 786, 4),
-    "r1_d3": (328, 5475, 247, 765, 1),
-    "r1_d4": (328, 5515, 251, 783, 4),
-    "r1_d9": (323, 5430, 258, 795, 2),
-    "r2_d2_3": (325, 5437, 239, 762, 5),
-    "r2_d3_5": (326, 5468, 245, 771, 5),
-    "r3_d2_2_3": (317, 5359, 238, 759, 8),
+    "bryant_d2": (327, 2865, 95, 345, 4),
+    "r1_d3": (325, 2817, 99, 321, 1),
+    "r1_d4": (325, 2878, 104, 342, 4),
+    "r1_d9": (321, 2798, 111, 354, 2),
+    "r2_d2_3": (328, 2791, 93, 324, 5),
+    "r2_d3_5": (330, 2837, 99, 333, 5),
+    "r3_d2_2_3": (323, 2704, 93, 315, 5),
     "ricci_flat_d2_3": (119, 1761, 21, 111, 2),
 }
+# (steps, nfev) of the DOP853 tail of each shipped soliton config
+SHIPPED_TAIL_WORK = {
+    "bryant_d2": (14, 212),
+    "r1_d3": (15, 227),
+    "r1_d4": (15, 227),
+    "r1_d9": (16, 242),
+    "r2_d2_3": (37, 629),
+    "r2_d3_5": (38, 644),
+    "r3_d2_2_3": (36, 590),
+}
+
+
+def _tail_work(traj):
+    """(steps, nfev) of each tail segment of a trajectory."""
+    return [(seg.steps, seg.nfev) for seg in traj.segments
+            if isinstance(seg, flow.TailSegment)]
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_WORK))
 def test_shipped_config_work_is_pinned(monkeypatch, name):
     """Steps, right-hand-side and Jacobian evaluations, factorisations and
-    rejected attempts on each shipped config, as literals.  Changing a
-    literal means the change altered the integrator's work (its step or
-    Newton decisions, not only its speed): report the old and new values
-    in CHANGES.md."""
+    rejected attempts on each shipped config, and the steps and field
+    evaluations of its tail, as literals.  Changing a literal means the
+    change altered the integrators' work (their step or Newton decisions,
+    not only their speed): report the old and new values in CHANGES.md."""
     solvers = []
 
     class Recorded(radau.Radau):
@@ -374,19 +532,23 @@ def test_shipped_config_work_is_pinned(monkeypatch, name):
     traj = sf.run(_config_spec(name))
     [s] = solvers
     assert (traj.n_steps, s.nfev, s.njev, s.nlu, s.nrejected) == SHIPPED_WORK[name]
+    tail = [SHIPPED_TAIL_WORK[name]] if name in SHIPPED_TAIL_WORK else []
+    assert _tail_work(traj) == tail
+    assert traj.segments[0].nfev == s.nfev
 
 
 # The same counts for specs that no entry of SHIPPED_WORK covers: the r = 3
 # Ricci-flat fixture spec rf_d2_2_3, and the five points of
-# configs/sweep_d2_3.json in ratio order, as `solitonforge sweep` runs them
+# configs/sweep_d2_3.json in ratio order, as `solitonforge sweep` runs them,
+# each point's Radau work followed by its tail's (steps, nfev)
 WIDER_WORK = {
     "rf_d2_2_3": [(116, 1738, 25, 117, 2)],
     "sweep_d2_3": [
-        (324, 5411, 238, 759, 5),
-        (325, 5437, 239, 762, 5),
-        (327, 5454, 239, 768, 6),
-        (328, 5510, 241, 780, 8),
-        (327, 5449, 241, 768, 5),
+        (328, 2791, 93, 324, 5, 38, 656),
+        (328, 2791, 93, 324, 5, 37, 629),
+        (330, 2823, 93, 330, 6, 35, 611),
+        (330, 2858, 94, 336, 7, 34, 584),
+        (330, 2829, 96, 333, 5, 30, 512),
     ],
 }
 
@@ -396,13 +558,21 @@ def test_wider_work_is_pinned(monkeypatch, tmp_path, name):
     """As test_shipped_config_work_is_pinned, for WIDER_WORK; the sweep's
     points are counted through the `sweep` command itself."""
     solvers = []
+    trajectories = []
 
     class Recorded(radau.Radau):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             solvers.append(self)
 
+    integrate = flow.integrate
+
+    def recorded(spec, y0):
+        trajectories.append(integrate(spec, y0))
+        return trajectories[-1]
+
     monkeypatch.setattr(flow, "Radau", Recorded)
+    monkeypatch.setattr(flow, "integrate", recorded)
     if name == "sweep_d2_3":
         config = os.path.join(CONFIG_DIR, f"{name}.json")
         assert cli.main(["sweep", "--config", config, "--out", str(tmp_path)]) == 0
@@ -410,7 +580,8 @@ def test_wider_work_is_pinned(monkeypatch, tmp_path, name):
                  ["n_steps"] for k in range(len(solvers))]
     else:
         steps = [sf.run(make_spec(name)).n_steps]
-    work = [(n, s.nfev, s.njev, s.nlu, s.nrejected) for n, s in zip(steps, solvers)]
+    work = [(n, s.nfev, s.njev, s.nlu, s.nrejected) + sum(_tail_work(traj), ())
+            for n, s, traj in zip(steps, solvers, trajectories)]
     assert work == WIDER_WORK[name]
 
 
@@ -435,16 +606,16 @@ class TestAccuracy:
 
     @pytest.mark.parametrize("name", ["d2", "d9", "d2_3", "d2_2_3", "rf_d2_3"])
     def test_local_error_within_the_step_error_scale(self, pipeline, name):
-        """Every 7th accepted step's own end, before any projection,
+        """Every 7th accepted Radau step's own end, before any projection,
         agrees with the stepper run at rtol = atol = 1e-13 from the same
         start over the same interval, to within a hundredth of the error
         scale atol + rtol max(|y_k|, |y_ref|) in the RMS norm (measured:
         at most 4.2e-4)."""
         case = pipeline(name)
-        dense, sc = case.traj.dense, case.spec.step_controls
+        dense, sc = case.traj.segments[0], case.spec.step_controls
         sqrt_d = np.sqrt(case.spec.dims)
         worst = 0.0
-        for k in range(0, case.traj.n_steps, 7):
+        for k in range(0, dense.steps, 7):
             start = dense.samples[k]
             ref = radau.Radau(lambda y: phase.rhs(y, sqrt_d),
                               lambda y: phase.rhs_jacobian(y, sqrt_d),
@@ -617,8 +788,9 @@ class TestRadauStepper:
 
     def test_package_loads_no_scipy(self, tmp_path):
         """Importing the package and its CLI loads no scipy module at all,
-        and neither does a `verify` run: the stepper's linear algebra is
-        numpy's.  Nor does the run load numpy.ma, which the first
+        and neither does a `verify` run nor an `oracle` run after it: the
+        stepper's linear algebra is numpy's, and the DOP853 tableau is the
+        package's own.  Nor does the run load numpy.ma, which the first
         np.unique call imports."""
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env = dict(os.environ)
@@ -631,21 +803,22 @@ class TestRadauStepper:
             "def loaded():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(loaded())\n"
-            "code = solitonforge.cli.main(sys.argv[1:])\n"
-            "print(loaded(), code)\n"
+            "for command in ('verify', 'oracle'):\n"
+            "    code = solitonforge.cli.main([command] + sys.argv[1:])\n"
+            "    print('loaded', loaded(), code)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         config = os.path.join(CONFIG_DIR, "bryant_d2.json")
         proc = subprocess.run(
-            [sys.executable, "-c", code, "verify", "--config", config,
-             "--out", str(tmp_path)],
+            [sys.executable, "-c", code, "--config", config, "--out", str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "[]"
-        assert lines[-2] == "[] 0"
         assert lines[-1] == "False"
+        assert [line for line in lines if line.startswith("loaded")] == [
+            "loaded [] 0", "loaded [] 0"]
 
     def test_underflowing_step_raises_too_small_step(self, monkeypatch):
         """When every stacked stage is non-finite, no Newton iteration
@@ -810,12 +983,12 @@ class TestTableau:
 
 
 class TestDenseOutput:
-    """The stacked interpolant against scipy's OdeSolution over the same
-    per-step Radau polynomials."""
+    """The Radau segment's stacked interpolant against scipy's OdeSolution
+    over the same per-step Radau polynomials."""
 
     @pytest.mark.parametrize("name", ["d2_3", "rf_d2_2_3"])
     def test_matches_ode_solution(self, pipeline, name):
-        dense = pipeline(name).traj.dense
+        dense = pipeline(name).traj.segments[0]
         ts = dense.ts
         reference = OdeSolution(ts, [
             RadauDenseOutput(ts[k], ts[k + 1], dense.samples[k], dense.Q[k])
@@ -836,12 +1009,14 @@ class TestDenseOutput:
     @pytest.mark.parametrize("name", ["d2_3", "rf_d2_2_3"])
     def test_fractions_match_ode_solution(self, pipeline, name):
         """Every step's polynomial at fixed fractions of the step, against
-        scipy's interpolant of that step; fraction 0 is the step's sample."""
-        dense = pipeline(name).traj.dense
+        scipy's interpolant of that step; fraction 0 is the step's sample,
+        and ds/dx is the step size."""
+        dense = pipeline(name).traj.segments[0]
         ts = dense.ts
         x = np.array([0.0, 0.03, 0.5, 0.97, 1.0])
-        got = dense.at_fractions(x)
+        got, ds_dx = dense.at_fractions(x)
         assert got.shape == (ts.size - 1, dense.samples.shape[1], x.size)
+        assert np.array_equal(ds_dx, np.repeat(np.diff(ts)[:, None], x.size, axis=1))
         assert np.array_equal(got[:, :, 0], dense.samples[:-1])
         expected = np.stack([
             RadauDenseOutput(ts[k], ts[k + 1], dense.samples[k], dense.Q[k])(

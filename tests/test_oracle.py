@@ -57,31 +57,6 @@ class TestInit:
         with pytest.raises(OutOfRange):
             oracle.init_from_profile(pipeline("d2").profile, 0.0)
 
-    def test_oracle_run_loads_no_scipy_interpolate(self, tmp_path):
-        """An `oracle` run starts at a sample and so interpolates nothing:
-        it loads scipy.integrate for the integration, and not
-        scipy.interpolate."""
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        code = (
-            "import sys\n"
-            "import solitonforge.cli\n"
-            "code = solitonforge.cli.main(sys.argv[1:])\n"
-            "print('scipy.integrate' in sys.modules, "
-            "'scipy.interpolate' in sys.modules, code)\n"
-        )
-        config = os.path.join(CONFIG_DIR, "bryant_d2.json")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "oracle", "--config", config,
-             "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "True False 0"
-
 
 class TestConservation:
     @pytest.mark.parametrize("name", SOLITON_CASES)

@@ -1,5 +1,7 @@
 """Vector field, invariants, and linearization of the phase system."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import solitonforge as sf
 from solitonforge import phase, verify
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SPEC_R1_D2 = sf.ProblemSpec(factors=(sf.FactorSpec(2, 1.0),))
 SPEC_D2_3 = sf.ProblemSpec(
     factors=(sf.FactorSpec(2, 1.0), sf.FactorSpec(3, 2.0)),
@@ -179,6 +182,37 @@ class TestTextbookFormulas:
                 nan = np.isnan(expected)
                 assert np.array_equal(np.isnan(got), nan)
                 assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_tall_stacks_match_the_float_path(self, r):
+        """A stack taller than the stepper's five rows goes through numpy,
+        with the same values as one state at a time on Python floats, bit
+        for bit, IEEE special entries included (NaN in the same places)."""
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200,
+                   5e-324, -2.5e-310, 1e-160, 0.5, -1.5]
+        rng = np.random.default_rng(40 + r)
+        for _ in range(50):
+            sqrt_d = np.sqrt(rng.integers(2, 10, r).astype(float))
+            for stack in (rng.choice(special, (9, 2 * r)),
+                          rng.uniform(-1.0, 1.0, (phase.STACK_ON_FLOATS + 1, 2 * r))):
+                got = phase.rhs(stack, sqrt_d)
+                expected = np.array([phase.rhs(row, sqrt_d) for row in stack])
+                assert got.shape == stack.shape
+                nan = np.isnan(expected)
+                assert np.array_equal(np.isnan(got), nan)
+                assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+    @pytest.mark.parametrize("config", ["bryant_d2", "r1_d3", "r1_d4", "r1_d9", "r2_d2_3",
+                                        "r2_d3_5", "r3_d2_2_3", "ricci_flat_d2_3"])
+    def test_tall_stack_of_a_trajectory(self, config):
+        """On every shipped config's samples, as verify's lyapunov_identity
+        stacks them, the numpy path gives the float path's values."""
+        spec = sf.parse_config(os.path.join(CONFIG_DIR, f"{config}.json")).spec
+        traj = sf.run(spec)
+        sqrt_d = np.sqrt(spec.dims)
+        stack = np.vstack([sf.critical_point(spec), np.hstack([traj.X, traj.Y])])
+        expected = np.array([phase.rhs(row, sqrt_d) for row in stack])
+        assert np.array_equal(phase.rhs(stack, sqrt_d), expected)
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (), (5,), (3, 3)])
     def test_other_shapes_raise(self, shape):

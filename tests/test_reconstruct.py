@@ -298,14 +298,16 @@ class TestCumulativeQuadrature:
             assert np.all(np.abs(a - b) <= 1e-10 * np.abs(b) + 1e-12)
 
     def test_non_finite_increment_raises(self, pipeline):
-        """A step whose polynomial is not finite fails the quadrature,
-        and the message names that step."""
+        """A Radau step whose polynomial is not finite fails the
+        quadrature, and the message names that step."""
         case = pipeline("d2")
         traj = case.traj
-        Q = traj.dense.Q.copy()
+        radau_segment = traj.segments[0]
+        Q = radau_segment.Q.copy()
         Q[100:] = np.nan
-        dense = flow.DenseOutput(traj.dense.ts, traj.dense.samples, Q)
-        broken = dataclasses.replace(traj, dense=dense)
+        broken = dataclasses.replace(traj, segments=[
+            flow.RadauSegment(radau_segment.ts, radau_segment.samples, Q, radau_segment.nfev)]
+            + traj.segments[1:])
         step = re.escape(f"[{traj.s[100]:.6g}, {traj.s[101]:.6g}]")
         with pytest.raises(QuadratureFailure, match="not finite on the step " + step):
             reconstruct.build_profile(broken, case.spec)

@@ -302,6 +302,57 @@ class TestPhaseChecks:
         assert 100 < check.details["samples"] <= 200
 
 
+    def test_identity_takes_one_field_evaluation(self, pipeline, monkeypatch):
+        """The spectrum and the identity share one phase.rhs call on the
+        critical point and the strided samples, a stack taller than the
+        stepper's, which phase.rhs evaluates through numpy."""
+        case = pipeline("d2_3")
+        rhs = phase.rhs
+        shapes = []
+
+        def counted(y, sqrt_d):
+            shapes.append(y.shape)
+            return rhs(y, sqrt_d)
+
+        monkeypatch.setattr(phase, "rhs", counted)
+        verify.run_suite(case.traj, case.profile, case.curv, case.spec)
+        [shape] = shapes
+        assert shape[0] > phase.STACK_ON_FLOATS
+
+
+class TestSlowManifoldOffset:
+    @pytest.mark.parametrize("name", ["d2", "d2_3", "d2_2_3"])
+    def test_switch_state_on_the_graph(self, pipeline, name):
+        """The state where the tail starts is the Radau segment's last one,
+        and it lies on the graph to roundoff."""
+        case = pipeline(name)
+        report = verify.run_suite(case.traj, case.profile, case.curv, case.spec)
+        [check] = [c for c in report.checks if c.name == "slow_manifold_offset"]
+        assert check.passed and check.measured <= 1e-15
+        assert check.details["switch_s"] == case.traj.segments[0].ts[-1]
+
+    def test_displaced_switch_state_fails(self, pipeline):
+        """The switch state moved off the graph by 1e-9 fails the check, and
+        only it."""
+        case = pipeline("d2_3")
+        traj = case.traj
+        k = traj.segments[0].steps
+        X = traj.X.copy()
+        X[k, 1] += 1e-9
+        report = verify.run_suite(dataclasses.replace(traj, X=X), case.profile,
+                                  case.curv, case.spec)
+        assert [c.name for c in report.checks if not c.passed] == ["slow_manifold_offset"]
+        [check] = [c for c in report.checks if c.name == "slow_manifold_offset"]
+        assert check.measured == pytest.approx(1e-9, rel=1e-6)
+
+    def test_no_tail_no_check(self, pipeline):
+        """A run that never reaches the tail has no switch state to check."""
+        case = pipeline("d2")
+        traj = dataclasses.replace(case.traj, segments=case.traj.segments[:1])
+        report = verify.run_suite(traj, case.profile, case.curv, case.spec)
+        assert "slow_manifold_offset" not in [c.name for c in report.checks]
+
+
 class TestBoundaryChecks:
     def test_parity_rule(self, pipeline):
         """g_1 is odd about t = 0 and g_2 even, so g_1' and g_2 are fitted
