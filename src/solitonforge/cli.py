@@ -477,7 +477,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             cfg, spec=point_spec,
             out_dir=os.path.join(cfg.out_dir, f"sweep_{k:02d}"), plots=())
         traj, profile = _solve(point_cfg)
-        boundary, checks = verify.boundary_checks(profile)
+        boundary, checks = verify.boundary_checks(traj, profile)
         g0, g0_err = boundary["g_0"], boundary["g_0_err"]
         results.append({"ratio": ratio, "g_0": g0, "g_0_err": g0_err})
         _export_run(point_cfg, traj, profile, extra_json=results[-1])

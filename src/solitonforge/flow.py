@@ -29,8 +29,8 @@ The Radau stepper is the package's own (``radau.Radau``, Hairer &
 Wanner's Radau IIA in numpy alone), so the flow loads no ``scipy``
 module.  It takes ``phase.rhs`` and ``phase.rhs_jacobian`` as they are:
 the flow is autonomous, and ``rhs`` takes one state (n,) or the
-stepper's stage-major (5, n) stack of stages and evaluates it on Python
-floats, bit for bit as the numpy expressions would.  It is called through
+stepper's stage-major (7, n) stack of stages, with the same values bit
+for bit whichever of its two evaluation paths it takes.  It is called through
 the module, so that a wrapper set on ``phase.rhs`` sees every call.  The
 Ricci-flat projection is the stepper's ``project`` hook: each accepted
 state is projected before the stepper's one right-hand-side call of the
@@ -103,7 +103,7 @@ class RadauSegment:
     """The Radau steps: a piecewise interpolant over the accepted steps.
 
     Step k covers [ts[k], ts[k+1]] and is samples[k] + Q[k] @ (x, x^2,
-    ..., x^5) with x = (s - ts[k]) / h[k] and h = np.diff(ts): the stepper's
+    ..., x^7) with x = (s - ts[k]) / h[k] and h = np.diff(ts): the stepper's
     ``dense`` polynomial (and scipy's ``RadauDenseOutput``), since each
     step starts from the sample before it and its step size is the
     difference of its ends, bit for bit.  A call evaluates all abscissae
@@ -117,7 +117,7 @@ class RadauSegment:
                  nfev: int) -> None:
         self.ts = ts             # (step + 1,)
         self.samples = samples   # (step + 1, n)
-        self.Q = Q               # (step, n, 5)
+        self.Q = Q               # (step, n, 7)
         self.nfev = nfev
 
     @property
@@ -137,7 +137,7 @@ class RadauSegment:
         t_old = ts[k]
         x = (s - t_old) / (ts[k + 1] - t_old)
         # one power at a time: gathering Q[k] whole would hold an
-        # (N, n, 5) copy, which shows in the peak memory of a request
+        # (N, n, 7) copy, which shows in the peak memory of a request
         y = self.samples[k]
         power = np.ones_like(x)
         for j in range(self.Q.shape[2]):

@@ -1,15 +1,17 @@
-"""Radau IIA (order 9, five stages) stepper for the autonomous phase flow.
+"""Radau IIA (order 13, seven stages) stepper for the autonomous phase flow.
 
 The method and its step control are those of Hairer & Wanner, *Solving
 ODEs II*, §IV.8, and of their variable-order RADAU code (J. Comput. Appl.
-Math. 111 (1999) 93-111) at five stages: the tableau constants, the
-simplified Newton iteration, the embedded error estimate, the initial
-step selection, the step-size predictor, the Jacobian reuse rule and the
-``nextafter`` minimum step, with ``nfev``, ``njev`` and ``nlu`` counting
-right-hand-side evaluations, Jacobians and factorisations.  The error
-estimate has order 5, so the number of steps goes as tol^(-1/6); the
-three-stage Radau5's order-3 estimate gave tol^(-1/4), about four times
-as many steps on the shipped configs.
+Math. 111 (1999) 93-111) at seven stages: the tableau constants, the
+simplified Newton iteration and its tolerance, the embedded error
+estimate, the initial step selection, the step-size predictor, the
+Jacobian reuse rule and the ``nextafter`` minimum step, with ``nfev``,
+``njev`` and ``nlu`` counting right-hand-side evaluations, Jacobians and
+factorisations.  The error estimate has order 7, so the number of steps
+goes as tol^(-1/8).  On the shipped configs the five-stage method's
+order-5 estimate (tol^(-1/6)) took 172-183 steps up to the tail switch,
+against 72-76 here, and the three-stage Radau5's order-3 estimate
+(tol^(-1/4)) about four times as many as the five-stage one.
 
 It lives in the package for two reasons.  Importing ``scipy.integrate``
 pulls in ``scipy.special``, ``scipy.optimize`` and ``scipy.sparse.linalg``,
@@ -20,43 +22,43 @@ state between steps, which scipy keeps in private fields; here ``t``,
 
 Unlike scipy's generic interface, it takes the flow as it is: the flow
 is autonomous, so ``fun(y)`` and ``jac(y)`` take no time, and ``fun``
-gets either one state (n,) or the five collocation stages as one
-stage-major (5, n) stack, the two shapes ``phase.rhs`` takes.  Every
+gets either one state (n,) or the seven collocation stages as one
+stage-major (7, n) stack, the two shapes ``phase.rhs`` takes.  Every
 failure of a step raises ``ValueError``.
 The step controls are not checked here: ``model.StepControls`` owns the
 rules for ``rtol`` and ``atol``.
 
-It uses numpy alone, so the flow loads no ``scipy`` module.  The five
+It uses numpy alone, so the flow loads no ``scipy`` module.  The seven
 collocation stages are evaluated in one call of ``fun``.  A^-1 has one
-real eigenvalue MU_REAL and two complex pairs, so the Newton iteration
-needs three matrices: whenever they are refreshed, ``MU_REAL/h I - J``
+real eigenvalue MU_REAL and three complex pairs, so the Newton iteration
+needs four matrices: whenever they are refreshed, ``MU_REAL/h I - J``
 and ``MU_COMPLEX[k]/h I - J`` (2r×2r, r ≤ 3) are written into one
-(3, n, n) complex stack and inverted by `_lu` in one ``np.linalg.inv``
+(4, n, n) complex stack and inverted by `_lu` in one ``np.linalg.inv``
 call; the real inverse is the real part of the first member's.  ``nlu``
-counts matrices, three per refresh.  A singular Newton matrix raises
+counts matrices, four per refresh.  A singular Newton matrix raises
 numpy's ``LinAlgError``, a ``ValueError``.
 
 The simplified Newton iteration is linear in the stage values F and in
 the stage increments Z.  In the eigenbasis of the tableau, with
 ``W = TI Z``, its update is ``dW0 = inv(MU_REAL/h - J) (TI0 F - MU_REAL
 W0/h)`` for the real eigenvalue and the complex analogue for each
-MU_COMPLEX.  Each refresh folds the three inverses, each complex one
+MU_COMPLEX.  Each refresh folds the four inverses, each complex one
 split into its real and imaginary parts, together with ``T``, ``TI`` and
-the eigenvalues into one real (10n, 10n) operator
+the eigenvalues into one real (14n, 14n) operator
 
     K = blockdiag(inv_real, [[Re, -Im], [Im, Re]] of each inv_complex)
         @ [TI ⊗ I | -M0 ⊗ I],
     newton_op = [K ; (T ⊗ I) K] @ blockdiag(I, TI ⊗ I).
 
-Its top half is one batched complex product: the (3, n, n) inverses
-times a constant (3, n, 10n) complex stack R of the rows of ``[TI ⊗ I |
+Its top half is one batched complex product: the (4, n, n) inverses
+times a constant (4, n, 14n) complex stack R of the rows of ``[TI ⊗ I |
 -M0 ⊗ I] @ blockdiag(I, TI ⊗ I)`` (the real system's rows, then real +
 i imag rows of each complex pair), whose real and imaginary parts are
 copied into the operator's rows.  ``newton_op`` maps the stacked input
 ``v = [F ; Z/h]`` to ``[dW ; dZ]``, so that an iteration is one call of
 ``fun``, one matrix-vector product, the scaled RMS norm of dW and ``Z +
 dZ``: W is never formed.  The same
-refresh builds the (n, 6n) error operator ``inv_real [I | E ⊗ I]``,
+refresh builds the (n, 8n) error operator ``inv_real [I | E ⊗ I]``,
 which maps ``[f ; Z/h]`` to the error estimate ``inv_real (f + Z^T E /
 h)``.  Neither operator holds h: the Z/h of their input is the current
 step's, and the step that ends at ``t_bound``, like any h recomputed as
@@ -77,28 +79,25 @@ end, ``y + Z0[-1]``.  An accepted step that asks for a new Jacobian only
 marks J stale, and the next step evaluates it once its Z0 is known; a
 Newton solve that fails with a stale J does the same.  Taken at the
 step's start instead, J made the simplified Newton iteration contract
-slowly in the tail.  Over the first 40 family inputs of perfbench's
-seed 101, the operators were refreshed on 96% of steps (now 80%), and a
-request had 18 Newton solves that failed (now 0.4) and 23 rejected
-attempts (now 4.8).
+slowly in the tail: on the five-stage method, over the first 40 family
+inputs of perfbench's seed 101, the operators were refreshed on 96% of
+steps (80% with the step-end J), and a request had 18 Newton solves that
+failed (0.4) and 23 rejected attempts (4.8).
 
-Two constants differ from the textbook's.  The error test aims at
+One constant differs from the textbook's.  The error test aims at
 ``ERROR_TARGET`` = 0.3 of the error scale ``atol + rtol |y|``: at 1 the
 longer steps break the accuracy contract below.  The config tolerances
-keep their meaning.  The Newton tolerance is a tenth of Hairer &
-Wanner's ``max(10 eps / rtol, min(0.03, sqrt(rtol)))``.  It was set for
-a soliton's deep tail (|y| from 2e-6 to 1e-4), where the profile's
-u_ddot, which is negative, is about sum(X^2 + Y^2 - sqrt(d) X): a
-cancellation that measures how far the state sits off the slow manifold
-X = Y^2 / sqrt(d).  There the state's offset from it was the Newton
-solve's residue, not truncation error: at the textbook tolerance 25-35
-samples of every soliton fixture got a positive u_ddot between 1e-18 and
-1.2e-17, and at a tenth of it none exceeded 3.5e-22.  That stretch no
-longer runs on this stepper.  A soliton trajectory leaves it once |y| <
-1e-2 (``flow.TAIL_SWITCH``) and ends on the slow manifold itself, so the
-tolerance now covers only |y| > 1e-2 of a soliton run, and the whole of
-a Ricci-flat one.  Whether the textbook tolerance holds there is a
-separate question: changing it would change the Ricci-flat work.
+keep their meaning.  The Newton tolerance is Hairer & Wanner's, ``max(10
+eps / rtol, min(0.03, sqrt(rtol)))``.  The five-stage method used a
+tenth of it, for a soliton's deep tail (|y| from 2e-6 to 1e-4), where
+the profile's u_ddot is a cancellation that measures how far the state
+sits off the slow manifold, and the Newton residue showed in it.  That
+stretch now runs on the slow manifold itself (``flow.TAIL_SWITCH``), so
+the stepper covers only |y| > 1e-2 of a soliton run, and the whole of a
+Ricci-flat one.  There the textbook tolerance passes the accuracy
+contract as the tenth did, with the same steps give or take one, and
+saves about 15% of the evaluations: on bryant_d2 1981 ``nfev`` became
+1679, at 75 and 74 steps.
 
 The stepper answers to an accuracy contract, which ``tests/test_flow.py``
 checks: each step's end agrees with a tight reference integration over
@@ -116,10 +115,11 @@ each step moves by an ulp or so; the step sizes follow the error norm,
 so the run carries that along (the tail's last abscissa moved by up to
 5e-7 relative), and a convergence or Jacobian test that lands within
 about 1e-4 of its threshold flips, adding or saving a step or a few
-evaluations on that input (6 of 400 generated inputs did).  Step control runs on Python floats (``math.nextafter``,
-``abs``, ``math.sqrt``), which round as numpy's scalars do;
-``_initial_step`` keeps numpy scalars so that a degenerate scale gives
-inf or nan instead of raising.
+evaluations on that input (6 of 400 generated inputs did).  Step
+control runs on Python floats (``math.nextafter``, ``abs``,
+``math.sqrt``), which round as numpy's scalars do; ``_initial_step``
+keeps numpy scalars so that a degenerate scale gives inf or nan instead
+of raising.
 
 Finiteness is checked where a bad value can first do harm, and no more
 often.  `_lu` scans each stack of Newton matrices once before inverting
@@ -146,75 +146,120 @@ import numpy as np
 
 EPS = np.finfo(float).eps
 
-STAGES = 5
+STAGES = 7
+_PAIRS = (STAGES - 1) // 2   # complex eigenvalue pairs of A^-1
 
 # Butcher tableau, from the Gauss-Radau nodes C (the zeros of
-# P_5(2x - 1) - P_4(2x - 1), Legendre polynomials P_k), A_ij the integral
-# of the j-th Lagrange basis polynomial on C over [0, C_i]; the literals
-# are correctly rounded, and tests/test_flow.py rebuilds them.  A is not
-# used directly: the Newton iteration works in the real eigenbasis of
-# A^-1 = T M0 TI, with one real eigenvalue MU_REAL and two complex pairs,
-# whose members MU_COMPLEX (one of each pair) act on the real and
-# imaginary rows of their block as [[Re, -Im], [Im, Re]].
-C = np.array([0.05710419611451768, 0.2768430136381238, 0.5835904323689168,
-              0.8602401356562195, 1.0])
+# P_7(2x - 1) - P_6(2x - 1), Legendre polynomials P_k), A_ij the integral
+# of the j-th Lagrange basis polynomial on C over [0, C_i].  Every literal
+# below is the correctly rounded value of a 60-digit construction, which
+# tests/test_flow.py repeats; a float64 construction leaves
+# |T M0^-1 TI - A| near 1e-11, enough to show in the closed-form test.
+# A is not used directly: the Newton iteration works in the real
+# eigenbasis of A^-1 = T M0 TI, with one real eigenvalue MU_REAL and three
+# complex pairs, whose members MU_COMPLEX (one of each pair, the one with
+# negative imaginary part, by increasing real part) act on the real and
+# imaginary rows of their block as [[Re, -Im], [Im, Re]].  The columns
+# of T are the eigenvectors, scaled to a last entry of 1.
+C = np.array([0.029316427159784893, 0.1480785996684843, 0.3369846902811543,
+              0.5586715187715501, 0.7692338620300545, 0.9269456713197411, 1.0])
 _C = C.tolist()   # the abscissae as Python floats, for the warm start
 # The error estimate's weights E = A^-T (b_hat - b) / gamma0, where the
 # embedded weights (gamma0, b_hat) on the nodes (0, C), gamma0 =
-# 1 / MU_REAL, have order 5 and b is the last row of A
-E = np.array([-27.78093394406464, 3.641478498049213, -1.2525477211691187,
-              0.5920031671845428, -0.2])
+# 1 / MU_REAL, have order 7 and b is the last row of A
+E = np.array([-54.374436894128614, 7.000024004259187, -2.355661091987557,
+              1.1322890661061344, -0.6468913267673587, 0.38753338537535237,
+              -0.14285714285714285])
 
-MU_REAL = 6.2867047517292765
-MU_COMPLEX = np.array([3.655694325463572 - 6.543736899360077j,
-                       5.70095329867179 - 3.2102656003085497j])
+MU_REAL = 8.936832788405216
+MU_COMPLEX = np.array([4.378693561506806 - 10.169693283795011j,
+                       7.14105521918764 - 6.623045922639276j,
+                       8.511834825102946 - 3.281013624325059j])
 
 T = np.array([
-    [0.013576867344947943, -0.010242047817908826, -0.04767387729029572,
-     -0.011478515255229515, 0.01401985889287541],
-    [0.0016179004017190875, 0.05017286451737106, 0.09433181918161143,
-     -0.007668830749180163, -0.024708578426518527],
-    [0.07915785334744721, -0.23053953404341795, -0.1027030453801259,
-     0.01939846399882895, -0.08180035370375117],
-    [0.41225608268046143, 0.37789390224886127, -0.46674413033249434,
-     0.40760117128019907, -0.19968242788680252],
-    [1.0, 1.0, 0.0, 1.0, 0.0]])
+    [0.0024435843048706113, 0.021567551351320772, -0.008783567925144144,
+     -0.004055161452331024, -0.004427232753268285, -0.0012386461879528741,
+     0.0027606174805438525],
+    [-0.001815339648319317, -0.03813164813441155, 0.021525560594006874,
+     0.00841556827655959, 0.00403194957022455, -6.666635339396339e-05,
+     -0.00318547482516621],
+    [0.004605339331161875, 0.05739650893938172, -0.05885052920842679,
+     -0.008560431061603433, 0.006923212665023909, -0.0023521809829433384,
+     -0.00041690777252975626],
+    [0.017870023342853068, -0.03821469359696835, 0.16573681127294385,
+     -0.03737124230238446, -0.00823900729850772, 0.0031150711523461752,
+     -0.025116604913438822],
+    [0.12818100807728391, -0.2491742124652637, -0.27356330579866234,
+     0.0053667613791817705, -0.19321111610126201, 0.10171773248171515,
+     -0.09504502035604623],
+    [0.5200651497488247, 0.5315846490836285, -0.4863228366175729,
+     0.5265742264584493, -0.27553439498962584, 0.5217519452747653,
+     -0.1280719446355439],
+    [1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]])
 TI = np.array([
-    [27.697693775684087, 12.783337911304406, 3.20848938671343,
-     -0.9514904122489162, 0.7415504960259897],
-    [5.344186437834912, 4.593615567759161, -3.0363603234594243,
-     1.050660190231459, -0.27277861186429625],
-    [-3.748059807439805, 3.984965736343885, 1.0444156416080188,
-     -1.1840985681379486, 0.44991777015678036],
-    [-33.041880213519, -17.376953479063566, -0.17212906325400557,
-     -0.09916977798254265, 0.5312281158383066],
-    [8.611443979875292, -9.699991409528808, -1.9147286396968743,
-     -2.41869200608494, 1.0474634879353375]])
-# the eigenvalues acting on (W0, Re W1, Im W1, Re W2, Im W2) as a real
-# matrix: TI A^-1 T
-_M1, _M2 = MU_COMPLEX
+    [227.51530596268069, 166.64802246760974, 43.26514588452621,
+     3.623090061341016, 3.572674832938798, -2.7435563656033675,
+     1.4514535402547504],
+    [-3.007390169451292, -11.015866078765772, 1.4877994561316563,
+     2.1303881595592826, -1.8161410868175656, 1.134325587895161,
+     -0.41469904594330353],
+    [8.441963188321084, 0.650525274057515, -6.9406707303698765,
+     3.2050475255978985, -1.0712809435464785, 0.3548507491216222,
+     -0.09198549132786554],
+    [74.6783322350227, 87.40858897990081, 4.024158737379998,
+     -3.714806315158364, -3.4300939859823174, 2.6966048097653124,
+     -0.9386927436075462],
+    [-58.356528851906575, 10.06877395780018, 30.36638884256667,
+     1.020020865184866, 0.11241750037842496, -1.8906408310003777,
+     0.9716486393831483],
+    [-299.1862480282521, -243.04074536874478, -48.77710407803787,
+     -2.0386719057419342, 1.673560239861085, -1.0873740320571061,
+     0.9019382492960993],
+    [93.0765028974353, -23.881631056281144, -39.278880730813846,
+     -14.38891568549108, 3.5104383993993613, -4.8632848855661805,
+     2.2464827295912397]])
+# the eigenvalues acting on (W0, Re W1, Im W1, ..., Re W3, Im W3) as a
+# real matrix: TI A^-1 T
+_M1, _M2, _M3 = MU_COMPLEX
 M0 = np.array([
-    [MU_REAL, 0, 0, 0, 0],
-    [0, _M1.real, -_M1.imag, 0, 0],
-    [0, _M1.imag, _M1.real, 0, 0],
-    [0, 0, 0, _M2.real, -_M2.imag],
-    [0, 0, 0, _M2.imag, _M2.real]])
-# the three Newton matrices' shifts, MU / h I - J, one per row
+    [MU_REAL, 0, 0, 0, 0, 0, 0],
+    [0, _M1.real, -_M1.imag, 0, 0, 0, 0],
+    [0, _M1.imag, _M1.real, 0, 0, 0, 0],
+    [0, 0, 0, _M2.real, -_M2.imag, 0, 0],
+    [0, 0, 0, _M2.imag, _M2.real, 0, 0],
+    [0, 0, 0, 0, 0, _M3.real, -_M3.imag],
+    [0, 0, 0, 0, 0, _M3.imag, _M3.real]])
+# the Newton matrices' shifts, MU / h I - J, one per row
 _MU = np.concatenate([[MU_REAL], MU_COMPLEX])[:, None]
 
 # Dense-output coefficients: a step's interpolant is y_old + Q @ (x, x^2,
-# ..., x^5) with Q = Z^T P and x = (s - t_old) / h; P is the inverse
-# transpose of the matrix [C_i^k], k = 1..5.
+# ..., x^7) with Q = Z^T P and x = (s - t_old) / h; P is the inverse
+# transpose of the matrix [C_i^k], k = 1..7.
 P = np.array([
-    [27.78093394406464, -208.02785730090133, 524.1878839694918,
-     -543.8283560361325, 199.88739542347736],
-    [-3.641478498049213, 77.88337605511782, -264.89491356822634,
-     317.67586907995275, -127.022853068795],
-    [1.2525477211691187, -29.167414317829696, 137.90290440413477,
-     -202.09087094360743, 92.10283313613321],
-    [-0.5920031671845428, 14.111895563613205, -72.39587480540027,
-     123.04335789978718, -64.16737549081559],
-    [0.2, -4.8, 25.2, -44.8, 25.2]])
+    [54.374436894128614, -809.604447567907, 4356.1008389578465,
+     -11271.767934426613, 15165.697701626303, -10230.214794534506,
+     2735.414199050748],
+    [-7.000024004259187, 295.72882206751626, -2118.907019153766,
+     6270.7306415830535, -9102.864560299675, 6441.038378576283,
+     -1778.7262387691535],
+    [2.355661091987557, -108.43698367594611, 1063.3426386156493,
+     -3770.1808571400634, 6126.120473885261, -4675.3990102870885,
+     1362.1980775102002],
+    [-1.1322890661061344, 53.45541143713203, -570.1028912055015,
+     2308.4681482334067, -4190.257632877243, 3485.0725047391993,
+     -1085.503251260887],
+    [0.6468913267673587, -30.856719667980922, 340.2585258530358,
+     -1459.5261955536778, 2857.2748261860943, -2561.697312686989,
+     853.8999845427503],
+    [-0.38753338537535237, 18.571060264328636, -207.83495021012072,
+     915.1333401610366, -1861.1136656635979, 1752.0573770502433,
+     -616.4256282165146],
+    [0.14285714285714285, -6.857142857142857, 77.14285714285714,
+     -342.85714285714283, 707.1428571428571, -678.8571428571429,
+     245.14285714285714]])
+
+# the error estimate has order STAGES, so a step's error goes as h^(STAGES + 1)
+_ORDER_EXPONENT = 1 / (STAGES + 1)
 
 NEWTON_MAXITER = 6  # Newton iterations per collocation solve
 ERROR_TARGET = 0.3  # the error norm a step aims at, a share of the error scale
@@ -239,8 +284,8 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     if error_norm_old is None or h_abs_old is None:
         multiplier = 1
     else:
-        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** (1 / 6)
-    return min(1, multiplier) * error_norm ** (-1 / 6)
+        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** _ORDER_EXPONENT
+    return min(1, multiplier) * error_norm ** -_ORDER_EXPONENT
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -270,23 +315,24 @@ def _error_estimate(error_op: np.ndarray, u: np.ndarray, scale: np.ndarray):
 
 
 class Radau:
-    """Implicit Runge-Kutta Radau IIA stepper of order 9 (five stages),
+    """Implicit Runge-Kutta Radau IIA stepper of order 13 (seven stages),
     forward in t.
 
     ``fun(y)`` is the right-hand side and ``jac(y)`` its dense Jacobian.
-    ``fun`` must also take the five collocation stages at once, as a
-    (5, n) ``y`` of one state per row, and return the (5, n) values.
+    ``fun`` must also take the seven collocation stages at once, as a
+    (7, n) ``y`` of one state per row, and return the (7, n) values.
     ``step()`` advances by one accepted step; ``status`` becomes
     ``"finished"`` once ``t`` reaches ``t_bound``.  A step that cannot be
     taken raises ``ValueError``: ``TOO_SMALL_STEP`` once the step size is
     below the spacing of floats at ``t``, or the errors above.
 
-    After each accepted step, ``dense`` holds its (n, 5) dense-output
-    coefficients Q: the step's interpolant, a quintic, is ``y_old + Q @
-    (x, x^2, ..., x^5)`` with ``x = (s - t_old) / (t - t_old)``, where
+    After each accepted step, ``dense`` holds its (n, 7) dense-output
+    coefficients Q: the step's interpolant, of degree 7, is ``y_old + Q @
+    (x, x^2, ..., x^7)`` with ``x = (s - t_old) / (t - t_old)``, where
     ``t_old`` and ``y_old`` are the state the step started from and ``t -
-    t_old`` is its size, bit for bit.  The next Newton iteration starts
-    from it.
+    t_old`` is its size, bit for bit.  Its coefficients sum to the step's
+    increment, to roundoff in the sum, so the interpolant ends on the
+    step's end.  The next Newton iteration starts from it.
 
     ``project``, if given, maps each accepted state to the state the next
     step starts from (the flow's Ricci-flat projection).  It is applied to
@@ -325,8 +371,8 @@ class Radau:
         self.nlu = 0
         self.rtol = rtol
         self.atol = atol
-        # a tenth of Hairer & Wanner's tolerance (see the module docstring)
-        self.newton_tol = 0.1 * max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
+        # Hairer & Wanner's Newton tolerance (see the module docstring)
+        self.newton_tol = max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
 
         self.f = self.fun(y0)
         self.h_abs = self._initial_step()
@@ -351,9 +397,9 @@ class Radau:
         kron_TI = np.kron(TI, I)
         # [TI (x) I | -(M0 (x) I)(TI (x) I)] maps the stacked Newton input
         # [F ; Z/h] to the right-hand sides of the real system and of the
-        # two complex ones, each split into its real and imaginary rows
+        # three complex ones, each split into its real and imaginary rows
         rhs_map = np.hstack([kron_TI, -np.kron(M0, I).dot(kron_TI)])
-        # its rows as three complex blocks, one per Newton matrix: the real
+        # its rows as four complex blocks, one per Newton matrix: the real
         # system's rows, then real + i imag rows of each complex pair
         rhs_rows = rhs_map.reshape(s, n, 2 * s * n)
         self._rhs_stack = np.concatenate([
@@ -361,15 +407,15 @@ class Radau:
         self._kron_T = np.kron(T, I)
         # [I | E (x) I] maps [f ; Z/h] to f + Z^T E / h
         self._error_map = np.hstack([I, np.kron(E, I)])
-        # the three Newton matrices, MU_REAL/h I - J and MU_COMPLEX[k]/h I - J
-        self._matrices = np.empty((3, n, n), dtype=complex)
-        self._diagonals = self._matrices.reshape(3, -1)[:, ::n + 1]   # views
+        # the four Newton matrices, MU_REAL/h I - J and MU_COMPLEX[k]/h I - J
+        self._matrices = np.empty((1 + _PAIRS, n, n), dtype=complex)
+        self._diagonals = self._matrices.reshape(1 + _PAIRS, -1)[:, ::n + 1]   # views
         self._newton_op = np.empty((2 * s * n, 2 * s * n))
         # views of dW's rows: the real system's, then (real, imaginary)
         # of each complex pair
         dW_rows = self._newton_op[:s * n].reshape(s, n, 2 * s * n)
         self._dW_real = dW_rows[0]
-        self._dW_pairs = dW_rows[1:].reshape(2, 2, n, 2 * s * n)
+        self._dW_pairs = dW_rows[1:].reshape(_PAIRS, 2, n, 2 * s * n)
         self._error_op = np.empty((n, (s + 1) * n))
         self._v = np.empty(2 * s * n)
         self._vF = self._v[:s * n].reshape(s, n)
@@ -393,14 +439,14 @@ class Radau:
         return _lu(a)
 
     def _newton_operators(self, h, J):
-        """Invert the three Newton matrices of step size h, in one stacked
+        """Invert the four Newton matrices of step size h, in one stacked
         call, and build the two operators the step applies.
 
-        Returns ``(error_op, newton_op)``: the (n, 6n) error operator,
-        which takes ``[f ; Z/h]`` to the error estimate, and the (10n,
-        10n) Newton operator, which takes the stacked input ``[F ; Z/h]``
+        Returns ``(error_op, newton_op)``: the (n, 8n) error operator,
+        which takes ``[f ; Z/h]`` to the error estimate, and the (14n,
+        14n) Newton operator, which takes the stacked input ``[F ; Z/h]``
         (stage by stage) to ``[dW ; dZ]``.  The dW half is one batched
-        complex product of the (3, n, n) inverses with the (3, n, 10n)
+        complex product of the (4, n, n) inverses with the (4, n, 14n)
         stack of the right-hand-side map's rows, real + i imag for each
         complex pair; its real and imaginary parts are the rows of dW.
         Neither operator holds h itself: the Z/h of their input is the
@@ -423,7 +469,7 @@ class Radau:
         return self._error_op, G
 
     def _initial_step(self) -> float:
-        """Hairer, Nørsett & Wanner's starting step for an order-5 error
+        """Hairer, Nørsett & Wanner's starting step for an order-7 error
         estimate (*Solving ODEs I*, §II.4)."""
         y0, f0 = self.y, self.f
         interval_length = abs(self.t_bound - self.t)
@@ -444,7 +490,7 @@ class Radau:
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 6)
+            h1 = (0.01 / max(d1, d2)) ** _ORDER_EXPONENT
         # a Python float, so that the step control runs on Python floats
         return float(min(100 * h0, h1, interval_length))
 
@@ -453,7 +499,7 @@ class Radau:
         t, t_old = self.t, self.t_old
         h_old = t - t_old
         p = np.array([list(accumulate([(t + h * c - t_old) / h_old] * STAGES, mul))
-                      for c in _C])   # the powers x, x^2, ..., x^5 of each node
+                      for c in _C])   # the powers x, x^2, ..., x^7 of each node
         return p.dot(self.dense.T) + (self.y_old - self.y)
 
     def step(self) -> None:
@@ -582,7 +628,11 @@ class Radau:
             self.h_min = float(h)
         if h > self.h_max:
             self.h_max = float(h)
-        self.dense = np.dot(Z.T, P)
+        # the last column takes up the rounding of Z^T P, so that the
+        # interpolant's coefficients sum to the step's increment Z[-1]
+        Q = np.dot(Z.T, P)
+        Q[:, -1] += Z[-1] - Q.sum(axis=1)
+        self.dense = Q
         if t_new - self.t_bound >= 0:
             self.status = "finished"
 
@@ -606,7 +656,7 @@ class Radau:
         tol = self.newton_tol
         fun = self._fun
         for k in range(NEWTON_MAXITER):
-            vF[...] = fun(y + Z)   # all five stages in one call
+            vF[...] = fun(y + Z)   # all seven stages in one call
             self.nfev += STAGES
 
             np.divide(Z, h, out=vZ)

@@ -13,14 +13,20 @@ increments are summed.  Each node sits at a fixed fraction of its
 interval, so each segment of the trajectory hands over all its nodes,
 and ds/dx there, in one call (``at_fractions``), with no abscissa to
 compute and no step to search for.  A Radau step is linear in s, with
-ds/dx its length; its interpolant is a quintic in s, so the rule is
-exact for the polynomial integrands H - 1 and sum(X^2), and sqrt(L / C)
-and 1 / w are smooth there, the rule converged far below the flow's
-tolerance.  An interval of the tail is linear in tau = log s, with ds =
-s dtau; its integrands are smooth in tau over a twelfth of a decade.
+ds/dx its length; its interpolant is a polynomial of degree 7 in s,
+so the eight-point rule is exact for the polynomial integrands H - 1
+and sum(X^2), and sqrt(L / C) and 1 / w are smooth there, the rule
+converged far below the flow's tolerance.  An interval of the tail is
+linear in tau = log s, with ds = s dtau; its integrands are smooth in
+tau over a twelfth of a decade.
 In Ricci-flat mode the t integrand needs log w inside each step, which
 a nested rule on [s_k, node] supplies: its nodes sit at the products
 x_i x_j of the node fractions, weighted by ds/dx there.
+
+The same rule over the part of a step from its first sample gives t at
+any abscissa, so `fields_at_t` can place the closed-form fields at
+given times, such as the nodes of verify's Richardson extrapolation,
+whatever the step sizes.
 
 The un-sampled tail below the first sample is estimated from the exact
 exponential rates at the critical point: L ~ e^{2 b^2 s} gives
@@ -70,15 +76,63 @@ class MetricProfile:
         return (self.spec.dims * self.g_dot / self.g).sum(axis=1)
 
 
-# Gauss-Legendre points per accepted step.  Six make the rule exact for
-# polynomials of degree 11, which covers sum(X^2), of degree 10, on a
-# quintic interpolant.
-_GL_POINTS = 6
+# Gauss-Legendre points per accepted step.  Eight make the rule exact for
+# polynomials of degree 15, which covers sum(X^2), of degree 14 on the
+# stepper's degree-7 interpolant.
+_GL_POINTS = 8
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
 # The nodes as fractions of their step, and the nested rule's nodes on
 # [s_k, node i] as fractions of the step, x_i x_j in row-major order.
 _NODE_X = 0.5 * (1.0 + _GL_X)
 _NESTED_X = np.outer(_NODE_X, _NODE_X).ravel()
+# Newton steps at most, and the relative residual in t that ends them,
+# for the abscissa of a given time in `fields_at_t`: from its start one
+# step leaves about 1e-11, below which the rule's own error slows them
+_NEWTON_STEPS = 8
+_T_RESIDUAL = 1e-10
+
+
+def _fractions(spec: ProblemSpec) -> np.ndarray:
+    """The rule's node fractions, and in Ricci-flat mode the nested rule's
+    after them."""
+    if spec.mode is Mode.RICCI_FLAT:
+        return np.concatenate([_NODE_X, _NESTED_X])
+    return _NODE_X
+
+
+def _increments(y: np.ndarray, ds_dx: np.ndarray, spec: ProblemSpec,
+                log_w_k: np.ndarray | None = None) -> np.ndarray:
+    """The quadratures' increments over intervals: columns [dt, du] in
+    soliton mode and [dlog w, dt, du] in Ricci-flat mode, one row per
+    interval.
+
+    y (interval, 2r, node) holds the states at the `_fractions` of each
+    interval and ds_dx (interval, node) ds/dx there.  In Ricci-flat mode
+    log_w_k is log w at each interval's start; by default the intervals
+    are consecutive from the first sample, and it is summed from their
+    own dlog w.
+    """
+    r = spec.r
+    q = _GL_POINTS
+    sqrt_d = np.sqrt(spec.dims)
+    weights = 0.5 * ds_dx[:, :q] * _GL_W                 # (interval, node)
+    X, Y = y[:, :r], y[:, r:]
+    sx2 = np.einsum("kin,kin->kn", X, X)
+    du = (weights * (sqrt_d @ X[:, :, :q] - 1.0)).sum(axis=1)
+
+    if spec.mode is Mode.RICCI_FLAT:
+        dlog_w = -(weights * sx2[:, :q]).sum(axis=1)
+        if log_w_k is None:
+            log_w_k = np.concatenate([[0.0], np.cumsum(dlog_w)[:-1]])
+        # log w at each node: log w(s_k) plus the nested rule on [s_k, node]
+        sub_weights = (0.5 * ds_dx[:, q:].reshape(-1, q, q) * _NODE_X[:, None]) * _GL_W
+        sub_sx2 = sx2[:, q:].reshape(-1, q, q)
+        node_log_w = log_w_k[:, None] - (sub_weights * sub_sx2).sum(axis=2)
+        dt = (weights * np.exp(-node_log_w)).sum(axis=1)
+        return np.column_stack([dlog_w, dt, du])
+    ell = sx2 + np.einsum("kin,kin->kn", Y, Y) - 1.0
+    dt = (weights * np.sqrt(ell / spec.gauge_C)).sum(axis=1)
+    return np.column_stack([dt, du])
 
 
 def _cumulative(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
@@ -87,33 +141,11 @@ def _cumulative(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
     Returns per-sample columns [t_rel, u] in soliton mode and
     [log w, t_rel, u] in Ricci-flat mode, all zero at the first sample.
     """
-    r = spec.r
-    q = _GL_POINTS
-    sqrt_d = np.sqrt(spec.dims)
-    ricci_flat = spec.mode is Mode.RICCI_FLAT
-
-    x = np.concatenate([_NODE_X, _NESTED_X]) if ricci_flat else _NODE_X
+    x = _fractions(spec)
     nodes = [seg.at_fractions(x) for seg in traj.segments]
     y = np.concatenate([y for y, _ in nodes])            # (interval, 2r, node)
     ds_dx = np.concatenate([rate for _, rate in nodes])  # (interval, node)
-    weights = 0.5 * ds_dx[:, :q] * _GL_W                 # (interval, node)
-    X, Y = y[:, :r], y[:, r:]
-    sx2 = np.einsum("kin,kin->kn", X, X)
-    du = (weights * (sqrt_d @ X[:, :, :q] - 1.0)).sum(axis=1)
-
-    if ricci_flat:
-        dlog_w = -(weights * sx2[:, :q]).sum(axis=1)
-        log_w_k = np.concatenate([[0.0], np.cumsum(dlog_w)[:-1]])
-        # log w at each node: log w(s_k) plus the nested rule on [s_k, node]
-        sub_weights = (0.5 * ds_dx[:, q:].reshape(-1, q, q) * _NODE_X[:, None]) * _GL_W
-        sub_sx2 = sx2[:, q:].reshape(-1, q, q)
-        node_log_w = log_w_k[:, None] - (sub_weights * sub_sx2).sum(axis=2)
-        dt = (weights * np.exp(-node_log_w)).sum(axis=1)
-        increments = np.column_stack([dlog_w, dt, du])
-    else:
-        ell = sx2 + np.einsum("kin,kin->kn", Y, Y) - 1.0
-        dt = (weights * np.sqrt(ell / spec.gauge_C)).sum(axis=1)
-        increments = np.column_stack([dt, du])
+    increments = _increments(y, ds_dx, spec)
 
     cum = np.cumsum(increments, axis=0)
     bad = ~np.isfinite(increments).all(axis=1)
@@ -138,11 +170,7 @@ def build_profile(traj: Trajectory, spec: ProblemSpec) -> MetricProfile:
     if np.any(traj.Y == 0):
         raise ZeroY("a Y component vanishes; warping functions undefined")
 
-    d = spec.dims
     lam = spec.lambdas
-    sqrt_d = np.sqrt(d)
-    X, Y = traj.X, traj.Y
-
     if spec.mode is Mode.SOLITON and np.any(traj.L >= 0):
         raise NonNegativeL("soliton reconstruction requires L < 0 throughout")
     # An extreme but accepted gauge_C or lambda (near +-1e308, or a
@@ -158,21 +186,9 @@ def build_profile(traj: Trajectory, spec: ProblemSpec) -> MetricProfile:
             t_rel, u = cum.T
             w = np.sqrt(spec.gauge_C / traj.L)
         t = _tail_t0(spec, w) + t_rel
+        fields = {"t": t, "w": w, **_closed_forms(spec, traj.X, traj.Y, w, traj.H),
+                  "u": u}
 
-        g = np.sqrt(d * lam) / (Y * w[:, None])
-        g_dot = np.sqrt(lam) * X / Y
-        sx2 = np.einsum("ij,ij->i", X, X)
-        g_ddot = g * (w[:, None] ** 2) * (X**2 + Y**2 - sqrt_d * X) / d
-        bracket = (X / Y**2) * (
-            -3.0 * X + X**2 / sqrt_d + sqrt_d + sqrt_d * sx2[:, None]
-        ) + X / sqrt_d - 1.0
-        g_dddot = w[:, None] * (lam / g) * bracket
-
-        u_dot = w * (traj.H - 1.0)
-        u_ddot = (d * g_ddot / g).sum(axis=1)
-
-    fields = {"t": t, "w": w, "g": g, "g_dot": g_dot, "g_ddot": g_ddot,
-              "g_dddot": g_dddot, "u": u, "u_dot": u_dot, "u_ddot": u_ddot}
     for name, value in fields.items():
         if not np.isfinite(value).all():
             raise QuadratureFailure(
@@ -182,18 +198,68 @@ def build_profile(traj: Trajectory, spec: ProblemSpec) -> MetricProfile:
     if np.any(np.diff(t) <= 0):
         raise QuadratureFailure("recovered arclength is not strictly increasing")
 
-    return MetricProfile(
-        spec=spec,
-        s=traj.s.copy(),
-        t=t,
-        w=w,
-        g=g,
-        g_dot=g_dot,
-        g_ddot=g_ddot,
-        g_dddot=g_dddot,
-        u=u,
-        u_dot=u_dot,
-        u_ddot=u_ddot,
-        L=traj.L.copy(),
-        H=traj.H.copy(),
-    )
+    return MetricProfile(spec=spec, s=traj.s.copy(), L=traj.L.copy(),
+                         H=traj.H.copy(), **fields)
+
+
+def _closed_forms(spec: ProblemSpec, X: np.ndarray, Y: np.ndarray, w: np.ndarray,
+                  H: np.ndarray) -> dict:
+    """The fields that are closed forms in the state: g_i and its first
+    three t-derivatives, u_dot and u_ddot, at states with rows X, Y (m, r),
+    frame factor w and H (m,)."""
+    d = spec.dims
+    lam = spec.lambdas
+    sqrt_d = np.sqrt(d)
+    g = np.sqrt(d * lam) / (Y * w[:, None])
+    g_dot = np.sqrt(lam) * X / Y
+    sx2 = np.einsum("ij,ij->i", X, X)
+    g_ddot = g * (w[:, None] ** 2) * (X**2 + Y**2 - sqrt_d * X) / d
+    bracket = (X / Y**2) * (
+        -3.0 * X + X**2 / sqrt_d + sqrt_d + sqrt_d * sx2[:, None]
+    ) + X / sqrt_d - 1.0
+    g_dddot = w[:, None] * (lam / g) * bracket
+    u_dot = w * (H - 1.0)
+    u_ddot = (d * g_ddot / g).sum(axis=1)
+    return {"g": g, "g_dot": g_dot, "g_ddot": g_ddot, "g_dddot": g_dddot,
+            "u_dot": u_dot, "u_ddot": u_ddot}
+
+
+def fields_at_t(traj: Trajectory, profile: MetricProfile, t: np.ndarray) -> dict:
+    """The closed-form fields of `_closed_forms` at the times t (m,) inside
+    the profile, read off the dense trajectory rather than the samples.
+
+    Each time's abscissa s lies in the interval from the last sample k
+    with t_k <= t.  There t(s) = t_k + the Gauss-Legendre rule of
+    `_increments` on [s_k, s], and dt/ds = 1 / w, so Newton's method finds
+    s from a start interpolated between the samples; it stops once t(s)
+    is within `_T_RESIDUAL` of t, relative.
+    """
+    spec = profile.spec
+    r = spec.r
+    ricci_flat = spec.mode is Mode.RICCI_FLAT
+    t = np.asarray(t, dtype=float)
+    k = np.clip(np.searchsorted(profile.t, t, side="right") - 1, 0, profile.t.size - 2)
+    s_k, t_k = traj.s[k], profile.t[k]
+    log_w_k = np.log(profile.w[k])
+    # t is nearly exponential in s near the seed, so the start interpolates
+    # log t linearly
+    s = s_k + np.log(t / t_k) / np.log(profile.t[k + 1] / t_k) * (traj.s[k + 1] - s_k)
+    x = np.append(_fractions(spec), 1.0)   # the rule's nodes, then s itself
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            h = s - s_k
+            y = traj.dense((s_k[:, None] + x * h[:, None]).ravel())
+            y = y.reshape(2 * r, t.size, x.size).transpose(1, 0, 2)
+            ds_dx = np.broadcast_to(h[:, None], (t.size, x.size - 1))
+            increments = _increments(y[:, :, :-1], ds_dx, spec, log_w_k)
+            X, Y = y[:, :r, -1], y[:, r:, -1]
+            if ricci_flat:
+                w = np.exp(log_w_k + increments[:, 0])
+            else:
+                L = np.einsum("ij,ij->i", X, X) + np.einsum("ij,ij->i", Y, Y) - 1.0
+                w = np.sqrt(spec.gauge_C / L)
+            residual = t_k + increments[:, -2] - t
+            if not np.abs(residual / t).max() > _T_RESIDUAL:
+                break
+            s = s - residual * w
+        return _closed_forms(spec, X, Y, w, X @ np.sqrt(spec.dims))

@@ -4,16 +4,20 @@ Each analytic statement about the trajectory, the reconstructed metric,
 or its curvature becomes one named check with a measured value and a
 tolerance.  Limits as s -> -infinity are realized as intercepts of fits
 against L (every relevant quantity approaches its limit linearly in L),
-and limits as t -> 0 as Richardson extrapolation over the first samples.
+and limits as t -> 0 as Richardson extrapolation from the first times.
 
 The seed-end checks use three |L| windows, one for check (d) (with the
 reported-only Q_limits), one for (f) and one for (g) and the Y_i decay
 rates.  run_suite evaluates the dense output once per window and fits
-every quantity of that window from the same arrays.  The t = 0 limits
-need only the profile: boundary_checks computes them and their checks
-on their own, for a caller that wants no more than g_i(0).  The phase
-system's own claims, the spectrum at the critical point and the
-identity L' = 2 L sum X^2, are checked from `phase.rhs` and
+every quantity of that window from the same arrays, and each window's
+ends are where |L| crosses its bounds on the dense output.  The t = 0
+limits need only the profile and the dense trajectory: boundary_checks
+computes them and their checks on their own, for a caller that wants no
+more than g_i(0), from the fields at exact times t_min 1.6^k.  Neither
+the windows nor the Richardson nodes depend on where the steps fall, so
+a stepper with longer steps moves the checks only by its own error.
+The phase system's own claims, the spectrum at the critical point and
+the identity L' = 2 L sum X^2, are checked from `phase.rhs` and
 `phase.rhs_jacobian`; that the tail starts on the slow manifold, from
 the Radau state at the switch and the graph of `manifold`.  The
 curvature signs and decay and the paraboloid end are tail_checks on the
@@ -36,7 +40,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from . import geometry, manifold, phase
+from . import geometry, manifold, phase, reconstruct
 from .errors import IncompleteInputs, TooFewSamples
 from .flow import L_FLOOR, MONOTONE_SLACK, Trajectory
 from .geometry import AsymptoticsReport, CurvatureReport
@@ -130,15 +134,17 @@ def richardson_extrapolate(values, order: int, parity: str = "none"):
         raise TooFewSamples(f"need at least {need} samples, got {len(pts)}")
     t = np.array([p[0] for p in pts[: order + 1]])
     v = np.array([p[1] for p in pts[: order + 1]])
-    x = t**2 if parity == "even" else t
+    limit, error = _at_zero(t**2 if parity == "even" else t, v)
+    return float(limit), float(error)
 
-    def fit_at_zero(k):
-        # interpolating polynomial through the k+1 smallest nodes
-        return float(np.polynomial.polynomial.polyfit(x[: k + 1], v[: k + 1], k)[0])
 
-    limit = fit_at_zero(order)
-    prev = fit_at_zero(order - 1)
-    return limit, abs(limit - prev)
+def _at_zero(x: np.ndarray, v: np.ndarray):
+    """The values at 0 of the interpolating polynomials through all the
+    nodes x and through all but the last, for v (node,) or each column of
+    v (node, column): (limit, |limit - the other|)."""
+    fit = np.polynomial.polynomial.polyfit
+    limit = fit(x, v, x.size - 1)[0]
+    return limit, np.abs(limit - fit(x[:-1], v[:-1], x.size - 2)[0])
 
 
 # --------------------------------------------------------------------------
@@ -146,17 +152,29 @@ def richardson_extrapolate(values, order: int, parity: str = "none"):
 
 
 def _window_states(traj: Trajectory, lo: float, hi: float, n: int = 250):
-    """Dense states over the s-window where |L| runs from lo to hi."""
+    """Dense states over the s-window where |L| runs from lo to hi.
+
+    The window's ends are where |L| crosses lo and hi on the dense output,
+    not between the samples.  Near the seed |L| ~ e^{2 beta^2 s}, so log |L|
+    interpolated linearly over the samples puts them within about 1e-5 of
+    |L|, and one Newton step on both ends at once, with d|L|/ds = -2 L
+    sum X^2, within about 1e-10.
+    """
     absL = np.abs(traj.L)
     lo = max(lo, absL[0])
     hi = min(hi, 0.99 * absL[-1])
     if hi <= lo:
         raise TooFewSamples(f"empty seed-end window |L| in [{lo:g}, {hi:g}]")
-    s_lo = float(np.interp(lo, absL, traj.s))
-    s_hi = float(np.interp(hi, absL, traj.s))
-    s_grid = np.linspace(s_lo, s_hi, n)
-    y = traj.dense(s_grid)
     r = traj.r
+    target = np.array([lo, hi])
+    ends = np.interp(np.log(target), np.log(absL), traj.s)
+    y = traj.dense(ends)
+    X = y[:r]
+    L = np.einsum("ij,ij->j", y, y) - 1.0
+    ends -= (L + target) / (2.0 * L * np.einsum("ij,ij->j", X, X))
+    np.clip(ends, traj.s[0], traj.s[-1], out=ends)
+    s_grid = np.linspace(ends[0], ends[1], n)
+    y = traj.dense(s_grid)
     X, Y = y[:r].T, y[r:].T
     L = np.einsum("ij,ij->i", X, X) + np.einsum("ij,ij->i", Y, Y) - 1.0
     return s_grid, X, Y, L
@@ -304,8 +322,11 @@ def run_suite(
                  "fit_errors": [xbl_err, rho_err]},
     ))
 
-    # (g) L ~ e^{2 beta^2 s}: fitted exponent and finite negative limit
+    # (g) L ~ e^{2 beta^2 s}: fitted exponent and finite negative limit;
+    # s is counted from the first sample, so that e^{-2 beta^2 s} neither
+    # overflows nor underflows whatever s_start is
     s, X, Y, L = _window_states(traj, 1.5 * L0, min(50.0 * L0, 0.05))
+    s = s - traj.s[0]
     expo_L = float(np.polyfit(s, np.log(-L), 1)[0])
     lam_hat, lam_err = _intercept_vs_L(L, np.exp(-2.0 * b2 * s) * L / spec.gauge_C)
     dev_g = abs(expo_L - 2.0 * b2) / (2.0 * b2)
@@ -335,7 +356,7 @@ def run_suite(
         ))
 
     # (h) boundary limits at t = 0 by Richardson extrapolation
-    boundary, b_checks = boundary_checks(profile)
+    boundary, b_checks = boundary_checks(traj, profile)
     checks.extend(b_checks)
     diag["boundary"] = boundary
 
@@ -363,10 +384,13 @@ def run_suite(
 
     # (k) the potential's boundary value by two routes
     u0_quad = -(traj.H[0] - 1.0) / (2.0 * b2)  # gauge u(s_0) = 0 + exact tail
+    # lam_hat is the limit of e^{-2 beta^2 (s - s_0)} L / C, whose log
+    # exceeds that of e^{-2 beta^2 s} L / C by 2 beta^2 s_0
     c0 = (
         profile.u[0]
         - float((d * np.log(profile.g[0])).sum())
         + traj.s[0]
+        - d[0] * b2 * traj.s[0]
     )
     log_l = 0.0
     for i in range(1, r):
@@ -521,27 +545,46 @@ _BOUNDARY_FIELDS = (("g", 0), ("g_dot", 1), ("g_ddot", 2), ("g_dddot", 3),
                     ("u_dot", 1), ("u_ddot", 2))
 
 
-def boundary_checks(profile: MetricProfile):
+def _boundary_nodes(profile: MetricProfile) -> np.ndarray:
+    """The times of the Richardson extrapolation to t = 0: t_min 1.6^k for
+    k = 0..4, those of them inside the profile."""
+    t = profile.t[0] * 1.6 ** np.arange(5)
+    return t[t <= profile.t[-1]]
+
+
+def boundary_checks(traj: Trajectory, profile: MetricProfile):
     """Richardson extrapolations of the profile fields to t = 0, and the
     smooth-closure checks on them: (boundary limits, checks).
 
-    The parity rule: g_1 is odd about t = 0 and every other g_i, like u,
-    is even, so the k-th derivative of g_i is extrapolated in t^2 iff
-    k + [i = 1] is even.
+    The fields are evaluated at the exact `_boundary_nodes`, on the dense
+    trajectory (`reconstruct.fields_at_t`), so the limits do not depend on
+    where the steps fall.  The parity rule: g_1 is odd about t = 0 and
+    every other g_i, like u, is even, so the k-th derivative of g_i is
+    extrapolated in t^2 iff k + [i = 1] is even.
     """
-    idx = _boundary_nodes(profile.t, 5)
-    t = profile.t[idx]
+    t = _boundary_nodes(profile)
+    if t.size < 3:
+        raise TooFewSamples(f"need at least 3 Richardson nodes, got {t.size}")
+    fields = reconstruct.fields_at_t(traj, profile, t)
+    # every field's columns side by side (u's: one column, not one per
+    # factor), each fitted in t and in t^2, and each keeping the fit its
+    # parity asks for
+    columns = np.column_stack([fields[name] for name, _ in _BOUNDARY_FIELDS])
+    r = profile.r
+    odd = np.concatenate([(k + (np.arange(r) == 0)) % 2 if fields[name].ndim == 2
+                          else [k % 2] for name, k in _BOUNDARY_FIELDS]) == 1
+    fits = np.where(odd, _at_zero(t, columns), _at_zero(t * t, columns))
     boundary, errors = {}, {}
-    for name, k in _BOUNDARY_FIELDS:
-        vals = getattr(profile, name)[idx]
-        fits = [richardson_extrapolate(
-            list(zip(t, v)), order=len(t) - 1,
-            parity="none" if (k + (vals.ndim == 2 and i == 0)) % 2 else "even",
-        ) for i, v in enumerate(np.atleast_2d(vals.T))]
-        limits, errs = map(list, zip(*fits))
-        scalar = vals.ndim == 1  # u: one limit, not one per factor
-        boundary[f"{name}_0"] = limits[0] if scalar else limits
-        errors[name] = errs[0] if scalar else errs
+    start = 0
+    for name, _ in _BOUNDARY_FIELDS:
+        if fields[name].ndim == 2:
+            limits, errs = fits[:, start:start + r].tolist()
+            start += r
+        else:
+            limits, errs = fits[:, start].tolist()
+            start += 1
+        boundary[f"{name}_0"] = limits
+        errors[name] = errs
     boundary["g_0_err"] = errors["g"]
     g_0, gd_0 = boundary["g_0"], boundary["g_dot_0"]
     gdd_0, gddd_0 = boundary["g_ddot_0"], boundary["g_dddot_0"]
@@ -569,15 +612,3 @@ def boundary_checks(profile: MetricProfile):
             requires=(all(v > 0 for v in g_0[1:])
                       and all(math.isfinite(v) for v in gdd_0[1:] + gddd_0[1:]))))
     return boundary, checks
-
-
-def _boundary_nodes(t: np.ndarray, n: int) -> np.ndarray:
-    """Indices of n geometrically spread samples just above t_min."""
-    targets = t[0] * 1.6 ** np.arange(n)
-    # a set, not np.unique: np.unique's first call imports numpy.ma
-    idx = set(np.searchsorted(t, targets).clip(0, len(t) - 1).tolist())
-    k = 0
-    while len(idx) < n and k < len(t):
-        idx.add(k)
-        k += 1
-    return np.array(sorted(idx)[:n])

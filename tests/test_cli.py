@@ -213,6 +213,20 @@ class TestSubcommands:
         assert (f"{traj.s.size} samples, {summary['radau_steps']} Radau steps and "
                 f"{summary['tail_steps']} tail steps") in out
 
+    @pytest.mark.parametrize("s_start", [1e6, -1e6])
+    def test_verify_passes_at_a_far_s_start(self, tmp_path, capsys, s_start):
+        """The flow is autonomous, so a start far from s = 0 runs the same
+        trajectory shifted in s, and every check passes: L_decay_rate fits
+        e^{-2 beta^2 (s - s_0)} L, which neither underflows nor overflows,
+        and the product formula for u(0) carries the shift."""
+        with open(os.path.join(CONFIG_DIR, "r2_d2_3.json")) as fh:
+            payload = json.load(fh)
+        path = write_config(tmp_path, dict(payload, s_start=s_start))
+        assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert "verify: PASS" in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        assert all(c["passed"] for c in report["checks"])
+
     def test_verify_report_names_the_switch_check(self, tmp_path):
         path = os.path.join(CONFIG_DIR, "r3_d2_2_3.json")
         assert cli.main(["verify", "--config", path, "--out", str(tmp_path)]) == 0
@@ -299,8 +313,8 @@ class TestSubcommands:
         boundary_checks = verify.boundary_checks
         points = []
 
-        def planted_failure(profile):
-            boundary, checks = boundary_checks(profile)
+        def planted_failure(traj, profile):
+            boundary, checks = boundary_checks(traj, profile)
             points.append(profile)
             if len(points) == 3:   # the point of ratio 2
                 checks = [dataclasses.replace(c, measured=2 * c.tolerance)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import OdeSolution
@@ -165,8 +166,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("name", ["d2_3", "rf_d2_3"])
     def test_stages_share_one_rhs_call(self, monkeypatch, name):
-        """Each Newton iteration evaluates its five stages in one
-        phase.rhs call on a (5, 2r) stack; every other call is one state.
+        """Each Newton iteration evaluates its seven stages in one
+        phase.rhs call on a (7, 2r) stack; every other call is one state.
         In Ricci-flat mode the stepper projects each accepted state before
         its one call, and the flow tests the seed with the stepper's f;
         the one call that is not the stepper's is flow.seed's rest-point
@@ -188,11 +189,12 @@ class TestIntegrate:
         monkeypatch.setattr(flow, "Radau", Recorded)
         sf.run(make_spec(name))
         [solver] = solvers
-        stacked = shapes.count((5, 4))
+        stacked = shapes.count((radau.STAGES, 4))
         single = shapes.count((4,))
+        assert radau.STAGES == 7
         assert stacked > 0 and stacked + single == len(shapes)
         seed_calls = 0 if name == "d2_3" else 1
-        assert 5 * stacked + single == solver.nfev + seed_calls
+        assert radau.STAGES * stacked + single == solver.nfev + seed_calls
 
     def test_ricci_flat_steps_start_on_the_invariant_set(self, monkeypatch):
         """After every accepted Ricci-flat step the stepper's own state is
@@ -487,14 +489,14 @@ def _config_spec(name):
 # n_steps counts the intervals between the trajectory's samples, and the
 # rest is the Radau stepper's work
 SHIPPED_WORK = {
-    "bryant_d2": (327, 2865, 95, 345, 4),
-    "r1_d3": (325, 2817, 99, 321, 1),
-    "r1_d4": (325, 2878, 104, 342, 4),
-    "r1_d9": (321, 2798, 111, 354, 2),
-    "r2_d2_3": (328, 2791, 93, 324, 5),
-    "r2_d3_5": (330, 2837, 99, 333, 5),
-    "r3_d2_2_3": (323, 2704, 93, 315, 5),
-    "ricci_flat_d2_3": (119, 1761, 21, 111, 2),
+    "bryant_d2": (218, 1679, 62, 284, 2),
+    "r1_d3": (219, 1679, 63, 288, 2),
+    "r1_d4": (216, 1607, 64, 284, 1),
+    "r1_d9": (216, 1628, 65, 284, 1),
+    "r2_d2_3": (225, 1744, 60, 288, 4),
+    "r2_d3_5": (225, 1729, 60, 284, 4),
+    "r3_d2_2_3": (226, 1736, 59, 284, 4),
+    "ricci_flat_d2_3": (47, 994, 20, 124, 1),
 }
 # (steps, nfev) of the DOP853 tail of each shipped soliton config
 SHIPPED_TAIL_WORK = {
@@ -502,9 +504,9 @@ SHIPPED_TAIL_WORK = {
     "r1_d3": (15, 227),
     "r1_d4": (15, 227),
     "r1_d9": (16, 242),
-    "r2_d2_3": (37, 629),
-    "r2_d3_5": (38, 644),
-    "r3_d2_2_3": (36, 590),
+    "r2_d2_3": (37, 617),
+    "r2_d3_5": (39, 707),
+    "r3_d2_2_3": (36, 602),
 }
 
 
@@ -542,13 +544,13 @@ def test_shipped_config_work_is_pinned(monkeypatch, name):
 # configs/sweep_d2_3.json in ratio order, as `solitonforge sweep` runs them,
 # each point's Radau work followed by its tail's (steps, nfev)
 WIDER_WORK = {
-    "rf_d2_2_3": [(116, 1738, 25, 117, 2)],
+    "rf_d2_2_3": [(46, 1000, 23, 132, 2)],
     "sweep_d2_3": [
-        (328, 2791, 93, 324, 5, 38, 656),
-        (328, 2791, 93, 324, 5, 37, 629),
-        (330, 2823, 93, 330, 6, 35, 611),
-        (330, 2858, 94, 336, 7, 34, 584),
-        (330, 2829, 96, 333, 5, 30, 512),
+        (225, 1751, 58, 296, 4, 38, 656),
+        (225, 1744, 60, 288, 4, 37, 617),
+        (226, 1787, 62, 296, 5, 35, 599),
+        (222, 1672, 60, 276, 2, 34, 596),
+        (224, 1744, 62, 280, 3, 30, 524),
     ],
 }
 
@@ -595,6 +597,16 @@ def _toy(jac=lambda y: TOY_JACOBIAN, **kwargs):
     args = dict(t_bound=5.0, rtol=1e-6, atol=1e-9)
     args.update(kwargs)
     return radau.Radau(fun, jac, 0.0, [1.0, 0.0], **args)
+
+
+# Three of perfbench's seed-101 family inputs, g00p3, g01p3 and g22p1, as
+# (dims, seed_coeffs) with lambda = dim - 1
+GENERATED_SPECS = {
+    "g00p3": ((9, 2), (-7.516127318140831e-07, 5.400305229916673e-07)),
+    "g01p3": ((5, 3, 5), (-8.129374320859866e-06, 7.836026441190889e-06,
+                          6.157368878526415e-05)),
+    "g22p1": ((9, 6), (-3.6888369199687085e-07, 8.463906292772232e-07)),
+}
 
 
 class TestAccuracy:
@@ -646,6 +658,33 @@ class TestAccuracy:
         fine = verify.run_suite(traj, profile, curv, spec)
         assert [c.name for c in coarse.checks] == [c.name for c in fine.checks]
         for a, b in zip(coarse.checks, fine.checks):
+            if a.tolerance > 0:
+                assert abs(a.measured - b.measured) < 1e-2 * a.tolerance, a.name
+            else:
+                assert a.passed and b.passed, a.name
+
+    @pytest.mark.parametrize("name", sorted(GENERATED_SPECS))
+    def test_verify_checks_converge_on_generated_specs(self, name):
+        """As test_verify_checks_converge, on three generated family specs
+        with long steps near the seed.  Read at the samples nearest the
+        Richardson nodes, with |L| windows cut between samples, their
+        noncollapsing_factors and seed_ratio moved by up to 38% and 33% of
+        their tolerances (measured now: at most 0.88%,
+        potential_boundary_value on g22p1)."""
+        dims, coeffs = GENERATED_SPECS[name]
+        spec = sf.ProblemSpec(factors=tuple(sf.FactorSpec(d, d - 1.0) for d in dims),
+                              seed_coeffs=coeffs)
+        runs = []
+        for tol in (1e-10, 1e-12):
+            spec = dataclasses.replace(spec, step_controls=dataclasses.replace(
+                spec.step_controls, rtol=tol, atol=tol))
+            traj = sf.run(spec)
+            profile = sf.build_profile(traj, spec)
+            curv = geometry.sectional_curvatures(profile, spec)
+            runs.append(verify.run_suite(traj, profile, curv, spec).checks)
+        coarse, fine = runs
+        assert [c.name for c in coarse] == [c.name for c in fine]
+        for a, b in zip(coarse, fine):
             if a.tolerance > 0:
                 assert abs(a.measured - b.measured) < 1e-2 * a.tolerance, a.name
             else:
@@ -844,7 +883,7 @@ class TestRadauStepper:
 
 class TestFusedNewtonUpdate:
     """The stage-space Newton operator and the error operator against the
-    eigenbasis form of the simplified Newton update (one real and two
+    eigenbasis form of the simplified Newton update (one real and three
     complex solves) and the textbook error estimate."""
 
     @staticmethod
@@ -853,7 +892,7 @@ class TestFusedNewtonUpdate:
         inv_real = np.linalg.inv(radau.MU_REAL / h * np.eye(n) - J)
         f_real = F.dot(radau.TI[0]) - radau.MU_REAL / h * W[0]
         dW = [inv_real @ f_real]
-        for i, mu in ((1, radau.MU_COMPLEX[0]), (3, radau.MU_COMPLEX[1])):
+        for i, mu in zip(range(1, radau.STAGES, 2), radau.MU_COMPLEX):
             inv_complex = np.linalg.inv(mu / h * np.eye(n) - J)
             f_complex = (F.dot(radau.TI[i] + 1j * radau.TI[i + 1])
                          - mu / h * (W[i] + 1j * W[i + 1]))
@@ -872,16 +911,16 @@ class TestFusedNewtonUpdate:
         for _ in range(20):
             J = rng.standard_normal((n, n))
             h = 10.0 ** rng.uniform(-4, 1)
-            F = rng.standard_normal((n, 5))      # one stage per column
-            W = rng.standard_normal((5, n))
+            F = rng.standard_normal((n, radau.STAGES))   # one stage per column
+            W = rng.standard_normal((radau.STAGES, n))
             f = rng.standard_normal(n)
             Z = radau.T.dot(W)
             nlu = solver.nlu
             error_op, newton_op = solver._newton_operators(h, J)
-            assert solver.nlu == nlu + 3
+            assert solver.nlu == nlu + 4
             inv_real, expected = self._reference(J, h, F, W)
             got = newton_op @ np.concatenate([F.T.ravel(), (Z / h).ravel()])
-            dW, dZ = got.reshape(2, 5, n)
+            dW, dZ = got.reshape(2, radau.STAGES, n)
             assert np.abs(dW - expected).max() <= 1e-13 * np.abs(expected).max()
             image = radau.T.dot(expected)
             assert np.abs(dZ - image).max() <= 1e-13 * np.abs(image).max()
@@ -898,88 +937,178 @@ class TestFusedNewtonUpdate:
         scale = solver.atol + solver.rtol * np.abs(solver.y)
         nfev = solver.nfev
         result = solver._solve_collocation(solver.y, h, Z0, scale, K)
-        assert solver.nfev == nfev + 5
+        assert solver.nfev == nfev + radau.STAGES
         return result
 
     def test_non_finite_w_raises(self):
         """A finite F with a non-finite W/h raises the solve's ValueError,
         which flow.integrate turns into StepLimitExceeded."""
         with pytest.raises(ValueError, match=radau._NOT_FINITE):
-            self._solve(lambda y: np.zeros_like(y), np.full((5, 2), np.nan))
+            self._solve(lambda y: np.zeros_like(y), np.full((radau.STAGES, 2), np.nan))
 
     def test_non_finite_f_ends_unconverged(self):
         """A non-finite stage value ends the iteration unconverged, so the
         stepper retries with a fresh Jacobian or a halved step."""
         fun = lambda y: np.full_like(y, np.nan) if y.ndim == 2 else -y
-        converged, n_iter, Z, rate = self._solve(fun, np.zeros((5, 2)))
+        converged, n_iter, Z, rate = self._solve(fun, np.zeros((radau.STAGES, 2)))
         assert (converged, n_iter, rate) == (False, 1, None)
-        assert np.array_equal(Z, np.zeros((5, 2)))
+        assert np.array_equal(Z, np.zeros((radau.STAGES, 2)))
 
 
 def _radau_iia(s):
-    """The s-stage Radau IIA constants rebuilt from the Gauss-Radau nodes,
-    in numpy: the nodes c, the tableau A, the eigenvalues of A^-1, the
-    error weights E = A^-T (b_hat - b) / gamma0 and the dense-output
-    matrix P."""
-    legendre = np.polynomial.Legendre
-    p = legendre.basis(s, domain=[0, 1]) - legendre.basis(s - 1, domain=[0, 1])
-    c = np.sort(p.roots().real)
-    c = c - p(c) / p.deriv()(c)   # one Newton step polishes the roots
-    c[-1] = 1.0
-    k = np.arange(s)
-    V = c[:, None] ** k
-    # A_ij is the integral over [0, c_i] of the j-th Lagrange polynomial,
-    # whose power-basis coefficients are the j-th column of V^-1
-    A = (c[:, None] ** (k + 1) / (k + 1)) @ np.linalg.inv(V)
-    mu = np.linalg.eigvals(np.linalg.inv(A))
-    gamma0 = 1 / mu[np.argmin(np.abs(mu.imag))].real
-    # embedded weights on (0, c): gamma0 + sum b_hat = 1 and
-    # sum b_hat c^(k-1) = 1/k for k = 2..s
-    b_hat = np.linalg.solve(V.T, 1.0 / (k + 1) - gamma0 * (k == 0))
-    E = np.linalg.solve(A.T, b_hat - A[-1]) / gamma0
-    P = np.linalg.inv(c[:, None] ** (k + 1)).T
-    return c, A, mu, E, P
+    """The s-stage Radau IIA constants of radau.py rebuilt in 60-digit
+    arithmetic from the Gauss-Radau nodes, each rounded to the nearest
+    double: the nodes C, the tableau A, MU_REAL and MU_COMPLEX (the
+    eigenvalues of A^-1 with negative imaginary part, by increasing real
+    part), T (the eigenvectors, scaled to a last entry of 1; a complex
+    pair's columns are the real and imaginary parts of the eigenvector of
+    its conjugate), TI = T^-1, M0 = TI A^-1 T, the error weights E =
+    A^-T (b_hat - b) / gamma0 and the dense-output matrix P."""
+    mp = mpmath
+    with mp.workdps(60):
+        def shifted_legendre(k):   # P_k(2x - 1) in ascending powers of x
+            return [(-1) ** (k + j) * mp.binomial(k, j) * mp.binomial(k + j, j)
+                    for j in range(k + 1)]
+
+        p = [a - b for a, b in zip(shifted_legendre(s), shifted_legendre(s - 1) + [0])]
+        c = sorted(mp.re(x) for x in mp.polyroots(p[::-1], maxsteps=500, extraprec=400))
+        c[-1] = mp.mpf(1)
+        V = mp.matrix([[x ** k for k in range(s)] for x in c])
+        # A_ij is the integral over [0, c_i] of the j-th Lagrange polynomial,
+        # whose power-basis coefficients are the j-th column of V^-1
+        A = mp.matrix([[x ** (k + 1) / (k + 1) for k in range(s)] for x in c]) * V ** -1
+        A_inv = A ** -1
+        mu = mp.eig(A_inv, left=False, right=False)
+        small = mp.mpf(10) ** -30
+        [mu_real] = [mp.re(z) for z in mu if abs(mp.im(z)) < small]
+        mu_complex = sorted((z for z in mu if mp.im(z) < -small), key=mp.re)
+
+        def eigenvector(z):   # of A^-1, with last entry 1
+            M = A_inv - z * mp.eye(s)
+            head = mp.lu_solve(M[:s - 1, :s - 1], -M[:s - 1, s - 1])
+            return [head[i] for i in range(s - 1)] + [mp.mpf(1)]
+
+        columns = [eigenvector(mu_real)]
+        for z in mu_complex:
+            v = eigenvector(mp.conj(z))
+            columns += [[mp.re(x) for x in v], [mp.im(x) for x in v]]
+        T = mp.matrix(columns).T
+        TI = T ** -1
+        # embedded weights on (0, c): gamma0 + sum b_hat = 1 and
+        # sum b_hat c^(k-1) = 1/k for k = 2..s
+        gamma0 = 1 / mu_real
+        b_hat = V.T ** -1 * mp.matrix([mp.mpf(1) / (k + 1) - (gamma0 if k == 0 else 0)
+                                       for k in range(s)])
+        E = A.T ** -1 * (b_hat - A[s - 1, :].T) / gamma0
+        P = (mp.matrix([[x ** (k + 1) for k in range(s)] for x in c]) ** -1).T
+        M0 = mp.chop(TI * A_inv * T, tol=mp.mpf(10) ** -40)   # block diagonal
+
+        def rounded(m):
+            return np.array(m.tolist(), dtype=float)
+
+        return {"C": np.array(c, dtype=float), "A": rounded(A), "E": rounded(E).ravel(),
+                "MU_REAL": float(mu_real),
+                "MU_COMPLEX": np.array([complex(float(z.real), float(z.imag))
+                                        for z in mu_complex]),
+                "T": rounded(T), "TI": rounded(TI), "M0": rounded(M0), "P": rounded(P)}
+
+
+# The five-stage (order 9) constants that the stepper used before the
+# seven-stage ones, as literals; the construction must give them back
+FIVE_STAGE = {
+    "C": np.array([0.05710419611451768, 0.2768430136381238, 0.5835904323689168,
+                  0.8602401356562195, 1.0]),
+    "E": np.array([-27.78093394406464, 3.641478498049213, -1.2525477211691187,
+                  0.5920031671845428, -0.2]),
+    "MU_REAL": 6.2867047517292765,
+    "MU_COMPLEX": np.array([3.655694325463572 - 6.543736899360077j,
+                            5.70095329867179 - 3.2102656003085497j]),
+    "T": np.array([
+        [0.013576867344947943, -0.010242047817908826, -0.04767387729029572,
+         -0.011478515255229515, 0.01401985889287541],
+        [0.0016179004017190875, 0.05017286451737106, 0.09433181918161143,
+         -0.007668830749180163, -0.024708578426518527],
+        [0.07915785334744721, -0.23053953404341795, -0.1027030453801259,
+         0.01939846399882895, -0.08180035370375117],
+        [0.41225608268046143, 0.37789390224886127, -0.46674413033249434,
+         0.40760117128019907, -0.19968242788680252],
+        [1.0, 1.0, 0.0, 1.0, 0.0]]),
+    "TI": np.array([
+        [27.697693775684087, 12.783337911304406, 3.20848938671343, -0.9514904122489162,
+         0.7415504960259897],
+        [5.344186437834912, 4.593615567759161, -3.0363603234594243, 1.050660190231459,
+         -0.27277861186429625],
+        [-3.748059807439805, 3.984965736343885, 1.0444156416080188,
+         -1.1840985681379486, 0.44991777015678036],
+        [-33.041880213519, -17.376953479063566, -0.17212906325400557,
+         -0.09916977798254265, 0.5312281158383066],
+        [8.611443979875292, -9.699991409528808, -1.9147286396968743, -2.41869200608494,
+         1.0474634879353375]]),
+    "P": np.array([
+        [27.78093394406464, -208.02785730090133, 524.1878839694918, -543.8283560361325,
+         199.88739542347736],
+        [-3.641478498049213, 77.88337605511782, -264.89491356822634,
+         317.67586907995275, -127.022853068795],
+        [1.2525477211691187, -29.167414317829696, 137.90290440413477,
+         -202.09087094360743, 92.10283313613321],
+        [-0.5920031671845428, 14.111895563613205, -72.39587480540027,
+         123.04335789978718, -64.16737549081559],
+        [0.2, -4.8, 25.2, -44.8, 25.2]]),
+}
 
 
 class TestTableau:
-    """The five-stage constants of radau.py against their construction
-    from the Gauss-Radau nodes, and the construction against the
-    three-stage constants of Hairer & Wanner's RADAU5."""
+    """The seven-stage constants of radau.py against their construction
+    from the Gauss-Radau nodes in 60-digit arithmetic, and the
+    construction against the five-stage constants the stepper used before
+    and the three-stage closed forms of Hairer & Wanner's RADAU5.  A
+    float64 construction would not do: it leaves |T M0^-1 TI - A| near
+    1e-11, which shows in TestAccuracy::test_closed_form."""
 
-    def test_five_stage_constants(self):
-        c, A, mu, E, P = _radau_iia(5)
-        assert np.abs(c - radau.C).max() <= 1e-15
-        k = np.arange(1, 6)
+    def test_seven_stage_constants(self):
+        built = _radau_iia(7)
+        assert radau.STAGES == 7
+        for name in ("C", "E", "MU_REAL", "MU_COMPLEX", "T", "TI", "M0", "P"):
+            assert np.array_equal(built[name], getattr(radau, name)), name
+        c, A = radau.C, built["A"]
+        k = np.arange(1, 8)
         # simplifying conditions: A c^(k-1) = c^k / k
         assert np.abs(A @ c[:, None] ** (k - 1) - c[:, None] ** k / k).max() <= 1e-13
-        expected = sorted([radau.MU_REAL, *radau.MU_COMPLEX, *radau.MU_COMPLEX.conj()],
-                          key=lambda z: (z.real, z.imag))
-        assert np.abs(np.sort_complex(mu) - expected).max() <= 1e-12
-        assert np.abs(radau.TI @ np.linalg.inv(A) @ radau.T - radau.M0).max() <= 1e-12
-        assert np.abs(radau.T @ radau.TI - np.eye(5)).max() <= 1e-13
-        assert np.abs(E - radau.E).max() <= 1e-12 * np.abs(E).max()
-        assert np.abs(P - radau.P).max() <= 1e-12 * np.abs(P).max()
-        # the embedded weights that radau.E encodes have order 5
+        # the embedded weights that radau.E encodes have order 7
         gamma0 = 1 / radau.MU_REAL
         b_hat = A[-1] + gamma0 * A.T @ radau.E
         assert gamma0 + b_hat.sum() == pytest.approx(1.0, abs=1e-13)
-        assert np.abs(b_hat @ c[:, None] ** (k[1:] - 1) - 1 / k[1:]).max() <= 1e-13
+        assert np.abs(b_hat @ c[:, None] ** (k[1:] - 1) - 1 / k[1:]).max() <= 1e-12
         # P reproduces the stage increments at the nodes
-        Z = np.random.default_rng(5).standard_normal((5, 3))
+        Z = np.random.default_rng(7).standard_normal((7, 3))
         Q = Z.T @ radau.P
-        assert np.abs(Q @ (c[:, None] ** k).T - Z.T).max() <= 1e-12
+        assert np.abs(Q @ (c[:, None] ** k).T - Z.T).max() <= 1e-11
+
+    def test_five_stage_construction(self):
+        """At s = 5 the construction gives the five-stage literals bit for
+        bit, and an M0 of the same eigenvalues."""
+        built = _radau_iia(5)
+        for name, value in FIVE_STAGE.items():
+            assert np.array_equal(built[name], value), name
+        m1, m2 = FIVE_STAGE["MU_COMPLEX"]
+        assert np.array_equal(built["M0"], [
+            [FIVE_STAGE["MU_REAL"], 0, 0, 0, 0],
+            [0, m1.real, -m1.imag, 0, 0],
+            [0, m1.imag, m1.real, 0, 0],
+            [0, 0, 0, m2.real, -m2.imag],
+            [0, 0, 0, m2.imag, m2.real]])
 
     def test_three_stage_construction(self):
         """At s = 3 the construction gives RADAU5's closed forms."""
         s6 = 6 ** 0.5
-        c, _, mu, E, P = _radau_iia(3)
-        assert np.abs(c - [(4 - s6) / 10, (4 + s6) / 10, 1]).max() <= 1e-13
+        built = _radau_iia(3)
+        c, E, P = built["C"], built["E"], built["P"]
+        assert np.abs(c - [(4 - s6) / 10, (4 + s6) / 10, 1]).max() <= 1e-15
         assert np.abs(E - np.array([-13 - 7 * s6, -13 + 7 * s6, -1]) / 3).max() <= 1e-13
         assert np.abs(P - [[13 / 3 + 7 * s6 / 3, -23 / 3 - 22 * s6 / 3, 10 / 3 + 5 * s6],
                            [13 / 3 - 7 * s6 / 3, -23 / 3 + 22 * s6 / 3, 10 / 3 - 5 * s6],
                            [1 / 3, -8 / 3, 10 / 3]]).max() <= 1e-13
-        mu_real = mu[np.argmin(np.abs(mu.imag))]
-        assert abs(mu_real - (3 + 3 ** (2 / 3) - 3 ** (1 / 3))) <= 1e-13
+        assert abs(built["MU_REAL"] - (3 + 3 ** (2 / 3) - 3 ** (1 / 3))) <= 1e-13
 
 
 class TestDenseOutput:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solitonforge as sf
-from solitonforge import phase, verify
+from solitonforge import phase, radau, verify
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SPEC_R1_D2 = sf.ProblemSpec(factors=(sf.FactorSpec(2, 1.0),))
@@ -99,11 +99,11 @@ class TestVectorField:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_stack_of_states_matches_one_at_a_time(self, r):
-        """A (5, 2r) stack, the form in which the Radau stages are
+        """A (7, 2r) stack, the form in which the Radau stages are
         evaluated, gives each row's own field, bit for bit."""
         rng = np.random.default_rng(r)
         sqrt_d = np.sqrt(rng.integers(2, 10, r).astype(float))
-        stack = rng.uniform(-1.0, 1.0, (5, 2 * r))
+        stack = rng.uniform(-1.0, 1.0, (radau.STAGES, 2 * r))
         fields = phase.rhs(stack, sqrt_d)
         assert fields.shape == stack.shape
         for field, y in zip(fields, stack):
@@ -185,7 +185,7 @@ class TestTextbookFormulas:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_tall_stacks_match_the_float_path(self, r):
-        """A stack taller than the stepper's five rows goes through numpy,
+        """A stack taller than STACK_ON_FLOATS rows goes through numpy,
         with the same values as one state at a time on Python floats, bit
         for bit, IEEE special entries included (NaN in the same places)."""
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200,

@@ -8,7 +8,7 @@ import pytest
 
 import solitonforge as sf
 from conftest import SOLITON_CASES
-from solitonforge import geometry, phase, verify
+from solitonforge import geometry, phase, reconstruct, verify
 from solitonforge.errors import IncompleteInputs, TooFewSamples
 
 
@@ -193,12 +193,18 @@ class TestPassRule:
         assert not check.passed
 
     @pytest.mark.parametrize("field", ["g", "g_dot"])
-    def test_nan_in_either_part_fails_collapse_g1(self, pipeline, field):
+    def test_nan_in_either_part_fails_collapse_g1(self, pipeline, monkeypatch, field):
+        """A NaN g_1 or g_1' at the Richardson nodes fails collapse_g1."""
         case = pipeline("d2_3")
-        values = getattr(case.profile, field).copy()
-        values[:, 0] = math.nan
-        profile = dataclasses.replace(case.profile, **{field: values})
-        _, checks = verify.boundary_checks(profile)
+        fields_at_t = reconstruct.fields_at_t
+
+        def planted(traj, profile, t):
+            fields = fields_at_t(traj, profile, t)
+            fields[field][:, 0] = math.nan
+            return fields
+
+        monkeypatch.setattr(reconstruct, "fields_at_t", planted)
+        _, checks = verify.boundary_checks(case.traj, case.profile)
         check = next(c for c in checks if c.name == "collapse_g1")
         assert not check.passed
 
@@ -356,20 +362,30 @@ class TestSlowManifoldOffset:
 class TestBoundaryChecks:
     def test_parity_rule(self, pipeline):
         """g_1 is odd about t = 0 and g_2 even, so g_1' and g_2 are fitted
-        in t^2 and g_1, g_2' in t."""
+        in t^2 and g_1, g_2' in t, each through the fields at the five
+        Richardson nodes."""
         case = pipeline("d2_3")
         prof = case.profile
-        boundary, _ = verify.boundary_checks(prof)
-        idx = verify._boundary_nodes(prof.t, 5)
-        t = prof.t[idx]
+        boundary, _ = verify.boundary_checks(case.traj, prof)
+        t = verify._boundary_nodes(prof)
+        assert t.size == 5
+        fields = reconstruct.fields_at_t(case.traj, prof, t)
 
         def fit(values, parity):
             return verify.richardson_extrapolate(
                 list(zip(t, values)), order=len(t) - 1, parity=parity)[0]
 
-        assert boundary["g_0"] == [fit(prof.g[idx, 0], "none"),
-                                   fit(prof.g[idx, 1], "even")]
-        assert boundary["g_dot_0"] == [fit(prof.g_dot[idx, 0], "even"),
-                                       fit(prof.g_dot[idx, 1], "none")]
-        assert boundary["u_dot_0"] == fit(prof.u_dot[idx], "none")
-        assert boundary["u_ddot_0"] == fit(prof.u_ddot[idx], "even")
+        assert boundary["g_0"] == [fit(fields["g"][:, 0], "none"),
+                                   fit(fields["g"][:, 1], "even")]
+        assert boundary["g_dot_0"] == [fit(fields["g_dot"][:, 0], "even"),
+                                       fit(fields["g_dot"][:, 1], "none")]
+        assert boundary["u_dot_0"] == fit(fields["u_dot"], "none")
+        assert boundary["u_ddot_0"] == fit(fields["u_ddot"], "even")
+
+    def test_nodes_are_exact_times(self, pipeline):
+        """The Richardson nodes are t_min 1.6^k, k = 0..4, wherever the
+        samples fall; the first is the first sample's."""
+        prof = pipeline("d2_2_3").profile
+        t = verify._boundary_nodes(prof)
+        assert np.array_equal(t, prof.t[0] * 1.6 ** np.arange(5))
+        assert not np.isin(t[1:], prof.t).any()
