@@ -250,10 +250,6 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
 _FMT = "%.16e"  # 17 significant digits round-trips doubles exactly
 
 
-def _fmt(x: float) -> str:
-    return _FMT % x
-
-
 def _write_table(path: str, columns: list, sep: str = ",") -> None:
     """The one table writer: a header line joining the column names, then
     one line per sample.  columns is a list of (name, values) pairs."""
@@ -466,6 +462,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     base = list(cfg.spec.seed_coeffs)
     if not 1 <= idx < len(base):
         raise ParseError(f"sweep coeff_index {idx} out of range for r={len(base)}")
+    if base[0] == 0:
+        raise ParseError(f"sweep scales seed_coeffs[{idx}] by |seed_coeffs[0]|, "
+                         "which is 0")
     results = []
     code = 0
     _make_out_dir(cfg.out_dir)

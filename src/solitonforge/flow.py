@@ -84,12 +84,10 @@ from .errors import (
 from .model import Mode, ProblemSpec, critical_point
 from .radau import Radau
 
-# The step monitors' bounds on L, which verify's lyapunov_monotone check
-# shares: the relative allowance for roundoff plateaus in the monotonicity
-# of L (near the origin L changes by less than one ulp per step), and the
-# floor for L, which is -1 at the origin, beyond roundoff.
+# The step monitor's relative allowance for roundoff plateaus in the
+# monotonicity of L (near the origin L changes by less than one ulp per
+# step), which verify's lyapunov_monotone check shares.
 MONOTONE_SLACK = 1e-13
-L_FLOOR = -1.0 - 1e-9
 # The phase speed |f| below which a state counts as a rest point.
 REST_SPEED = 1e-13
 # The |y| below which a soliton trajectory leaves the Radau stepper for its
@@ -245,8 +243,6 @@ class Trajectory:
         s = np.asarray(s, dtype=float)
         if not self.segments:
             raise ValueError("a trajectory seeded at a rest point has no dense output")
-        if len(self.segments) == 1:
-            return self.segments[0](s)
         which = np.searchsorted([seg.s[-1] for seg in self.segments[:-1]], s)
         y = np.empty((2 * self.r, s.size))
         for i, seg in enumerate(self.segments):
@@ -412,8 +408,6 @@ def integrate(spec: ProblemSpec, y0: np.ndarray) -> Trajectory:
                     raise InvariantViolated(
                         "L_decreasing", solver.t, f"L rose from {prev_L} to {L}"
                     )
-                if L < L_FLOOR:
-                    raise InvariantViolated("L_bounded", solver.t, f"L = {L} < -1")
             ss.append(solver.t)
             ys.append(y)
             prev_L = L
@@ -560,9 +554,6 @@ def _check_tail(y: np.ndarray, s: np.ndarray, r: int) -> None:
         k = bad[0]
         raise InvariantViolated("L_decreasing", float(s[k + 1]),
                                 f"L rose from {L[k]} to {L[k + 1]}")
-    if L.min() < L_FLOOR:
-        k = int(np.argmin(L))
-        raise InvariantViolated("L_bounded", float(s[k]), f"L = {L[k]} < -1")
 
 
 def run(spec: ProblemSpec) -> Trajectory:

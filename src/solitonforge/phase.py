@@ -22,11 +22,6 @@ import numpy as np
 
 from .model import ProblemSpec, constants
 
-# The tallest stack of states evaluated on Python floats.  The Radau
-# stepper's seven stages are past it: on a (7, 2r) stack, r = 1..3, the
-# numpy path takes 12-16 us a call against 14-18 us on floats.
-STACK_ON_FLOATS = 5
-
 
 def _field(v: list, sd: list) -> list:
     """The vector field at one packed state, on Python floats."""
@@ -49,8 +44,7 @@ def rhs(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
     the shape of `y`, and any other shape raises ``ValueError``.
 
     With n ≤ 6, numpy's per-call overhead would outweigh the arithmetic,
-    so one state, and a stack of at most ``STACK_ON_FLOATS`` states, is
-    evaluated on Python floats: one ``tolist``, the
+    so one state is evaluated on Python floats: one ``tolist``, the
     textbook expressions of the module docstring entry by entry, one
     ``np.array`` back.  Python floats are IEEE doubles and round as
     numpy's elementwise operations do, and ``sum_j X_j^2`` is summed left
@@ -60,11 +54,10 @@ def rhs(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
     fixed, and on some inputs it differs from the left-to-right sum in the
     last bit.  Powers are written ``x * x``, since ``x ** 2`` raises
     ``OverflowError`` where numpy gives inf; every division is by
-    ``sqrt(d_i) > 0``.  A taller stack, such as the stepper's seven
-    stages or the up to 200 samples of ``verify``'s
-    ``lyapunov_identity``, is cheaper through those numpy
-    expressions, with the same left-to-right sum, and so gives the same
-    values bit for bit.
+    ``sqrt(d_i) > 0``.  A stack, such as the stepper's seven stages or the
+    up to 200 samples of ``verify``'s ``lyapunov_identity``, goes through
+    those numpy expressions, with the same left-to-right sum, and so each
+    row gets the values of that row alone, bit for bit.
     """
     sd = sqrt_d.tolist()
     if y.ndim not in (1, 2) or y.shape[-1] != 2 * len(sd):
@@ -74,8 +67,6 @@ def rhs(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
         )
     if y.ndim == 1:
         return np.array(_field(y.tolist(), sd))
-    if y.shape[0] <= STACK_ON_FLOATS:
-        return np.array([_field(v, sd) for v in y.tolist()])
     r = len(sd)
     X, Y = y[:, :r], y[:, r:]
     with np.errstate(all="ignore"):   # inf and NaN come through as on floats

@@ -8,10 +8,8 @@ estimate, the initial step selection, the step-size predictor, the
 Jacobian reuse rule and the ``nextafter`` minimum step, with ``nfev``,
 ``njev`` and ``nlu`` counting right-hand-side evaluations, Jacobians and
 factorisations.  The error estimate has order 7, so the number of steps
-goes as tol^(-1/8).  On the shipped configs the five-stage method's
-order-5 estimate (tol^(-1/6)) took 172-183 steps up to the tail switch,
-against 72-76 here, and the three-stage Radau5's order-3 estimate
-(tol^(-1/4)) about four times as many as the five-stage one.
+goes as tol^(-1/8).  That is the order of DOP853's error estimate too,
+so the initial step is the DOP853 loop's (``dop853._initial_step``).
 
 It lives in the package for two reasons.  Importing ``scipy.integrate``
 pulls in ``scipy.special``, ``scipy.optimize`` and ``scipy.sparse.linalg``,
@@ -88,16 +86,9 @@ One constant differs from the textbook's.  The error test aims at
 ``ERROR_TARGET`` = 0.3 of the error scale ``atol + rtol |y|``: at 1 the
 longer steps break the accuracy contract below.  The config tolerances
 keep their meaning.  The Newton tolerance is Hairer & Wanner's, ``max(10
-eps / rtol, min(0.03, sqrt(rtol)))``.  The five-stage method used a
-tenth of it, for a soliton's deep tail (|y| from 2e-6 to 1e-4), where
-the profile's u_ddot is a cancellation that measures how far the state
-sits off the slow manifold, and the Newton residue showed in it.  That
-stretch now runs on the slow manifold itself (``flow.TAIL_SWITCH``), so
-the stepper covers only |y| > 1e-2 of a soliton run, and the whole of a
-Ricci-flat one.  There the textbook tolerance passes the accuracy
-contract as the tenth did, with the same steps give or take one, and
-saves about 15% of the evaluations: on bryant_d2 1981 ``nfev`` became
-1679, at 75 and 74 steps.
+eps / rtol, min(0.03, sqrt(rtol)))``.  The stepper covers only |y| >
+1e-2 of a soliton run, up to ``flow.TAIL_SWITCH``, and the whole of a
+Ricci-flat one.
 
 The stepper answers to an accuracy contract, which ``tests/test_flow.py``
 checks: each step's end agrees with a tight reference integration over
@@ -117,9 +108,9 @@ so the run carries that along (the tail's last abscissa moved by up to
 about 1e-4 of its threshold flips, adding or saving a step or a few
 evaluations on that input (6 of 400 generated inputs did).  Step
 control runs on Python floats (``math.nextafter``, ``abs``,
-``math.sqrt``), which round as numpy's scalars do; ``_initial_step``
-keeps numpy scalars so that a degenerate scale gives inf or nan instead
-of raising.
+``math.sqrt``), which round as numpy's scalars do; the initial step is
+computed on numpy scalars, so that a degenerate scale gives inf or nan
+instead of raising.
 
 Finiteness is checked where a bad value can first do harm, and no more
 often.  `_lu` scans each stack of Newton matrices once before inverting
@@ -143,6 +134,8 @@ from itertools import accumulate
 from operator import mul
 
 import numpy as np
+
+from .dop853 import TOO_SMALL_STEP, _initial_step
 
 EPS = np.finfo(float).eps
 
@@ -266,7 +259,6 @@ ERROR_TARGET = 0.3  # the error norm a step aims at, a share of the error scale
 MIN_FACTOR = 0.2    # smallest step-size decrease after a rejection
 MAX_FACTOR = 10     # largest step-size increase
 
-TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _NOT_FINITE = "array must not contain infs or NaNs"
 
 
@@ -375,7 +367,9 @@ class Radau:
         self.newton_tol = max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
 
         self.f = self.fun(y0)
-        self.h_abs = self._initial_step()
+        # a Python float, so that the step control runs on Python floats
+        self.h_abs = float(_initial_step(lambda t, v: self.fun(np.array(v)), t0, y0,
+                                         self.f, t_bound, 1.0, rtol, atol))
         self.h_abs_old = None
         self.error_norm_old = None
 
@@ -467,32 +461,6 @@ class Radau:
         np.dot(self._kron_T, G[:sn], out=G[sn:])
         np.dot(inv[0].real, self._error_map, out=self._error_op)
         return self._error_op, G
-
-    def _initial_step(self) -> float:
-        """Hairer, Nørsett & Wanner's starting step for an order-7 error
-        estimate (*Solving ODEs I*, §II.4)."""
-        y0, f0 = self.y, self.f
-        interval_length = abs(self.t_bound - self.t)
-        scale = self.atol + np.abs(y0) * self.rtol
-        # numpy scalars: with an atol near underflow the norms overflow,
-        # and the divisions below must give inf or nan rather than raise
-        # ZeroDivisionError
-        d0 = np.float64(_norm(y0 / scale))
-        d1 = np.float64(_norm(f0 / scale))
-        if d0 < 1e-5 or d1 < 1e-5:
-            h0 = 1e-6
-        else:
-            h0 = 0.01 * d0 / d1
-        h0 = min(h0, interval_length)
-        y1 = y0 + h0 * f0
-        f1 = self.fun(y1)
-        d2 = np.float64(_norm((f1 - f0) / scale)) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** _ORDER_EXPONENT
-        # a Python float, so that the step control runs on Python floats
-        return float(min(100 * h0, h1, interval_length))
 
     def _warm_start(self, h) -> np.ndarray:
         """Newton start Z0: the last step's interpolant at t + h C, minus y."""

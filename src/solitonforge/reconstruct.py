@@ -13,12 +13,12 @@ increments are summed.  Each node sits at a fixed fraction of its
 interval, so each segment of the trajectory hands over all its nodes,
 and ds/dx there, in one call (``at_fractions``), with no abscissa to
 compute and no step to search for.  A Radau step is linear in s, with
-ds/dx its length; its interpolant is a polynomial of degree 7 in s,
-so the eight-point rule is exact for the polynomial integrands H - 1
-and sum(X^2), and sqrt(L / C) and 1 / w are smooth there, the rule
-converged far below the flow's tolerance.  An interval of the tail is
-linear in tau = log s, with ds = s dtau; its integrands are smooth in
-tau over a twelfth of a decade.
+ds/dx its length; its interpolant is a polynomial of degree
+``radau.STAGES`` in s, so the rule of ``STAGES + 1`` points is exact for
+the polynomial integrands H - 1 and sum(X^2), and sqrt(L / C) and 1 / w
+are smooth there, the rule converged far below the flow's tolerance.
+An interval of the tail is linear in tau = log s, with ds = s dtau; its
+integrands are smooth in tau over a twelfth of a decade.
 In Ricci-flat mode the t integrand needs log w inside each step, which
 a nested rule on [s_k, node] supplies: its nodes sit at the products
 x_i x_j of the node fractions, weighted by ds/dx there.
@@ -43,6 +43,7 @@ import numpy as np
 from .errors import NonNegativeL, QuadratureFailure, ZeroY
 from .flow import Trajectory
 from .model import Mode, ProblemSpec, constants
+from .radau import STAGES
 
 
 @dataclass
@@ -76,10 +77,10 @@ class MetricProfile:
         return (self.spec.dims * self.g_dot / self.g).sum(axis=1)
 
 
-# Gauss-Legendre points per accepted step.  Eight make the rule exact for
-# polynomials of degree 15, which covers sum(X^2), of degree 14 on the
-# stepper's degree-7 interpolant.
-_GL_POINTS = 8
+# Gauss-Legendre points per accepted step.  STAGES + 1 make the rule exact
+# for polynomials of degree 2 STAGES + 1, which covers sum(X^2), of degree
+# 2 STAGES on the stepper's interpolant of degree STAGES.
+_GL_POINTS = STAGES + 1
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
 # The nodes as fractions of their step, and the nested rule's nodes on
 # [s_k, node i] as fractions of the step, x_i x_j in row-major order.

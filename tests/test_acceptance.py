@@ -169,8 +169,8 @@ def test_criterion_09_ricci_flat_mode(pipeline, name):
 
 @pytest.mark.parametrize("name", SOLITON_CASES)
 def test_criterion_10_inequality_ledger(pipeline, name):
-    """H < 1, L + 1 - H < 0 (within the tail resolution floor), and
-    X_1 < beta at every sample."""
+    """H < 1, L + 1 - H < 0 (to a few ulps of H), and X_1 < beta at
+    every sample."""
     report = _report(name, pipeline)
     assert _check(report, "inequality_ledger").passed
     assert _check(report, "x1_below_beta").passed

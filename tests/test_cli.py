@@ -98,7 +98,7 @@ class TestExports:
         original = (solved / "profile.csv").read_text()
         lines = [",".join(header)]
         for row in zip(*(data[h] for h in header)):
-            lines.append(",".join(cli._fmt(v) for v in row))
+            lines.append(",".join(cli._FMT % v for v in row))
         assert "\n".join(lines) + "\n" == original
 
     def test_determinism(self, solved, tmp_path):
@@ -705,6 +705,20 @@ class TestConfigHardening:
         assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 2
         assert "sweep.ratios" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_of_a_zero_eps0_rejected_before_integrating(self, tmp_path, capsys):
+        """sweep scales each ratio by |seed_coeffs[0]|, so a config with
+        seed_coeffs[0] = 0, such as a Ricci-flat one, has nothing to sweep:
+        it exits 2 naming seed_coeffs[0] before any point is integrated."""
+        with open(os.path.join(CONFIG_DIR, "sweep_d2_3.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload.update(mode="ricci_flat", seed_coeffs=[0.0, 1e-4])
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [ParseError]") and "seed_coeffs[0]" in err
+        assert not (out / "sweep_00").exists()
 
 
 _JSON_VALUES = st.recursive(

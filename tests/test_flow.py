@@ -622,7 +622,7 @@ class TestAccuracy:
         agrees with the stepper run at rtol = atol = 1e-13 from the same
         start over the same interval, to within a hundredth of the error
         scale atol + rtol max(|y_k|, |y_ref|) in the RMS norm (measured:
-        at most 4.2e-4)."""
+        at most 2.4e-4, d2)."""
         case = pipeline(name)
         dense, sc = case.traj.segments[0], case.spec.step_controls
         sqrt_d = np.sqrt(case.spec.dims)
@@ -644,8 +644,8 @@ class TestAccuracy:
     def test_verify_checks_converge(self, pipeline, name):
         """Tightening rtol = atol from 1e-10 to 1e-12 moves every verify
         check with a tolerance by less than 1% of it (measured: at most
-        0.25%, L_decay_rate), and every tolerance-0 check passes on both
-        runs."""
+        0.015%, slow_manifold_offset on d2_2_3), and every tolerance-0
+        check passes on both runs."""
         case = pipeline(name)
         coarse = verify.run_suite(case.traj, case.profile, case.curv, case.spec)
         spec = case.spec
@@ -694,7 +694,7 @@ class TestAccuracy:
     def test_closed_form(self, tol):
         """On y'' + 10 y' + y = 0, y(0) = (1, 0), the state at t = 5
         matches the exact solution to within a hundredth of its error
-        scale atol + rtol |y| (measured: at most 6.9e-6)."""
+        scale atol + rtol |y| (measured: at most 2.8e-6)."""
         solver = _toy(rtol=tol, atol=tol)
         while solver.status == "running":
             assert solver.step() is None

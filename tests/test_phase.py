@@ -185,22 +185,24 @@ class TestTextbookFormulas:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_tall_stacks_match_the_float_path(self, r):
-        """A stack taller than STACK_ON_FLOATS rows goes through numpy,
+        """A stack of any height, 1 to 9 rows here, goes through numpy,
         with the same values as one state at a time on Python floats, bit
         for bit, IEEE special entries included (NaN in the same places)."""
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200,
                    5e-324, -2.5e-310, 1e-160, 0.5, -1.5]
         rng = np.random.default_rng(40 + r)
-        for _ in range(50):
-            sqrt_d = np.sqrt(rng.integers(2, 10, r).astype(float))
-            for stack in (rng.choice(special, (9, 2 * r)),
-                          rng.uniform(-1.0, 1.0, (phase.STACK_ON_FLOATS + 1, 2 * r))):
-                got = phase.rhs(stack, sqrt_d)
-                expected = np.array([phase.rhs(row, sqrt_d) for row in stack])
-                assert got.shape == stack.shape
-                nan = np.isnan(expected)
-                assert np.array_equal(np.isnan(got), nan)
-                assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+        for height in range(1, 10):
+            for _ in range(6):
+                sqrt_d = np.sqrt(rng.integers(2, 10, r).astype(float))
+                for stack in (rng.choice(special, (height, 2 * r)),
+                              rng.uniform(-1.0, 1.0, (height, 2 * r))):
+                    got = phase.rhs(stack, sqrt_d)
+                    expected = np.array([phase.rhs(row, sqrt_d) for row in stack])
+                    assert got.shape == stack.shape
+                    nan = np.isnan(expected)
+                    assert np.array_equal(np.isnan(got), nan)
+                    assert np.array_equal(got[~nan].view(np.int64),
+                                          expected[~nan].view(np.int64))
 
     @pytest.mark.parametrize("config", ["bryant_d2", "r1_d3", "r1_d4", "r1_d9", "r2_d2_3",
                                         "r2_d3_5", "r3_d2_2_3", "ricci_flat_d2_3"])

@@ -118,6 +118,47 @@ class TestRunSuite:
         assert "lyapunov_monotone" in failed
         assert not [c.name for c in report.checks if c.passed and c.measured > c.tolerance]
 
+    @staticmethod
+    def _last_X1_moved(case, X1):
+        """The trajectory with X_1 at the last sample set to X1, and L and H
+        recomputed from the states."""
+        traj = case.traj
+        X = traj.X.copy()
+        X[-1, 0] = X1
+        L = np.einsum("ij,ij->i", X, X) + np.einsum("ij,ij->i", traj.Y, traj.Y) - 1.0
+        H = X @ np.sqrt(case.spec.dims)
+        return dataclasses.replace(traj, X=X, L=L, H=H)
+
+    def test_ledger_resolves_the_last_sample(self, pipeline):
+        """L + 1 - H = +1e-6 |y|^2 at the last sample, positive though far
+        below |y|^2, fails inequality_ledger."""
+        case = pipeline("d2")
+        traj = case.traj
+        x, y = traj.X[-1, 0], traj.Y[-1, 0]
+        # L + 1 - H = X_1^2 + Y_1^2 - sqrt(d_1) X_1 = 1e-6 (x^2 + y^2) at
+        # the small root X_1, in the form without cancellation
+        sd = math.sqrt(case.spec.dims[0])
+        c = x * x + y * y
+        q = y * y - 1e-6 * c
+        moved = self._last_X1_moved(case, 2.0 * q / (sd + math.sqrt(sd * sd - 4.0 * q)))
+        lh = moved.X[-1] @ moved.X[-1] + moved.Y[-1] @ moved.Y[-1] - moved.H[-1]
+        assert lh == pytest.approx(1e-6 * c, rel=1e-3, abs=0.0)
+        report = verify.run_suite(moved, case.profile, case.curv, case.spec)
+        check = next(c for c in report.checks if c.name == "inequality_ledger")
+        assert not check.passed
+        assert check.details["L_plus_1_minus_H_max"] == lh
+
+    def test_origin_ratio_reads_the_last_sample(self, pipeline):
+        """X_1 / Y_1^2 = 1.001 / sqrt(d_1) at the last sample fails
+        origin_ratio, which reads that sample."""
+        case = pipeline("d2")
+        y = case.traj.Y[-1, 0]
+        moved = self._last_X1_moved(case, 1.001 * y * y / math.sqrt(case.spec.dims[0]))
+        report = verify.run_suite(moved, case.profile, case.curv, case.spec)
+        check = next(c for c in report.checks if c.name == "origin_ratio")
+        assert not check.passed
+        assert check.details["sample_s"] == case.traj.s[-1]
+
     def test_report_serializes(self, pipeline):
         import json
 
@@ -309,9 +350,8 @@ class TestPhaseChecks:
 
 
     def test_identity_takes_one_field_evaluation(self, pipeline, monkeypatch):
-        """The spectrum and the identity share one phase.rhs call on the
-        critical point and the strided samples, a stack taller than the
-        stepper's, which phase.rhs evaluates through numpy."""
+        """The spectrum and the identity share one phase.rhs call, on a
+        stack of the critical point and the strided samples."""
         case = pipeline("d2_3")
         rhs = phase.rhs
         shapes = []
@@ -321,9 +361,10 @@ class TestPhaseChecks:
             return rhs(y, sqrt_d)
 
         monkeypatch.setattr(phase, "rhs", counted)
-        verify.run_suite(case.traj, case.profile, case.curv, case.spec)
+        report = verify.run_suite(case.traj, case.profile, case.curv, case.spec)
         [shape] = shapes
-        assert shape[0] > phase.STACK_ON_FLOATS
+        check = next(c for c in report.checks if c.name == "lyapunov_identity")
+        assert shape == (1 + check.details["samples"], 2 * case.spec.r)
 
 
 class TestSlowManifoldOffset:
