@@ -9,11 +9,16 @@ soliton's reduced tail on its slow manifold (``flow.integrate``).
 returns the derivative as a sequence of floats, and an optional stop
 test ``stop(t, y)``, called at the start of a run of length 0 and at
 the end of every accepted step; a true result ends the run there.  It
-repeats the arithmetic of scipy's ``DOP853`` call for call: each stage
-as ``y + np.dot(K[:s].T, a) * h`` on a stage array of the same shape,
-its abscissa as ``t + c * h``, the error norm, step-size control and
-initial step of scipy's ``RungeKutta`` and ``DOP853`` on the same numpy
-scalars, and the interpolant of its ``Dop853DenseOutput``.  Since every
+repeats the arithmetic of scipy's ``DOP853`` call for call.  scipy forms
+each stage state as ``y + np.dot(K[:s].T, a) * h`` on arrays; here the
+same ``np.dot`` is followed by ``u + d * h`` on the Python floats u of y
+and d of the product, with h a float.  numpy's elementwise multiply and
+add are each one correctly rounded IEEE operation on doubles, as
+Python's float ones are, and no product is fused into the sum, so every
+entry rounds the same.  The stage's abscissa is ``t + c * h``; the
+error norm, step-size control and initial step are those of scipy's
+``RungeKutta`` and ``DOP853`` on the same numpy scalars, and the
+interpolant that of its ``Dop853DenseOutput``.  Since every
 operation and operand is the same, every sample, interpolant value and
 step is that of scipy's DOP853 run with dense output, bit for bit; the
 oracle's tests check this against ``solve_ivp`` itself.
@@ -249,6 +254,7 @@ def _dop853(fun, y0: np.ndarray, t0: float, t_bound: float, rtol: float,
         return dense, nfev, stopped
     ts, ys, Fs = [t0], [y0], []
     while True:
+        yl = y.tolist()
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
@@ -259,12 +265,12 @@ def _dop853(fun, y0: np.ndarray, t0: float, t_bound: float, rtol: float,
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
-            h = t_new - t
+            h = float(t_new - t)
             h_abs = abs(h)
 
             K[0] = f
             for s, KT, a, c in main:
-                K[s] = fun(t + c * h, (y + np.dot(KT, a) * h).tolist())
+                K[s] = fun(t + c * h, [u + d * h for u, d in zip(yl, np.dot(KT, a).tolist())])
             y_new = y + h * np.dot(K_B, B)
             K[STAGES] = fun(t + h, y_new.tolist())
             nfev += STAGES
@@ -286,7 +292,7 @@ def _dop853(fun, y0: np.ndarray, t0: float, t_bound: float, rtol: float,
 
         # the step's interpolant (Dop853DenseOutput)
         for s, KT, a, c in extra:
-            K[s] = fun(t + c * h, (y + np.dot(KT, a) * h).tolist())
+            K[s] = fun(t + c * h, [u + d * h for u, d in zip(yl, np.dot(KT, a).tolist())])
         nfev += len(extra)
         F = np.empty((3 + len(D), n))
         delta_y = y_new - y

@@ -468,6 +468,7 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
     sigma0 = s0 - spec.s_start
     tau0 = math.log(sigma0)
     tau_max = math.log(spec.s_max - spec.s_start)
+    tol2 = spec.origin_tol ** 2
     steps = 0
 
     def stop(tau, z) -> bool:
@@ -477,10 +478,14 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
         if not z.min() > 0:
             raise InvariantViolated("Y_positive", spec.s_start + math.exp(tau),
                                     f"z = s Y^2 = {z}")
+        # |y|^2 = |X|^2 + sum(w) rounds to no less than sum(w), so the
+        # graph is evaluated only once sum(w) is below origin_tol^2
         w = z * math.exp(-tau)
-        X = manifold.on_graph(dims, w)
-        if float(X @ X + w.sum()) < spec.origin_tol ** 2:
-            return True
+        w_sum = w.sum()
+        if w_sum < tol2:
+            X = manifold.on_graph(dims, w)
+            if float(X @ X + w_sum) < tol2:
+                return True
         if steps >= budget and tau < tau_max:
             raise StepLimitExceeded(f"no termination within {spec.step_controls.max_steps} "
                                     f"steps (s = {spec.s_start + math.exp(tau):.3e})")
@@ -517,7 +522,8 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
 def _crossing(f, a: float, b: float) -> float:
     """The abscissa in (a, b] where f, with f(a) > 0 >= f(b), falls through
     0, to a few ulps: the Illinois variant of regula falsi, from which the
-    end with f <= 0 is returned."""
+    end with f <= 0 is returned, or at once an abscissa where f is exactly
+    0."""
     fa, fb = f(a), f(b)
     side = 0
     for _ in range(100):
@@ -527,7 +533,9 @@ def _crossing(f, a: float, b: float) -> float:
             if not a < m < b:
                 break
         fm = f(m)
-        if fm <= 0:
+        if fm == 0:
+            return m
+        if fm < 0:
             b, fb = m, fm
             if side == -1:
                 fa *= 0.5

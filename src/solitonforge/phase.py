@@ -74,7 +74,8 @@ def rhs(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
         for j in range(1, r):
             sx2 = sx2 + X[:, j] * X[:, j]
         sx2 = sx2[:, None]
-        return np.hstack([X * (sx2 - 1.0) + Y * Y / sqrt_d, Y * (sx2 - X / sqrt_d)])
+        return np.concatenate([X * (sx2 - 1.0) + Y * Y / sqrt_d, Y * (sx2 - X / sqrt_d)],
+                              axis=1)
 
 
 def rhs_jacobian(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:

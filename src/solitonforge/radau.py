@@ -130,8 +130,6 @@ starts from, before the step's single ``fun`` call, so that ``y`` and
 from __future__ import annotations
 
 import math
-from itertools import accumulate
-from operator import mul
 
 import numpy as np
 
@@ -156,7 +154,6 @@ _PAIRS = (STAGES - 1) // 2   # complex eigenvalue pairs of A^-1
 # of T are the eigenvectors, scaled to a last entry of 1.
 C = np.array([0.029316427159784893, 0.1480785996684843, 0.3369846902811543,
               0.5586715187715501, 0.7692338620300545, 0.9269456713197411, 1.0])
-_C = C.tolist()   # the abscissae as Python floats, for the warm start
 # The error estimate's weights E = A^-T (b_hat - b) / gamma0, where the
 # embedded weights (gamma0, b_hat) on the nodes (0, C), gamma0 =
 # 1 / MU_REAL, have order 7 and b is the last row of A
@@ -466,8 +463,9 @@ class Radau:
         """Newton start Z0: the last step's interpolant at t + h C, minus y."""
         t, t_old = self.t, self.t_old
         h_old = t - t_old
-        p = np.array([list(accumulate([(t + h * c - t_old) / h_old] * STAGES, mul))
-                      for c in _C])   # the powers x, x^2, ..., x^7 of each node
+        x = (t + h * C - t_old) / h_old
+        # the powers x, x^2, ..., x^7 of each node, multiplied in turn
+        p = x.repeat(STAGES).reshape(STAGES, STAGES).cumprod(axis=1)
         return p.dot(self.dense.T) + (self.y_old - self.y)
 
     def step(self) -> None:

@@ -436,6 +436,49 @@ class TestTail:
             traj.s[k + 1:])[r:].T
         assert np.abs(traj.Y[k + 1:] / Y - 1.0).max() <= 1e-7
 
+    @pytest.mark.parametrize("name", ["bryant_d2", "r3_d2_2_3"])
+    def test_stop_test_evaluates_the_graph_at_most_once(self, monkeypatch, name):
+        """|y|^2 = |X|^2 + sum(w) is no less than sum(w), so the tail's stop
+        test evaluates the graph X = h(w) only once sum(w) is below
+        origin_tol^2: on these configs once in all, not at every one of
+        their 14 and 36 tail steps."""
+        inside_stop, calls, stops = [False], [], []
+        real_on_graph, real_dop853 = manifold.on_graph, flow._dop853
+
+        def on_graph(dims, w):
+            if inside_stop[0]:
+                calls.append(w)
+            return real_on_graph(dims, w)
+
+        def dop853(fun, y0, t0, t_bound, rtol, atol, stop):
+            def counted(t, y):
+                stops.append(t)
+                inside_stop[0] = True
+                try:
+                    return stop(t, y)
+                finally:
+                    inside_stop[0] = False
+            return real_dop853(fun, y0, t0, t_bound, rtol, atol, counted)
+
+        monkeypatch.setattr(manifold, "on_graph", on_graph)
+        monkeypatch.setattr(flow, "_dop853", dop853)
+        traj = sf.run(_config_spec(name))
+        assert traj.termination == "origin"
+        assert len(stops) == traj.tail_steps == SHIPPED_TAIL_WORK[name][0]
+        assert len(calls) <= 1
+
+    def test_crossing_returns_an_exact_zero_at_once(self):
+        """Where f is exactly 0 the crossing is found: no evaluation
+        follows the one that hit it."""
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 - x
+
+        assert flow._crossing(f, 0.0, 2.0) == 1.0
+        assert calls == [0.0, 2.0, 1.0]
+
     def test_ends_at_s_max(self):
         """An s_max inside the tail ends the run there, with its sample."""
         spec = dataclasses.replace(make_spec("d2_3"), s_max=1e10)

@@ -93,7 +93,7 @@ class TestArclength:
         prof, traj, spec = case.profile, case.traj, case.spec
         b2 = sf.constants(spec).beta ** 2
         t0 = math.sqrt(traj.L[0] / spec.gauge_C) / b2
-        assert prof.t[0] == pytest.approx(t0, rel=1e-12)
+        assert prof.t[0] == pytest.approx(t0, rel=1e-12, abs=0.0)
 
     def test_tolerance_halving_self_convergence(self):
         spec = make_spec("d2")

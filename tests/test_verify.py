@@ -390,7 +390,7 @@ class TestSlowManifoldOffset:
                                   case.curv, case.spec)
         assert [c.name for c in report.checks if not c.passed] == ["slow_manifold_offset"]
         [check] = [c for c in report.checks if c.name == "slow_manifold_offset"]
-        assert check.measured == pytest.approx(1e-9, rel=1e-6)
+        assert check.measured == pytest.approx(1e-9, rel=1e-6, abs=0.0)
 
     def test_no_tail_no_check(self, pipeline):
         """A run that never reaches the tail has no switch state to check."""
