@@ -7,12 +7,13 @@ soliton's reduced tail on its slow manifold (``flow.integrate``).
 
 ``_dop853`` takes a field ``fun(t, v)`` on a Python list ``v``, which
 returns the derivative as a sequence of floats, and an optional stop
-test ``stop(t, y)``, called at the start of a run of length 0 and at
-the end of every accepted step; a true result ends the run there.  It
-repeats the arithmetic of scipy's ``DOP853`` call for call.  scipy forms
-each stage state as ``y + np.dot(K[:s].T, a) * h`` on arrays; here the
-same ``np.dot`` is followed by ``u + d * h`` on the Python floats u of y
-and d of the product, with h a float.  numpy's elementwise multiply and
+test ``stop(t, y)``, called at the end of every accepted step; a true
+result ends the run there.  Runs go forward only, to a ``t_bound``
+beyond ``t0``.  The loop repeats the arithmetic of scipy's ``DOP853``
+call for call on such runs.  scipy forms each stage state as ``y +
+np.dot(K[:s].T, a) * h`` on arrays; here the same ``np.dot`` is followed
+by ``u + d * h`` on the Python floats u of y and d of the product, with
+h a float.  numpy's elementwise multiply and
 add are each one correctly rounded IEEE operation on doubles, as
 Python's float ones are, and no product is fused into the sum, so every
 entry rounds the same.  The stage's abscissa is ``t + c * h``; the
@@ -27,9 +28,11 @@ The tableau is written here as correctly rounded literals, the doubles
 of scipy's ``dop853_coefficients`` (a test compares them with
 ``np.array_equal``), so that nothing in the package imports scipy.
 
-A step size below ten ulps of t, or a NaN one (on which scipy's loop
-rejects steps without end), raises ``ValueError(TOO_SMALL_STEP)``; each
-caller reports it as its own error.
+A ``t_bound`` that is not beyond ``t0`` raises ``ValueError`` before
+``fun`` is called.  A step size below ten ulps of t, or a NaN one (on
+which scipy's loop rejects steps without end), raises
+``ValueError(TOO_SMALL_STEP)``; each caller reports it as its own
+error.
 """
 
 from __future__ import annotations
@@ -157,14 +160,9 @@ class Dop853Dense:
     def __call__(self, t) -> np.ndarray:
         """States at the N abscissae of a 1-D array: shape (n, N)."""
         t = np.asarray(t, dtype=float)
-        ts, last = self.ts, self.ts.size - 2
-        if ts[0] == ts[-1]:      # a run of length 0: its one state
-            return np.repeat(self.samples[:1].T, t.size, axis=1)
-        if ts[-1] > ts[0]:
-            k = np.searchsorted(ts, t, side="left") - 1
-            np.clip(k, 0, last, out=k)
-        else:                    # a backward run
-            k = last - np.clip(np.searchsorted(ts[::-1], t, side="right") - 1, 0, last)
+        ts = self.ts
+        k = np.searchsorted(ts, t, side="left") - 1
+        np.clip(k, 0, ts.size - 2, out=k)
         t_old = ts[k]
         x = ((t - t_old) / (ts[k + 1] - t_old))[:, None]
         y = np.zeros((t.size, self.samples.shape[1]))
@@ -189,13 +187,11 @@ def _rms(x: np.ndarray):
     return _norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
+def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     """scipy's ``select_initial_step`` (Hairer, Nørsett & Wanner, *Solving
     ODEs I*, §II.4) at error-estimator order 7 and no maximum step, on the
-    same numpy scalars."""
-    interval_length = abs(t_bound - t0)
-    if interval_length == 0.0:
-        return 0.0
+    same numpy scalars, for a forward run: t_bound > t0."""
+    interval_length = t_bound - t0
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
@@ -204,7 +200,7 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = np.array(fun(t0 + h0 * direction, (y0 + h0 * direction * f0).tolist()))
+    f1 = np.array(fun(t0 + h0, (y0 + h0 * f0).tolist()))
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -221,19 +217,21 @@ def _error_norm(err5: np.ndarray, err3: np.ndarray, h: float):
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return abs(h) * err5_norm_2 / np.sqrt(denom * err5.size)
+    return h * err5_norm_2 / np.sqrt(denom * err5.size)
 
 
 def _dop853(fun, y0: np.ndarray, t0: float, t_bound: float, rtol: float,
             atol: float, stop=None):
-    """DOP853 from (t0, y0) towards t_bound: (dense output, nfev, stopped).
+    """DOP853 from (t0, y0) forward to t_bound: (dense output, nfev, stopped).
 
-    The dense output holds the accepted step ends, their states and each
-    step's seven coefficient rows; nfev counts the calls of ``fun``;
-    stopped tells whether ``stop`` ended the run, at the last step end,
-    before t_bound.  Exceptions of ``fun`` and ``stop`` propagate.
+    A t_bound not beyond t0 raises ``ValueError``.  The dense output holds
+    the accepted step ends, their states and each step's seven coefficient
+    rows; nfev counts the calls of ``fun``; stopped tells whether ``stop``
+    ended the run, at the last step end, before t_bound.  Exceptions of
+    ``fun`` and ``stop`` propagate.
     """
-    direction = 1.0 if t_bound >= t0 else -1.0
+    if not t_bound > t0:
+        raise ValueError(f"t_bound = {t_bound!r} must exceed t0 = {t0!r}")
     n = y0.size
     # rows: the stages, f at the step end, then the dense output's extra
     # stages; each stage reads the rows before it through a transposed view
@@ -245,28 +243,22 @@ def _dop853(fun, y0: np.ndarray, t0: float, t_bound: float, rtol: float,
 
     t, y = t0, y0
     f = np.array(fun(t0, y0.tolist()))
-    h_abs = _initial_step(fun, t0, y0, f, t_bound, direction, rtol, atol)
-    nfev = 1 if t0 == t_bound else 2
-    if t0 == t_bound:   # scipy's run of length 0: one constant segment
-        stopped = stop is not None and stop(t0, y0)
-        dense = Dop853Dense(np.array([t0, t0]), np.vstack([y0, y0]),
-                            np.zeros((1, 3 + len(D), n)))
-        return dense, nfev, stopped
+    h_abs = _initial_step(fun, t0, y0, f, t_bound, rtol, atol)
+    nfev = 2
     ts, ys, Fs = [t0], [y0], []
     while True:
         yl = y.tolist()
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
             if not h_abs >= min_step:   # a NaN step size, too, ends the run
                 raise ValueError(TOO_SMALL_STEP)
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
+            t_new = t + h_abs
+            if t_new > t_bound:
                 t_new = t_bound
-            h = float(t_new - t)
-            h_abs = abs(h)
+            h = h_abs = float(t_new - t)
 
             K[0] = f
             for s, KT, a, c in main:
@@ -306,5 +298,5 @@ def _dop853(fun, y0: np.ndarray, t0: float, t_bound: float, rtol: float,
         ts.append(t)
         ys.append(y)
         stopped = stop is not None and stop(t, y)
-        if stopped or direction * (t - t_bound) >= 0:
+        if stopped or t >= t_bound:
             return Dop853Dense(np.array(ts), np.vstack(ys), np.array(Fs)), nfev, stopped

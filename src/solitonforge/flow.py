@@ -78,8 +78,10 @@ from .dop853 import Dop853Dense, _dop853
 from .errors import (
     InvariantViolated,
     NonPositiveY,
+    OutOfRange,
     SeedLeavesWrongRegion,
     StepLimitExceeded,
+    ValidationError,
 )
 from .model import Mode, ProblemSpec, critical_point
 from .radau import Radau
@@ -239,10 +241,11 @@ class Trajectory:
     def dense(self, s) -> np.ndarray:
         """States at the N abscissae of a 1-D array, shape (n, N), each from
         its segment: an abscissa on a boundary of two segments uses the
-        earlier one, and one outside the trajectory the nearest end one."""
+        earlier one, and one outside the trajectory the nearest end one.
+        A trajectory with no segments raises OutOfRange."""
         s = np.asarray(s, dtype=float)
         if not self.segments:
-            raise ValueError("a trajectory seeded at a rest point has no dense output")
+            raise OutOfRange("a trajectory seeded at a rest point has no dense output")
         which = np.searchsorted([seg.s[-1] for seg in self.segments[:-1]], s)
         y = np.empty((2 * self.r, s.size))
         for i, seg in enumerate(self.segments):
@@ -356,8 +359,19 @@ def integrate(spec: ProblemSpec, y0: np.ndarray) -> Trajectory:
     origin_tol, or at s_max.  Raises InvariantViolated if an accepted step
     or a tail sample breaks monotonicity of L or positivity of Y beyond
     roundoff, and StepLimitExceeded past the step budget or when a
-    stepper fails.
+    stepper fails.  A y0 that is not a finite vector of 2r entries, or an
+    s_max not beyond s_start, raises ValidationError naming it before
+    anything is integrated.
     """
+    try:
+        y = np.asarray(y0, dtype=float)
+    except (TypeError, ValueError):   # not numbers, or ragged
+        y = np.empty(0)
+    if not (y.shape == (2 * spec.r,) and np.isfinite(y).all()):
+        raise ValidationError(f"y0 must be a finite vector of {2 * spec.r} entries, got {y0!r}")
+    y0 = y
+    if not spec.s_max > spec.s_start:
+        raise ValidationError(f"s_max = {spec.s_max!r} must exceed s_start = {spec.s_start!r}")
     sqrt_d = np.sqrt(spec.dims)
     sd = sqrt_d.tolist()
     sc = spec.step_controls

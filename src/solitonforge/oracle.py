@@ -18,22 +18,23 @@ The field (``t_field``) has 2r + 1 ≤ 7 components, so it is evaluated on
 Python floats, where numpy's per-call overhead would outweigh the
 arithmetic.  The system is defined only where every g_i is positive: a
 start with a g_i that is not finite and positive, or with a non-finite
-g_dot or u_dot, is rejected with ``ValidationError`` naming the field,
-and a g_i that reaches 0 during the run raises ``BlowUp``.
+g_dot or u_dot, is rejected with ``ValidationError`` naming the field; a
+g_i that reaches 0 inside the field, or a step end with a g_i <= 0 or a
+non-finite entry, raises ``BlowUp``.  A run goes forward over a window
+with length: a t_end that is not finite and beyond the start is
+``OutOfRange``, raised before the field is called.
 
-The integrator is DOP853 at rtol = atol = 1e-12 with a terminal
-collapse event at min(g) = 1e-12, in the package's own step loop
-(``dop853._dop853``) rather than in scipy's generic initial-value driver,
-whose overhead outweighed the arithmetic: two wrapper layers and an
-``np.asarray`` per field call, an event callback per step, and one
-interpolant object per step, evaluated one segment at a time.  The loop
-repeats scipy's arithmetic call for call, and the event is its stop test:
-a sign change of min(g) - 1e-12 between two step ends, an end at 0
-included, as scipy's event search finds one.  Every sample, interpolant
-value and deviation is therefore that of ``solve_ivp`` with method
-DOP853, dense output and the same event, bit for bit; the tests check
-this against ``solve_ivp`` itself.  The field is looked up as
-``t_field`` on every call, and the run loads no scipy module.
+The integrator is DOP853 at rtol = atol = 1e-12, in the package's own
+step loop (``dop853._dop853``) rather than in scipy's generic
+``solve_ivp``, whose overhead outweighed the arithmetic: two
+wrapper layers and an ``np.asarray`` per field call, and one interpolant
+object per step, evaluated one segment at a time.  The loop repeats
+scipy's arithmetic call for call, and the step-end test above is its
+stop test.  Every sample, interpolant value and deviation of a run that
+passes it is therefore that of ``solve_ivp`` with method DOP853 and dense
+output, bit for bit; the tests check this against ``solve_ivp`` itself.
+The field is looked up as ``t_field`` on every call, and the run loads no
+scipy module.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ from .reconstruct import MetricProfile
 
 # rtol and atol of the integration
 TOL = 1e-12
-# the g_i at which the run counts as collapsed
-COLLAPSE = 1e-12
 
 
 @dataclass
@@ -164,38 +163,39 @@ def _check_start(state: SecondOrderState) -> None:
 def integrate_second_order(
     state: SecondOrderState, spec: ProblemSpec, t_end: float
 ) -> OracleRun:
-    """Adaptive integration of the t-space system from `state` to t_end.
+    """Adaptive integration of the t-space system from `state` forward to
+    t_end.
 
     The start must have every g_i finite and positive and a finite g_dot
-    and u_dot; any other raises ``ValidationError`` naming the field.  The
-    field is ``t_field``; a g_i that reaches 0 inside it ends the run with
-    ``BlowUp``, as does one that falls below 1e-12 or a non-finite sample.
-    A step size below ten ulps of t raises ``StepLimitExceeded``.
+    and u_dot; any other raises ``ValidationError`` naming the field.  A
+    t_end that is not finite and beyond state.t raises ``OutOfRange``.
+    The field is ``t_field``; a g_i that reaches 0 inside it ends the run
+    with ``BlowUp``, as does a step end with a g_i <= 0 or a non-finite
+    entry.  A step size below ten ulps of t raises ``StepLimitExceeded``.
     """
     _check_start(state)
+    t0, t_end = float(state.t), float(t_end)
+    if not (math.isfinite(t_end) and t_end > t0):
+        raise OutOfRange(f"oracle window: t_end = {t_end:g} must be finite and "
+                         f"beyond the start t = {t0:g}")
     r = spec.r
     d, lam = spec.dims.tolist(), spec.lambdas.tolist()
-    y0 = state.as_vector()
-    g = float(y0[:r].min()) - COLLAPSE
 
-    def collapsed(t, y) -> bool:
-        """The collapse event: min(g) - COLLAPSE changed sign, or reached 0."""
-        nonlocal g
-        g_new = float(y[:r].min()) - COLLAPSE
-        fired = (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0)
-        g = g_new
-        return fired
+    def left(t, y) -> bool:
+        """A g_i <= 0 or a non-finite entry at a step end, on Python floats."""
+        v = y.tolist()
+        return not (all(x > 0 for x in v[:r]) and all(map(math.isfinite, v)))
 
     try:
-        dense, _, stopped = _dop853(lambda t, v: t_field(v, d, lam), y0,
-                                    float(state.t), float(t_end), TOL, TOL, collapsed)
+        dense, _, stopped = _dop853(lambda t, v: t_field(v, d, lam), state.as_vector(),
+                                    t0, t_end, TOL, TOL, left)
     except ZeroDivisionError as exc:   # g_i, or g_i^2 by underflow, reached 0
         raise BlowUp(f"a warping function reached 0 before t = {t_end:g}") from exc
     except ValueError as exc:          # the step size fell below ten ulps of t
         raise StepLimitExceeded(f"oracle integration failed: {exc}") from None
-    y = dense.samples.T
-    if stopped or not np.all(np.isfinite(y)):
+    if stopped:
         raise BlowUp(f"a warping function left (0, inf) before t = {t_end:g}")
+    y = dense.samples.T
 
     return OracleRun(
         t=dense.ts,

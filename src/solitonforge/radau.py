@@ -313,7 +313,9 @@ class Radau:
     ``step()`` advances by one accepted step; ``status`` becomes
     ``"finished"`` once ``t`` reaches ``t_bound``.  A step that cannot be
     taken raises ``ValueError``: ``TOO_SMALL_STEP`` once the step size is
-    below the spacing of floats at ``t``, or the errors above.
+    below the spacing of floats at ``t``, or the errors above.  The caller
+    passes a finite ``y0`` and a ``t_bound`` beyond ``t0``; neither is
+    checked here (``flow.integrate`` checks both).
 
     After each accepted step, ``dense`` holds its (n, 7) dense-output
     coefficients Q: the step's interpolant, of degree 7, is ``y_old + Q @
@@ -342,10 +344,6 @@ class Radau:
     def __init__(self, fun, jac, t0: float, y0, t_bound: float,
                  rtol: float, atol: float, project=None):
         y0 = np.asarray(y0, dtype=float)
-        if not np.isfinite(y0).all():
-            raise ValueError("All components of the initial state `y0` must be finite.")
-        if not t_bound > t0:
-            raise ValueError("`t_bound` must exceed `t0`.")
 
         self._fun = fun
         self._jac = jac
@@ -366,7 +364,7 @@ class Radau:
         self.f = self.fun(y0)
         # a Python float, so that the step control runs on Python floats
         self.h_abs = float(_initial_step(lambda t, v: self.fun(np.array(v)), t0, y0,
-                                         self.f, t_bound, 1.0, rtol, atol))
+                                         self.f, t_bound, rtol, atol))
         self.h_abs_old = None
         self.error_norm_old = None
 

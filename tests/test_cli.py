@@ -344,6 +344,18 @@ class TestRicciFlatGates:
         summary = json.loads((tmp_path / "profile.json").read_text())
         assert summary["oracle_deviations"]["u_dot"] <= 1e-6
 
+    def test_oracle_window_without_length_exits_2(self, tmp_path, capsys):
+        """At s_max = 5 the first profile sample with t >= 10 t[0] is the
+        last one, so the oracle's window from there to min(100 t0, t[-1])
+        has no length: exit 2 with OutOfRange, and nothing written."""
+        with open(os.path.join(CONFIG_DIR, "r2_d2_3.json"), encoding="utf-8") as fh:
+            config = dict(json.load(fh), s_max=5)
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main(["oracle", "--config", path, "--out", str(out)]) == 2
+        assert "error [OutOfRange]: oracle window" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("plant, failed", [
         ({}, None),
         ({"g": 2e-6}, "oracle_deviation: measured 2e-06 (tol 1e-06)"),

@@ -71,3 +71,13 @@ def test_step_size_collapse_raises():
 
     with pytest.raises(ValueError, match=dop853.TOO_SMALL_STEP):
         dop853._dop853(fun, np.array([1.0]), 0.0, 1.0, 1e-8, 1e-8)
+
+
+@pytest.mark.parametrize("t_bound", [1.0, 0.5, math.nan])
+def test_bound_not_beyond_the_start_raises(t_bound):
+    """Runs go forward only: a bound at the start, before it or NaN raises
+    ValueError before the field is called."""
+    calls = []
+    with pytest.raises(ValueError, match="must exceed t0"):
+        dop853._dop853(_decay(calls), np.array([1.0]), 1.0, t_bound, 1e-8, 1e-8)
+    assert calls == []

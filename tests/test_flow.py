@@ -17,8 +17,10 @@ import solitonforge as sf
 from solitonforge import cli, flow, geometry, manifold, phase, radau, verify
 from solitonforge.errors import (
     InvariantViolated,
+    OutOfRange,
     SeedLeavesWrongRegion,
     StepLimitExceeded,
+    ValidationError,
 )
 
 from conftest import make_spec
@@ -94,6 +96,30 @@ class TestSeed:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("y0", [
+        np.array([0.5, np.nan, 0.5, 0.5]),   # not finite
+        np.array([0.5, 0.5, 0.5]),           # one entry short of 2r = 4
+        np.full((2, 4), 0.5),                # a stack, not one state
+        ["a", "b", "c", "d"],                # not numbers
+        [[0.5], [0.5, 0.5], 0.5, 0.5],       # ragged
+    ])
+    def test_bad_start_state_names_y0(self, monkeypatch, y0):
+        """A start state that is not a finite vector of 2r entries is a
+        ValidationError naming y0, raised before the field is called."""
+        monkeypatch.setattr(phase, "rhs", lambda *args: pytest.fail("rhs called"))
+        with pytest.raises(ValidationError, match=r"^y0 must be a finite vector of 4"):
+            flow.integrate(make_spec("d2_3"), y0)
+
+    @pytest.mark.parametrize("s_max", [0.0, -1.0])
+    def test_s_max_not_beyond_s_start_names_s_max(self, monkeypatch, s_max):
+        """A spec built without validate_spec may have s_max <= s_start:
+        integrate rejects it, naming s_max, before the field is called."""
+        spec = dataclasses.replace(make_spec("d2_3"), s_max=s_max)
+        y0 = flow.seed(spec)
+        monkeypatch.setattr(phase, "rhs", lambda *args: pytest.fail("rhs called"))
+        with pytest.raises(ValidationError, match=r"^s_max = .* must exceed s_start = 0\.0"):
+            flow.integrate(spec, y0)
+
     def test_terminal_invariants(self, pipeline):
         traj = pipeline("d2").traj
         assert traj.termination == "origin"
@@ -327,6 +353,14 @@ class TestDenseSample:
     def test_empty_input(self, pipeline):
         traj = pipeline("d2").traj
         assert traj.dense([]).shape == (2 * traj.r, 0)
+
+    def test_no_segments_is_out_of_range(self):
+        """A run seeded at a rest point ends "stationary" with no segments,
+        so it has no dense output to evaluate."""
+        traj = sf.run(make_spec("d2_3").with_seed_coeffs((0.0, 0.0)))
+        assert traj.termination == "stationary" and traj.segments == []
+        with pytest.raises(OutOfRange, match="no dense output"):
+            traj.dense([traj.s[0]])
 
     def test_midpoint_consistent_with_flow(self, pipeline):
         """Dense output at a midpoint feeds the vector field consistently:

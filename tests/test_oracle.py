@@ -172,6 +172,17 @@ class TestStartState:
         with pytest.raises(ValidationError, match=rf"\b{field} must be finite"):
             oracle.integrate_second_order(state, spec, 2.0)
 
+    @pytest.mark.parametrize("t_end", [1.0, 0.9, np.nan, np.inf, -np.inf])
+    def test_window_without_length_is_out_of_range(self, monkeypatch, t_end):
+        """The run goes forward from the start at t = 1: a t_end at the
+        start, before it, or not finite is OutOfRange, raised before the
+        field is called."""
+        monkeypatch.setattr(oracle, "t_field",
+                            lambda v, d, lam: pytest.fail("t_field called"))
+        spec = make_spec("d2_3")
+        with pytest.raises(OutOfRange, match="oracle window"):
+            oracle.integrate_second_order(_start(spec), spec, t_end)
+
     def test_g_squared_underflowing_to_zero_is_a_blow_up(self):
         """g_1 = 1e-200 is a valid start, but g_1^2 is 0 in doubles, so the
         field divides by zero on its first evaluation."""
@@ -183,8 +194,10 @@ class TestStartState:
 
 def _solve_ivp_run(state, spec, t_end):
     """The oracle run through scipy's ``solve_ivp``, with the same field,
-    tolerances, collapse event and error mapping: the reference that the
-    package's DOP853 loop repeats bit for bit."""
+    tolerances, step-end rule and error mapping: the reference that the
+    package's DOP853 loop repeats bit for bit.  solve_ivp runs on past a
+    step end with a g_i <= 0 or a non-finite entry, which the package's
+    loop stops at; either way the run is a ``BlowUp``."""
     from scipy.integrate import solve_ivp
 
     r = spec.r
@@ -193,19 +206,15 @@ def _solve_ivp_run(state, spec, t_end):
     def rhs(t, y):
         return oracle.t_field(y.tolist(), d, lam)
 
-    def collapse(t, y):
-        return float(y[:r].min()) - 1e-12
-    collapse.terminal = True
-
     try:
         sol = solve_ivp(rhs, (state.t, t_end), state.as_vector(), method="DOP853",
-                        rtol=1e-12, atol=1e-12, dense_output=True, events=collapse)
+                        rtol=1e-12, atol=1e-12, dense_output=True)
     except ZeroDivisionError as exc:
         raise BlowUp(f"a warping function reached 0 before t = {t_end:g}") from exc
+    if not (np.all(sol.y[:r] > 0) and np.all(np.isfinite(sol.y))):
+        raise BlowUp(f"a warping function left (0, inf) before t = {t_end:g}")
     if sol.status == -1:
         raise StepLimitExceeded(f"oracle integration failed: {sol.message}")
-    if sol.status == 1 or not np.all(np.isfinite(sol.y)):
-        raise BlowUp(f"a warping function left (0, inf) before t = {t_end:g}")
     return oracle.OracleRun(
         t=sol.t, g=sol.y[:r].T, g_dot=sol.y[r:2 * r].T, u_dot=sol.y[-1],
         conservation=oracle.conservation_quantity(sol.y, spec), dense=sol.sol)
@@ -266,35 +275,22 @@ class TestSolveIvpIdentity:
         outcome, _ = _same_outcome(state, spec, 10.0)
         assert outcome[0] is StepLimitExceeded
 
-    @pytest.mark.parametrize("g1, expected", [
-        (0.5, BlowUp),     # falls through 1e-12
-        (1e-12, BlowUp),   # starts at 1e-12: min(g) - 1e-12 is 0 there
-        (5e-13, None),     # starts below 1e-12: no sign change, ever
+    @pytest.mark.parametrize("g1", [
+        0.5,     # falls through 0
+        1e-12,   # starts at 1e-12
+        5e-13,   # starts below 1e-12
     ])
-    def test_collapse_event_as_solve_ivp(self, monkeypatch, g1, expected):
-        """With a field in which g_1 falls at unit speed, the event fires
-        on a sign change of min(g) - 1e-12 between two step ends, an end
-        at 0 included; a run that starts below 1e-12 goes on past g_1 = 0
-        to t_end, as solve_ivp's does."""
+    def test_collapse_event_as_solve_ivp(self, monkeypatch, g1):
+        """With a field in which g_1 falls at unit speed, a step end with
+        g_1 <= 0 is a BlowUp on both sides, wherever in (0, 1) g_1
+        starts: the package's loop stops there, and solve_ivp's run, which
+        goes on to t_end, holds that step end among its samples."""
         monkeypatch.setattr(oracle, "t_field",
                             lambda v, d, lam: [-1.0] + [0.0] * (len(v) - 1))
         spec = make_spec("d2_3")
         state = _start(spec, g=np.array([g1, 1.0]))
         outcome, _ = _same_outcome(state, spec, 2.0)
-        if expected is None:
-            assert outcome.g[-1, 0] < 0.0
-        else:
-            assert outcome == (expected, "a warping function left (0, inf) before t = 2")
-
-    @pytest.mark.parametrize("t_end", [1.0, 0.9])
-    def test_empty_and_backward_runs_as_solve_ivp(self, t_end):
-        """t_end at the start gives a run of length 0, whose dense output is
-        the start state; a t_end before it integrates backward."""
-        spec = make_spec("d2_3")
-        state = _start(spec, g_dot=np.array([0.1, 0.1]))
-        run, ref = _same_outcome(state, spec, t_end)
-        t = np.array([0.8, 0.95, 1.0, 1.1])
-        assert np.array_equal(run.dense(t), ref.dense(t))
+        assert outcome == (BlowUp, "a warping function left (0, inf) before t = 2")
 
     def test_non_finite_field_at_the_start_ends_the_run(self):
         """g_1 = 1e-160 is a valid start, but lambda_1 / g_1^2 overflows and

@@ -1,4 +1,5 @@
-"""Smoke test of ``tools/output_digest.py`` on two family inputs."""
+"""Smoke test of ``tools/output_digest.py`` on two family inputs and one
+CLI command."""
 
 import importlib
 import os
@@ -32,6 +33,28 @@ def test_two_family_inputs(output_digest, capsys):
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests + [value])
     assert digests[0] != digests[1]
     assert output_digest.digest(items) == value
+
+
+def test_one_cli_command(output_digest, capsys, monkeypatch):
+    """The cli set holds the 33 shipped-config commands; its first, solve
+    on bryant_d2, runs in a fresh process, exits 0, writes its profile,
+    and hashes the same in a second temporary directory: no path or time
+    reaches the digest."""
+    fed, feed = [], output_digest._feed
+    monkeypatch.setattr(output_digest, "_feed",
+                        lambda h, *values: (fed.append(values), feed(h, *values)))
+    assert len(output_digest.inputs("cli", 100)) == 33
+    assert output_digest.main(["--count", "1", "--per-input", "cli"]) == 0
+    (code, out, err), *files = fed
+    assert code == 0 and out.startswith(b"solve:") and err == b""
+    assert [name for name, _ in files] == ["profile.csv", "profile.json"]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    name, value = lines[0].split()
+    assert name == "solve:bryant_d2"
+    assert lines[1].split()[:3] == ["cli", "1", "inputs"]
+    assert re.fullmatch("[0-9a-f]{64}", value)
+    assert output_digest.digest(output_digest.inputs("cli", 1)) == lines[1].split()[3]
 
 
 def test_unknown_set_is_a_usage_error(output_digest):

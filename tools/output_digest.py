@@ -8,7 +8,8 @@ as it was can be checked by running this in both.
 
 A SET is ``family:<seed>`` or ``ricci-flat:<seed>``, the first N (default
 100) inputs that ``perfbench/gen.py`` generates for that workload and
-seed, or ``probes``, its four defect-probe specs.  The default sets are
+seed, ``probes``, its four defect-probe specs, or ``cli``, the first N of
+the 33 CLI commands on the shipped configs (below).  The default sets are
 ``family:101 family:7 ricci-flat:101 probes``.  Each input runs the
 benchmark's request path: ``flow.run``, ``reconstruct.build_profile``,
 then ``geometry.sectional_curvatures`` and ``verify.run_suite`` (family
@@ -22,6 +23,15 @@ deviations, drift); a request that raises a ``SolitonForgeError``
 contributes its type and message.  ``--per-input`` also prints each
 input's own digest, to find the one that differs.
 
+The ``cli`` set runs ``solve``, ``verify``, ``oracle`` and ``curvature``
+on each of the seven soliton configs under ``configs``, ``solve``,
+``oracle``, ``curvature`` and ``ricci-flat`` on ``ricci_flat_d2_3`` and
+``sweep`` on ``sweep_d2_3``, each in a fresh ``python -m
+solitonforge.cli`` process in a temporary directory, on a copy of the
+config and with a relative ``--out``, so that no path of the checkout
+reaches an output.  Its digest covers each run's exit code, stdout,
+stderr and written files, by relative path.
+
 The package is imported from this checkout's ``src``; ``gen.py`` is
 imported without writing bytecode under ``perfbench``.  Standard library
 and the package only.
@@ -33,7 +43,10 @@ import argparse
 import dataclasses
 import hashlib
 import os
+import shutil
+import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -43,6 +56,13 @@ from solitonforge.errors import SolitonForgeError  # noqa: E402
 from solitonforge.model import Mode  # noqa: E402
 
 DEFAULT_SETS = ("family:101", "family:7", "ricci-flat:101", "probes")
+CONFIG_DIR = os.path.join(ROOT, "configs")
+SOLITON_CONFIGS = ("bryant_d2", "r1_d3", "r1_d4", "r1_d9", "r2_d2_3", "r2_d3_5", "r3_d2_2_3")
+CLI_COMMANDS = ([(command, config) for config in SOLITON_CONFIGS
+                 for command in ("solve", "verify", "oracle", "curvature")]
+                + [(command, "ricci_flat_d2_3")
+                   for command in ("solve", "oracle", "curvature", "ricci-flat")]
+                + [("sweep", "sweep_d2_3")])
 
 
 def _import_gen():
@@ -111,13 +131,37 @@ def _feed_request(h, config: str) -> None:
         _feed(h, "raised", type(exc).__name__, str(exc))
 
 
+def _feed_command(h, command: str, config: str) -> None:
+    """Run one CLI command on a shipped config, in a fresh process in a
+    temporary directory, and hash its exit code, output and files."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(os.path.join(CONFIG_DIR, f"{config}.json"), tmp)
+        proc = subprocess.run(
+            [sys.executable, "-m", "solitonforge.cli", command,
+             "--config", f"{config}.json", "--out", "out"],
+            cwd=tmp, env=env, capture_output=True)
+        _feed(h, proc.returncode, proc.stdout, proc.stderr)
+        out = os.path.join(tmp, "out")
+        for dirpath, dirnames, filenames in os.walk(out):
+            dirnames.sort()
+            for name in sorted(filenames):
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as fh:
+                    _feed(h, os.path.relpath(path, out), fh.read())
+
+
 def inputs(name: str, count: int) -> list[dict]:
     """The inputs of one SET (see the module docstring)."""
     if name == "probes":
         return gen.defect_probe_inputs()
+    if name == "cli":
+        return [{"id": f"{command}:{config}", "command": command, "config": config}
+                for command, config in CLI_COMMANDS[:count]]
     workload, _, seed = name.partition(":")
     if workload not in ("family", "ricci-flat") or not seed.lstrip("-").isdigit():
-        raise ValueError(f"a set is family:<seed>, ricci-flat:<seed> or probes, not {name!r}")
+        raise ValueError(f"a set is family:<seed>, ricci-flat:<seed>, probes or cli, "
+                         f"not {name!r}")
     return gen.inputs_for(workload, int(seed))[:count]
 
 
@@ -127,7 +171,10 @@ def digest(items: list[dict], per_input=None) -> str:
     total = hashlib.sha256()
     for item in items:
         h = hashlib.sha256()
-        _feed_request(h, item["config"])
+        if "command" in item:
+            _feed_command(h, item["command"], item["config"])
+        else:
+            _feed_request(h, item["config"])
         total.update(h.digest())
         if per_input is not None:
             per_input(item["id"], h.hexdigest())
