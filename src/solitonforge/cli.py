@@ -55,7 +55,7 @@ from .model import FactorSpec, Mode, ProblemSpec, StepControls, validate_spec
 OUT_ENV_VAR = "SOLITONFORGE_OUT"
 
 _TOP_KEYS = {
-    "factors", "gauge_C", "seed_coeffs", "s_start", "s_max", "origin_tol",
+    "factors", "gauge_C", "seed_coeffs", "s_max", "origin_tol",
     "rtol", "atol", "max_steps", "mode", "output", "sweep",
 }
 _FACTOR_KEYS = {"dim", "lambda"}
@@ -182,7 +182,6 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
     except KeyError:
         raise ParseError(f"unknown mode {raw.get('mode')!r}") from None
 
-    s_start = _finite(raw.get("s_start", ProblemSpec.s_start), "s_start")
     s_max = _finite(raw.get("s_max", ProblemSpec.s_max), "s_max")
     controls = StepControls(
         rtol=_tolerance(raw.get("rtol", StepControls.rtol), "rtol"),
@@ -195,7 +194,6 @@ def parse_config(source: str, inline: bool = False) -> RunConfig:
         factors=tuple(factors),
         gauge_C=_finite(raw.get("gauge_C", ProblemSpec.gauge_C), "gauge_C"),
         seed_coeffs=None if seed_coeffs is None else _numbers(seed_coeffs, "seed_coeffs"),
-        s_start=s_start,
         s_max=s_max,
         origin_tol=_tolerance(raw.get("origin_tol", ProblemSpec.origin_tol), "origin_tol"),
         step_controls=controls,

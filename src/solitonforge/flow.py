@@ -15,9 +15,9 @@ the origin along its slow manifold X = h(w), w = Y^2 (``manifold``),
 from s of about 1e4 to 1e16.  Once |y| falls below ``TAIL_SWITCH`` the
 Radau segment ends and the tail segment takes over: the non-stiff
 r-dimensional flow on the graph, in tau = log s and z = s w, on the
-shared DOP853 loop (``dop853``) at the spec's rtol and atol.  s here is
-measured from ``spec.s_start``, which the autonomous flow allows, so
-that log s is defined whatever the start.  The tail ends where |y|
+shared DOP853 loop (``dop853``) at the spec's rtol and atol.  Every
+trajectory starts at s = 0, which the autonomous flow allows, so log s
+is defined on the tail.  The tail ends where |y|
 crosses ``origin_tol`` on its dense output, or at ``s_max``, and emits
 its samples on the fixed geometric grid of ``TAIL_SAMPLES_PER_DECADE``
 points per decade of s, plus its end: the row count of a profile does
@@ -54,16 +54,17 @@ pass the accuracy tests in ``tests/test_flow.py`` and re-pin
 ``SHIPPED_WORK`` there.
 
 A state is a plain packed vector [X, Y] of shape (2r,): ``seed`` returns
-one and ``integrate`` starts from one at ``spec.s_start``.
+one and ``integrate`` starts from one at s = 0.
 
 Each segment evaluates states at any abscissae in one vectorised pass,
 and states at fixed fractions of each interval between its samples,
 with ds/dx there (``at_fractions``, from which reconstruct's quadrature
 takes its nodes and weights).  Each accepted Radau step starts from the
 sample recorded before it, so the Radau segment needs only the samples,
-their abscissae and each step's interpolant coefficients Q; the Q format
-is known to this module alone.  The tail segment's intervals are linear
-in tau, so ds = s dtau there.
+their abscissae and each step's interpolant coefficients Q, in the
+format of the stepper's ``dense`` (``radau.Radau`` builds Q, and uses it
+for its own warm start).  The tail segment's intervals are linear in
+tau, so ds = s dtau there.
 """
 
 from __future__ import annotations
@@ -158,8 +159,7 @@ class RadauSegment:
 
 class TailSegment:
     """The tail on the slow manifold: the DOP853 run in (tau, z) over
-    tau = log(s - s_start), mapped to states X = h(z/s), Y = sqrt(z/s)
-    with s measured from s_start.
+    tau = log s, mapped to states X = h(z/s), Y = sqrt(z/s).
 
     Its samples are at the abscissae ``s``, whose tau are ``taus``; the
     first is the switch, the Radau segment's last sample.  The intervals
@@ -169,10 +169,9 @@ class TailSegment:
     run's.
     """
 
-    def __init__(self, dims: tuple, s_start: float, s: np.ndarray, taus: np.ndarray,
+    def __init__(self, dims: tuple, s: np.ndarray, taus: np.ndarray,
                  dense: Dop853Dense, nfev: int) -> None:
         self.dims = dims
-        self.s_start = s_start
         self.s = s               # (sample,)
         self.taus = taus         # (sample,)
         self.dense = dense       # z over tau
@@ -189,7 +188,7 @@ class TailSegment:
     def __call__(self, s) -> np.ndarray:
         """States at the N abscissae of a 1-D array: shape (n, N)."""
         s = np.asarray(s, dtype=float)
-        return self.states_at_tau(np.log(s - self.s_start)).T
+        return self.states_at_tau(np.log(s)).T
 
     def at_fractions(self, x: np.ndarray):
         """The states at the m fractions x (in tau) of every interval
@@ -351,8 +350,8 @@ def _project_ricci_flat(v: list, sqrt_d: list) -> list:
 
 
 def integrate(spec: ProblemSpec, y0: np.ndarray) -> Trajectory:
-    """Integrate the phase flow from the state y0 at spec.s_start,
-    monitoring invariants per step.
+    """Integrate the phase flow from the state y0 at s = 0, monitoring
+    invariants per step.
 
     A soliton trajectory leaves the Radau stepper for its slow manifold
     once |y| < TAIL_SWITCH, and terminates where ||(X, Y)|| crosses
@@ -360,8 +359,8 @@ def integrate(spec: ProblemSpec, y0: np.ndarray) -> Trajectory:
     or a tail sample breaks monotonicity of L or positivity of Y beyond
     roundoff, and StepLimitExceeded past the step budget or when a
     stepper fails.  A y0 that is not a finite vector of 2r entries, or an
-    s_max not beyond s_start, raises ValidationError naming it before
-    anything is integrated.
+    s_max not > 0, raises ValidationError naming it before anything is
+    integrated.
     """
     try:
         y = np.asarray(y0, dtype=float)
@@ -370,13 +369,13 @@ def integrate(spec: ProblemSpec, y0: np.ndarray) -> Trajectory:
     if not (y.shape == (2 * spec.r,) and np.isfinite(y).all()):
         raise ValidationError(f"y0 must be a finite vector of {2 * spec.r} entries, got {y0!r}")
     y0 = y
-    if not spec.s_max > spec.s_start:
-        raise ValidationError(f"s_max = {spec.s_max!r} must exceed s_start = {spec.s_start!r}")
+    if not spec.s_max > 0:
+        raise ValidationError(f"s_max must be > 0, got {spec.s_max!r}")
     sqrt_d = np.sqrt(spec.dims)
     sd = sqrt_d.tolist()
     sc = spec.step_controls
     soliton = spec.mode is Mode.SOLITON
-    ss = [spec.s_start]
+    ss = [0.0]
     ys = [y0]
     Qs = []   # each accepted step's dense-output coefficients
     r = spec.r
@@ -390,7 +389,7 @@ def integrate(spec: ProblemSpec, y0: np.ndarray) -> Trajectory:
         solver = Radau(
             lambda y: phase.rhs(y, sqrt_d),
             lambda y: phase.rhs_jacobian(y, sqrt_d),
-            spec.s_start,
+            0.0,
             y0,
             t_bound=spec.s_max,
             rtol=sc.rtol,
@@ -479,9 +478,8 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
     number of steps left of max_steps."""
     r = spec.r
     dims = tuple(spec.dims.tolist())
-    sigma0 = s0 - spec.s_start
-    tau0 = math.log(sigma0)
-    tau_max = math.log(spec.s_max - spec.s_start)
+    tau0 = math.log(s0)
+    tau_max = math.log(spec.s_max)
     tol2 = spec.origin_tol ** 2
     steps = 0
 
@@ -490,8 +488,7 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
         nonlocal steps
         steps += 1
         if not z.min() > 0:
-            raise InvariantViolated("Y_positive", spec.s_start + math.exp(tau),
-                                    f"z = s Y^2 = {z}")
+            raise InvariantViolated("Y_positive", math.exp(tau), f"z = s Y^2 = {z}")
         # |y|^2 = |X|^2 + sum(w) rounds to no less than sum(w), so the
         # graph is evaluated only once sum(w) is below origin_tol^2
         w = z * math.exp(-tau)
@@ -502,10 +499,10 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
                 return True
         if steps >= budget and tau < tau_max:
             raise StepLimitExceeded(f"no termination within {spec.step_controls.max_steps} "
-                                    f"steps (s = {spec.s_start + math.exp(tau):.3e})")
+                                    f"steps (s = {math.exp(tau):.3e})")
         return False
 
-    z0 = sigma0 * y0[r:] * y0[r:]
+    z0 = s0 * y0[r:] * y0[r:]
     try:
         dense, nfev, origin = _dop853(manifold.reduced_field(dims), z0, tau0, tau_max,
                                       spec.step_controls.rtol, spec.step_controls.atol, stop)
@@ -520,15 +517,15 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
             return math.log(float(y @ y)) - log_tol2
 
         tau_end = _crossing(above, dense.ts[-2], dense.ts[-1])
-        s_end = spec.s_start + math.exp(tau_end)
+        s_end = math.exp(tau_end)
     else:
         tau_end, s_end = tau_max, spec.s_max
-    # the grid 10^(k / TAIL_SAMPLES_PER_DECADE) of sigma = s - s_start
+    # the grid 10^(k / TAIL_SAMPLES_PER_DECADE) of s
     per = TAIL_SAMPLES_PER_DECADE
-    k = np.arange(math.floor(per * math.log10(sigma0)), math.ceil(per * tau_end / math.log(10)) + 1)
+    k = np.arange(math.floor(per * math.log10(s0)), math.ceil(per * tau_end / math.log(10)) + 1)
     grid = 10.0 ** (k / per)
-    grid = grid[(spec.s_start + grid > s0) & (spec.s_start + grid < s_end)]
-    tail = TailSegment(dims, spec.s_start, np.concatenate([[s0], spec.s_start + grid, [s_end]]),
+    grid = grid[(grid > s0) & (grid < s_end)]
+    tail = TailSegment(dims, np.concatenate([[s0], grid, [s_end]]),
                        np.concatenate([[tau0], np.log(grid), [tau_end]]), dense, nfev)
     return tail, "origin" if origin else "s_max"
 

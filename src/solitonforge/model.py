@@ -58,13 +58,13 @@ class StepControls:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if not self.rtol >= RTOL_FLOOR:
+        if not (math.isfinite(self.rtol) and self.rtol >= RTOL_FLOOR):
             raise ValidationError(
-                f"rtol must be >= 100 * machine epsilon ({RTOL_FLOOR:.3g}), "
-                f"got {self.rtol!r}"
+                f"rtol must be a finite number >= 100 * machine epsilon "
+                f"({RTOL_FLOOR:.3g}), got {self.rtol!r}"
             )
-        if not self.atol > 0:
-            raise ValidationError(f"atol must be positive, got {self.atol!r}")
+        if not (math.isfinite(self.atol) and self.atol > 0):
+            raise ValidationError(f"atol must be a finite number > 0, got {self.atol!r}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,6 @@ class ProblemSpec:
     factors: tuple[FactorSpec, ...]
     gauge_C: float = -1.0
     seed_coeffs: tuple[float, ...] = ()
-    s_start: float = 0.0
     s_max: float = 1e18
     origin_tol: float = 1e-8
     step_controls: StepControls = field(default_factory=StepControls)
@@ -164,8 +163,8 @@ def validate_spec(spec: ProblemSpec) -> ProblemSpec:
             )
         if any(e < 0 for e in rest):
             raise BadSeedSign(f"ricci-flat mode requires eps_i >= 0, got {rest}")
-    if not spec.s_max > spec.s_start:
-        raise ValidationError("s_max must exceed s_start")
+    if not spec.s_max > 0:
+        raise ValidationError(f"s_max must be > 0, got {spec.s_max!r}")
     if not (math.isfinite(spec.origin_tol) and spec.origin_tol > 0):
         raise ValidationError(
             f"origin_tol must be a finite number > 0, got {spec.origin_tol!r}")

@@ -208,6 +208,9 @@ def run_suite(
     if spec.mode is not Mode.SOLITON:
         raise IncompleteInputs("the verification suite applies to soliton mode")
 
+    # first, so that a run too short for the tail fits is InsufficientTail
+    # before a seed-end window of it can fail
+    asym = geometry.asymptotics(profile, curv)
     c = constants(spec)
     beta, b2 = c.beta, c.beta ** 2
     d = spec.dims
@@ -323,11 +326,8 @@ def run_suite(
                  "fit_errors": [xbl_err, rho_err]},
     ))
 
-    # (g) L ~ e^{2 beta^2 s}: fitted exponent and finite negative limit;
-    # s is counted from the first sample, so that e^{-2 beta^2 s} neither
-    # overflows nor underflows whatever s_start is
+    # (g) L ~ e^{2 beta^2 s}: fitted exponent and finite negative limit
     s, X, Y, L = _window_states(traj, 1.5 * L0, min(50.0 * L0, 0.05))
-    s = s - traj.s[0]
     expo_L = float(np.polyfit(s, np.log(-L), 1)[0])
     lam_hat, lam_err = _intercept_vs_L(L, np.exp(-2.0 * b2 * s) * L / spec.gauge_C)
     dev_g = abs(expo_L - 2.0 * b2) / (2.0 * b2)
@@ -384,14 +384,7 @@ def run_suite(
 
     # (k) the potential's boundary value by two routes
     u0_quad = -(traj.H[0] - 1.0) / (2.0 * b2)  # gauge u(s_0) = 0 + exact tail
-    # lam_hat is the limit of e^{-2 beta^2 (s - s_0)} L / C, whose log
-    # exceeds that of e^{-2 beta^2 s} L / C by 2 beta^2 s_0
-    c0 = (
-        profile.u[0]
-        - float((d * np.log(profile.g[0])).sum())
-        + traj.s[0]
-        - d[0] * b2 * traj.s[0]
-    )
+    c0 = profile.u[0] - float((d * np.log(profile.g[0])).sum())
     log_l = 0.0
     for i in range(1, r):
         log_l += d[i] * math.log(boundary["g_0"][i])
@@ -436,7 +429,7 @@ def run_suite(
     ]
 
     # (m) curvature signs and decay, and the paraboloid end
-    checks.extend(tail_checks(geometry.asymptotics(profile, curv), curv, spec))
+    checks.extend(tail_checks(asym, curv, spec))
 
     return VerifyReport(checks=checks, diagnostics=diag)
 

@@ -111,13 +111,14 @@ class TestIntegrate:
             flow.integrate(make_spec("d2_3"), y0)
 
     @pytest.mark.parametrize("s_max", [0.0, -1.0])
-    def test_s_max_not_beyond_s_start_names_s_max(self, monkeypatch, s_max):
-        """A spec built without validate_spec may have s_max <= s_start:
-        integrate rejects it, naming s_max, before the field is called."""
+    def test_s_max_not_positive_names_s_max(self, monkeypatch, s_max):
+        """A spec built without validate_spec may have s_max <= 0, where
+        every trajectory starts: integrate rejects it, naming s_max,
+        before the field is called."""
         spec = dataclasses.replace(make_spec("d2_3"), s_max=s_max)
         y0 = flow.seed(spec)
         monkeypatch.setattr(phase, "rhs", lambda *args: pytest.fail("rhs called"))
-        with pytest.raises(ValidationError, match=r"^s_max = .* must exceed s_start = 0\.0"):
+        with pytest.raises(ValidationError, match=r"^s_max must be > 0, got "):
             flow.integrate(spec, y0)
 
     def test_terminal_invariants(self, pipeline):
@@ -939,8 +940,10 @@ class TestRadauStepper:
     def test_underflowing_step_raises_too_small_step(self, monkeypatch):
         """When every stacked stage is non-finite, no Newton iteration
         converges and the step size halves until it is below the spacing
-        of floats at t: step() raises TOO_SMALL_STEP, and a run ends in
-        StepLimitExceeded with that message."""
+        of floats at t: step() raises TOO_SMALL_STEP.  A run reports a
+        stepper's ValueError as StepLimitExceeded with its message; from
+        s = 0 the same stages end in the stepper's non-finite error, since
+        MU/h overflows before the step size falls below ten ulps of s."""
         fun = lambda y: np.full_like(y, np.nan) if y.ndim == 2 else -y
         solver = radau.Radau(fun, lambda y: -np.eye(2), 1.0, np.ones(2),
                              t_bound=2.0, rtol=1e-3, atol=1e-6)
@@ -952,10 +955,9 @@ class TestRadauStepper:
         rhs = phase.rhs
         monkeypatch.setattr(phase, "rhs", lambda y, sqrt_d: (
             np.full_like(y, np.nan) if y.ndim == 2 else rhs(y, sqrt_d)))
-        spec = dataclasses.replace(make_spec("d2_3"), s_start=1.0)
         with pytest.raises(StepLimitExceeded) as err:
-            sf.run(spec)
-        assert str(err.value).endswith(radau.TOO_SMALL_STEP)
+            sf.run(make_spec("d2_3"))
+        assert str(err.value).endswith(radau._NOT_FINITE)
 
 
 class TestFusedNewtonUpdate:

@@ -149,11 +149,15 @@ class TestValidation:
         ({"atol": 0.0}, "atol"),
         ({"atol": -1e-10}, "atol"),
         ({"atol": math.nan}, "atol"),
+        ({"rtol": math.inf}, "rtol"),
+        ({"atol": math.inf}, "atol"),
     ])
     def test_step_controls_reject_bad_tolerances(self, controls, key):
         """StepControls owns the tolerance rules for every caller: an rtol
-        below 100 machine epsilons or an atol that is not > 0 is a
-        ValidationError naming the key."""
+        below 100 machine epsilons, an atol that is not > 0, or either
+        one infinite is a ValidationError naming the key.  An infinite
+        tolerance would pass every error test, and the run would fail
+        later on an invariant, naming no key."""
         with pytest.raises(ValidationError, match=key):
             sf.StepControls(**controls)
 

@@ -269,7 +269,8 @@ class TestSolveIvpIdentity:
     ])
     def test_collapse_fails_as_solve_ivp(self, g, g_dot):
         """Near g_1 = 0 the field is singular, and the step size falls
-        below ten ulps of t before the collapse event can fire."""
+        below ten ulps of t before a step ends with g_1 <= 0: the oracle
+        and solve_ivp both end in StepLimitExceeded, not BlowUp."""
         spec = make_spec("d2_3")
         state = _start(spec, g=np.array(g), g_dot=np.array(g_dot))
         outcome, _ = _same_outcome(state, spec, 10.0)
