@@ -24,6 +24,9 @@ operation and operand is the same, every sample, interpolant value and
 step is that of scipy's DOP853 run with dense output, bit for bit; the
 oracle's tests check this against ``solve_ivp`` itself.
 
+Both fields are straight-line Python, compiled from generated source
+by ``_field_factory``, one factory per field and number of factors.
+
 The tableau is written here as correctly rounded literals, the doubles
 of scipy's ``dop853_coefficients`` (a test compares them with
 ``np.array_equal``), so that nothing in the package imports scipy.
@@ -218,6 +221,28 @@ def _error_norm(err5: np.ndarray, err3: np.ndarray, h: float):
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
     return h * err5_norm_2 / np.sqrt(denom * err5.size)
+
+
+def _field_factory(consts: dict, args: str, body: list):
+    """Compile a straight-line field for ``_dop853`` and return its factory.
+
+    ``factory(*seqs)`` takes one sequence per key of `consts`, in order:
+    the one for key c holds consts[c] numbers, which it unpacks into the
+    locals c0, c1, ....  It returns ``field(<args>)``, whose body is the
+    source lines `body`; the field reads those locals as closure
+    variables, and ``math`` as its one global.  No number of the caller's
+    enters the source text, so the field computes on the caller's own
+    doubles, and the source, hence the compiled factory, depends only on
+    the shape of `consts`: callers compile once per shape and cache.
+    """
+    src = [f"def factory({', '.join(consts)}):"]
+    src += [f"    {''.join(f'{c}{i}, ' for i in range(n))}= {c}" for c, n in consts.items()]
+    src.append(f"    def field({args}):")
+    src += [f"        {line}" for line in body]
+    src.append("    return field")
+    namespace = {"math": math}
+    exec(compile("\n".join(src), "<field>", "exec"), namespace)
+    return namespace["factory"]
 
 
 def _dop853(fun, y0: np.ndarray, t0: float, t_bound: float, rtol: float,

@@ -31,7 +31,10 @@ that s |h|^2 and s g are O(1/s).  As s grows, z tends to the fixed
 point d/2, which is the 1/s decay of |Y|^2 along the tail.  The system
 is not stiff: its linearisation there has the eigenvalue -1 in tau, and
 an explicit method's steps grow as z settles.  ``reduced_field`` is this
-field on Python floats, for the flow's DOP853 loop.
+field as straight-line code on Python floats, for the flow's DOP853 loop.
+Its sums run left to right in a fixed order on every Python version;
+``sum()`` would not, since from Python 3.12 it adds floats with
+compensated (Neumaier) summation and rounds differently.
 
 Polynomials are coefficient arrays over the monomials of a ``Ring``:
 truncated multivariate polynomials, whose sum is the sum of the arrays
@@ -43,9 +46,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from operator import mul
 
 import numpy as np
+
+from .dop853 import _field_factory
 
 # the degree to which the graph h is built
 DEGREE = 4
@@ -168,33 +172,41 @@ def offset(dims: tuple, X: np.ndarray, Y: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=None)
+def _reduced_factory(r: int):
+    """The factory of ``reduced_field``'s fields in r variables, compiled
+    once per r: it takes d, sqrt(d) and the graph's coefficients of degree
+    2 and more, row by row."""
+    chain = ring(r).chain[r:]   # the monomials of degree >= 2
+    names = [f"w{j}" for j in range(r)]   # monomial k >= 1 is names[k - 1]
+    body = [f"{''.join(f'z{j}, ' for j in range(r))}= z", "inv_s = math.exp(-tau)"]
+    body += [f"w{j} = inv_s * z{j}" for j in range(r)]
+    for parent, var in chain:
+        names.append(f"m{len(names) + 1}")
+        body.append(f"{names[-1]} = {names[parent - 1]} * w{var}")
+    high = names[r:]
+    n = len(high)
+    body += [" + ".join([f"g{j} = 0.0"] + [f"c{j * n + k} * {m}" for k, m in enumerate(high)])
+             for j in range(r)]
+    body += [f"x{j} = w{j} / sd{j} + g{j}" for j in range(r)]
+    body.append(" + ".join(["hh = 0.0"] + [f"x{j} * x{j}" for j in range(r)]))
+    body.append("return [" + ", ".join(
+        f"z{j} * (1.0 - 2.0 * z{j} / d{j} + 2.0 * (hh - g{j} / sd{j}) / inv_s)"
+        for j in range(r)) + "]")
+    return _field_factory({"d": r, "sd": r, "c": r * n}, "tau, z", body)
+
+
+@lru_cache(maxsize=None)
 def reduced_field(dims: tuple):
     """dz/dtau of the flow on the graph, as ``field(tau, z)`` on a list z
     of Python floats, returning a list; built once per ``dims``.
 
-    g = h - w / sqrt(d) is summed from the graph's terms of degree 2 and
-    more, so that s g carries no cancellation.
+    The field is straight-line code, with d, sqrt(d) and the graph's
+    coefficients bound as closure variables.  g = h - w / sqrt(d) is
+    summed from the graph's terms of degree 2 and more, so that s g
+    carries no cancellation; each g_j, and |h|^2, is one sum left to right
+    from 0.0, every term kept.
     """
     r = len(dims)
-    first = 1 + r   # the first monomial of degree 2
-    chain = ring(r).chain[first - 1:]
-    rows = graph(dims)[:, first:].tolist()
     d = [float(x) for x in dims]
     sd = [math.sqrt(x) for x in d]
-
-    def field(tau, z):
-        inv_s = math.exp(-tau)
-        w = [inv_s * v for v in z]
-        m = [1.0] + w
-        for parent, var in chain:
-            m.append(m[parent] * w[var])
-        high = m[first:]
-        g = [sum(map(mul, row, high)) for row in rows]
-        hh = 0.0
-        for wj, sj, gj in zip(w, sd, g):
-            x = wj / sj + gj
-            hh += x * x
-        return [v * (1.0 - 2.0 * v / dj + 2.0 * (hh - gj / sj) / inv_s)
-                for v, dj, sj, gj in zip(z, d, sd, g)]
-
-    return field
+    return _reduced_factory(r)(d, sd, graph(dims)[:, 1 + r:].ravel().tolist())

@@ -38,9 +38,9 @@ class FactorSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError(f"factor dimension must be >= 1, got {self.dim}")
-        if not self.einstein_const > 0:
+        if not (math.isfinite(self.einstein_const) and self.einstein_const > 0):
             raise ValidationError(
-                f"Einstein constant must be positive, got {self.einstein_const}"
+                f"Einstein constant must be finite and positive, got {self.einstein_const}"
             )
 
 

@@ -14,13 +14,15 @@ and u_dot there, and monitors the conserved quantity
 
 which must stay at the gauge constant C along exact solutions.
 
-The field (``t_field``) has 2r + 1 ≤ 7 components, so it is evaluated on
-Python floats, where numpy's per-call overhead would outweigh the
-arithmetic.  The system is defined only where every g_i is positive: a
-start with a g_i that is not finite and positive, or with a non-finite
-g_dot or u_dot, is rejected with ``ValidationError`` naming the field; a
-g_i that reaches 0 inside the field, or a step end with a g_i <= 0 or a
-non-finite entry, raises ``BlowUp``.  A run goes forward over a window
+The field has 2r + 1 ≤ 7 components, so it is evaluated on Python
+floats, where numpy's per-call overhead would outweigh the arithmetic:
+``t_field`` builds it for the factors' d_i and lambda_i as straight-line
+code, one local per component, compiled once per r.  The system is
+defined only where every g_i is positive: a start with a g_i that is not
+finite and positive, or with a non-finite g_dot or u_dot, is rejected
+with ``ValidationError`` naming the field; a g_i that reaches 0 inside
+the field, or a step end with a g_i <= 0 or a non-finite entry, raises
+``BlowUp``.  A run goes forward over a window
 with length: a t_end that is not finite and beyond the start is
 ``OutOfRange``, raised before the field is called.
 
@@ -33,18 +35,19 @@ scipy's arithmetic call for call, and the step-end test above is its
 stop test.  Every sample, interpolant value and deviation of a run that
 passes it is therefore that of ``solve_ivp`` with method DOP853 and dense
 output, bit for bit; the tests check this against ``solve_ivp`` itself.
-The field is looked up as ``t_field`` on every call, and the run loads no
-scipy module.
+Each run builds its field once, through the module attribute
+``t_field``, and loads no scipy module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .dop853 import Dop853Dense, _dop853
+from .dop853 import Dop853Dense, _dop853, _field_factory
 from .errors import BlowUp, NoOverlap, OutOfRange, StepLimitExceeded, ValidationError
 from .model import Mode, ProblemSpec
 from .reconstruct import MetricProfile
@@ -99,10 +102,10 @@ def conservation_quantity(y: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """The conserved quantity at each column of a (2r + 1, N) stack of
     states [g, g_dot, u_dot], in one vectorised pass.
 
-    Each factor sum is taken left to right over the factors, as
-    ``t_field`` sums its dot products.  The potential and kinetic sums
-    are so those of numpy's ``sum`` of fewer than eight terms, bit for
-    bit; tr L agrees with a BLAS dot, whose summation order is not fixed,
+    Each factor sum is taken left to right over the factors, as the
+    field of ``t_field`` sums its dot products.  The potential and
+    kinetic sums are so those of numpy's ``sum`` of fewer than eight
+    terms, bit for bit; tr L agrees with a BLAS dot, whose summation order is not fixed,
     to a few ulps of its terms.
     """
     r = spec.r
@@ -117,36 +120,39 @@ def conservation_quantity(y: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return potential + kinetic - (ud - tr_L) ** 2
 
 
-def t_field(v: list, d: list, lam: list) -> list:
-    """The t-space vector field at one packed state [g, g_dot, u_dot], on
-    Python floats, with the factors' d_i and lambda_i as lists.
+@lru_cache(maxsize=None)
+def _t_factory(r: int):
+    """The factory of ``t_field``'s kernels on r factors, compiled once per r."""
+    g, gd = [f"g{i}" for i in range(r)], [f"gd{i}" for i in range(r)]
+    u_dd = " + ".join(["0.0"] + [f"d{i} * p{i}" for i in range(r)])
+    body = [f"{', '.join(g + gd)}, ud = v"]
+    body += [f"q{i} = gd{i} / g{i}" for i in range(r)]
+    body.append(" + ".join(["tr_L = 0.0"] + [f"d{i} * q{i}" for i in range(r)]))
+    body += [f"p{i} = lam{i} / (g{i} * g{i}) - tr_L * q{i} + ud * q{i} + q{i} * q{i}"
+             for i in range(r)]
+    body.append(f"return [{', '.join(gd + [f'p{i} * g{i}' for i in range(r)] + [u_dd])}]")
+    return _field_factory({"d": r, "lam": r}, "t, v", body)
 
-    The operations are those of the numpy expressions
+
+def t_field(d: list, lam: list):
+    """The t-space vector field of the factors' d_i and lambda_i, as
+    ``field(t, v)`` on a packed state v = [g, g_dot, u_dot] of Python
+    floats, returning a list.
+
+    The field is straight-line code, with d_i and lambda_i bound as
+    closure variables.  Its operations are those of the numpy expressions
 
         rel = g_dot / g;  tr L = d . rel
         gdd / g = lam / g^2 - (tr L) rel + u_dot rel + rel^2
         u_ddot = d . (gdd / g)
 
-    in the same order, with both dot products summed left to right.  numpy
-    would send them to a BLAS dot, whose summation order is not fixed, so
-    the values agree with the numpy form to a few ulps rather than bit for
-    bit.  A g_i that is 0, or whose square underflows to 0, raises
-    ``ZeroDivisionError``.
+    in the same order, with both dot products summed left to right from
+    0.0.  numpy would send them to a BLAS dot, whose summation order is
+    not fixed, so the values agree with the numpy form to a few ulps
+    rather than bit for bit.  A g_i that is 0, or whose square underflows
+    to 0, raises ``ZeroDivisionError``.
     """
-    r = len(d)
-    g = v[:r]
-    gd = v[r:2 * r]
-    ud = v[-1]
-    rel = [b / a for a, b in zip(g, gd)]
-    tr_L = 0.0
-    for di, q in zip(d, rel):
-        tr_L += di * q
-    gdd_over_g = [l / (a * a) - tr_L * q + ud * q + q * q
-                  for l, a, q in zip(lam, g, rel)]
-    u_dd = 0.0
-    for di, q in zip(d, gdd_over_g):
-        u_dd += di * q
-    return gd + [q * a for q, a in zip(gdd_over_g, g)] + [u_dd]
+    return _t_factory(len(d))(d, lam)
 
 
 def _check_start(state: SecondOrderState) -> None:
@@ -169,9 +175,10 @@ def integrate_second_order(
     The start must have every g_i finite and positive and a finite g_dot
     and u_dot; any other raises ``ValidationError`` naming the field.  A
     t_end that is not finite and beyond state.t raises ``OutOfRange``.
-    The field is ``t_field``; a g_i that reaches 0 inside it ends the run
-    with ``BlowUp``, as does a step end with a g_i <= 0 or a non-finite
-    entry.  A step size below ten ulps of t raises ``StepLimitExceeded``.
+    The field is ``t_field(d, lam)``, built once; a g_i that reaches 0
+    inside it ends the run with ``BlowUp``, as does a step end with a
+    g_i <= 0 or a non-finite entry.  A step size below ten ulps of t
+    raises ``StepLimitExceeded``.
     """
     _check_start(state)
     t0, t_end = float(state.t), float(t_end)
@@ -187,8 +194,8 @@ def integrate_second_order(
         return not (all(x > 0 for x in v[:r]) and all(map(math.isfinite, v)))
 
     try:
-        dense, _, stopped = _dop853(lambda t, v: t_field(v, d, lam), state.as_vector(),
-                                    t0, t_end, TOL, TOL, left)
+        dense, _, stopped = _dop853(t_field(d, lam), state.as_vector(), t0, t_end,
+                                    TOL, TOL, left)
     except ZeroDivisionError as exc:   # g_i, or g_i^2 by underflow, reached 0
         raise BlowUp(f"a warping function reached 0 before t = {t_end:g}") from exc
     except ValueError as exc:          # the step size fell below ten ulps of t

@@ -142,6 +142,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             sf.FactorSpec(3, -1.0)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_factor_rejects_non_finite_lambda(self, lam):
+        """An infinite Einstein constant is > 0, but the run would fail
+        late in build_profile, naming no key."""
+        with pytest.raises(ValidationError, match="Einstein constant must be finite"):
+            sf.FactorSpec(3, lam)
+
     @pytest.mark.parametrize("controls, key", [
         ({"rtol": 1e-20}, "rtol"),
         ({"rtol": 0.0}, "rtol"),

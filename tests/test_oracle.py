@@ -178,7 +178,7 @@ class TestStartState:
         start, before it, or not finite is OutOfRange, raised before the
         field is called."""
         monkeypatch.setattr(oracle, "t_field",
-                            lambda v, d, lam: pytest.fail("t_field called"))
+                            lambda d, lam: lambda t, v: pytest.fail("t_field called"))
         spec = make_spec("d2_3")
         with pytest.raises(OutOfRange, match="oracle window"):
             oracle.integrate_second_order(_start(spec), spec, t_end)
@@ -201,10 +201,10 @@ def _solve_ivp_run(state, spec, t_end):
     from scipy.integrate import solve_ivp
 
     r = spec.r
-    d, lam = spec.dims.tolist(), spec.lambdas.tolist()
+    field = oracle.t_field(spec.dims.tolist(), spec.lambdas.tolist())
 
     def rhs(t, y):
-        return oracle.t_field(y.tolist(), d, lam)
+        return field(t, y.tolist())
 
     try:
         sol = solve_ivp(rhs, (state.t, t_end), state.as_vector(), method="DOP853",
@@ -287,7 +287,7 @@ class TestSolveIvpIdentity:
         starts: the package's loop stops there, and solve_ivp's run, which
         goes on to t_end, holds that step end among its samples."""
         monkeypatch.setattr(oracle, "t_field",
-                            lambda v, d, lam: [-1.0] + [0.0] * (len(v) - 1))
+                            lambda d, lam: lambda t, v: [-1.0] + [0.0] * (len(v) - 1))
         spec = make_spec("d2_3")
         state = _start(spec, g=np.array([g1, 1.0]))
         outcome, _ = _same_outcome(state, spec, 2.0)
@@ -339,9 +339,79 @@ class TestField:
             g = 10.0 ** rng.uniform(-3, 3, r)
             gd = rng.uniform(-1, 1, r) * 10.0 ** rng.uniform(-3, 3, r)
             y = np.concatenate([g, gd, [rng.uniform(-5, 5)]])
-            got = np.array(oracle.t_field(y.tolist(), d.tolist(), lam.tolist()))
+            got = np.array(oracle.t_field(d.tolist(), lam.tolist())(0.0, y.tolist()))
             expected = self._numpy_field(y, d, lam)
             ulp = np.spacing(self._term_scale(y, d, lam))
             assert np.all(np.abs(got - expected) <= 4 * ulp)
             # the g' entries are copied, not computed
             assert np.array_equal(got[:r], gd)
+
+
+def _reference_t_field(v, d, lam):
+    """The t-space field on lists, one loop per operation: the form that
+    ``t_field``'s straight-line kernels must match bit for bit."""
+    r = len(d)
+    g, gd, ud = v[:r], v[r:2 * r], v[-1]
+    rel = [b / a for a, b in zip(g, gd)]
+    tr_L = 0.0
+    for di, q in zip(d, rel):
+        tr_L += di * q
+    gdd_over_g = [l / (a * a) - tr_L * q + ud * q + q * q
+                  for l, a, q in zip(lam, g, rel)]
+    u_dd = 0.0
+    for di, q in zip(d, gdd_over_g):
+        u_dd += di * q
+    return gd + [q * a for q, a in zip(gdd_over_g, g)] + [u_dd]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_the_loop_form_exactly(self, r):
+        """On states whose entries span six decades, the generated kernel
+        returns the reference's doubles, bit for bit."""
+        rng = np.random.default_rng(40 + r)
+        for _ in range(300):
+            d = rng.integers(2, 10, r).astype(float).tolist()
+            lam = (np.array(d) - 1.0 + rng.uniform(-0.5, 0.5, r)).tolist()
+            g = 10.0 ** rng.uniform(-3, 3, r)
+            gd = rng.choice([-1.0, 1.0], r) * 10.0 ** rng.uniform(-3, 3, r)
+            v = np.concatenate([g, gd, [rng.uniform(-5, 5)]]).tolist()
+            assert oracle.t_field(d, lam)(1.0, v) == _reference_t_field(v, d, lam)
+
+    @pytest.mark.parametrize("g1", [0.0, 1e-200])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_zero_or_underflowing_g_divides_by_zero(self, r, g1):
+        """A g_i of 0, or one whose square underflows, raises
+        ZeroDivisionError in the kernel as in the reference."""
+        d, lam = [2.0] * r, [1.0] * r
+        for i in range(r):
+            v = [1.0] * r + [0.5] * r + [-0.3]
+            v[i] = g1
+            with pytest.raises(ZeroDivisionError):
+                _reference_t_field(v, d, lam)
+            with pytest.raises(ZeroDivisionError):
+                oracle.t_field(d, lam)(1.0, v)
+
+    def test_one_kernel_per_run(self, monkeypatch):
+        built = []
+        t_field = oracle.t_field
+
+        def counting(d, lam):
+            built.append((d, lam))
+            return t_field(d, lam)
+
+        monkeypatch.setattr(oracle, "t_field", counting)
+        spec = make_spec("d2_3")
+        oracle.integrate_second_order(_start(spec), spec, 2.0)
+        assert built == [(spec.dims.tolist(), spec.lambdas.tolist())]
+
+    def test_compiled_once_per_r_without_the_constants(self):
+        """The kernels of one r share one compiled factory, and their code
+        holds no number but the algorithm's own 0.0."""
+        oracle._t_factory.cache_clear()
+        fields = [oracle.t_field(d, lam) for d, lam in
+                  [([2.0, 3.0], [1.0, 2.0]), ([4.0, 5.0], [3.0, 4.0]), ([2.0], [1.0])]]
+        assert oracle._t_factory.cache_info().misses == 2
+        assert fields[0].__code__ is fields[1].__code__
+        for field in fields:
+            assert set(field.__code__.co_consts) <= {None, 0.0}
