@@ -25,7 +25,8 @@ step is that of scipy's DOP853 run with dense output, bit for bit; the
 oracle's tests check this against ``solve_ivp`` itself.
 
 Both fields are straight-line Python, compiled from generated source
-by ``_field_factory``, one factory per field and number of factors.
+by ``_field_factory``, one factory per field and number of factors;
+the phase flow's field and Jacobian (``phase``) are compiled by it too.
 
 The tableau is written here as correctly rounded literals, the doubles
 of scipy's ``dop853_coefficients`` (a test compares them with
@@ -224,7 +225,9 @@ def _error_norm(err5: np.ndarray, err3: np.ndarray, h: float):
 
 
 def _field_factory(consts: dict, args: str, body: list):
-    """Compile a straight-line field for ``_dop853`` and return its factory.
+    """Compile a straight-line kernel and return its factory: the
+    package's one compiler of generated code, for the DOP853 loop's fields
+    and the phase flow's field and Jacobian.
 
     ``factory(*seqs)`` takes one sequence per key of `consts`, in order:
     the one for key c holds consts[c] numbers, which it unpacks into the
@@ -233,7 +236,9 @@ def _field_factory(consts: dict, args: str, body: list):
     variables, and ``math`` as its one global.  No number of the caller's
     enters the source text, so the field computes on the caller's own
     doubles, and the source, hence the compiled factory, depends only on
-    the shape of `consts`: callers compile once per shape and cache.
+    the shape of `consts` and on `body`: callers compile once per number
+    of factors and cache.  With no constants, ``factory()`` returns a
+    kernel that takes all its numbers as arguments.
     """
     src = [f"def factory({', '.join(consts)}):"]
     src += [f"    {''.join(f'{c}{i}, ' for i in range(n))}= {c}" for c, n in consts.items()]

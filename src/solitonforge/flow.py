@@ -29,8 +29,8 @@ The Radau stepper is the package's own (``radau.Radau``, Hairer &
 Wanner's Radau IIA in numpy alone), so the flow loads no ``scipy``
 module.  It takes ``phase.rhs`` and ``phase.rhs_jacobian`` as they are:
 the flow is autonomous, and ``rhs`` takes one state (n,) or the
-stepper's stage-major (7, n) stack of stages, with the same values bit
-for bit whichever of its two evaluation paths it takes.  It is called through
+stepper's stage-major (7, n) stack of stages, whose every row gets the
+values of that state alone, bit for bit.  It is called through
 the module, so that a wrapper set on ``phase.rhs`` sees every call.  The
 Ricci-flat projection is the stepper's ``project`` hook: each accepted
 state is projected before the stepper's one right-hand-side call of the

@@ -14,94 +14,108 @@ spectrum beta^2 - 1 (r times), beta^2 (r - 1 times) and 2 beta^2; the
 unstable direction of 2 beta^2 is `unstable_eigenvector_fast`.  The
 spectrum and the identity for L' are claims that `verify.run_suite`
 checks (`spectrum`, `lyapunov_identity`) from `rhs` and `rhs_jacobian`.
+
+With 2r ≤ 6 components numpy's per-call overhead would outweigh the
+arithmetic, so both are straight-line Python on floats, one kernel each
+per r, compiled on first use by ``dop853._field_factory`` and cached.
+Python floats are IEEE doubles and round as numpy's elementwise
+operations do, so each kernel computes the values of the textbook numpy
+expressions, bit for bit, inf and NaN included.  Powers are written
+``x * x``, since ``x ** 2`` raises ``OverflowError`` where numpy gives
+inf; every division is by ``sqrt(d_i) > 0``.  sqrt(d) is an argument of
+every call, never part of the source.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
+from .dop853 import _field_factory
 from .model import ProblemSpec, constants
 
 
-def _field(v: list, sd: list) -> list:
-    """The vector field at one packed state, on Python floats."""
-    r = len(sd)
-    X = v[:r]
-    Y = v[r:]
-    sx2 = 0.0
-    for x in X:   # left to right, as numpy reduces fewer than eight terms
-        sx2 += x * x
-    a = sx2 - 1.0
-    return ([x * a + y * y / s for x, y, s in zip(X, Y, sd)]
-            + [y * (sx2 - x / s) for x, y, s in zip(X, Y, sd)])
+@lru_cache(maxsize=None)
+def _field_kernel(r: int):
+    """``field(rows, sd)``: the flow at each packed state of `rows`, lists
+    of 2r floats, as one flat list; compiled once per r."""
+    X, Y = [f"x{i}" for i in range(r)], [f"y{i}" for i in range(r)]
+    values = [f"x{i} * a + y{i} * y{i} / sd{i}" for i in range(r)] + [
+        f"y{i} * (sx2 - x{i} / sd{i})" for i in range(r)]
+    body = [f"{''.join(f'sd{i}, ' for i in range(r))}= sd", "out = []",
+            f"for {', '.join(X + Y)} in rows:",
+            f"    sx2 = {' + '.join(f'{x} * {x}' for x in X)}",   # left to right
+            "    a = sx2 - 1.0", f"    out += ({', '.join(values)})", "return out"]
+    return _field_factory({}, "rows, sd", body)()
+
+
+@lru_cache(maxsize=None)
+def _jacobian_kernel(r: int):
+    """(``jac(v, sx2, sd)``, slots): the entries of the Jacobian at the
+    packed state v that are not identically zero, row by row, and their
+    indices in the flattened (2r, 2r) matrix; compiled once per r."""
+    v = [f"x{i}" for i in range(r)] + [f"y{i}" for i in range(r)]
+    entries, slots = [], []
+    for i, vi in enumerate(v):
+        k = i % r   # the column r + k of row i's one entry in the right half
+        entries += [f"{vi} * x{j} * 2.0" + (" + a" if i == j else "")
+                    + (f" - y{j} / sd{j}" if i == r + j else "") for j in range(r)]
+        entries.append(f"2.0 * y{k} / sd{k}" if i < r else f"sx2 - x{k} / sd{k}")
+        slots += [2 * r * i + j for j in [*range(r), r + k]]
+    body = [f"{''.join(f'{x}, ' for x in v)}= v", f"{''.join(f'sd{i}, ' for i in range(r))}= sd",
+            "a = sx2 - 1.0", f"return [{', '.join(entries)}]"]
+    return _field_factory({}, "v, sx2, sd", body)(), np.array(slots)
 
 
 def rhs(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
     """Vector field on the packed state [X, Y]; hot path for the integrator.
 
     `y` is one state of shape (n,) = (2r,) or a stack of states of shape
-    (k, n), such as the (7, n) stages of one Radau step; the result has
-    the shape of `y`, and any other shape raises ``ValueError``.
+    (k, n), such as the (7, n) stages of one Radau step or the up to 201
+    samples of ``verify``'s ``lyapunov_identity``; the result has the
+    shape of `y`, and any other shape raises ``ValueError``.
 
-    With n ≤ 6, numpy's per-call overhead would outweigh the arithmetic,
-    so one state is evaluated on Python floats: one ``tolist``, the
-    textbook expressions of the module docstring entry by entry, one
-    ``np.array`` back.  Python floats are IEEE doubles and round as
-    numpy's elementwise operations do, and ``sum_j X_j^2`` is summed left
-    to right, as numpy's ``add.reduce`` sums so few terms; so the values
-    are bit for bit those of the expressions evaluated in numpy, inf and
-    NaN included.  No BLAS dot is involved: its summation order is not
-    fixed, and on some inputs it differs from the left-to-right sum in the
-    last bit.  Powers are written ``x * x``, since ``x ** 2`` raises
-    ``OverflowError`` where numpy gives inf; every division is by
-    ``sqrt(d_i) > 0``.  A stack, such as the stepper's seven stages or the
-    up to 200 samples of ``verify``'s ``lyapunov_identity``, goes through
-    those numpy expressions, with the same left-to-right sum, and so each
-    row gets the values of that row alone, bit for bit.
+    Every shape takes the one path: one ``tolist`` of the (k, n) rows, the
+    r-factor kernel's straight-line body on each row, with ``sum_j X_j^2``
+    summed left to right, and one ``np.array`` back.  Each row so gets the
+    values of the module docstring's expressions evaluated in numpy on
+    that row alone, bit for bit.  No BLAS dot is involved: its summation
+    order is not fixed, and on some inputs it differs from the
+    left-to-right sum in the last bit.
     """
     sd = sqrt_d.tolist()
-    if y.ndim not in (1, 2) or y.shape[-1] != 2 * len(sd):
-        raise ValueError(
-            f"phase.rhs takes a state ({2 * len(sd)},) or a stack "
-            f"(k, {2 * len(sd)}), not an array of shape {y.shape}"
-        )
-    if y.ndim == 1:
-        return np.array(_field(y.tolist(), sd))
-    r = len(sd)
-    X, Y = y[:, :r], y[:, r:]
-    with np.errstate(all="ignore"):   # inf and NaN come through as on floats
-        sx2 = X[:, 0] * X[:, 0]
-        for j in range(1, r):
-            sx2 = sx2 + X[:, j] * X[:, j]
-        sx2 = sx2[:, None]
-        return np.concatenate([X * (sx2 - 1.0) + Y * Y / sqrt_d, Y * (sx2 - X / sqrt_d)],
-                              axis=1)
+    n = 2 * len(sd)
+    if y.ndim not in (1, 2) or y.shape[-1] != n:
+        raise ValueError(f"phase.rhs takes a state ({n},) or a stack (k, {n}), "
+                         f"not an array of shape {y.shape}")
+    return np.array(_field_kernel(len(sd))(y.reshape(-1, n).tolist(), sd)).reshape(y.shape)
 
 
 def rhs_jacobian(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of `rhs` at a packed state.
+    """Analytic Jacobian of `rhs` at one packed state (n,) = (2r,); any
+    other shape raises ``ValueError``.
 
-    The left half is 2 y X^T, filled as one outer product and doubled in
-    place; the four diagonal blocks' diagonals are written through strided
-    views of the flat matrix.  Each entry is the textbook one,
-    ``2 X_i X_j + delta_ij (|X|^2 - 1)`` and so on, computed with the same
-    operations in the same order.
+    The left half is 2 y X^T, each entry ``(y_i X_j) * 2.0``; the four
+    diagonal blocks' diagonals add ``|X|^2 - 1`` (X rows, X columns) and
+    ``-Y_i / sqrt(d_i)`` (Y rows, X columns), and set ``2 Y_i /
+    sqrt(d_i)`` (X rows, Y columns) and ``|X|^2 - X_i / sqrt(d_i)`` (Y
+    rows, Y columns); every other entry is 0.  The kernel computes the
+    entries that are not 0 with the operations written here, in this
+    order, on floats.  |X|^2 is numpy's ``X @ X``, a BLAS dot whose
+    summation order is not fixed: a sum left to right would differ from
+    it in the last bit on some states, and move every Newton iterate.
     """
-    r = sqrt_d.size
-    n = 2 * r
-    X = y[:r]
-    Y = y[r:]
-    sx2 = X @ X
-    J = np.zeros((n, n))
-    left = J[:, :r]
-    np.multiply.outer(y, X, out=left)
-    left *= 2.0
-    flat = J.reshape(-1)   # a view; the diagonals step by n + 1
-    flat[:r * n:n + 1] += sx2 - 1.0            # X rows, X columns
-    flat[r:r * n:n + 1] = 2.0 * Y / sqrt_d      # X rows, Y columns
-    flat[r * n::n + 1] -= Y / sqrt_d            # Y rows, X columns
-    flat[r * n + r::n + 1] = sx2 - X / sqrt_d   # Y rows, Y columns
-    return J
+    sd = sqrt_d.tolist()
+    n = 2 * len(sd)
+    if y.shape != (n,):
+        raise ValueError(f"phase.rhs_jacobian takes a state ({n},), "
+                         f"not an array of shape {y.shape}")
+    jac, slots = _jacobian_kernel(len(sd))
+    X = y[:len(sd)]
+    J = np.zeros(n * n)
+    J[slots] = jac(y.tolist(), float(X @ X), sd)
+    return J.reshape(n, n)
 
 
 def unstable_eigenvector_fast(spec: ProblemSpec) -> np.ndarray:
@@ -112,4 +126,3 @@ def unstable_eigenvector_fast(spec: ProblemSpec) -> np.ndarray:
     v[0] = 2.0 * c.beta
     v[spec.r] = c.beta_hat
     return v
-

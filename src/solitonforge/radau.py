@@ -21,8 +21,8 @@ state between steps, which scipy keeps in private fields; here ``t``,
 Unlike scipy's generic interface, it takes the flow as it is: the flow
 is autonomous, so ``fun(y)`` and ``jac(y)`` take no time, and ``fun``
 gets either one state (n,) or the seven collocation stages as one
-stage-major (7, n) stack, the two shapes ``phase.rhs`` takes.  Every
-failure of a step raises ``ValueError``.
+stage-major (7, n) stack, which ``phase.rhs`` evaluates row by row in
+one call.  Every failure of a step raises ``ValueError``.
 The step controls are not checked here: ``model.StepControls`` owns the
 rules for ``rtol`` and ``atol``.
 

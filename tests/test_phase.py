@@ -185,9 +185,9 @@ class TestTextbookFormulas:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_tall_stacks_match_the_float_path(self, r):
-        """A stack of any height, 1 to 9 rows here, goes through numpy,
-        with the same values as one state at a time on Python floats, bit
-        for bit, IEEE special entries included (NaN in the same places)."""
+        """A stack of any height, 1 to 9 rows here, gives each row the
+        values of that row alone as one state, bit for bit, IEEE special
+        entries included (NaN in the same places)."""
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200,
                    5e-324, -2.5e-310, 1e-160, 0.5, -1.5]
         rng = np.random.default_rng(40 + r)
@@ -208,7 +208,7 @@ class TestTextbookFormulas:
                                         "r2_d3_5", "r3_d2_2_3", "ricci_flat_d2_3"])
     def test_tall_stack_of_a_trajectory(self, config):
         """On every shipped config's samples, as verify's lyapunov_identity
-        stacks them, the numpy path gives the float path's values."""
+        stacks them, each row gets the values of its state alone."""
         spec = sf.parse_config(os.path.join(CONFIG_DIR, f"{config}.json")).spec
         traj = sf.run(spec)
         sqrt_d = np.sqrt(spec.dims)
@@ -221,6 +221,75 @@ class TestTextbookFormulas:
         """A state (n,) or a stack (k, n) with n = 2r; anything else raises."""
         with pytest.raises(ValueError, match="phase.rhs takes"):
             phase.rhs(np.zeros(shape), np.sqrt([2.0, 3.0]))
+
+    def test_empty_stack(self):
+        """A stack of no states gives a stack of no fields, shape (0, 2r)."""
+        for r in (1, 2, 3):
+            got = phase.rhs(np.zeros((0, 2 * r)), np.sqrt(np.arange(2.0, 2.0 + r)))
+            assert got.shape == (0, 2 * r)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_stacks_of_arbitrary_doubles(self, data):
+        """r = 1 to 4 and 0 to 9 rows of any doubles, inf and NaN included:
+        numpy's values bit for bit, NaN in the same places."""
+        r = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(0, 9))
+        y = np.array(data.draw(st.lists(st.floats(), min_size=2 * r * k, max_size=2 * r * k)),
+                     dtype=float).reshape(k, 2 * r)
+        sqrt_d = np.sqrt(np.array(data.draw(st.lists(st.integers(2, 9), min_size=r,
+                                                     max_size=r)), dtype=float))
+        got = phase.rhs(y, sqrt_d)
+        expected = self._numpy_field(y, sqrt_d)
+        assert got.shape == expected.shape
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_jacobian_bit_for_bit(self, r):
+        """On states over nine decades and on IEEE special entries, the
+        Jacobian is the entry-by-entry form's, bit for bit, NaN in the
+        same places."""
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200,
+                   5e-324, -2.5e-310, 1e-160, 0.5, -1.5]
+        rng = np.random.default_rng(50 + r)
+        for _ in range(200):
+            sqrt_d = np.sqrt(rng.integers(2, 10, r).astype(float))
+            for y in (10.0 ** rng.uniform(-8, 1) * rng.uniform(-1.0, 1.0, 2 * r),
+                      rng.choice(special, 2 * r)):
+                with np.errstate(all="ignore"):   # X @ X warns on overflow
+                    got = phase.rhs_jacobian(y, sqrt_d)
+                    expected = self._jacobian(y, sqrt_d)
+                nan = np.isnan(expected)
+                assert np.array_equal(np.isnan(got), nan)
+                assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (7, 4), (2, 3, 4), ()])
+    def test_jacobian_other_shapes_raise(self, shape):
+        """One state (n,) with n = 2r; anything else raises."""
+        with pytest.raises(ValueError, match=r"phase.rhs_jacobian takes a state \(4,\)"):
+            phase.rhs_jacobian(np.zeros(shape), np.sqrt([2.0, 3.0]))
+
+
+class TestKernel:
+    def test_compiled_once_per_r_without_numbers(self):
+        """The field and Jacobian kernels are compiled once per r, whatever
+        sqrt(d) and the stack height, and their code holds no number but
+        the formulas' own 1.0 and 2.0."""
+        phase._field_kernel.cache_clear()
+        phase._jacobian_kernel.cache_clear()
+        for dims in ([2.0, 3.0], [4.0, 5.0], [7.0], [2.0, 2.0], [9.0]):
+            sqrt_d = np.sqrt(dims)
+            n = 2 * len(dims)
+            for shape in ((n,), (radau.STAGES, n), (201, n)):
+                phase.rhs(np.full(shape, 0.25), sqrt_d)
+            phase.rhs_jacobian(np.full(n, 0.25), sqrt_d)
+        assert phase._field_kernel.cache_info().misses == 2
+        assert phase._jacobian_kernel.cache_info().misses == 2
+        for r in (1, 2):
+            for kernel in (phase._field_kernel(r), phase._jacobian_kernel(r)[0]):
+                assert set(kernel.__code__.co_consts) <= {None, 1.0, 2.0}
 
 
 class TestScalars:
