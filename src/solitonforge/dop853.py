@@ -224,7 +224,7 @@ def _error_norm(err5: np.ndarray, err3: np.ndarray, h: float):
     return h * err5_norm_2 / np.sqrt(denom * err5.size)
 
 
-def _field_factory(consts: dict, args: str, body: list):
+def _field_factory(consts: dict, args: str, body: list, state: list = ()):
     """Compile a straight-line kernel and return its factory: the
     package's one compiler of generated code, for the DOP853 loop's fields
     and the phase flow's field and Jacobian.
@@ -239,29 +239,52 @@ def _field_factory(consts: dict, args: str, body: list):
     the shape of `consts` and on `body`: callers compile once per number
     of factors and cache.  With no constants, ``factory()`` returns a
     kernel that takes all its numbers as arguments.
+
+    A DOP853 field names its components `state` and `args` is its
+    abscissa, which `body` may read.  ``field(<args>, v)`` then unpacks
+    the list v into those names, and its attribute ``field.stage(<args>,
+    y, d, h)`` sets each name to ``y_i + d_i * h`` instead, the loop's
+    stage state; both run the same `body`.  The factory's generated text
+    is its attribute ``source``.
     """
     src = [f"def factory({', '.join(consts)}):"]
     src += [f"    {''.join(f'{c}{i}, ' for i in range(n))}= {c}" for c, n in consts.items()]
-    src.append(f"    def field({args}):")
-    src += [f"        {line}" for line in body]
+    entries = [(f"field({args})", [])]
+    if state:
+        entries = [(f"field({args}, _v)", [f"{''.join(f'{x}, ' for x in state)}= _v"]),
+                   (f"stage({args}, _y, _d, _h)",
+                    [f"{''.join(f'_y{i}, ' for i in range(len(state)))}= _y",
+                     f"{''.join(f'_d{i}, ' for i in range(len(state)))}= _d"]
+                    + [f"{x} = _y{i} + _d{i} * _h" for i, x in enumerate(state)])]
+    for head, prologue in entries:
+        src.append(f"    def {head}:")
+        src += [f"        {line}" for line in prologue + body]
+    if state:
+        src.append("    field.stage = stage")
     src.append("    return field")
+    text = "\n".join(src)
     namespace = {"math": math}
-    exec(compile("\n".join(src), "<field>", "exec"), namespace)
-    return namespace["factory"]
+    exec(compile(text, "<field>", "exec"), namespace)
+    factory = namespace["factory"]
+    factory.source = text
+    return factory
 
 
 def _dop853(fun, y0: np.ndarray, t0: float, t_bound: float, rtol: float,
             atol: float, stop=None):
     """DOP853 from (t0, y0) forward to t_bound: (dense output, nfev, stopped).
 
-    A t_bound not beyond t0 raises ``ValueError``.  The dense output holds
-    the accepted step ends, their states and each step's seven coefficient
-    rows; nfev counts the calls of ``fun``; stopped tells whether ``stop``
-    ended the run, at the last step end, before t_bound.  Exceptions of
-    ``fun`` and ``stop`` propagate.
+    `fun` is a field of ``_field_factory``: ``fun(t, v)`` and its
+    ``fun.stage(t, y, d, h)``.  A t_bound not beyond t0 raises
+    ``ValueError``.  The dense output holds the accepted step ends, their
+    states and each step's seven coefficient rows; nfev counts the calls
+    of ``fun`` and ``fun.stage``; stopped tells whether ``stop`` ended the
+    run, at the last step end, before t_bound.  Exceptions of ``fun`` and
+    ``stop`` propagate.
     """
     if not t_bound > t0:
         raise ValueError(f"t_bound = {t_bound!r} must exceed t0 = {t0!r}")
+    stage = fun.stage
     n = y0.size
     # rows: the stages, f at the step end, then the dense output's extra
     # stages; each stage reads the rows before it through a transposed view
@@ -272,16 +295,17 @@ def _dop853(fun, y0: np.ndarray, t0: float, t_bound: float, rtol: float,
     K_B, K_E = K[:STAGES].T, K[:STAGES + 1].T
 
     t, y = t0, y0
-    f = np.array(fun(t0, y0.tolist()))
-    h_abs = _initial_step(fun, t0, y0, f, t_bound, rtol, atol)
+    yl = y0.tolist()
+    fl = fun(t0, yl)
+    h_abs = _initial_step(fun, t0, y0, np.array(fl), t_bound, rtol, atol)
     nfev = 2
     ts, ys, Fs = [t0], [y0], []
     while True:
-        yl = y.tolist()
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
+        K[0] = fl
         while True:
             if not h_abs >= min_step:   # a NaN step size, too, ends the run
                 raise ValueError(TOO_SMALL_STEP)
@@ -290,11 +314,11 @@ def _dop853(fun, y0: np.ndarray, t0: float, t_bound: float, rtol: float,
                 t_new = t_bound
             h = h_abs = float(t_new - t)
 
-            K[0] = f
             for s, KT, a, c in main:
-                K[s] = fun(t + c * h, [u + d * h for u, d in zip(yl, np.dot(KT, a).tolist())])
+                K[s] = stage(t + c * h, yl, np.dot(KT, a).tolist(), h)
             y_new = y + h * np.dot(K_B, B)
-            K[STAGES] = fun(t + h, y_new.tolist())
+            yl_new = y_new.tolist()
+            fl_new = K[STAGES] = fun(t + h, yl_new)
             nfev += STAGES
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -312,19 +336,20 @@ def _dop853(fun, y0: np.ndarray, t0: float, t_bound: float, rtol: float,
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
 
-        # the step's interpolant (Dop853DenseOutput)
+        # the step's interpolant (Dop853DenseOutput): its first three rows
+        # elementwise on floats, the rest from the extra stages
         for s, KT, a, c in extra:
-            K[s] = fun(t + c * h, [u + d * h for u, d in zip(yl, np.dot(KT, a).tolist())])
+            K[s] = stage(t + c * h, yl, np.dot(KT, a).tolist(), h)
         nfev += len(extra)
         F = np.empty((3 + len(D), n))
-        delta_y = y_new - y
+        delta_y = [b - a for a, b in zip(yl, yl_new)]
         F[0] = delta_y
-        F[1] = h * K[0] - delta_y
-        F[2] = 2 * delta_y - h * (K[STAGES] + K[0])
+        F[1] = [h * f - e for f, e in zip(fl, delta_y)]
+        F[2] = [2 * e - h * (g + f) for e, f, g in zip(delta_y, fl, fl_new)]
         F[3:] = h * np.dot(D, K)
         Fs.append(F)
 
-        t, y, f = t_new, y_new, K[STAGES].copy()
+        t, y, yl, fl = t_new, y_new, yl_new, fl_new
         ts.append(t)
         ys.append(y)
         stopped = stop is not None and stop(t, y)

@@ -178,7 +178,7 @@ def _reduced_factory(r: int):
     2 and more, row by row."""
     chain = ring(r).chain[r:]   # the monomials of degree >= 2
     names = [f"w{j}" for j in range(r)]   # monomial k >= 1 is names[k - 1]
-    body = [f"{''.join(f'z{j}, ' for j in range(r))}= z", "inv_s = math.exp(-tau)"]
+    body = ["inv_s = math.exp(-tau)"]
     body += [f"w{j} = inv_s * z{j}" for j in range(r)]
     for parent, var in chain:
         names.append(f"m{len(names) + 1}")
@@ -192,7 +192,8 @@ def _reduced_factory(r: int):
     body.append("return [" + ", ".join(
         f"z{j} * (1.0 - 2.0 * z{j} / d{j} + 2.0 * (hh - g{j} / sd{j}) / inv_s)"
         for j in range(r)) + "]")
-    return _field_factory({"d": r, "sd": r, "c": r * n}, "tau, z", body)
+    return _field_factory({"d": r, "sd": r, "c": r * n}, "tau", body,
+                          [f"z{j}" for j in range(r)])
 
 
 @lru_cache(maxsize=None)

@@ -125,13 +125,12 @@ def _t_factory(r: int):
     """The factory of ``t_field``'s kernels on r factors, compiled once per r."""
     g, gd = [f"g{i}" for i in range(r)], [f"gd{i}" for i in range(r)]
     u_dd = " + ".join(["0.0"] + [f"d{i} * p{i}" for i in range(r)])
-    body = [f"{', '.join(g + gd)}, ud = v"]
-    body += [f"q{i} = gd{i} / g{i}" for i in range(r)]
+    body = [f"q{i} = gd{i} / g{i}" for i in range(r)]
     body.append(" + ".join(["tr_L = 0.0"] + [f"d{i} * q{i}" for i in range(r)]))
     body += [f"p{i} = lam{i} / (g{i} * g{i}) - tr_L * q{i} + ud * q{i} + q{i} * q{i}"
              for i in range(r)]
     body.append(f"return [{', '.join(gd + [f'p{i} * g{i}' for i in range(r)] + [u_dd])}]")
-    return _field_factory({"d": r, "lam": r}, "t, v", body)
+    return _field_factory({"d": r, "lam": r}, "t", body, g + gd + ["ud"])
 
 
 def t_field(d: list, lam: list):

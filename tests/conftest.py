@@ -56,3 +56,11 @@ def pipeline():
         return cache[name]
 
     return get
+
+
+def with_stage(fun):
+    """A plain field ``fun(t, v)`` given the stage entry that the DOP853
+    loop calls: ``fun.stage(t, y, d, h)`` is fun at the state y + d h,
+    formed entry by entry."""
+    fun.stage = lambda t, y, d, h: fun(t, [u + e * h for u, e in zip(y, d)])
+    return fun

@@ -9,6 +9,8 @@ import pytest
 
 from solitonforge import dop853
 
+from conftest import with_stage
+
 
 def test_tableau_is_scipys():
     """Every coefficient array is scipy's DOP853 one, bit for bit."""
@@ -26,7 +28,7 @@ def _decay(calls):
     def fun(t, v):
         calls.append(t)
         return [-x for x in v]
-    return fun
+    return with_stage(fun)
 
 
 def test_counts_calls_and_reaches_the_bound():
@@ -70,7 +72,7 @@ def test_step_size_collapse_raises():
         return [-1.0] if t == 0.0 else [math.nan]
 
     with pytest.raises(ValueError, match=dop853.TOO_SMALL_STEP):
-        dop853._dop853(fun, np.array([1.0]), 0.0, 1.0, 1e-8, 1e-8)
+        dop853._dop853(with_stage(fun), np.array([1.0]), 0.0, 1.0, 1e-8, 1e-8)
 
 
 @pytest.mark.parametrize("t_bound", [1.0, 0.5, math.nan])

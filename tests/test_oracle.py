@@ -18,7 +18,7 @@ from solitonforge.errors import (
     ValidationError,
 )
 
-from conftest import CASES, SOLITON_CASES, make_spec
+from conftest import CASES, SOLITON_CASES, make_spec, with_stage
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -286,8 +286,8 @@ class TestSolveIvpIdentity:
         g_1 <= 0 is a BlowUp on both sides, wherever in (0, 1) g_1
         starts: the package's loop stops there, and solve_ivp's run, which
         goes on to t_end, holds that step end among its samples."""
-        monkeypatch.setattr(oracle, "t_field",
-                            lambda d, lam: lambda t, v: [-1.0] + [0.0] * (len(v) - 1))
+        falling = lambda t, v: [-1.0] + [0.0] * (len(v) - 1)
+        monkeypatch.setattr(oracle, "t_field", lambda d, lam: with_stage(falling))
         spec = make_spec("d2_3")
         state = _start(spec, g=np.array([g1, 1.0]))
         outcome, _ = _same_outcome(state, spec, 2.0)
