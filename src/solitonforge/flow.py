@@ -169,12 +169,13 @@ class TailSegment:
     run's.
     """
 
-    def __init__(self, dims: tuple, s: np.ndarray, taus: np.ndarray,
+    def __init__(self, dims: tuple, s: np.ndarray, taus: np.ndarray, u0: np.ndarray,
                  dense: Dop853Dense, nfev: int) -> None:
         self.dims = dims
         self.s = s               # (sample,)
         self.taus = taus         # (sample,)
-        self.dense = dense       # z over tau
+        self.u0 = u0             # (r,), 1/z at the switch
+        self.dense = dense       # the remainder v over tau
         self.nfev = nfev
 
     @property
@@ -183,7 +184,7 @@ class TailSegment:
 
     def states_at_tau(self, tau: np.ndarray) -> np.ndarray:
         """States [X, Y] at the abscissae tau (...), shape (..., n)."""
-        return _on_graph(self.dims, self.dense, tau)
+        return _on_graph(self.dims, self.u0, self.taus[0], self.dense, tau)
 
     def __call__(self, s) -> np.ndarray:
         """States at the N abscissae of a 1-D array: shape (n, N)."""
@@ -463,12 +464,17 @@ def integrate(spec: ProblemSpec, y0: np.ndarray) -> Trajectory:
     )
 
 
-def _on_graph(dims: tuple, dense: Dop853Dense, tau) -> np.ndarray:
-    """The states [X, Y] = [h(w), sqrt(w)], w = z e^-tau, at the abscissae
-    tau (...) of a tail's dense output z: shape (..., n)."""
+def _on_graph(dims: tuple, u0: np.ndarray, tau0: float, dense: Dop853Dense,
+              tau) -> np.ndarray:
+    """The states [X, Y] = [h(w), sqrt(w)] at the abscissae tau (...) of a
+    tail whose dense output is the remainder v about the relaxation U
+    from u0 at tau0 (``manifold.relaxation``): u = U + v = 1/z and w =
+    e^-tau / u.  Shape (..., n)."""
     tau = np.asarray(tau, dtype=float)
-    z = dense(tau.ravel()).T.reshape(tau.shape + (-1,))
-    w = z * np.exp(-tau)[..., None]
+    b, a = manifold.relaxation(dims, u0.tolist())
+    v = dense(tau.ravel()).T.reshape(tau.shape + (-1,))
+    u = np.array(b) + np.array(a) * np.exp(tau0 - tau)[..., None] + v
+    w = np.exp(-tau)[..., None] / u
     return np.concatenate([manifold.on_graph(dims, w), np.sqrt(w)], axis=-1)
 
 
@@ -481,20 +487,26 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
     tau0 = math.log(s0)
     tau_max = math.log(spec.s_max)
     tol2 = spec.origin_tol ** 2
+    u0 = 1.0 / (s0 * y0[r:] * y0[r:])
+    b, a = manifold.relaxation(dims, u0.tolist())
     steps = 0
 
-    def stop(tau, z) -> bool:
-        """At the origin, or out of steps, or z left (0, inf)."""
+    def stop(tau, v) -> bool:
+        """At the origin, or out of steps, or z = 1/u left (0, inf)."""
         nonlocal steps
         steps += 1
-        if not z.min() > 0:
-            raise InvariantViolated("Y_positive", math.exp(tau), f"z = s Y^2 = {z}")
+        e, inv_s = math.exp(tau0 - tau), math.exp(-tau)
+        u = [bj + aj * e + vj for bj, aj, vj in zip(b, a, v.tolist())]
+        if not all(0.0 < x < math.inf for x in u):
+            raise InvariantViolated("Y_positive", math.exp(tau), f"u = 1/(s Y^2) = {u}")
         # |y|^2 = |X|^2 + sum(w) rounds to no less than sum(w), so the
         # graph is evaluated only once sum(w) is below origin_tol^2
-        w = z * math.exp(-tau)
-        w_sum = w.sum()
+        w = [inv_s / x for x in u]
+        w_sum = 0.0
+        for x in w:
+            w_sum += x
         if w_sum < tol2:
-            X = manifold.on_graph(dims, w)
+            X = manifold.on_graph(dims, np.array(w))
             if float(X @ X + w_sum) < tol2:
                 return True
         if steps >= budget and tau < tau_max:
@@ -502,10 +514,10 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
                                     f"steps (s = {math.exp(tau):.3e})")
         return False
 
-    z0 = s0 * y0[r:] * y0[r:]
+    rtol = spec.step_controls.rtol
     try:
-        dense, nfev, origin = _dop853(manifold.reduced_field(dims), z0, tau0, tau_max,
-                                      spec.step_controls.rtol, spec.step_controls.atol, stop)
+        dense, nfev, origin = _dop853(manifold.remainder_field(dims, u0.tolist(), tau0),
+                                      np.zeros(r), tau0, tau_max, rtol, rtol * min(b), stop)
     except ValueError as exc:  # the step size fell below ten ulps of tau
         raise StepLimitExceeded(f"tail integrator failed after s={s0:.3e}: {exc}") from exc
     if origin:
@@ -513,7 +525,7 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
 
         def above(tau: float) -> float:
             """log |y|^2 - log origin_tol^2 on the dense output."""
-            y = _on_graph(dims, dense, tau)
+            y = _on_graph(dims, u0, tau0, dense, tau)
             return math.log(float(y @ y)) - log_tol2
 
         tau_end = _crossing(above, dense.ts[-2], dense.ts[-1])
@@ -526,7 +538,7 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
     grid = 10.0 ** (k / per)
     grid = grid[(grid > s0) & (grid < s_end)]
     tail = TailSegment(dims, np.concatenate([[s0], grid, [s_end]]),
-                       np.concatenate([[tau0], np.log(grid), [tau_end]]), dense, nfev)
+                       np.concatenate([[tau0], np.log(grid), [tau_end]]), u0, dense, nfev)
     return tail, "origin" if origin else "s_max"
 
 

@@ -171,24 +171,33 @@ def offset(dims: tuple, X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.abs(X - on_graph(dims, Y * Y)).max())
 
 
+def _graph_lines(r: int):
+    """The body lines that set, from the locals w0 .. w{r-1}, each g_j (the
+    graph's terms of degree 2 and more) and x_j = h_j, then hh = |h|^2,
+    with the graph's coefficients c and sqrt(d) as closure variables; and
+    the number of coefficients per component.  Each g_j, and hh, is one
+    sum left to right from 0.0, every term kept."""
+    names = [f"w{j}" for j in range(r)]   # monomial k >= 1 is names[k - 1]
+    lines = []
+    for parent, var in ring(r).chain[r:]:   # the monomials of degree >= 2
+        names.append(f"m{len(names) + 1}")
+        lines.append(f"{names[-1]} = {names[parent - 1]} * w{var}")
+    high = names[r:]
+    n = len(high)
+    lines += [" + ".join([f"g{j} = 0.0"] + [f"c{j * n + k} * {m}" for k, m in enumerate(high)])
+              for j in range(r)]
+    lines += [f"x{j} = w{j} / sd{j} + g{j}" for j in range(r)]
+    lines.append(" + ".join(["hh = 0.0"] + [f"x{j} * x{j}" for j in range(r)]))
+    return lines, n
+
+
 @lru_cache(maxsize=None)
 def _reduced_factory(r: int):
     """The factory of ``reduced_field``'s fields in r variables, compiled
     once per r: it takes d, sqrt(d) and the graph's coefficients of degree
     2 and more, row by row."""
-    chain = ring(r).chain[r:]   # the monomials of degree >= 2
-    names = [f"w{j}" for j in range(r)]   # monomial k >= 1 is names[k - 1]
-    body = ["inv_s = math.exp(-tau)"]
-    body += [f"w{j} = inv_s * z{j}" for j in range(r)]
-    for parent, var in chain:
-        names.append(f"m{len(names) + 1}")
-        body.append(f"{names[-1]} = {names[parent - 1]} * w{var}")
-    high = names[r:]
-    n = len(high)
-    body += [" + ".join([f"g{j} = 0.0"] + [f"c{j * n + k} * {m}" for k, m in enumerate(high)])
-             for j in range(r)]
-    body += [f"x{j} = w{j} / sd{j} + g{j}" for j in range(r)]
-    body.append(" + ".join(["hh = 0.0"] + [f"x{j} * x{j}" for j in range(r)]))
+    graph_lines, n = _graph_lines(r)
+    body = ["inv_s = math.exp(-tau)"] + [f"w{j} = inv_s * z{j}" for j in range(r)] + graph_lines
     body.append("return [" + ", ".join(
         f"z{j} * (1.0 - 2.0 * z{j} / d{j} + 2.0 * (hh - g{j} / sd{j}) / inv_s)"
         for j in range(r)) + "]")
@@ -196,18 +205,63 @@ def _reduced_factory(r: int):
                           [f"z{j}" for j in range(r)])
 
 
+def _graph_constants(dims: tuple):
+    """sqrt(d) and the graph's coefficients of degree 2 and more, row by
+    row, as lists of floats."""
+    return ([math.sqrt(float(x)) for x in dims],
+            graph(dims)[:, 1 + len(dims):].ravel().tolist())
+
+
 @lru_cache(maxsize=None)
 def reduced_field(dims: tuple):
     """dz/dtau of the flow on the graph, as ``field(tau, z)`` on a list z
-    of Python floats, returning a list; built once per ``dims``.
+    of Python floats, returning a list, with its stage entry (``dop853``);
+    built once per ``dims``.
 
     The field is straight-line code, with d, sqrt(d) and the graph's
     coefficients bound as closure variables.  g = h - w / sqrt(d) is
     summed from the graph's terms of degree 2 and more, so that s g
     carries no cancellation; each g_j, and |h|^2, is one sum left to right
-    from 0.0, every term kept.
+    from 0.0, every term kept.  The flow integrates the remainder form
+    below; the tests take this direct form as its reference.
     """
-    r = len(dims)
-    d = [float(x) for x in dims]
-    sd = [math.sqrt(x) for x in d]
-    return _reduced_factory(r)(d, sd, graph(dims)[:, 1 + r:].ravel().tolist())
+    return _reduced_factory(len(dims))([float(x) for x in dims], *_graph_constants(dims))
+
+
+@lru_cache(maxsize=None)
+def _remainder_factory(r: int):
+    """The factory of ``remainder_field``'s fields in r variables, compiled
+    once per r: it takes 2/d, u(tau0) - 2/d, tau0, sqrt(d) and the graph's
+    coefficients of degree 2 and more, row by row."""
+    graph_lines, n = _graph_lines(r)
+    body = ["e = math.exp(t0 - tau)", "inv_s = math.exp(-tau)"]
+    body += [f"u{j} = b{j} + a{j} * e + v{j}" for j in range(r)]
+    body += [f"w{j} = inv_s / u{j}" for j in range(r)] + graph_lines
+    body.append("return [" + ", ".join(
+        f"-v{j} - 2.0 * (hh - g{j} / sd{j}) / inv_s * u{j}" for j in range(r)) + "]")
+    return _field_factory({"b": r, "a": r, "t": 1, "sd": r, "c": r * n}, "tau", body,
+                          [f"v{j}" for j in range(r)])
+
+
+def relaxation(dims: tuple, u0: list) -> tuple:
+    """The fixed point 2/d of u = 1/z and the relaxation's amplitude
+    u0 - 2/d, as lists of floats: U(tau) = 2/d + (u0 - 2/d) e^-(tau -
+    tau0)."""
+    b = [2.0 / float(x) for x in dims]
+    return b, [u - bj for u, bj in zip(u0, b)]
+
+
+def remainder_field(dims: tuple, u0: list, tau0: float):
+    """dv/dtau of the remainder v = u - U of u = 1/z about its logistic
+    relaxation U from u0 at tau0 (``relaxation``), as ``field(tau, v)`` on
+    a list v of Python floats, returning a list, with its stage entry
+    (``dop853``).
+
+    In u the flow on the graph reads du/dtau = -u + 2/d - c u, with c_j =
+    2 s (|h|^2 - g_j / sqrt(d_j)) = O(1/s), and U solves it with c = 0.  So
+    dv/dtau = -v - c u, with u = U + v and w = e^-tau / u: the field is
+    ``reduced_field``'s graph terms in these variables, straight-line, with
+    the same sums.
+    """
+    b, a = relaxation(dims, u0)
+    return _remainder_factory(len(dims))(b, a, [tau0], *_graph_constants(dims))

@@ -102,9 +102,13 @@ def rhs_jacobian(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
     sqrt(d_i)`` (X rows, Y columns) and ``|X|^2 - X_i / sqrt(d_i)`` (Y
     rows, Y columns); every other entry is 0.  The kernel computes the
     entries that are not 0 with the operations written here, in this
-    order, on floats.  |X|^2 is numpy's ``X @ X``, a BLAS dot whose
+    order, on floats.  |X|^2 is numpy's BLAS dot of X with itself, whose
     summation order is not fixed: a sum left to right would differ from
-    it in the last bit on some states, and move every Newton iterate.
+    it in the last bit on some states, and move every Newton iterate.  It
+    is taken as ``np.vdot(X, X)``, the same dot as ``X @ X``, bit for bit,
+    without the floating-point check after it, which warns where |X|^2
+    overflows (|X_i| above about 1e154): the Jacobian is then inf there,
+    silently, as ``rhs`` is.
     """
     sd = sqrt_d.tolist()
     n = 2 * len(sd)
@@ -114,7 +118,7 @@ def rhs_jacobian(y: np.ndarray, sqrt_d: np.ndarray) -> np.ndarray:
     jac, slots = _jacobian_kernel(len(sd))
     X = y[:len(sd)]
     J = np.zeros(n * n)
-    J[slots] = jac(y.tolist(), float(X @ X), sd)
+    J[slots] = jac(y.tolist(), float(np.vdot(X, X)), sd)
     return J.reshape(n, n)
 
 

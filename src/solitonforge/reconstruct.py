@@ -197,7 +197,11 @@ def build_profile(traj: Trajectory, spec: ProblemSpec) -> MetricProfile:
                 f"lambda = {lam.tolist()})"
             )
     if np.any(np.diff(t) <= 0):
-        raise QuadratureFailure("recovered arclength is not strictly increasing")
+        message = "recovered arclength is not strictly increasing"
+        if traj.termination == "s_max":   # t moved by less than its ulps
+            message = (f"s_max = {spec.s_max:g} is too short an s-range to resolve t: "
+                       f"the {message}")
+        raise QuadratureFailure(message)
 
     return MetricProfile(spec=spec, s=traj.s.copy(), L=traj.L.copy(),
                          H=traj.H.copy(), **fields)

@@ -523,6 +523,20 @@ class TestCurvatureGates:
         assert (out / "profile.csv").is_file() and (out / "profile.json").is_file()
         assert not (out / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("s_max", [1e-20, 1e-300])
+    def test_s_range_too_short_to_resolve_t_names_s_max(self, tmp_path, capsys, command,
+                                                        s_max):
+        """At s_max = 1e-20 and below, bryant_d2's run ends where t has not
+        moved by one ulp: exit 2 with s_max named as the cause."""
+        with open(os.path.join(CONFIG_DIR, "bryant_d2.json"), encoding="utf-8") as fh:
+            config = dict(json.load(fh), s_max=s_max)
+        path = write_config(tmp_path, config)
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error [QuadratureFailure]" in err
+        assert f"s_max = {s_max:g} is too short an s-range to resolve t" in err
+
     def test_truncated_tail_fails_the_paraboloid_limits(self, tmp_path, capsys):
         """At s_max = 300 the tail is long enough to fit but g g' and g^2/t
         are still short of their limits: curvature exits 1 on those two."""

@@ -232,3 +232,41 @@ class TestReducedFieldKernel:
         assert fields[0].__code__ is fields[1].__code__
         for field in fields:
             assert set(field.__code__.co_consts) <= {None, 0.0, 1.0, 2.0}
+
+
+class TestRemainderField:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_is_the_reduced_field_about_the_relaxation(self, r):
+        """With u = U + v and z = 1/u, dv/dtau = -u^2 dz/dtau - dU/dtau, the
+        reduced field's derivative less the relaxation's, to roundoff in
+        the terms of that difference."""
+        dims = DIMS[r]
+        rng = np.random.default_rng(80 + r)
+        reduced = manifold.reduced_field(dims)
+        for _ in range(100):
+            tau0 = rng.uniform(math.log(1e4), math.log(1e5))
+            u0 = 2.0 / np.array(dims) * 10.0 ** rng.uniform(-1, 3, r)
+            field = manifold.remainder_field(dims, u0.tolist(), tau0)
+            b, a = map(np.array, manifold.relaxation(dims, u0.tolist()))
+            tau = tau0 + rng.uniform(0.0, 20.0)
+            U = b + a * math.exp(tau0 - tau)
+            v = U * rng.uniform(-0.5, 0.5, r) * 10.0 ** rng.uniform(-12, 0)
+            u = U + v
+            z_dot = np.array(reduced(tau, (1.0 / u).tolist()))
+            expected = -u * u * z_dot - (b - U)
+            terms = np.abs(u) + np.abs(U)
+            assert np.all(np.abs(np.array(field(tau, v.tolist())) - expected) <= 1e-13 * terms)
+
+    def test_compiled_once_per_r_without_the_constants(self):
+        """The fields of one r share one compiled factory whatever dims, u0
+        and tau0, and their code holds no number but the algorithm's own
+        0.0 and 2.0."""
+        manifold._remainder_factory.cache_clear()
+        fields = [manifold.remainder_field(dims, u0, tau0) for dims, u0, tau0 in
+                  [((2.0, 3.0), [1.0, 300.0], 9.0), ((4.0, 5.0), [0.5, 0.4], 10.5),
+                   ((2.0, 2.0, 3.0), [1.0, 250.0, 260.0], 9.2)]]
+        assert manifold._remainder_factory.cache_info().misses == 2
+        assert fields[0].__code__ is fields[1].__code__
+        assert fields[0].stage.__code__ is fields[1].stage.__code__
+        for field in fields:
+            assert set(field.__code__.co_consts) <= {None, 0.0, 2.0}

@@ -258,12 +258,22 @@ class TestTextbookFormulas:
             sqrt_d = np.sqrt(rng.integers(2, 10, r).astype(float))
             for y in (10.0 ** rng.uniform(-8, 1) * rng.uniform(-1.0, 1.0, 2 * r),
                       rng.choice(special, 2 * r)):
-                with np.errstate(all="ignore"):   # X @ X warns on overflow
-                    got = phase.rhs_jacobian(y, sqrt_d)
+                got = phase.rhs_jacobian(y, sqrt_d)
+                with np.errstate(all="ignore"):   # numpy scalars warn on overflow
                     expected = self._jacobian(y, sqrt_d)
                 nan = np.isnan(expected)
                 assert np.array_equal(np.isnan(got), nan)
                 assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+    def test_jacobian_silent_where_the_squares_overflow(self):
+        """At X_1 = 1e200, |X|^2 overflows: the Jacobian, like the field,
+        is inf where |X|^2 enters and raises no warning, which this suite
+        would turn into an error."""
+        y = np.array([1e200, 0.5, 0.25, 0.125])
+        sqrt_d = np.sqrt([2.0, 3.0])
+        J = phase.rhs_jacobian(y, sqrt_d)
+        assert J[0, 0] == J[1, 1] == J[3, 3] == np.inf
+        assert phase.rhs(y, sqrt_d)[3] == np.inf
 
     @pytest.mark.parametrize("shape", [(3,), (5,), (7, 4), (2, 3, 4), ()])
     def test_jacobian_other_shapes_raise(self, shape):
