@@ -5,28 +5,34 @@ shared by the two integrations that need a non-stiff method: the
 oracle's t-space system (``oracle.integrate_second_order``) and the
 soliton's reduced tail on its slow manifold (``flow.integrate``).
 
-``_dop853`` takes a field ``fun(t, v)`` on a Python list ``v``, which
-returns the derivative as a sequence of floats, and an optional stop
-test ``stop(t, y)``, called at the end of every accepted step; a true
-result ends the run there.  Runs go forward only, to a ``t_bound``
-beyond ``t0``.  The loop repeats the arithmetic of scipy's ``DOP853``
-call for call on such runs.  scipy forms each stage state as ``y +
-np.dot(K[:s].T, a) * h`` on arrays; here the same ``np.dot`` is followed
-by ``u + d * h`` on the Python floats u of y and d of the product, with
-h a float.  numpy's elementwise multiply and
-add are each one correctly rounded IEEE operation on doubles, as
-Python's float ones are, and no product is fused into the sum, so every
-entry rounds the same.  The stage's abscissa is ``t + c * h``; the
-error norm, step-size control and initial step are those of scipy's
-``RungeKutta`` and ``DOP853`` on the same numpy scalars, and the
-interpolant that of its ``Dop853DenseOutput``.  Since every
-operation and operand is the same, every sample, interpolant value and
-step is that of scipy's DOP853 run with dense output, bit for bit; the
-oracle's tests check this against ``solve_ivp`` itself.
+``_dop853`` takes a field of ``_field_factory``: ``fun(t, v)`` on a
+Python list ``v``, which returns the derivative as a list of floats, and
+its stage entry ``fun.stage(t, y, d, h)``, the field at the state y + d
+h, formed entry by entry inside the kernel; and an optional stop test
+``stop(t, y)``, called at the end of every accepted step, where a true
+result ends the run.  Runs go forward only, to a ``t_bound`` beyond
+``t0``.  The loop repeats the arithmetic of scipy's ``DOP853`` call for
+call on such runs.  scipy forms each stage state as ``y + np.dot(K[:s].T,
+a) * h`` on arrays; here the same ``np.dot`` (a BLAS product, whose
+summation the loop must not change) is passed as the list d, and the
+stage forms ``y_i + d_i * h`` on the Python floats, with h a float.
+numpy's elementwise multiply and add are each one correctly rounded IEEE
+operation on doubles, as Python's float ones are, and no product is fused
+into the sum, so every entry rounds the same.  The interpolant's first
+three rows are scipy's elementwise expressions in the step's start and
+end states and derivatives, formed on the same floats; the rest are its
+``np.dot``.  The stage's abscissa is ``t + c * h``; the error norm,
+step-size control and initial step are those of scipy's ``RungeKutta``
+and ``DOP853`` on the same numpy scalars, and the interpolant that of its
+``Dop853DenseOutput``.  Since every operation and operand is the same,
+every sample, interpolant value and step is that of scipy's DOP853 run
+with dense output, bit for bit; the oracle's tests check this against
+``solve_ivp`` itself.
 
-Both fields are straight-line Python, compiled from generated source
-by ``_field_factory``, one factory per field and number of factors;
-the phase flow's field and Jacobian (``phase``) are compiled by it too.
+Both fields, the oracle's and the tail's, are straight-line Python,
+compiled with their stage entries from one generated body each by
+``_field_factory``, one factory per field and number of factors; the
+phase flow's field and Jacobian (``phase``) are compiled by it too.
 
 The tableau is written here as correctly rounded literals, the doubles
 of scipy's ``dop853_coefficients`` (a test compares them with
@@ -247,15 +253,17 @@ def _field_factory(consts: dict, args: str, body: list, state: list = ()):
     stage state; both run the same `body`.  The factory's generated text
     is its attribute ``source``.
     """
+    def unpack(names, seq):
+        return f"{''.join(f'{x}, ' for x in names)}= {seq}"
+
     src = [f"def factory({', '.join(consts)}):"]
-    src += [f"    {''.join(f'{c}{i}, ' for i in range(n))}= {c}" for c, n in consts.items()]
+    src += [f"    {unpack([f'{c}{i}' for i in range(n)], c)}" for c, n in consts.items()]
     entries = [(f"field({args})", [])]
     if state:
-        entries = [(f"field({args}, _v)", [f"{''.join(f'{x}, ' for x in state)}= _v"]),
-                   (f"stage({args}, _y, _d, _h)",
-                    [f"{''.join(f'_y{i}, ' for i in range(len(state)))}= _y",
-                     f"{''.join(f'_d{i}, ' for i in range(len(state)))}= _d"]
-                    + [f"{x} = _y{i} + _d{i} * _h" for i, x in enumerate(state)])]
+        ys, ds = ([f"_{a}{i}" for i in range(len(state))] for a in "yd")
+        entries = [(f"field({args}, _v)", [unpack(state, "_v")]),
+                   (f"stage({args}, _y, _d, _h)", [unpack(ys, "_y"), unpack(ds, "_d")]
+                    + [f"{x} = {y} + {d} * _h" for x, y, d in zip(state, ys, ds)])]
     for head, prologue in entries:
         src.append(f"    def {head}:")
         src += [f"        {line}" for line in prologue + body]

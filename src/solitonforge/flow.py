@@ -14,16 +14,20 @@ stability-limited to O(1) steps.  A soliton trajectory then crawls into
 the origin along its slow manifold X = h(w), w = Y^2 (``manifold``),
 from s of about 1e4 to 1e16.  Once |y| falls below ``TAIL_SWITCH`` the
 Radau segment ends and the tail segment takes over: the non-stiff
-r-dimensional flow on the graph, in tau = log s and z = s w, on the
-shared DOP853 loop (``dop853``) at the spec's rtol and atol.  Every
+r-dimensional flow on the graph, in tau = log s and z = s w.  Its u =
+1/z relaxes to 2/d along a closed form U, the logistic relaxation of z,
+and the shared DOP853 loop (``dop853``) integrates only the remainder v
+= u - U (``manifold.remainder_field``), at the spec's rtol and atol =
+rtol min(2/d), so that the error test is relative to u.  Every
 trajectory starts at s = 0, which the autonomous flow allows, so log s
 is defined on the tail.  The tail ends where |y|
 crosses ``origin_tol`` on its dense output, or at ``s_max``, and emits
 its samples on the fixed geometric grid of ``TAIL_SAMPLES_PER_DECADE``
 points per decade of s, plus its end: the row count of a profile does
-not depend on how many steps the tail took.  On those samples X = h(z/s)
-and Y = sqrt(z/s), so Y > 0 by construction.  Ricci-flat runs have one
-Radau segment.
+not depend on how many steps the tail took.  The stop test, the
+crossing and the samples map v back through z = 1/(U + v); on the
+samples X = h(z/s) and Y = sqrt(z/s), so Y > 0 by construction.
+Ricci-flat runs have one Radau segment.
 
 The Radau stepper is the package's own (``radau.Radau``, Hairer &
 Wanner's Radau IIA in numpy alone), so the flow loads no ``scipy``
@@ -158,8 +162,9 @@ class RadauSegment:
 
 
 class TailSegment:
-    """The tail on the slow manifold: the DOP853 run in (tau, z) over
-    tau = log s, mapped to states X = h(z/s), Y = sqrt(z/s).
+    """The tail on the slow manifold: the DOP853 run of the remainder v
+    over tau = log s, mapped through z = 1/(U + v), with U the relaxation
+    from u0 at taus[0], to states X = h(z/s), Y = sqrt(z/s).
 
     Its samples are at the abscissae ``s``, whose tau are ``taus``; the
     first is the switch, the Radau segment's last sample.  The intervals
@@ -169,12 +174,12 @@ class TailSegment:
     run's.
     """
 
-    def __init__(self, dims: tuple, s: np.ndarray, taus: np.ndarray, u0: np.ndarray,
+    def __init__(self, dims: tuple, s: np.ndarray, taus: np.ndarray, u0: list,
                  dense: Dop853Dense, nfev: int) -> None:
         self.dims = dims
         self.s = s               # (sample,)
         self.taus = taus         # (sample,)
-        self.u0 = u0             # (r,), 1/z at the switch
+        self.u0 = u0             # r floats, 1/z at the switch
         self.dense = dense       # the remainder v over tau
         self.nfev = nfev
 
@@ -464,14 +469,13 @@ def integrate(spec: ProblemSpec, y0: np.ndarray) -> Trajectory:
     )
 
 
-def _on_graph(dims: tuple, u0: np.ndarray, tau0: float, dense: Dop853Dense,
-              tau) -> np.ndarray:
+def _on_graph(dims: tuple, u0: list, tau0: float, dense: Dop853Dense, tau) -> np.ndarray:
     """The states [X, Y] = [h(w), sqrt(w)] at the abscissae tau (...) of a
     tail whose dense output is the remainder v about the relaxation U
     from u0 at tau0 (``manifold.relaxation``): u = U + v = 1/z and w =
     e^-tau / u.  Shape (..., n)."""
     tau = np.asarray(tau, dtype=float)
-    b, a = manifold.relaxation(dims, u0.tolist())
+    b, a = manifold.relaxation(dims, u0)
     v = dense(tau.ravel()).T.reshape(tau.shape + (-1,))
     u = np.array(b) + np.array(a) * np.exp(tau0 - tau)[..., None] + v
     w = np.exp(-tau)[..., None] / u
@@ -487,8 +491,8 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
     tau0 = math.log(s0)
     tau_max = math.log(spec.s_max)
     tol2 = spec.origin_tol ** 2
-    u0 = 1.0 / (s0 * y0[r:] * y0[r:])
-    b, a = manifold.relaxation(dims, u0.tolist())
+    u0 = [1.0 / (s0 * y * y) for y in y0[r:].tolist()]
+    b, a = manifold.relaxation(dims, u0)
     steps = 0
 
     def stop(tau, v) -> bool:
@@ -516,7 +520,7 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
 
     rtol = spec.step_controls.rtol
     try:
-        dense, nfev, origin = _dop853(manifold.remainder_field(dims, u0.tolist(), tau0),
+        dense, nfev, origin = _dop853(manifold.remainder_field(dims, u0, tau0),
                                       np.zeros(r), tau0, tau_max, rtol, rtol * min(b), stop)
     except ValueError as exc:  # the step size fell below ten ulps of tau
         raise StepLimitExceeded(f"tail integrator failed after s={s0:.3e}: {exc}") from exc

@@ -31,10 +31,22 @@ that s |h|^2 and s g are O(1/s).  As s grows, z tends to the fixed
 point d/2, which is the 1/s decay of |Y|^2 along the tail.  The system
 is not stiff: its linearisation there has the eigenvalue -1 in tau, and
 an explicit method's steps grow as z settles.  ``reduced_field`` is this
-field as straight-line code on Python floats, for the flow's DOP853 loop.
-Its sums run left to right in a fixed order on every Python version;
-``sum()`` would not, since from Python 3.12 it adds floats with
-compensated (Neumaier) summation and rounds differently.
+field as straight-line code on Python floats.
+
+In u = 1/z the same flow reads
+
+    du_j/dtau = -u_j + 2 / d_j - c_j u_j,   c_j = 2 s (|h|^2 - g_j / sqrt(d_j)),
+
+linear but for c = O(1/s).  Without c it has the closed form U_j(tau) =
+2/d_j + (u_j(tau0) - 2/d_j) e^-(tau - tau0), the logistic relaxation of z
+towards d/2, and the flow's DOP853 loop integrates only the remainder v =
+u - U, dv/dtau = -v - c u from v(tau0) = 0: an integrating-factor method
+(Lawson, SIAM J. Numer. Anal. 4 (1967) 372-380).  ``remainder_field`` is
+that field, straight-line, with the graph's terms summed as in
+``reduced_field``.  Both fields' sums run left to right in a fixed order
+on every Python version; ``sum()`` would not, since from Python 3.12 it
+adds floats with compensated (Neumaier) summation and rounds
+differently.  Each has the stage entry of the DOP853 loop (``dop853``).
 
 Polynomials are coefficient arrays over the monomials of a ``Ring``:
 truncated multivariate polynomials, whose sum is the sum of the arrays

@@ -17,12 +17,13 @@ which must stay at the gauge constant C along exact solutions.
 The field has 2r + 1 ≤ 7 components, so it is evaluated on Python
 floats, where numpy's per-call overhead would outweigh the arithmetic:
 ``t_field`` builds it for the factors' d_i and lambda_i as straight-line
-code, one local per component, compiled once per r.  The system is
-defined only where every g_i is positive: a start with a g_i that is not
-finite and positive, or with a non-finite g_dot or u_dot, is rejected
-with ``ValidationError`` naming the field; a g_i that reaches 0 inside
-the field, or a step end with a g_i <= 0 or a non-finite entry, raises
-``BlowUp``.  A run goes forward over a window
+code, one local per component, compiled once per r, with the stage entry
+through which the DOP853 loop forms each stage state inside the kernel.
+The system is defined only where every g_i is positive: a start with a
+g_i that is not finite and positive, or with a non-finite g_dot or
+u_dot, is rejected with ``ValidationError`` naming the field; a g_i that
+reaches 0 inside the field, or a step end with a g_i <= 0 or a
+non-finite entry, raises ``BlowUp``.  A run goes forward over a window
 with length: a t_end that is not finite and beyond the start is
 ``OutOfRange``, raised before the field is called.
 
@@ -136,7 +137,8 @@ def _t_factory(r: int):
 def t_field(d: list, lam: list):
     """The t-space vector field of the factors' d_i and lambda_i, as
     ``field(t, v)`` on a packed state v = [g, g_dot, u_dot] of Python
-    floats, returning a list.
+    floats, returning a list, with its stage entry ``field.stage(t, y,
+    d, h)``, the same field at the state y + d h (``dop853``).
 
     The field is straight-line code, with d_i and lambda_i bound as
     closure variables.  Its operations are those of the numpy expressions

@@ -1,6 +1,6 @@
-"""The shared DOP853 step loop: its tableau and its stop test.  The loop's
-identity with scipy's solve_ivp is checked through the oracle, in
-tests/test_oracle.py."""
+"""The shared DOP853 step loop: its tableau, its stop test and the stage
+entries of its generated fields.  The loop's identity with scipy's
+solve_ivp is checked through the oracle, in tests/test_oracle.py."""
 
 import math
 

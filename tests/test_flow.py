@@ -451,7 +451,7 @@ class TestTail:
     def test_tail_accuracy(self, pipeline, name):
         """From the switch state, the tail's Y agrees with the Radau stepper
         at rtol = 1e-13 and an atol far below |Y| to 1e-7 relative
-        (measured: 1.8e-10 on d2 and 1.4e-8 on d2_3; the Radau stepper at
+        (measured: 7.9e-10 on d2 and 4.2e-11 on d2_3; the Radau stepper at
         the shipped tolerances reaches 2.2e-6 and 2.6e-6)."""
         case = pipeline(name)
         traj, r = case.traj, case.spec.r
