@@ -3,7 +3,7 @@
 One explicit Runge-Kutta pair of order 8 with its order-7 dense output,
 shared by the two integrations that need a non-stiff method: the
 oracle's t-space system (``oracle.integrate_second_order``) and the
-soliton's reduced tail on its slow manifold (``flow.integrate``).
+soliton's tail on its slow manifold (``flow.integrate``).
 
 ``_dop853`` takes a field of ``_field_factory``: ``fun(t, v)`` on a
 Python list ``v``, which returns the derivative as a list of floats, and
@@ -29,10 +29,12 @@ every sample, interpolant value and step is that of scipy's DOP853 run
 with dense output, bit for bit; the oracle's tests check this against
 ``solve_ivp`` itself.
 
-Both fields, the oracle's and the tail's, are straight-line Python,
-compiled with their stage entries from one generated body each by
-``_field_factory``, one factory per field and number of factors; the
-phase flow's field and Jacobian (``phase``) are compiled by it too.
+The loop runs two fields: the oracle's t-space field (``oracle.t_field``)
+and the tail's remainder about its logistic relaxation
+(``manifold.remainder_field``).  Each is straight-line Python, compiled
+with its stage entry from one generated body by ``_field_factory``, one
+factory per field and number of factors; the phase flow's field and
+Jacobian (``phase``) are compiled by it too.
 
 The tableau is written here as correctly rounded literals, the doubles
 of scipy's ``dop853_coefficients`` (a test compares them with

@@ -14,17 +14,20 @@ stability-limited to O(1) steps.  A soliton trajectory then crawls into
 the origin along its slow manifold X = h(w), w = Y^2 (``manifold``),
 from s of about 1e4 to 1e16.  Once |y| falls below ``TAIL_SWITCH`` the
 Radau segment ends and the tail segment takes over: the non-stiff
-r-dimensional flow on the graph, in tau = log s and z = s w.  Its u =
-1/z relaxes to 2/d along a closed form U, the logistic relaxation of z,
+r-dimensional flow on the graph, in tau = log s and u = 1/z = 1/(s w).
+u relaxes to 2/d along a closed form U, the logistic relaxation of z,
 and the shared DOP853 loop (``dop853``) integrates only the remainder v
-= u - U (``manifold.remainder_field``), at the spec's rtol and atol =
-rtol min(2/d), so that the error test is relative to u.  Every
-trajectory starts at s = 0, which the autonomous flow allows, so log s
-is defined on the tail.  The tail ends where |y|
-crosses ``origin_tol`` on its dense output, or at ``s_max``, and emits
-its samples on the fixed geometric grid of ``TAIL_SAMPLES_PER_DECADE``
-points per decade of s, plus its end: the row count of a profile does
-not depend on how many steps the tail took.  The stop test, the
+= u - U (``manifold.remainder_field``), from v = 0 at the spec's rtol
+and atol = rtol min(2/d), so that the error test is relative to u.  A
+Y_i so small at the switch that u_i = 1/(s Y_i^2) is not finite is a
+``ZeroY`` error naming seed_coeffs.  Every trajectory starts at s = 0,
+which the autonomous flow allows, so log s is defined on the tail.  The
+tail ends where |y| crosses ``origin_tol`` on its dense output, or at
+``s_max``, and emits its samples on the fixed geometric grid of
+``TAIL_SAMPLES_PER_DECADE`` points per decade of s, less any point
+within ``TAIL_END_ULPS`` ulps of either end in tau, plus its end: the
+row count of a profile does not depend on how many steps the tail
+took, and every interval has length in tau.  The stop test, the
 crossing and the samples map v back through z = 1/(U + v); on the
 samples X = h(z/s) and Y = sqrt(z/s), so Y > 0 by construction.
 Ricci-flat runs have one Radau segment.
@@ -87,6 +90,7 @@ from .errors import (
     SeedLeavesWrongRegion,
     StepLimitExceeded,
     ValidationError,
+    ZeroY,
 )
 from .model import Mode, ProblemSpec, critical_point
 from .radau import Radau
@@ -102,6 +106,9 @@ REST_SPEED = 1e-13
 TAIL_SWITCH = 1e-2
 # The tail's samples per decade of s, on a fixed geometric grid.
 TAIL_SAMPLES_PER_DECADE = 12
+# No grid point within this many ulps in tau of either end of the tail is
+# a sample: the crossing of origin_tol is itself good only to a few ulps.
+TAIL_END_ULPS = 16
 
 
 class RadauSegment:
@@ -485,13 +492,20 @@ def _on_graph(dims: tuple, u0: list, tau0: float, dense: Dop853Dense, tau) -> np
 def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
     """The tail segment from the switch state y0 at s0, and how it ended:
     "origin" where |y| crosses origin_tol, or "s_max".  budget is the
-    number of steps left of max_steps."""
+    number of steps left of max_steps.  A Y_i so small at the switch that
+    u_i = 1/(s Y_i^2) is not finite raises ZeroY naming seed_coeffs."""
     r = spec.r
     dims = tuple(spec.dims.tolist())
     tau0 = math.log(s0)
     tau_max = math.log(spec.s_max)
     tol2 = spec.origin_tol ** 2
-    u0 = [1.0 / (s0 * y * y) for y in y0[r:].tolist()]
+    z0 = [s0 * y * y for y in y0[r:].tolist()]
+    for i, z in enumerate(z0):
+        if not (z > 0.0 and 1.0 / z < math.inf):
+            raise ZeroY(f"seed_coeffs[{i}] = {spec.seed_coeffs[i]!r} is too small: at the "
+                        f"switch to the tail (s = {s0:.3e}) factor {i + 1} has s Y_{i + 1}^2 "
+                        f"= {z!r}, whose reciprocal u = 1/(s Y^2) is not finite")
+    u0 = [1.0 / z for z in z0]
     b, a = manifold.relaxation(dims, u0)
     steps = 0
 
@@ -536,13 +550,16 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
         s_end = math.exp(tau_end)
     else:
         tau_end, s_end = tau_max, spec.s_max
-    # the grid 10^(k / TAIL_SAMPLES_PER_DECADE) of s
+    # the grid 10^(k / TAIL_SAMPLES_PER_DECADE) of s, less its points
+    # within TAIL_END_ULPS ulps of either end in tau
     per = TAIL_SAMPLES_PER_DECADE
     k = np.arange(math.floor(per * math.log10(s0)), math.ceil(per * tau_end / math.log(10)) + 1)
     grid = 10.0 ** (k / per)
-    grid = grid[(grid > s0) & (grid < s_end)]
-    tail = TailSegment(dims, np.concatenate([[s0], grid, [s_end]]),
-                       np.concatenate([[tau0], np.log(grid), [tau_end]]), u0, dense, nfev)
+    taus = np.log(grid)
+    inner = ((taus > tau0 + TAIL_END_ULPS * math.ulp(tau0))
+             & (taus < tau_end - TAIL_END_ULPS * math.ulp(tau_end)))
+    tail = TailSegment(dims, np.concatenate([[s0], grid[inner], [s_end]]),
+                       np.concatenate([[tau0], taus[inner], [tau_end]]), u0, dense, nfev)
     return tail, "origin" if origin else "s_max"
 
 

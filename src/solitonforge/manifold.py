@@ -30,8 +30,7 @@ with g = h - w / sqrt(d), the graph's terms of degree 2 and more, so
 that s |h|^2 and s g are O(1/s).  As s grows, z tends to the fixed
 point d/2, which is the 1/s decay of |Y|^2 along the tail.  The system
 is not stiff: its linearisation there has the eigenvalue -1 in tau, and
-an explicit method's steps grow as z settles.  ``reduced_field`` is this
-field as straight-line code on Python floats.
+an explicit method's steps grow as z settles.
 
 In u = 1/z the same flow reads
 
@@ -42,11 +41,11 @@ linear but for c = O(1/s).  Without c it has the closed form U_j(tau) =
 towards d/2, and the flow's DOP853 loop integrates only the remainder v =
 u - U, dv/dtau = -v - c u from v(tau0) = 0: an integrating-factor method
 (Lawson, SIAM J. Numer. Anal. 4 (1967) 372-380).  ``remainder_field`` is
-that field, straight-line, with the graph's terms summed as in
-``reduced_field``.  Both fields' sums run left to right in a fixed order
-on every Python version; ``sum()`` would not, since from Python 3.12 it
-adds floats with compensated (Neumaier) summation and rounds
-differently.  Each has the stage entry of the DOP853 loop (``dop853``).
+that field as straight-line code on Python floats, with the stage entry
+of the DOP853 loop (``dop853``).  Its sums, each g_j and |h|^2, run left
+to right in a fixed order on every Python version; ``sum()`` would not,
+since from Python 3.12 it adds floats with compensated (Neumaier)
+summation and rounds differently.
 
 Polynomials are coefficient arrays over the monomials of a ``Ring``:
 truncated multivariate polynomials, whose sum is the sum of the arrays
@@ -204,43 +203,6 @@ def _graph_lines(r: int):
 
 
 @lru_cache(maxsize=None)
-def _reduced_factory(r: int):
-    """The factory of ``reduced_field``'s fields in r variables, compiled
-    once per r: it takes d, sqrt(d) and the graph's coefficients of degree
-    2 and more, row by row."""
-    graph_lines, n = _graph_lines(r)
-    body = ["inv_s = math.exp(-tau)"] + [f"w{j} = inv_s * z{j}" for j in range(r)] + graph_lines
-    body.append("return [" + ", ".join(
-        f"z{j} * (1.0 - 2.0 * z{j} / d{j} + 2.0 * (hh - g{j} / sd{j}) / inv_s)"
-        for j in range(r)) + "]")
-    return _field_factory({"d": r, "sd": r, "c": r * n}, "tau", body,
-                          [f"z{j}" for j in range(r)])
-
-
-def _graph_constants(dims: tuple):
-    """sqrt(d) and the graph's coefficients of degree 2 and more, row by
-    row, as lists of floats."""
-    return ([math.sqrt(float(x)) for x in dims],
-            graph(dims)[:, 1 + len(dims):].ravel().tolist())
-
-
-@lru_cache(maxsize=None)
-def reduced_field(dims: tuple):
-    """dz/dtau of the flow on the graph, as ``field(tau, z)`` on a list z
-    of Python floats, returning a list, with its stage entry (``dop853``);
-    built once per ``dims``.
-
-    The field is straight-line code, with d, sqrt(d) and the graph's
-    coefficients bound as closure variables.  g = h - w / sqrt(d) is
-    summed from the graph's terms of degree 2 and more, so that s g
-    carries no cancellation; each g_j, and |h|^2, is one sum left to right
-    from 0.0, every term kept.  The flow integrates the remainder form
-    below; the tests take this direct form as its reference.
-    """
-    return _reduced_factory(len(dims))([float(x) for x in dims], *_graph_constants(dims))
-
-
-@lru_cache(maxsize=None)
 def _remainder_factory(r: int):
     """The factory of ``remainder_field``'s fields in r variables, compiled
     once per r: it takes 2/d, u(tau0) - 2/d, tau0, sqrt(d) and the graph's
@@ -271,9 +233,15 @@ def remainder_field(dims: tuple, u0: list, tau0: float):
 
     In u the flow on the graph reads du/dtau = -u + 2/d - c u, with c_j =
     2 s (|h|^2 - g_j / sqrt(d_j)) = O(1/s), and U solves it with c = 0.  So
-    dv/dtau = -v - c u, with u = U + v and w = e^-tau / u: the field is
-    ``reduced_field``'s graph terms in these variables, straight-line, with
-    the same sums.
+    dv/dtau = -v - c u, with u = U + v and w = e^-tau / u.
+
+    The field is straight-line code, with 2/d, u0 - 2/d, tau0, sqrt(d) and
+    the graph's coefficients bound as closure variables.  g = h - w /
+    sqrt(d) is summed from the graph's terms of degree 2 and more, so that
+    s g carries no cancellation; each g_j, and |h|^2, is one sum left to
+    right from 0.0, every term kept.
     """
     b, a = relaxation(dims, u0)
-    return _remainder_factory(len(dims))(b, a, [tau0], *_graph_constants(dims))
+    sd = [math.sqrt(float(x)) for x in dims]
+    return _remainder_factory(len(dims))(b, a, [tau0], sd,
+                                         graph(dims)[:, 1 + len(dims):].ravel().tolist())

@@ -5,12 +5,13 @@ named configuration is solved once per session and shared across test
 modules via the `pipeline` factory fixture.
 """
 
+import math
 from types import SimpleNamespace
 
 import pytest
 
 import solitonforge as sf
-from solitonforge import geometry
+from solitonforge import geometry, manifold
 
 # name -> (dims, lambdas, seed_coeffs, mode)
 CASES = {
@@ -64,3 +65,50 @@ def with_stage(fun):
     formed entry by entry."""
     fun.stage = lambda t, y, d, h: fun(t, [u + e * h for u, e in zip(y, d)])
     return fun
+
+
+def reference_graph_terms(dims):
+    """The graph's terms on lists, one loop per operation, in the order of
+    ``manifold._graph_lines``: ``terms(w)`` returns g, the graph's terms
+    of degree 2 and more, and |h|^2, each one sum left to right from 0.0
+    with every term kept; and sqrt(d)."""
+    r = len(dims)
+    first = 1 + r
+    chain = manifold.ring(r).chain[first - 1:]
+    rows = manifold.graph(dims)[:, first:].tolist()
+    sd = [math.sqrt(float(x)) for x in dims]
+
+    def terms(w):
+        m = [1.0] + w
+        for parent, var in chain:
+            m.append(m[parent] * w[var])
+        g = []
+        for row in rows:
+            gj = 0.0
+            for c, mk in zip(row, m[first:]):
+                gj += c * mk
+            g.append(gj)
+        hh = 0.0
+        for wj, sj, gj in zip(w, sd, g):
+            x = wj / sj + gj
+            hh += x * x
+        return g, hh
+
+    return terms, sd
+
+
+def reference_reduced_field(dims):
+    """dz/dtau of the flow on the slow manifold in tau = log s and z = s w,
+    z_j (1 - 2 z_j / d_j + 2 s (|h|^2 - g_j / sqrt(d_j))), on lists, with
+    its stage entry: the direct form of the tail that the package
+    integrates as a remainder (``manifold.remainder_field``)."""
+    terms, sd = reference_graph_terms(dims)
+    d = [float(x) for x in dims]
+
+    def field(tau, z):
+        inv_s = math.exp(-tau)
+        g, hh = terms([inv_s * v for v in z])
+        return [v * (1.0 - 2.0 * v / dj + 2.0 * (hh - gj / sj) / inv_s)
+                for v, dj, sj, gj in zip(z, d, sd, g)]
+
+    return with_stage(field)

@@ -229,17 +229,23 @@ class TestSubcommands:
         assert summary["max_abs_H_minus_1"] <= 1e-8
         assert summary["max_abs_ricci"] <= 1e-6
 
-    def test_seed_eps_overrides_change_result(self, tmp_path):
+    @pytest.mark.parametrize("eps", ["2e-6", "1e-30", "1e-158"])
+    def test_seed_eps_overrides_change_result(self, tmp_path, eps):
+        """An override of eps_2 changes the result.  At 1e-30 and 1e-158
+        Y_2 is negligible, and the tail crosses origin_tol at s = 1e16, a
+        point of its sample grid, to the ulp: the run still writes its
+        profile."""
         path = os.path.join(CONFIG_DIR, "r2_d2_3.json")
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["solve", "--config", path, "--out", str(a)]) == 0
         assert cli.main([
             "solve", "--config", path, "--out", str(b),
-            "--seed-eps", "2=2e-6",
+            "--seed-eps", f"2={eps}",
         ]) == 0
         sa = json.loads((a / "profile.json").read_text())
         sb = json.loads((b / "profile.json").read_text())
         assert sa["seed_coeffs"] != sb["seed_coeffs"]
+        assert (b / "profile.csv").is_file()
 
     def test_curvature_subcommand(self, tmp_path):
         path = os.path.join(CONFIG_DIR, "r2_d2_3.json")
@@ -610,21 +616,29 @@ class TestConfigHardening:
         assert "ValidationError" in err and "rtol" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command, config, flag, named", [
-        ("solve", "r2_d2_3", "--seed-eps=2=1e150", "seed_coeffs[1] = 1e+150"),
-        ("ricci-flat", "ricci_flat_d2_3", "--seed-eps0=1e150", "rest point"),
+    @pytest.mark.parametrize("command, config, flag, error, named", [
+        ("solve", "r2_d2_3", "--seed-eps=2=1e150", "SeedLeavesWrongRegion",
+         "seed_coeffs[1] = 1e+150"),
+        ("ricci-flat", "ricci_flat_d2_3", "--seed-eps0=1e150", "SeedLeavesWrongRegion",
+         "rest point"),
+        ("solve", "r2_d2_3", "--seed-eps=2=1e-165", "ZeroY", "seed_coeffs[1] = 1e-165"),
+        ("solve", "r2_d2_3", "--seed-eps=2=1e-200", "ZeroY", "seed_coeffs[1] = 1e-200"),
+        ("solve", "r2_d2_3", "--seed-eps=2=1e-300", "ZeroY", "seed_coeffs[1] = 1e-300"),
     ])
     def test_seed_outside_its_region_names_seed_coeffs(self, tmp_path, capsys, command,
-                                                       config, flag, named):
+                                                       config, flag, error, named):
         """A soliton seed pushed out of the unit ball by one coefficient
         names that coefficient; a Ricci-flat seed that projects onto a
-        rest point names seed_coeffs.  Both exit 2 and write nothing."""
+        rest point names seed_coeffs; so does a coefficient so small that
+        s Y_i^2 underflows at the switch to the tail, where u_i = 1/(s
+        Y_i^2) would not be finite.  Each exits 2, writes nothing and
+        prints no traceback."""
         path = os.path.join(CONFIG_DIR, f"{config}.json")
         out = tmp_path / "o"
         assert cli.main([command, "--config", path, "--out", str(out), flag]) == 2
         err = capsys.readouterr().err
-        assert "SeedLeavesWrongRegion" in err and "seed_coeffs" in err and named in err
-        assert "eps0" not in err
+        assert f"error [{error}]" in err and "seed_coeffs" in err and named in err
+        assert "eps0" not in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

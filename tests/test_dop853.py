@@ -89,13 +89,12 @@ SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e-300]
 
 
 def _fields(r, rng):
-    """The loop's three generated fields on r factors, each with its
-    state size and abscissa: the oracle's t-space field, and the tail's
-    direct and remainder forms on the slow manifold."""
+    """The loop's two generated fields on r factors, each with its state
+    size and abscissa: the oracle's t-space field, and the tail's
+    remainder field on the slow manifold."""
     dims = tuple(rng.integers(2, 10, r).astype(float).tolist())
     u0 = (2.0 / np.array(dims) * 10.0 ** rng.uniform(-1, 3, r)).tolist()
     return [(oracle.t_field(list(dims), [x - 1.0 for x in dims]), 2 * r + 1, 1.0),
-            (manifold.reduced_field(dims), r, 20.0),
             (manifold.remainder_field(dims, u0, 9.0), r, 20.0)]
 
 
@@ -133,8 +132,7 @@ def test_stage_is_the_field_at_the_stage_state(r):
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
-@pytest.mark.parametrize("factory", [oracle._t_factory, manifold._reduced_factory,
-                                     manifold._remainder_factory])
+@pytest.mark.parametrize("factory", [oracle._t_factory, manifold._remainder_factory])
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_stage_runs_the_fields_body(factory, r):
     """In the generated source the stage entry sets each component to

@@ -23,7 +23,7 @@ from solitonforge.errors import (
     ValidationError,
 )
 
-from conftest import make_spec
+from conftest import make_spec, reference_reduced_field
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -406,6 +406,25 @@ class TestTail:
         assert 10.0 ** ((k[0] - 1) / 12) <= tail.s[0] and tail.s[-1] <= 10.0 ** ((k[-1] + 1) / 12)
         assert np.array_equal(tail.taus[1:-1], np.log(tail.s[1:-1]))
 
+    def test_no_sample_within_ulps_of_an_end(self, pipeline):
+        """With eps_2 = 1e-30, Y_2 is negligible and |y| crosses origin_tol
+        at s = 1e16, a point of the sample grid, to the ulp.  That point is
+        dropped: every tail interval has dtau > 0, the first and last more
+        than TAIL_END_ULPS ulps, and the profile's t increases.  bryant_d2's
+        tail ends 4.2e-10 past that point in tau, and keeps it."""
+        spec = make_spec("d2_3").with_seed_coeffs((-1e-6, 1e-30))
+        traj = sf.run(spec)
+        tail = traj.segments[1]
+        assert traj.termination == "origin"
+        assert tail.s[-1] == pytest.approx(1e16, rel=1e-14)
+        dtau = np.diff(tail.taus)
+        assert np.all(dtau > 0)
+        assert dtau[0] > flow.TAIL_END_ULPS * math.ulp(tail.taus[0])
+        assert dtau[-1] > flow.TAIL_END_ULPS * math.ulp(tail.taus[-1])
+        assert np.all(np.diff(sf.build_profile(traj, spec).t) > 0)
+        tail = pipeline("d2").traj.segments[1]
+        assert tail.s[-2] == 1e16 and tail.s[-1] > 1e16
+
     def test_ends_where_the_norm_crosses_origin_tol(self, pipeline):
         """The last sample lies where |y| falls through origin_tol on the
         tail's dense output, to a few ulps."""
@@ -722,16 +741,17 @@ class TestAccuracy:
     def test_tail_against_a_tight_reference(self, name):
         """From the switch state, the tail's Y at its samples agrees to
         1e-9 relative with the flow on the graph in its direct form
-        (``manifold.reduced_field``, dz/dtau) on the DOP853 loop at rtol
-        1e-13 and atol 1e-22 (measured: at most 7.9e-10 on bryant_d2, and
-        1.5e-11 to 4.2e-11 on r >= 2, whose tails took 1e-8 before they
-        were integrated about their logistic relaxation)."""
+        (``conftest.reference_reduced_field``, dz/dtau) on the DOP853
+        loop at rtol 1e-13 and atol 1e-22 (measured: at most 7.9e-10 on
+        bryant_d2, and 1.5e-11 to 4.2e-11 on r >= 2, whose tails took
+        1e-8 before they were integrated about their logistic
+        relaxation)."""
         spec = _config_spec(name)
         traj = sf.run(spec)
         radau_segment, tail = traj.segments
         k = radau_segment.steps
         z0 = tail.s[0] * traj.Y[k] * traj.Y[k]
-        ref, _, _ = dop853._dop853(manifold.reduced_field(tuple(spec.dims.tolist())), z0,
+        ref, _, _ = dop853._dop853(reference_reduced_field(tuple(spec.dims.tolist())), z0,
                                    tail.taus[0], tail.taus[-1], 1e-13, 1e-22)
         Y = np.sqrt(ref(tail.taus[1:]) / tail.s[1:]).T
         assert np.abs(traj.Y[k + 1:] / Y - 1.0).max() <= 1e-9

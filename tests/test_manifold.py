@@ -1,5 +1,5 @@
-"""The slow manifold: truncated polynomials, the graph h and the reduced
-field of the tail."""
+"""The slow manifold: truncated polynomials, the graph h and the tail's
+remainder field, against the direct reduced field of the tail."""
 
 import itertools
 import math
@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from solitonforge import manifold, phase
+
+from conftest import reference_graph_terms, reference_reduced_field
 
 DIMS = {1: (2.0,), 2: (2.0, 3.0), 3: (2.0, 2.0, 3.0)}
 
@@ -143,7 +145,7 @@ class TestGraph:
         """dz/dtau vanishes at z = d/2 as s grows: the correction is
         O(1/s), and the rest cancels exactly."""
         dims = DIMS[r]
-        field = manifold.reduced_field(dims)
+        field = reference_reduced_field(dims)
         z = [d / 2 for d in dims]
         for tau in (20.0, 40.0):
             assert max(abs(v) for v in field(tau, z)) <= 20 * math.exp(-tau)
@@ -158,7 +160,7 @@ class TestGraph:
         dims = DIMS[3]
         ring = manifold.ring(3)
         h = manifold.graph(dims)
-        field = manifold.reduced_field(dims)
+        field = reference_reduced_field(dims)
         sqrt_d = np.sqrt(dims)
         tau = math.log(3e4)
         z = np.array([0.9, 1.1, 1.4])
@@ -169,69 +171,23 @@ class TestGraph:
         assert field(tau, z.tolist()) == pytest.approx(expected.tolist(), rel=1e-9)
 
 
-def _reference_reduced_field(dims):
-    """The reduced field on lists, one loop per operation: the form that
-    ``reduced_field``'s straight-line fields must match bit for bit."""
-    r = len(dims)
-    first = 1 + r
-    chain = manifold.ring(r).chain[first - 1:]
-    rows = manifold.graph(dims)[:, first:].tolist()
-    d = [float(x) for x in dims]
-    sd = [math.sqrt(x) for x in d]
+def _reference_remainder_field(dims, u0, tau0):
+    """The remainder field on lists, one loop per operation, in the order
+    of ``remainder_field``'s straight-line fields, which must match it bit
+    for bit."""
+    terms, sd = reference_graph_terms(dims)
+    b = [2.0 / float(x) for x in dims]
+    a = [u - bj for u, bj in zip(u0, b)]
 
-    def field(tau, z):
+    def field(tau, v):
+        e = math.exp(tau0 - tau)
         inv_s = math.exp(-tau)
-        w = [inv_s * v for v in z]
-        m = [1.0] + w
-        for parent, var in chain:
-            m.append(m[parent] * w[var])
-        g = []
-        for row in rows:
-            gj = 0.0
-            for c, mk in zip(row, m[first:]):
-                gj += c * mk
-            g.append(gj)
-        hh = 0.0
-        for wj, sj, gj in zip(w, sd, g):
-            x = wj / sj + gj
-            hh += x * x
-        return [v * (1.0 - 2.0 * v / dj + 2.0 * (hh - gj / sj) / inv_s)
-                for v, dj, sj, gj in zip(z, d, sd, g)]
+        u = [bj + aj * e + vj for bj, aj, vj in zip(b, a, v)]
+        g, hh = terms([inv_s / x for x in u])
+        return [-vj - 2.0 * (hh - gj / sj) / inv_s * x
+                for vj, gj, sj, x in zip(v, g, sd, u)]
 
     return field
-
-
-class TestReducedFieldKernel:
-    @pytest.mark.parametrize("r", [1, 2, 3, 4])
-    def test_matches_the_loop_form_exactly(self, r):
-        """For tau from log 1e4 to log 1e16, and z over four decades
-        around its fixed point d/2 or within 1e-16 to 1e-1 of it, where
-        the graph's terms decide the result's last bits, the generated
-        field returns the reference's doubles, bit for bit."""
-        rng = np.random.default_rng(60 + r)
-        for _ in range(5):
-            dims = tuple(rng.integers(2, 10, r).astype(float).tolist())
-            field, reference = manifold.reduced_field(dims), _reference_reduced_field(dims)
-            half = np.array(dims) / 2
-            for k in range(200):
-                tau = rng.uniform(math.log(1e4), math.log(1e16))
-                if k % 2:
-                    z = half * 10.0 ** rng.uniform(-3, 1, r)
-                else:
-                    z = half * (1.0 + rng.choice([-1.0, 1.0], r) * 10.0 ** rng.uniform(-16, -1, r))
-                assert field(tau, z.tolist()) == reference(tau, z.tolist())
-
-    def test_compiled_once_per_r_without_the_constants(self):
-        """The fields of one r share one compiled factory, and their code
-        holds no number but the algorithm's own 0.0, 1.0 and 2.0."""
-        manifold._reduced_factory.cache_clear()
-        manifold.reduced_field.cache_clear()
-        fields = [manifold.reduced_field(dims)
-                  for dims in [(2.0, 3.0), (4.0, 5.0), (2.0, 2.0, 3.0)]]
-        assert manifold._reduced_factory.cache_info().misses == 2
-        assert fields[0].__code__ is fields[1].__code__
-        for field in fields:
-            assert set(field.__code__.co_consts) <= {None, 0.0, 1.0, 2.0}
 
 
 class TestRemainderField:
@@ -242,7 +198,7 @@ class TestRemainderField:
         the terms of that difference."""
         dims = DIMS[r]
         rng = np.random.default_rng(80 + r)
-        reduced = manifold.reduced_field(dims)
+        reduced = reference_reduced_field(dims)
         for _ in range(100):
             tau0 = rng.uniform(math.log(1e4), math.log(1e5))
             u0 = 2.0 / np.array(dims) * 10.0 ** rng.uniform(-1, 3, r)
@@ -256,6 +212,34 @@ class TestRemainderField:
             expected = -u * u * z_dot - (b - U)
             terms = np.abs(u) + np.abs(U)
             assert np.all(np.abs(np.array(field(tau, v.tolist())) - expected) <= 1e-13 * terms)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_the_loop_form_exactly(self, r):
+        """For tau0 at the switch (s from 1e4 to 1e5) and tau from there to
+        log 1e16, with u0 = 1/z0 and u = U + v = 1/z, z0 and z over four
+        decades around the fixed point d/2 or within 1e-16 to 1e-1 of it,
+        where the graph's terms decide the result's last bits, the
+        generated field returns the reference's doubles, bit for bit."""
+        rng = np.random.default_rng(60 + r)
+
+        def z(half):
+            if rng.random() < 0.5:
+                return half * 10.0 ** rng.uniform(-3, 1, r)
+            return half * (1.0 + rng.choice([-1.0, 1.0], r) * 10.0 ** rng.uniform(-16, -1, r))
+
+        for _ in range(5):
+            dims = tuple(rng.integers(2, 10, r).astype(float).tolist())
+            half, b = np.array(dims) / 2, 2.0 / np.array(dims)
+            for _ in range(40):
+                tau0 = rng.uniform(math.log(1e4), math.log(1e5))
+                u0 = (1.0 / z(half)).tolist()
+                field = manifold.remainder_field(dims, u0, tau0)
+                reference = _reference_remainder_field(dims, u0, tau0)
+                for _ in range(5):
+                    tau = rng.uniform(tau0, math.log(1e16))
+                    U = b + (np.array(u0) - b) * math.exp(tau0 - tau)
+                    v = (1.0 / z(half) - U).tolist()
+                    assert field(tau, v) == reference(tau, v)
 
     def test_compiled_once_per_r_without_the_constants(self):
         """The fields of one r share one compiled factory whatever dims, u0

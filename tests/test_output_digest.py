@@ -1,5 +1,5 @@
-"""Smoke test of ``tools/output_digest.py`` on two family inputs and one
-CLI command."""
+"""Smoke test of ``tools/output_digest.py`` on two family inputs, one CLI
+command and the edges set."""
 
 import importlib
 import os
@@ -61,3 +61,30 @@ def test_unknown_set_is_a_usage_error(output_digest):
     with pytest.raises(SystemExit) as exc:
         output_digest.main(["family"])
     assert exc.value.code == 2
+
+
+def test_edges_set(output_digest, monkeypatch):
+    """The edges set, among the defaults, runs r2_d2_3's factors at eps_2 =
+    1e-30, whose tail crosses origin_tol on a point of its sample grid,
+    through the whole request path; at 1e-165 and 1e-200 Y_2^2 underflows
+    at the switch to the tail, and each contributes ZeroY naming
+    seed_coeffs[1]."""
+    fed, feed = [], output_digest._feed
+    monkeypatch.setattr(output_digest, "_feed",
+                        lambda h, *values: (fed.append(values), feed(h, *values)))
+    assert "edges" in output_digest.DEFAULT_SETS
+    items = output_digest.inputs("edges", 1)
+    assert [item["id"] for item in items] == [
+        "edge-eps2-1e-30", "edge-eps2-1e-165", "edge-eps2-1e-200"]
+    runs = []
+    for item in items:
+        fed.clear()
+        output_digest.digest([item])
+        runs.append(list(fed))
+    whole, *underflows = runs
+    assert len(whole) > 1 and not any(isinstance(v[0], str) and v[0] == "raised"
+                                      for v in whole)
+    for eps, [values] in zip(["1e-165", "1e-200"], underflows):
+        raised, name, message = values
+        assert (raised, name) == ("raised", "ZeroY")
+        assert f"seed_coeffs[1] = {eps} " in message

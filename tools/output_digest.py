@@ -8,12 +8,16 @@ as it was can be checked by running this in both.
 
 A SET is ``family:<seed>`` or ``ricci-flat:<seed>``, the first N (default
 100) inputs that ``perfbench/gen.py`` generates for that workload and
-seed, ``probes``, its four defect-probe specs, or ``cli``, the first N of
-the 33 CLI commands on the shipped configs (below).  The default sets are
-``family:101 family:7 ricci-flat:101 probes``.  Each input runs the
-benchmark's request path: ``flow.run``, ``reconstruct.build_profile``,
-then ``geometry.sectional_curvatures`` and ``verify.run_suite`` (family
-and probes) or ``geometry.ricci_components`` and
+seed, ``probes``, its four defect-probe specs, ``edges``, the factors of
+``configs/r2_d2_3.json`` with the seed (-1e-6, eps_2) for eps_2 = 1e-30,
+1e-165 and 1e-200 (a tail that crosses origin_tol at a point of its
+sample grid, and two seeds whose Y_2^2 underflows at the switch to the
+tail), or ``cli``, the first N of the 33 CLI commands on the shipped
+configs (below).  The default sets are ``family:101 family:7
+ricci-flat:101 probes edges``.  Each input runs the benchmark's request
+path: ``flow.run``, ``reconstruct.build_profile``, then
+``geometry.sectional_curvatures`` and ``verify.run_suite`` (family,
+probes and edges) or ``geometry.ricci_components`` and
 ``verify.ricci_flat_checks`` (ricci-flat), and the oracle from
 t0 = 10 t[0] to min(100 t0, t[-1]).  The digest covers every
 trajectory (s, X, Y, L, H, termination and each segment's samples and
@@ -42,6 +46,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -55,8 +60,9 @@ from solitonforge import cli, flow, geometry, oracle, reconstruct, verify  # noq
 from solitonforge.errors import SolitonForgeError  # noqa: E402
 from solitonforge.model import Mode  # noqa: E402
 
-DEFAULT_SETS = ("family:101", "family:7", "ricci-flat:101", "probes")
+DEFAULT_SETS = ("family:101", "family:7", "ricci-flat:101", "probes", "edges")
 CONFIG_DIR = os.path.join(ROOT, "configs")
+EDGE_SEEDS = (1e-30, 1e-165, 1e-200)
 SOLITON_CONFIGS = ("bryant_d2", "r1_d3", "r1_d4", "r1_d9", "r2_d2_3", "r2_d3_5", "r3_d2_2_3")
 CLI_COMMANDS = ([(command, config) for config in SOLITON_CONFIGS
                  for command in ("solve", "verify", "oracle", "curvature")]
@@ -155,12 +161,18 @@ def inputs(name: str, count: int) -> list[dict]:
     """The inputs of one SET (see the module docstring)."""
     if name == "probes":
         return gen.defect_probe_inputs()
+    if name == "edges":
+        with open(os.path.join(CONFIG_DIR, "r2_d2_3.json"), encoding="utf-8") as fh:
+            config = json.load(fh)
+        return [{"id": f"edge-eps2-{eps:g}",
+                 "config": json.dumps(dict(config, seed_coeffs=[-1e-6, eps]))}
+                for eps in EDGE_SEEDS]
     if name == "cli":
         return [{"id": f"{command}:{config}", "command": command, "config": config}
                 for command, config in CLI_COMMANDS[:count]]
     workload, _, seed = name.partition(":")
     if workload not in ("family", "ricci-flat") or not seed.lstrip("-").isdigit():
-        raise ValueError(f"a set is family:<seed>, ricci-flat:<seed>, probes or cli, "
+        raise ValueError(f"a set is family:<seed>, ricci-flat:<seed>, probes, edges or cli, "
                          f"not {name!r}")
     return gen.inputs_for(workload, int(seed))[:count]
 
