@@ -72,7 +72,9 @@ def ricci_components(profile: MetricProfile, spec: ProblemSpec):
     g, gd, gdd = profile.g, profile.g_dot, profile.g_ddot
     ric_tt = -(d * gdd / g).sum(axis=1)
     tr_L = (d * gd / g).sum(axis=1)
-    ric_factor = lam / g**2 - gdd / g - (gd / g) * (tr_L[:, None] - gd / g)
+    with np.errstate(over="ignore"):   # a huge g: inf, and the checks fail
+        g_sq = g**2
+    ric_factor = lam / g_sq - gdd / g - (gd / g) * (tr_L[:, None] - gd / g)
     return ric_tt, ric_factor
 
 
@@ -92,6 +94,8 @@ def sectional_curvatures(profile: MetricProfile, spec: ProblemSpec) -> Curvature
     ric_tt, ric_factor = ricci_components(profile, spec)
     d = spec.dims
     g, gd = profile.g, profile.g_dot
+    with np.errstate(over="ignore"):
+        g_sq = g**2
     rel = gd / g
     cross = -rel[:, :, None] * rel[:, None, :]
     diag = np.arange(spec.r)
@@ -107,7 +111,7 @@ def sectional_curvatures(profile: MetricProfile, spec: ProblemSpec) -> Curvature
         ric_factor=ric_factor,
         sectional_mixed_t=-profile.g_ddot / g,
         sectional_cross=cross,
-        sectional_within=(k_h - gd**2) / g**2,
+        sectional_within=(k_h - gd**2) / g_sq,
         scalar_R=scalar_R,
         soliton_residual_max=float(np.maximum(res_tt.max(), res_factor.max())),
         scalar_R_gap=float(np.abs(
@@ -138,11 +142,13 @@ def asymptotics(profile: MetricProfile, curv: CurvatureReport) -> AsymptoticsRep
     rungs = np.searchsorted(t, np.geomspace(tt[0], tt[-1], 25))
     # a set, not np.unique: np.unique's first call imports numpy.ma
     idx = np.array(sorted(set(rungs.clip(0, len(t) - 1).tolist())))
+    with np.errstate(over="ignore"):   # a huge g: inf, and the checks fail
+        g_sq = profile.g ** 2
     return AsymptoticsReport(
         g_gdot_limit=(profile.g * profile.g_dot)[-1],
-        g_sq_over_t_limit=profile.g[-1] ** 2 / t[-1],
+        g_sq_over_t_limit=g_sq[-1] / t[-1],
         g_sq_exponent=np.array(
-            [_loglog_slope(tt, profile.g[tail, i] ** 2) for i in range(profile.r)]),
+            [_loglog_slope(tt, g_sq[tail, i]) for i in range(profile.r)]),
         curvature_slope=_loglog_slope(tt, K_dom),
         scalar_slope=_loglog_slope(tt, curv.scalar_R[tail]),
         R_t2_ladder=curv.scalar_R[idx] * t[idx] ** 2,

@@ -4,12 +4,12 @@ The method and its step control are those of Hairer & Wanner, *Solving
 ODEs II*, §IV.8, and of their variable-order RADAU code (J. Comput. Appl.
 Math. 111 (1999) 93-111) at seven stages: the tableau constants, the
 simplified Newton iteration and its tolerance, the embedded error
-estimate, the initial step selection, the step-size predictor, the
-Jacobian reuse rule and the ``nextafter`` minimum step, with ``nfev``,
-``njev`` and ``nlu`` counting right-hand-side evaluations, Jacobians and
-factorisations.  The error estimate has order 7, so the number of steps
-goes as tol^(-1/8).  That is the order of DOP853's error estimate too,
-so the initial step is the DOP853 loop's (``dop853._initial_step``).
+estimate, the initial step selection, the step-size predictor and the
+``nextafter`` minimum step, with ``nfev``, ``njev`` and ``nlu`` counting
+right-hand-side evaluations, Jacobians and factorisations.  The error
+estimate has order 7, so the number of steps goes as tol^(-1/8).  That
+is the order of DOP853's error estimate too, so the initial step is the
+DOP853 loop's (``dop853._initial_step``).
 
 It lives in the package for two reasons.  Importing ``scipy.integrate``
 pulls in ``scipy.special``, ``scipy.optimize`` and ``scipy.sparse.linalg``,
@@ -29,18 +29,18 @@ rules for ``rtol`` and ``atol``.
 It uses numpy alone, so the flow loads no ``scipy`` module.  The seven
 collocation stages are evaluated in one call of ``fun``.  A^-1 has one
 real eigenvalue MU_REAL and three complex pairs, so the Newton iteration
-needs four matrices: whenever they are refreshed, ``MU_REAL/h I - J``
-and ``MU_COMPLEX[k]/h I - J`` (2r×2r, r ≤ 3) are written into one
-(4, n, n) complex stack and inverted by `_lu` in one ``np.linalg.inv``
-call; the real inverse is the real part of the first member's.  ``nlu``
-counts matrices, four per refresh.  A singular Newton matrix raises
+needs four matrices: on every step attempt, ``MU_REAL/h I - J`` and
+``MU_COMPLEX[k]/h I - J`` (2r×2r, r ≤ 3) are written into one (4, n, n)
+complex stack and inverted by `_lu` in one ``np.linalg.inv`` call; the
+real inverse is the real part of the first member's.  ``nlu`` counts
+matrices, four per attempt.  A singular Newton matrix raises
 numpy's ``LinAlgError``, a ``ValueError``.
 
 The simplified Newton iteration is linear in the stage values F and in
 the stage increments Z.  In the eigenbasis of the tableau, with
 ``W = TI Z``, its update is ``dW0 = inv(MU_REAL/h - J) (TI0 F - MU_REAL
 W0/h)`` for the real eigenvalue and the complex analogue for each
-MU_COMPLEX.  Each refresh folds the four inverses, each complex one
+MU_COMPLEX.  Each attempt folds the four inverses, each complex one
 split into its real and imaginary parts, together with ``T``, ``TI`` and
 the eigenvalues into one real (14n, 14n) operator
 
@@ -55,32 +55,29 @@ i imag rows of each complex pair), whose real and imaginary parts are
 copied into the operator's rows.  ``newton_op`` maps the stacked input
 ``v = [F ; Z/h]`` to ``[dW ; dZ]``, so that an iteration is one call of
 ``fun``, one matrix-vector product, the scaled RMS norm of dW and ``Z +
-dZ``: W is never formed.  The same
-refresh builds the (n, 8n) error operator ``inv_real [I | E ⊗ I]``,
-which maps ``[f ; Z/h]`` to the error estimate ``inv_real (f + Z^T E /
-h)``.  Neither operator holds h: the Z/h of their input is the current
-step's, and the step that ends at ``t_bound``, like any h recomputed as
-``t_new - t``, differs from the h of the refresh in its last bits, which
-an operator with 1/h folded in would multiply into every update.  For n
-= 2r ≤ 6 numpy's per-call overhead outweighs the arithmetic, so folding
-``T W`` and ``W += dW`` into the Newton product, and ``Z^T E / h`` and
-``f + Z^T E / h`` into the error product, saves more than the larger
-products cost.  The maps are the same linear maps as the textbook forms,
-summed in another order, so they agree with them to a few ulps rather
-than bit for bit.
+dZ``: W is never formed.  The same attempt builds the (n, 8n) error
+operator ``inv_real [I | E ⊗ I]``, which maps ``[f ; Z/h]`` to the
+error estimate ``inv_real (f + Z^T E / h)``.  Neither operator holds the
+1/h of Z/h, which their input carries.  For n = 2r ≤ 6 numpy's
+per-call overhead outweighs the arithmetic, so folding ``T W`` and ``W
++= dW`` into the Newton product, and ``Z^T E / h`` and ``f + Z^T E / h``
+into the error product, saves more than the larger products cost.  The
+maps are the same linear maps as the textbook forms, summed in another
+order, so they agree with them to a few ulps rather than bit for bit.
 
-The Jacobian is taken where the step ends, as BDF codes take their
-iteration matrix at the predicted solution (Brown, Byrne & Hindmarsh,
-SIAM J. Sci. Stat. Comput. 10 (1989) 1038-1051).  The first is taken at
-``y0``; every later one at the warm start's prediction of the step's
-end, ``y + Z0[-1]``.  An accepted step that asks for a new Jacobian only
-marks J stale, and the next step evaluates it once its Z0 is known; a
-Newton solve that fails with a stale J does the same.  Taken at the
-step's start instead, J made the simplified Newton iteration contract
-slowly in the tail: on the five-stage method, over the first 40 family
-inputs of perfbench's seed 101, the operators were refreshed on 96% of
-steps (80% with the step-end J), and a request had 18 Newton solves that
-failed (0.4) and 23 rejected attempts (4.8).
+Every step attempt takes one Jacobian, where the attempt is predicted
+to end, as BDF codes take their iteration matrix at the predicted
+solution (Brown, Byrne & Hindmarsh, SIAM J. Sci. Stat. Comput. 10
+(1989) 1038-1051): at the warm start's last stage, ``y + Z0[-1]``.  The
+first attempt's Z0 is zero, so its Jacobian is taken at ``y0``.  The
+attempt then builds its Newton operators for its own h.  Nothing is kept
+from one attempt to the next, so ``njev`` counts attempts, accepted and
+rejected, and ``nlu`` is four times ``njev``.  A Newton solve that fails
+halves h, and a failed error test shrinks it, as in the textbook.
+Hairer & Wanner's code reuses J across steps, and its operators while h
+changes by less than a fifth; on this flow that reuse spared almost no
+factorisation, and one Jacobian per attempt takes fewer right-hand-side
+evaluations and fewer rejected attempts.
 
 One constant differs from the textbook's.  The error test aims at
 ``ERROR_TARGET`` = 0.3 of the error scale ``atol + rtol |y|``: at 1 the
@@ -104,13 +101,12 @@ that means to leave them alone must leave both pins as they are.  If it
 sums anything in another order, as the stage-space operators above did,
 each step moves by an ulp or so; the step sizes follow the error norm,
 so the run carries that along (the tail's last abscissa moved by up to
-5e-7 relative), and a convergence or Jacobian test that lands within
-about 1e-4 of its threshold flips, adding or saving a step or a few
-evaluations on that input (6 of 400 generated inputs did).  Step
-control runs on Python floats (``math.nextafter``, ``abs``,
-``math.sqrt``), which round as numpy's scalars do; the initial step is
-computed on numpy scalars, so that a degenerate scale gives inf or nan
-instead of raising.
+5e-7 relative), and a convergence test that lands within about 1e-4 of
+its threshold flips, adding or saving a step or a few evaluations on
+that input (6 of 400 generated inputs did).  Step control runs on Python
+floats (``math.nextafter``, ``abs``, ``math.sqrt``), which round as
+numpy's scalars do; the initial step is computed on numpy scalars, so
+that a degenerate scale gives inf or nan instead of raising.
 
 Finiteness is checked where a bad value can first do harm, and no more
 often.  `_lu` scans each stack of Newton matrices once before inverting
@@ -118,9 +114,9 @@ it.  The Newton iteration and the error estimate do not scan their inputs
 on every call: a non-finite entry in the stacked input ``[F ; Z/h]`` or
 ``[f ; Z/h]`` makes every entry of the product with the operator, and so
 the scaled norm, non-finite, and only then are the inputs scanned.  A
-non-finite F ends the iteration unconverged; a non-finite ``Z/h``, or a
-non-finite f in the error estimate, raises ``ValueError`` with the
-message ``_NOT_FINITE``.
+non-finite F ends the iteration unconverged, so h halves; a non-finite
+``Z/h``, or a non-finite f in the error estimate, raises ``ValueError``
+with the message ``_NOT_FINITE``.
 
 A ``project`` hook maps each accepted state to the one the next step
 starts from, before the step's single ``fun`` call, so that ``y`` and
@@ -329,11 +325,11 @@ class Radau:
     step starts from (the flow's Ricci-flat projection).  It is applied to
     the new ``y`` before the step's one ``fun`` call, so ``f`` is
     ``fun(y)`` at the projected state; the error estimate and ``dense``
-    use the state the step produced.  A Jacobian the step asks for is
-    taken by the next step, at ``y + Z0[-1]``, the projected state plus
-    the warm start's last stage.  The initial state is not projected.  A
-    caller may also replace ``y`` and ``f`` between steps (``f`` must
-    then be ``fun(y)``).
+    use the state the step produced.  The next step's Jacobian is taken
+    at ``y + Z0[-1]``, the projected state plus the warm start's last
+    stage.  The initial state is not projected.  A caller may also
+    replace ``y`` and ``f`` between steps (``f`` must then be
+    ``fun(y)``).
 
     Besides ``nfev``, ``njev`` and ``nlu``, the stepper counts
     ``nrejected``, the step attempts it discarded (by the error test or
@@ -368,11 +364,6 @@ class Radau:
         self.h_abs_old = None
         self.error_norm_old = None
 
-        self.J = np.asarray(jac(y0), dtype=float)
-        self.njev = 1
-        self.current_jac = True
-        self.error_op = None
-        self.newton_op = None
         self.t_old = None
         self.y_old = None
         self.dense = None
@@ -486,16 +477,11 @@ class Radau:
             h_abs_old = self.h_abs_old
             error_norm_old = self.error_norm_old
 
-        J = self.J
-        error_op = self.error_op
-        newton_op = self.newton_op
-        current_jac = self.current_jac
         abs_y = np.abs(y)
         newton_scale = atol + abs_y * rtol
 
         rejected = False
-        step_accepted = False
-        while not step_accepted:
+        while True:
             if h_abs < min_step:
                 raise ValueError(TOO_SMALL_STEP)
 
@@ -510,26 +496,13 @@ class Radau:
             else:
                 Z0 = self._warm_start(h)
 
-            converged = False
-            while not converged:
-                if J is None:   # stale: take it at the predicted step end
-                    J = self.jac(y + Z0[-1])
-                if newton_op is None:
-                    error_op, newton_op = self._newton_operators(h, J)
-
-                converged, n_iter, Z, rate = self._solve_collocation(
-                    y, h, Z0, newton_scale, newton_op)
-
-                if not converged:
-                    if current_jac:
-                        break
-                    J = None
-                    current_jac = True
-                    newton_op = None
+            # one Jacobian per attempt, at the warm start's predicted end
+            error_op, newton_op = self._newton_operators(h, self.jac(y + Z0[-1]))
+            converged, n_iter, Z = self._solve_collocation(
+                y, h, Z0, newton_scale, newton_op)
 
             if not converged:
                 h_abs *= 0.5
-                newton_op = None
                 self.nrejected += 1
                 continue
 
@@ -545,30 +518,16 @@ class Radau:
                 self._uf[...] = self.fun(y + error)
                 error, error_norm = _error_estimate(error_op, u, scale)
 
-            if error_norm > 1:
-                factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
-                h_abs *= max(MIN_FACTOR, safety * factor)
-                newton_op = None
-                rejected = True
-                self.nrejected += 1
-            else:
-                step_accepted = True
-
-        recompute_jac = n_iter > 2 and rate > 1e-3
+            if error_norm <= 1:
+                break
+            factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+            h_abs *= max(MIN_FACTOR, safety * factor)
+            rejected = True
+            self.nrejected += 1
 
         factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
         factor = min(MAX_FACTOR, safety * factor)
 
-        if not recompute_jac and factor < 1.2:
-            factor = 1
-        else:
-            newton_op = None
-
-        # a Jacobian asked for here is taken by the next step, once its
-        # warm start is known
-        if recompute_jac:
-            J = None
-        current_jac = recompute_jac
         if self._project is not None:
             y_new = self._project(y_new)
         f_new = self.fun(y_new)
@@ -582,11 +541,6 @@ class Radau:
         self.t = t_new
         self.y = y_new
         self.f = f_new
-
-        self.error_op = error_op
-        self.newton_op = newton_op
-        self.current_jac = current_jac
-        self.J = J
 
         if h < self.h_min:
             self.h_min = float(h)
@@ -604,7 +558,7 @@ class Radau:
         """Simplified Newton iteration for the stage increments Z.
 
         ``newton_op`` is the Newton operator of `_newton_operators` for
-        this h.  Returns (converged, iterations, Z, rate of convergence).
+        this h.  Returns (converged, iterations, Z).
         Z0 is not written to.
         """
         sn = STAGES * self.n
@@ -630,7 +584,7 @@ class Radau:
                 # a non-finite entry of v makes every entry of dW, and so
                 # the norm, non-finite; only then is v scanned.  A
                 # non-finite stage value ends the iteration unconverged,
-                # so a fresh Jacobian or a shorter step follows; a
+                # so a shorter step follows; a
                 # non-finite Z/h means h has underflowed, and is an error
                 if not np.isfinite(vF).all():
                     break
@@ -652,4 +606,4 @@ class Radau:
 
             dW_norm_old = dW_norm
 
-        return converged, k + 1, Z, rate
+        return converged, k + 1, Z

@@ -553,6 +553,25 @@ class TestCurvatureGates:
         assert re.findall(r"curvature: FAIL (\w+):", capsys.readouterr().err) == [
             "paraboloid_g_gdot", "paraboloid_g_sq_over_t"]
 
+    @pytest.mark.parametrize("config, failed", [
+        ({"factors": [{"dim": 6, "lambda": 5}], "seed_coeffs": [-1.2e-8], "rtol": 6.3e-4},
+         "L_decay_rate"),
+        ({"factors": [{"dim": d, "lambda": d - 1} for d in (3, 4, 2, 5)],
+          "seed_coeffs": [-1e-4, 1e-153, 1e-157, 1e-4]},
+         "paraboloid_g_sq_over_t"),
+    ], ids=["L_not_negative", "g_sq_overflows"])
+    def test_degenerate_fit_fails_without_a_numpy_warning(self, tmp_path, capsys,
+                                                          config, failed):
+        """At rtol 6.3e-4 the (g) window holds an L >= 0, whose log is nan;
+        with Y_2, Y_3 near 1e-155 some g^2 overflows.  Either run fails
+        its checks with a nan or an inf (exit 1), and numpy warns of
+        neither, which the suite's warnings filter would raise."""
+        path = write_config(tmp_path, config)
+        assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert f"[FAIL] {failed}: measured " in out
+        assert "Warning" not in err
+
     def test_ricci_flat_curvature_writes_no_soliton_tail_fits(self, tmp_path):
         """A Ricci-flat end is a cone, where g g' and g^2/t grow and R is
         roundoff: those fields are null, and only the 1/t^2 decay of |K|

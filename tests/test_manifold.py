@@ -102,8 +102,8 @@ class TestGraph:
         """For r = 1 the degree-2 coefficient is 2 / (d sqrt(d))."""
         for d in (2.0, 5.0, 9.0):
             h = manifold.graph((d,))[0]
-            assert h[1] == pytest.approx(1 / math.sqrt(d), rel=1e-15)
-            assert h[2] == pytest.approx(2 / (d * math.sqrt(d)), rel=1e-14)
+            assert h[1] == pytest.approx(1 / math.sqrt(d), rel=1e-15, abs=0.0)
+            assert h[2] == pytest.approx(2 / (d * math.sqrt(d)), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_the_phase_field_is_tangent_to_the_graph(self, r):
@@ -168,7 +168,7 @@ class TestGraph:
         X = ring.evaluate(h, w)
         w_dot = 2.0 * w * (X @ X - X / sqrt_d)
         expected = z + math.exp(tau) ** 2 * w_dot
-        assert field(tau, z.tolist()) == pytest.approx(expected.tolist(), rel=1e-9)
+        assert field(tau, z.tolist()) == pytest.approx(expected.tolist(), rel=1e-9, abs=0.0)
 
 
 def _reference_remainder_field(dims, u0, tau0):

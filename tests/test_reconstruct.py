@@ -45,14 +45,14 @@ class TestClosedForms:
                 * math.sqrt(spec.dims[i] * spec.lambdas[i])
                 / traj.Y[:, i]
             )
-            assert prof.g[:, i] == pytest.approx(expected, rel=1e-12)
+            assert prof.g[:, i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_g_dot_formula_pointwise(self, pipeline):
         case = pipeline("d2_3")
         prof, traj, spec = case.profile, case.traj, case.spec
         for i in range(spec.r):
             expected = math.sqrt(spec.lambdas[i]) * traj.X[:, i] / traj.Y[:, i]
-            assert prof.g_dot[:, i] == pytest.approx(expected, rel=1e-12)
+            assert prof.g_dot[:, i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_g_dot_positive(self, pipeline):
         for name in SOLITON_CASES:
@@ -168,7 +168,7 @@ class TestPotential:
         case = pipeline("d2_3")
         prof, traj, spec = case.profile, case.traj, case.spec
         w = np.sqrt(spec.gauge_C / traj.L)
-        assert prof.u_dot == pytest.approx(w * (traj.H - 1.0), rel=1e-12)
+        assert prof.u_dot == pytest.approx(w * (traj.H - 1.0), rel=1e-12, abs=0.0)
 
     def test_u_prime_in_s_frozen_example(self):
         """u'(s) = H - 1; at d=(2,3), X=(0.2,0.1) this is -0.5439523."""
