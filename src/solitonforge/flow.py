@@ -13,22 +13,25 @@ method (Radau) is used; an explicit embedded pair would be
 stability-limited to O(1) steps.  A soliton trajectory then crawls into
 the origin along its slow manifold X = h(w), w = Y^2 (``manifold``),
 from s of about 1e4 to 1e16.  Once |y| falls below ``TAIL_SWITCH`` the
-Radau segment ends and the tail segment takes over: the non-stiff
-r-dimensional flow on the graph, in tau = log s and u = 1/z = 1/(s w).
-u relaxes to 2/d along a closed form U, the logistic relaxation of z,
-and the shared DOP853 loop (``dop853``) integrates only the remainder v
-= u - U (``manifold.remainder_field``), from v = 0 at the spec's rtol
-and atol = rtol min(2/d), so that the error test is relative to u.  A
-Y_i so small at the switch that u_i = 1/(s Y_i^2) is not finite is a
-``ZeroY`` error naming seed_coeffs.  Every trajectory starts at s = 0,
-which the autonomous flow allows, so log s is defined on the tail.  The
-tail ends where |y| crosses ``origin_tol`` on its dense output, or at
-``s_max``, and emits its samples on the fixed geometric grid of
+Radau segment ends and the tail segment takes over: the r-dimensional
+flow on the graph, in tau = log s and u = 1/z = 1/(s w).  u relaxes to
+2/d along a closed form U, the logistic relaxation of z, and the same
+Radau stepper integrates only the relative remainder q = u/U - 1
+(``manifold.remainder_field``), with tau appended as a state so that
+the stepper's abscissa is tau, from q = 0 at rtol = atol = the spec's
+rtol.  Its Jacobian is diag(-(2/d)/U) (``manifold.remainder_jacobian``):
+the field is that linear term plus an O(1/s) one.  A Y_i so small at
+the switch that u_i = 1/(s Y_i^2) is not finite is a ``ZeroY`` error
+naming seed_coeffs.  Every trajectory starts at s = 0, which the
+autonomous flow allows, so log s is defined on the tail.  A stop test
+after every tail step ends the tail once |y| is below ``origin_tol``,
+where the crossing is found on the step's interpolant, or at ``s_max``.
+The tail emits its samples on the fixed geometric grid of
 ``TAIL_SAMPLES_PER_DECADE`` points per decade of s, less any point
 within ``TAIL_END_ULPS`` ulps of either end in tau, plus its end: the
 row count of a profile does not depend on how many steps the tail
 took, and every interval has length in tau.  The stop test, the
-crossing and the samples map v back through z = 1/(U + v); on the
+crossing and the samples map q back through u = U (1 + q) = 1/z; on the
 samples X = h(z/s) and Y = sqrt(z/s), so Y > 0 by construction.
 Ricci-flat runs have one Radau segment.
 
@@ -44,7 +47,8 @@ state is projected before the stepper's one right-hand-side call of the
 step, so every ``phase.rhs`` call of ``integrate`` is the stepper's.
 Every failure of a step is a ``ValueError``, which the loop reports as
 ``StepLimitExceeded``; the step budget ``max_steps`` counts the steps of
-both segments.
+both segments.  The tail's own stepper calls ``manifold``'s field, not
+``phase.rhs``.
 
 The per-step monitors (|y|^2 for L and the origin test, and Y > 0) and
 the Ricci-flat projection run on Python floats, from one ``tolist()`` of
@@ -67,11 +71,12 @@ Each segment evaluates states at any abscissae in one vectorised pass,
 and states at fixed fractions of each interval between its samples,
 with ds/dx there (``at_fractions``, from which reconstruct's quadrature
 takes its nodes and weights).  Each accepted Radau step starts from the
-sample recorded before it, so the Radau segment needs only the samples,
-their abscissae and each step's interpolant coefficients Q, in the
-format of the stepper's ``dense`` (``radau.Radau`` builds Q, and uses it
-for its own warm start).  The tail segment's intervals are linear in
-tau, so ds = s dtau there.
+sample recorded before it, so a ``radau.RadauSegment`` needs only the
+samples, their abscissae and each step's interpolant coefficients Q, in
+the format of the stepper's ``dense`` (``radau.Radau`` builds Q, and
+uses it for its own warm start).  The tail segment holds one such
+segment in tau; its intervals between samples are linear in tau, so ds
+= s dtau there.
 """
 
 from __future__ import annotations
@@ -82,7 +87,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import manifold, phase
-from .dop853 import Dop853Dense, _dop853
 from .errors import (
     InvariantViolated,
     NonPositiveY,
@@ -93,7 +97,7 @@ from .errors import (
     ZeroY,
 )
 from .model import Mode, ProblemSpec, critical_point
-from .radau import Radau
+from .radau import Radau, RadauSegment, run_segment
 
 # The step monitor's relative allowance for roundoff plateaus in the
 # monotonicity of L (near the origin L changes by less than one ulp per
@@ -111,88 +115,35 @@ TAIL_SAMPLES_PER_DECADE = 12
 TAIL_END_ULPS = 16
 
 
-class RadauSegment:
-    """The Radau steps: a piecewise interpolant over the accepted steps.
-
-    Step k covers [ts[k], ts[k+1]] and is samples[k] + Q[k] @ (x, x^2,
-    ..., x^7) with x = (s - ts[k]) / h[k] and h = np.diff(ts): the stepper's
-    ``dense`` polynomial (and scipy's ``RadauDenseOutput``), since each
-    step starts from the sample before it and its step size is the
-    difference of its ends, bit for bit.  A call evaluates all abscissae
-    at once; an abscissa on a step boundary uses the earlier step and one
-    outside the range extrapolates from the nearest end step, as scipy's
-    ``OdeSolution`` does.  nfev counts the stepper's right-hand-side
-    evaluations.
-    """
-
-    def __init__(self, ts: np.ndarray, samples: np.ndarray, Q: np.ndarray,
-                 nfev: int) -> None:
-        self.ts = ts             # (step + 1,)
-        self.samples = samples   # (step + 1, n)
-        self.Q = Q               # (step, n, 7)
-        self.nfev = nfev
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.ts
-
-    @property
-    def steps(self) -> int:
-        return self.Q.shape[0]
-
-    def __call__(self, s) -> np.ndarray:
-        """States at the N abscissae of a 1-D array: shape (n, N)."""
-        s = np.asarray(s, dtype=float)
-        ts = self.ts
-        k = np.searchsorted(ts, s, side="left") - 1
-        np.clip(k, 0, ts.size - 2, out=k)
-        t_old = ts[k]
-        x = (s - t_old) / (ts[k + 1] - t_old)
-        # one power at a time: gathering Q[k] whole would hold an
-        # (N, n, 7) copy, which shows in the peak memory of a request
-        y = self.samples[k]
-        power = np.ones_like(x)
-        for j in range(self.Q.shape[2]):
-            power *= x
-            y += self.Q[k, :, j] * power[:, None]
-        return y.T
-
-    def at_fractions(self, x: np.ndarray):
-        """Every step's interpolant at the m fractions x of the step (x = 0
-        its start, 1 its end), shape (step, n, m), and ds/dx there, the
-        step size, shape (step, m)."""
-        x = np.asarray(x, dtype=float)
-        powers = x ** np.arange(1, self.Q.shape[2] + 1)[:, None]
-        h = np.diff(self.ts)[:, None]
-        return (self.samples[:-1, :, None] + self.Q @ powers,
-                np.broadcast_to(h, (h.shape[0], x.size)))
-
-
 class TailSegment:
-    """The tail on the slow manifold: the DOP853 run of the remainder v
-    over tau = log s, mapped through z = 1/(U + v), with U the relaxation
-    from u0 at taus[0], to states X = h(z/s), Y = sqrt(z/s).
+    """The tail on the slow manifold: the Radau run of the relative
+    remainder q over tau = log s, mapped through u = U (1 + q) = 1/z, with
+    U the relaxation from u0 at taus[0], to states X = h(z/s), Y =
+    sqrt(z/s).
 
     Its samples are at the abscissae ``s``, whose tau are ``taus``; the
     first is the switch, the Radau segment's last sample.  The intervals
     between the samples are linear in tau, so ds = s dtau on them.  A call
-    evaluates the DOP853 interpolant, which extrapolates from its end
-    steps outside [taus[0], taus[-1]].  steps and nfev are the DOP853
-    run's.
+    evaluates the run's interpolant ``dense``, a ``RadauSegment`` in tau
+    of the states [q, tau], which extrapolates from its end steps outside
+    [taus[0], taus[-1]].  steps and nfev are the run's.
     """
 
     def __init__(self, dims: tuple, s: np.ndarray, taus: np.ndarray, u0: list,
-                 dense: Dop853Dense, nfev: int) -> None:
+                 dense: RadauSegment) -> None:
         self.dims = dims
         self.s = s               # (sample,)
         self.taus = taus         # (sample,)
         self.u0 = u0             # r floats, 1/z at the switch
-        self.dense = dense       # the remainder v over tau
-        self.nfev = nfev
+        self.dense = dense       # [q, tau] over tau
 
     @property
     def steps(self) -> int:
-        return self.dense.ts.size - 1
+        return self.dense.steps
+
+    @property
+    def nfev(self) -> int:
+        return self.dense.nfev
 
     def states_at_tau(self, tau: np.ndarray) -> np.ndarray:
         """States [X, Y] at the abscissae tau (...), shape (..., n)."""
@@ -476,16 +427,16 @@ def integrate(spec: ProblemSpec, y0: np.ndarray) -> Trajectory:
     )
 
 
-def _on_graph(dims: tuple, u0: list, tau0: float, dense: Dop853Dense, tau) -> np.ndarray:
+def _on_graph(dims: tuple, u0: list, tau0: float, dense: RadauSegment, tau) -> np.ndarray:
     """The states [X, Y] = [h(w), sqrt(w)] at the abscissae tau (...) of a
-    tail whose dense output is the remainder v about the relaxation U
-    from u0 at tau0 (``manifold.relaxation``): u = U + v = 1/z and w =
-    e^-tau / u.  Shape (..., n)."""
+    tail whose dense output is the relative remainder q about the
+    relaxation U from u0 at tau0 (``manifold.relaxation``): u = U (1 + q)
+    = 1/z and w = e^-tau / u.  Shape (..., n)."""
     tau = np.asarray(tau, dtype=float)
     b, a = manifold.relaxation(dims, u0)
-    v = dense(tau.ravel()).T.reshape(tau.shape + (-1,))
-    u = np.array(b) + np.array(a) * np.exp(tau0 - tau)[..., None] + v
-    w = np.exp(-tau)[..., None] / u
+    q = dense(tau.ravel())[:-1].T.reshape(tau.shape + (-1,))
+    U = np.array(b) + np.array(a) * np.exp(tau0 - tau)[..., None]
+    w = np.exp(-tau)[..., None] / (U * (1.0 + q))
     return np.concatenate([manifold.on_graph(dims, w), np.sqrt(w)], axis=-1)
 
 
@@ -509,12 +460,12 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
     b, a = manifold.relaxation(dims, u0)
     steps = 0
 
-    def stop(tau, v) -> bool:
+    def stop(tau, y) -> bool:
         """At the origin, or out of steps, or z = 1/u left (0, inf)."""
         nonlocal steps
         steps += 1
         e, inv_s = math.exp(tau0 - tau), math.exp(-tau)
-        u = [bj + aj * e + vj for bj, aj, vj in zip(b, a, v.tolist())]
+        u = [(bj + aj * e) * (1.0 + qj) for bj, aj, qj in zip(b, a, y.tolist())]
         if not all(0.0 < x < math.inf for x in u):
             raise InvariantViolated("Y_positive", math.exp(tau), f"u = 1/(s Y^2) = {u}")
         # |y|^2 = |X|^2 + sum(w) rounds to no less than sum(w), so the
@@ -534,9 +485,11 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
 
     rtol = spec.step_controls.rtol
     try:
-        dense, nfev, origin = _dop853(manifold.remainder_field(dims, u0, tau0),
-                                      np.zeros(r), tau0, tau_max, rtol, rtol * min(b), stop)
-    except ValueError as exc:  # the step size fell below ten ulps of tau
+        solver = Radau(manifold.remainder_field(dims, u0, tau0),
+                       manifold.remainder_jacobian(dims, u0, tau0),
+                       tau0, np.append(np.zeros(r), tau0), tau_max, rtol, rtol)
+        dense, origin = run_segment(solver, stop)
+    except ValueError as exc:   # every failure of a step
         raise StepLimitExceeded(f"tail integrator failed after s={s0:.3e}: {exc}") from exc
     if origin:
         log_tol2 = 2.0 * math.log(spec.origin_tol)
@@ -559,7 +512,7 @@ def _tail(spec: ProblemSpec, s0: float, y0: np.ndarray, budget: int):
     inner = ((taus > tau0 + TAIL_END_ULPS * math.ulp(tau0))
              & (taus < tau_end - TAIL_END_ULPS * math.ulp(tau_end)))
     tail = TailSegment(dims, np.concatenate([[s0], grid[inner], [s_end]]),
-                       np.concatenate([[tau0], taus[inner], [tau_end]]), u0, dense, nfev)
+                       np.concatenate([[tau0], taus[inner], [tau_end]]), u0, dense)
     return tail, "origin" if origin else "s_max"
 
 

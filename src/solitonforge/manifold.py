@@ -38,14 +38,21 @@ In u = 1/z the same flow reads
 
 linear but for c = O(1/s).  Without c it has the closed form U_j(tau) =
 2/d_j + (u_j(tau0) - 2/d_j) e^-(tau - tau0), the logistic relaxation of z
-towards d/2, and the flow's DOP853 loop integrates only the remainder v =
-u - U, dv/dtau = -v - c u from v(tau0) = 0: an integrating-factor method
-(Lawson, SIAM J. Numer. Anal. 4 (1967) 372-380).  ``remainder_field`` is
-that field as straight-line code on Python floats, with the stage entry
-of the DOP853 loop (``dop853``).  Its sums, each g_j and |h|^2, run left
-to right in a fixed order on every Python version; ``sum()`` would not,
-since from Python 3.12 it adds floats with compensated (Neumaier)
-summation and rounds differently.
+towards d/2, and the flow integrates only the relative remainder q = u/U
+- 1 about it (an integrating-factor method: Lawson, SIAM J. Numer. Anal.
+4 (1967) 372-380):
+
+    dq_j/dtau = -(2/d_j) / U_j q_j - c_j (1 + q_j),   q(tau0) = 0.
+
+U carries the decay of u exactly, however large u is at the switch, and
+q is relative by construction, so one tolerance serves every component.
+``remainder_field`` is that field as a row-stack kernel on Python floats
+(``phase._rows_body``), with tau carried as the last state (dtau/dtau =
+1), so that the system is autonomous for the Radau stepper;
+``remainder_jacobian`` is its Jacobian in q but for c, diag(-(2/d) / U).
+The field's sums, each g_j and |h|^2, run left to right in a fixed order
+on every Python version; ``sum()`` would not, since from Python 3.12 it
+adds floats with compensated (Neumaier) summation and rounds differently.
 
 Polynomials are coefficient arrays over the monomials of a ``Ring``:
 truncated multivariate polynomials, whose sum is the sum of the arrays
@@ -60,7 +67,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .dop853 import _field_factory
+from .phase import _field_factory, _rows_body, _stacked
 
 # the degree to which the graph h is built
 DEGREE = 4
@@ -204,17 +211,18 @@ def _graph_lines(r: int):
 
 @lru_cache(maxsize=None)
 def _remainder_factory(r: int):
-    """The factory of ``remainder_field``'s fields in r variables, compiled
-    once per r: it takes 2/d, u(tau0) - 2/d, tau0, sqrt(d) and the graph's
-    coefficients of degree 2 and more, row by row."""
+    """The factory of ``remainder_field``'s kernels in r variables,
+    compiled once per r: it takes 2/d, u(tau0) - 2/d, tau0, sqrt(d) and
+    the graph's coefficients of degree 2 and more, row by row."""
     graph_lines, n = _graph_lines(r)
     body = ["e = math.exp(t0 - tau)", "inv_s = math.exp(-tau)"]
-    body += [f"u{j} = b{j} + a{j} * e + v{j}" for j in range(r)]
-    body += [f"w{j} = inv_s / u{j}" for j in range(r)] + graph_lines
-    body.append("return [" + ", ".join(
-        f"-v{j} - 2.0 * (hh - g{j} / sd{j}) / inv_s * u{j}" for j in range(r)) + "]")
-    return _field_factory({"b": r, "a": r, "t": 1, "sd": r, "c": r * n}, "tau", body,
-                          [f"v{j}" for j in range(r)])
+    body += [f"U{j} = b{j} + a{j} * e" for j in range(r)]
+    body += [f"p{j} = 1.0 + q{j}" for j in range(r)]
+    body += [f"w{j} = inv_s / (U{j} * p{j})" for j in range(r)] + graph_lines
+    values = [f"-b{j} / U{j} * q{j} - 2.0 * (hh - g{j} / sd{j}) / inv_s * p{j}"
+              for j in range(r)] + ["1.0"]
+    return _field_factory({"b": r, "a": r, "t": 1, "sd": r, "c": r * n}, "rows",
+                          _rows_body([f"q{j}" for j in range(r)] + ["tau"], body, values))
 
 
 def relaxation(dims: tuple, u0: list) -> tuple:
@@ -226,22 +234,38 @@ def relaxation(dims: tuple, u0: list) -> tuple:
 
 
 def remainder_field(dims: tuple, u0: list, tau0: float):
-    """dv/dtau of the remainder v = u - U of u = 1/z about its logistic
-    relaxation U from u0 at tau0 (``relaxation``), as ``field(tau, v)`` on
-    a list v of Python floats, returning a list, with its stage entry
-    (``dop853``).
+    """d/dtau of the state [q, tau], with q = u/U - 1 the relative
+    remainder of u = 1/z about its logistic relaxation U from u0 at tau0
+    (``relaxation``), as ``fun(y)`` on one state (r + 1,) or a stack of
+    them (k, r + 1), returning an array of the same shape.
 
     In u the flow on the graph reads du/dtau = -u + 2/d - c u, with c_j =
     2 s (|h|^2 - g_j / sqrt(d_j)) = O(1/s), and U solves it with c = 0.  So
-    dv/dtau = -v - c u, with u = U + v and w = e^-tau / u.
+    dq/dtau = -(2/d) / U q - c (1 + q), with u = U (1 + q) and w = e^-tau /
+    u; the last entry, dtau/dtau, is 1.
 
-    The field is straight-line code, with 2/d, u0 - 2/d, tau0, sqrt(d) and
-    the graph's coefficients bound as closure variables.  g = h - w /
+    The kernel is straight-line code, with 2/d, u0 - 2/d, tau0, sqrt(d)
+    and the graph's coefficients bound as closure variables.  g = h - w /
     sqrt(d) is summed from the graph's terms of degree 2 and more, so that
     s g carries no cancellation; each g_j, and |h|^2, is one sum left to
     right from 0.0, every term kept.
     """
     b, a = relaxation(dims, u0)
     sd = [math.sqrt(float(x)) for x in dims]
-    return _remainder_factory(len(dims))(b, a, [tau0], sd,
-                                         graph(dims)[:, 1 + len(dims):].ravel().tolist())
+    return _stacked(_remainder_factory(len(dims))(
+        b, a, [tau0], sd, graph(dims)[:, 1 + len(dims):].ravel().tolist()))
+
+
+def remainder_jacobian(dims: tuple, u0: list, tau0: float):
+    """``jac(y)`` of ``remainder_field`` on one state [q, tau]: its
+    Jacobian in q but for the O(1/s) term c, diag(-(2/d) / U(tau)), with
+    a zero row and column for tau."""
+    b, a = map(np.array, relaxation(dims, u0))
+    r = b.size
+
+    def jac(y: np.ndarray) -> np.ndarray:
+        J = np.zeros((r + 1, r + 1))
+        J.flat[:r * (r + 2):r + 2] = -b / (b + a * math.exp(tau0 - y[-1]))
+        return J
+
+    return jac

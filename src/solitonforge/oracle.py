@@ -16,28 +16,30 @@ which must stay at the gauge constant C along exact solutions.
 
 The field has 2r + 1 ≤ 7 components, so it is evaluated on Python
 floats, where numpy's per-call overhead would outweigh the arithmetic:
-``t_field`` builds it for the factors' d_i and lambda_i as straight-line
-code, one local per component, compiled once per r, with the stage entry
-through which the DOP853 loop forms each stage state inside the kernel.
+``t_field`` builds it for the factors' d_i and lambda_i as a
+straight-line row-stack kernel, one local per component, compiled once
+per r, and ``t_jacobian`` its analytic Jacobian, the same way.
 The system is defined only where every g_i is positive: a start with a
 g_i that is not finite and positive, or with a non-finite g_dot or
 u_dot, is rejected with ``ValidationError`` naming the field; a g_i that
-reaches 0 inside the field, or a step end with a g_i <= 0 or a
-non-finite entry, raises ``BlowUp``.  A run goes forward over a window
-with length: a t_end that is not finite and beyond the start is
-``OutOfRange``, raised before the field is called.
+reaches 0 inside the field or its Jacobian (or whose square or cube
+underflows to 0 there), or a step end with a g_i <= 0 or a non-finite
+entry, raises ``BlowUp``.  A run goes forward over a window with length:
+a t_end that is not finite and beyond the start is ``OutOfRange``,
+raised before the field is called.
 
-The integrator is DOP853 at rtol = atol = 1e-12, in the package's own
-step loop (``dop853._dop853``) rather than in scipy's generic
-``solve_ivp``, whose overhead outweighed the arithmetic: two
-wrapper layers and an ``np.asarray`` per field call, and one interpolant
-object per step, evaluated one segment at a time.  The loop repeats
-scipy's arithmetic call for call, and the step-end test above is its
-stop test.  Every sample, interpolant value and deviation of a run that
-passes it is therefore that of ``solve_ivp`` with method DOP853 and dense
-output, bit for bit; the tests check this against ``solve_ivp`` itself.
-Each run builds its field once, through the module attribute
-``t_field``, and loads no scipy module.
+The integrator is the package's Radau IIA stepper (``radau.Radau``) at
+rtol = atol = 1e-12, the one that runs the flow; the t-space system is
+autonomous, so the stepper takes it as it is, and the step-end test
+above runs after every accepted step.  The run's dense output is the
+stepper's own interpolant, a ``radau.RadauSegment`` in t.  Any failure
+of a step, a step size below the spacing of floats at t among them, is
+``StepLimitExceeded``.  The cross-check stays independent of the flow's
+integration: the same stepper runs a different system, second order in
+t against the first-order phase flow in s; and the tests check the
+oracle against scipy's explicit DOP853 on the same system.  Each run
+builds its field once, through the module attribute ``t_field``, and
+loads no scipy module.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dop853 import Dop853Dense, _dop853, _field_factory
 from .errors import BlowUp, NoOverlap, OutOfRange, StepLimitExceeded, ValidationError
 from .model import Mode, ProblemSpec
+from .phase import _field_factory, _rows_body, _stacked
+from .radau import Radau, RadauSegment, run_segment
 from .reconstruct import MetricProfile
 
 # rtol and atol of the integration
@@ -79,7 +82,7 @@ class OracleRun:
     g_dot: np.ndarray
     u_dot: np.ndarray
     conservation: np.ndarray
-    dense: Dop853Dense   # over [t0, t_end]
+    dense: RadauSegment   # over [t0, t_end]
 
     def conservation_drift(self) -> float:
         return float(np.abs(self.conservation - self.conservation[0]).max())
@@ -130,18 +133,18 @@ def _t_factory(r: int):
     body.append(" + ".join(["tr_L = 0.0"] + [f"d{i} * q{i}" for i in range(r)]))
     body += [f"p{i} = lam{i} / (g{i} * g{i}) - tr_L * q{i} + ud * q{i} + q{i} * q{i}"
              for i in range(r)]
-    body.append(f"return [{', '.join(gd + [f'p{i} * g{i}' for i in range(r)] + [u_dd])}]")
-    return _field_factory({"d": r, "lam": r}, "t", body, g + gd + ["ud"])
+    return _field_factory({"d": r, "lam": r}, "rows", _rows_body(
+        g + gd + ["ud"], body, gd + [f"p{i} * g{i}" for i in range(r)] + [u_dd]))
 
 
 def t_field(d: list, lam: list):
     """The t-space vector field of the factors' d_i and lambda_i, as
-    ``field(t, v)`` on a packed state v = [g, g_dot, u_dot] of Python
-    floats, returning a list, with its stage entry ``field.stage(t, y,
-    d, h)``, the same field at the state y + d h (``dop853``).
+    ``fun(y)`` on one packed state y = [g, g_dot, u_dot] (2r + 1,) or a
+    stack of them (k, 2r + 1), returning an array of the same shape.
 
-    The field is straight-line code, with d_i and lambda_i bound as
-    closure variables.  Its operations are those of the numpy expressions
+    The field is a straight-line row-stack kernel (``phase._rows_body``),
+    with d_i and lambda_i bound as closure variables.  Its operations are
+    those of the numpy expressions
 
         rel = g_dot / g;  tr L = d . rel
         gdd / g = lam / g^2 - (tr L) rel + u_dot rel + rel^2
@@ -153,7 +156,49 @@ def t_field(d: list, lam: list):
     rather than bit for bit.  A g_i that is 0, or whose square underflows
     to 0, raises ``ZeroDivisionError``.
     """
-    return _t_factory(len(d))(d, lam)
+    return _stacked(_t_factory(len(d))(d, lam))
+
+
+@lru_cache(maxsize=None)
+def _t_jacobian_factory(r: int):
+    """The factory of ``t_jacobian``'s kernels on r factors, compiled once
+    per r."""
+    n = 2 * r + 1
+    state = [f"g{i}" for i in range(r)] + [f"gd{i}" for i in range(r)] + ["ud"]
+    body = [f"{''.join(f'{x}, ' for x in state)}= v"]
+    body += [f"q{i} = gd{i} / g{i}" for i in range(r)]
+    body.append(" + ".join(["tr_L = 0.0"] + [f"d{i} * q{i}" for i in range(r)]))
+    body += [f"k{i} = ud - tr_L + 2.0 * q{i}" for i in range(r)]
+    body += [f"e{i} = d{i} * q{i} / g{i}" for i in range(r)]
+    body += [f"f{i} = d{i} / g{i}" for i in range(r)]
+    rows = [["1.0" if j == r + i else "0.0" for j in range(n)] for i in range(r)]
+    rows += [[f"e{j} * gd{i}" + (f" - lam{i} / (g{i} * g{i}) - q{i} * q{i}" if i == j else "")
+              for j in range(r)]
+             + [(f"k{i} - " if i == j else "-") + f"f{j} * gd{i}" for j in range(r)]
+             + [f"gd{i}"] for i in range(r)]
+    rows.append([f"d{j} * (-2.0 * lam{j} / (g{j} * g{j} * g{j}) - k{j} * q{j} / g{j})"
+                 f" + e{j} * tr_L" for j in range(r)]
+                + [f"d{j} * k{j} / g{j} - f{j} * tr_L" for j in range(r)] + ["tr_L"])
+    body.append(f"return [{', '.join(x for row in rows for x in row)}]")
+    return _field_factory({"d": r, "lam": r}, "v", body)
+
+
+def t_jacobian(d: list, lam: list):
+    """The analytic Jacobian of ``t_field(d, lam)``, as ``jac(y)`` on one
+    packed state (2r + 1,), returning the (2r + 1, 2r + 1) matrix.
+
+    With q_i = g_dot_i / g_i, tr L = d . q, k_i = u_dot - tr L + 2 q_i,
+    e_j = d_j q_j / g_j and f_j = d_j / g_j, the g rows are dg_i/dg_dot_i
+    = 1; the g_dot_i row is e_j g_dot_i - [i = j] (lambda_i / g_i^2 +
+    q_i^2) in g_j, [i = j] k_i - f_j g_dot_i in g_dot_j and g_dot_i in
+    u_dot; the u_dot row is d_j (-2 lambda_j / g_j^3 - k_j q_j / g_j) + e_j
+    tr L in g_j, d_j k_j / g_j - f_j tr L in g_dot_j and tr L in u_dot.  A
+    g_i that is 0, or whose cube underflows to 0, raises
+    ``ZeroDivisionError``.
+    """
+    n = 2 * len(d) + 1
+    kernel = _t_jacobian_factory(len(d))(d, lam)
+    return lambda y: np.array(kernel(y.tolist())).reshape(n, n)
 
 
 def _check_start(state: SecondOrderState) -> None:
@@ -176,10 +221,11 @@ def integrate_second_order(
     The start must have every g_i finite and positive and a finite g_dot
     and u_dot; any other raises ``ValidationError`` naming the field.  A
     t_end that is not finite and beyond state.t raises ``OutOfRange``.
-    The field is ``t_field(d, lam)``, built once; a g_i that reaches 0
-    inside it ends the run with ``BlowUp``, as does a step end with a
-    g_i <= 0 or a non-finite entry.  A step size below ten ulps of t
-    raises ``StepLimitExceeded``.
+    The field is ``t_field(d, lam)`` and its Jacobian ``t_jacobian(d,
+    lam)``, each built once; a g_i that reaches 0 inside either ends the
+    run with ``BlowUp``, as does a step end with a g_i <= 0 or a
+    non-finite entry.  Any other failure of a step, a step size below the
+    spacing of floats at t among them, raises ``StepLimitExceeded``.
     """
     _check_start(state)
     t0, t_end = float(state.t), float(t_end)
@@ -194,12 +240,16 @@ def integrate_second_order(
         v = y.tolist()
         return not (all(x > 0 for x in v[:r]) and all(map(math.isfinite, v)))
 
+    # the stepper's finiteness checks report overflow as a ValueError, so
+    # numpy's own warnings would only repeat it
     try:
-        dense, _, stopped = _dop853(t_field(d, lam), state.as_vector(), t0, t_end,
-                                    TOL, TOL, left)
-    except ZeroDivisionError as exc:   # g_i, or g_i^2 by underflow, reached 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            solver = Radau(t_field(d, lam), t_jacobian(d, lam), t0, state.as_vector(),
+                           t_end, TOL, TOL)
+            dense, stopped = run_segment(solver, left)
+    except ZeroDivisionError as exc:   # g_i, or g_i^2 or g_i^3 by underflow, reached 0
         raise BlowUp(f"a warping function reached 0 before t = {t_end:g}") from exc
-    except ValueError as exc:          # the step size fell below ten ulps of t
+    except ValueError as exc:          # every failure of a step
         raise StepLimitExceeded(f"oracle integration failed: {exc}") from None
     if stopped:
         raise BlowUp(f"a warping function left (0, inf) before t = {t_end:g}")

@@ -17,10 +17,14 @@ checks (`spectrum`, `lyapunov_identity`) from `rhs` and `rhs_jacobian`.
 
 With 2r ≤ 6 components numpy's per-call overhead would outweigh the
 arithmetic, so both are straight-line Python on floats, one kernel each
-per r, compiled on first use by ``dop853._field_factory`` and cached.
-Python floats are IEEE doubles and round as numpy's elementwise
-operations do, so each kernel computes the values of the textbook numpy
-expressions, bit for bit, inf and NaN included.  Powers are written
+per r, compiled on first use by `_field_factory` and cached.  That is
+the package's one compiler of generated code: the tail's field
+(``manifold.remainder_field``) and the oracle's field and Jacobian
+(``oracle.t_field``, ``oracle.t_jacobian``) are built by it too, the
+fields as row-stack kernels (`_rows_body`) that the stepper calls
+through `_stacked`.  Python floats are IEEE doubles and round as
+numpy's elementwise operations do, so each kernel computes the values
+of the textbook numpy expressions, bit for bit, inf and NaN included.  Powers are written
 ``x * x``, since ``x ** 2`` raises ``OverflowError`` where numpy gives
 inf; every division is by ``sqrt(d_i) > 0``.  sqrt(d) is an argument of
 every call, never part of the source.
@@ -28,12 +32,60 @@ every call, never part of the source.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .dop853 import _field_factory
 from .model import ProblemSpec, constants
+
+
+def _field_factory(consts: dict, args: str, body: list):
+    """Compile a straight-line kernel and return its factory.
+
+    ``factory(*seqs)`` takes one sequence per key of `consts`, in order:
+    the one for key c holds consts[c] numbers, which it unpacks into the
+    locals c0, c1, ....  It returns ``field(<args>)``, whose body is the
+    source lines `body`; the field reads those locals as closure
+    variables, and ``math`` as its one global.  No number of the caller's
+    enters the source text, so the field computes on the caller's own
+    doubles, and the source, hence the compiled factory, depends only on
+    the shape of `consts` and on `body`: callers compile once per number
+    of factors and cache.  With no constants, ``factory()`` returns a
+    kernel that takes all its numbers as arguments.  The factory's
+    generated text is its attribute ``source``.
+    """
+    src = [f"def factory({', '.join(consts)}):"]
+    src += [f"    {''.join(f'{c}{i}, ' for i in range(n))}= {c}" for c, n in consts.items()]
+    src.append(f"    def field({args}):")
+    src += [f"        {line}" for line in body]
+    src.append("    return field")
+    text = "\n".join(src)
+    namespace = {"math": math}
+    exec(compile(text, "<field>", "exec"), namespace)
+    factory = namespace["factory"]
+    factory.source = text
+    return factory
+
+
+def _rows_body(state: list, body: list, values: list) -> list:
+    """The body of a row-stack kernel on ``rows``, a list of states: each
+    row is unpacked into the names `state`, runs the lines `body` and
+    appends the expressions `values`, and all of them return as one flat
+    list.  Each row so gets the values of that row alone."""
+    return (["out = []", f"for {''.join(f'{x}, ' for x in state)}in rows:"]
+            + [f"    {line}" for line in body]
+            + [f"    out += ({''.join(f'{v}, ' for v in values)})", "return out"])
+
+
+def _stacked(kernel):
+    """``fun(y)`` of a row-stack kernel, as the stepper calls it: the
+    kernel on the rows of one state (n,) or of a stack (k, n), returned as
+    an array of y's shape.  The kernel is its attribute ``kernel``."""
+    def fun(y: np.ndarray) -> np.ndarray:
+        return np.array(kernel(y.reshape(-1, y.shape[-1]).tolist())).reshape(y.shape)
+    fun.kernel = kernel
+    return fun
 
 
 @lru_cache(maxsize=None)
@@ -43,11 +95,10 @@ def _field_kernel(r: int):
     X, Y = [f"x{i}" for i in range(r)], [f"y{i}" for i in range(r)]
     values = [f"x{i} * a + y{i} * y{i} / sd{i}" for i in range(r)] + [
         f"y{i} * (sx2 - x{i} / sd{i})" for i in range(r)]
-    body = [f"{''.join(f'sd{i}, ' for i in range(r))}= sd", "out = []",
-            f"for {', '.join(X + Y)} in rows:",
-            f"    sx2 = {' + '.join(f'{x} * {x}' for x in X)}",   # left to right
-            "    a = sx2 - 1.0", f"    out += ({', '.join(values)})", "return out"]
-    return _field_factory({}, "rows, sd", body)()
+    body = [f"sx2 = {' + '.join(f'{x} * {x}' for x in X)}",   # left to right
+            "a = sx2 - 1.0"]
+    return _field_factory({}, "rows, sd", [f"{''.join(f'sd{i}, ' for i in range(r))}= sd"]
+                          + _rows_body(X + Y, body, values))()
 
 
 @lru_cache(maxsize=None)

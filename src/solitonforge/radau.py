@@ -1,4 +1,4 @@
-"""Radau IIA (order 13, seven stages) stepper for the autonomous phase flow.
+"""Radau IIA (order 13, seven stages) stepper for autonomous systems.
 
 The method and its step control are those of Hairer & Wanner, *Solving
 ODEs II*, §IV.8, and of their variable-order RADAU code (J. Comput. Appl.
@@ -7,9 +7,16 @@ simplified Newton iteration and its tolerance, the embedded error
 estimate, the initial step selection, the step-size predictor and the
 ``nextafter`` minimum step, with ``nfev``, ``njev`` and ``nlu`` counting
 right-hand-side evaluations, Jacobians and factorisations.  The error
-estimate has order 7, so the number of steps goes as tol^(-1/8).  That
-is the order of DOP853's error estimate too, so the initial step is the
-DOP853 loop's (``dop853._initial_step``).
+estimate has order 7, so the number of steps goes as tol^(-1/8), and
+the initial step is `_initial_step`, scipy's ``select_initial_step`` at
+that order.
+
+It is the package's one integrator, on three systems: the phase flow in
+s (``flow.integrate``), the soliton's tail on its slow manifold in tau =
+log s (``flow._tail``) and the oracle's second-order system in t
+(``oracle.integrate_second_order``).  Each run's accepted steps form a
+`RadauSegment`, its piecewise interpolant; `run_segment` drives the tail
+and the oracle with a test after every step.
 
 It lives in the package for two reasons.  Importing ``scipy.integrate``
 pulls in ``scipy.special``, ``scipy.optimize`` and ``scipy.sparse.linalg``,
@@ -18,19 +25,21 @@ Ricci-flat projection in ``flow.integrate`` has to replace the current
 state between steps, which scipy keeps in private fields; here ``t``,
 ``y`` and ``f`` are this class's own public state.
 
-Unlike scipy's generic interface, it takes the flow as it is: the flow
-is autonomous, so ``fun(y)`` and ``jac(y)`` take no time, and ``fun``
-gets either one state (n,) or the seven collocation stages as one
-stage-major (7, n) stack, which ``phase.rhs`` evaluates row by row in
-one call.  Every failure of a step raises ``ValueError``.
-The step controls are not checked here: ``model.StepControls`` owns the
-rules for ``rtol`` and ``atol``.
+Unlike scipy's generic interface, it takes a system as it is: each is
+autonomous (the tail and the oracle carry their abscissa as a state), so
+``fun(y)`` and ``jac(y)`` take no time, and ``fun`` gets either one
+state (n,) or the seven collocation stages as one stage-major (7, n)
+stack, which each field evaluates row by row in one call.  Every
+failure of a step raises ``ValueError``.  The step controls are not
+checked here: ``model.StepControls`` owns the rules for ``rtol`` and
+``atol``.  The constant maps of the Newton iteration depend only on n,
+so `_stage_maps` builds them once per n for every stepper.
 
-It uses numpy alone, so the flow loads no ``scipy`` module.  The seven
+It uses numpy alone, so no run loads a ``scipy`` module.  The seven
 collocation stages are evaluated in one call of ``fun``.  A^-1 has one
 real eigenvalue MU_REAL and three complex pairs, so the Newton iteration
 needs four matrices: on every step attempt, ``MU_REAL/h I - J`` and
-``MU_COMPLEX[k]/h I - J`` (2r×2r, r ≤ 3) are written into one (4, n, n)
+``MU_COMPLEX[k]/h I - J`` (n×n, n ≤ 7) are written into one (4, n, n)
 complex stack and inverted by `_lu` in one ``np.linalg.inv`` call; the
 real inverse is the real part of the first member's.  ``nlu`` counts
 matrices, four per attempt.  A singular Newton matrix raises
@@ -58,7 +67,7 @@ copied into the operator's rows.  ``newton_op`` maps the stacked input
 dZ``: W is never formed.  The same attempt builds the (n, 8n) error
 operator ``inv_real [I | E ⊗ I]``, which maps ``[f ; Z/h]`` to the
 error estimate ``inv_real (f + Z^T E / h)``.  Neither operator holds the
-1/h of Z/h, which their input carries.  For n = 2r ≤ 6 numpy's
+1/h of Z/h, which their input carries.  For n ≤ 7 numpy's
 per-call overhead outweighs the arithmetic, so folding ``T W`` and ``W
 += dW`` into the Newton product, and ``Z^T E / h`` and ``f + Z^T E / h``
 into the error product, saves more than the larger products cost.  The
@@ -83,9 +92,7 @@ One constant differs from the textbook's.  The error test aims at
 ``ERROR_TARGET`` = 0.3 of the error scale ``atol + rtol |y|``: at 1 the
 longer steps break the accuracy contract below.  The config tolerances
 keep their meaning.  The Newton tolerance is Hairer & Wanner's, ``max(10
-eps / rtol, min(0.03, sqrt(rtol)))``.  The stepper covers only |y| >
-1e-2 of a soliton run, up to ``flow.TAIL_SWITCH``, and the whole of a
-Ricci-flat one.
+eps / rtol, min(0.03, sqrt(rtol)))``.
 
 The stepper answers to an accuracy contract, which ``tests/test_flow.py``
 checks: each step's end agrees with a tight reference integration over
@@ -126,10 +133,11 @@ starts from, before the step's single ``fun`` call, so that ``y`` and
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .dop853 import TOO_SMALL_STEP, _initial_step
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 EPS = np.finfo(float).eps
 
@@ -262,6 +270,33 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
+def _rms(x: np.ndarray):
+    """scipy's RMS norm of a 1-D array, a numpy scalar."""
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _initial_step(fun, y0, f0, interval_length, rtol, atol):
+    """scipy's ``select_initial_step`` (Hairer, Nørsett & Wanner, *Solving
+    ODEs I*, §II.4) at error-estimator order 7 and no maximum step, on the
+    same numpy scalars, for a forward run over `interval_length` > 0 from
+    y0, where ``fun(y0)`` is f0."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length)
+
+
 def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     """Step-size factor from the last one or two error norms (§IV.8)."""
     if error_norm == 0:
@@ -297,6 +332,29 @@ def _error_estimate(error_op: np.ndarray, u: np.ndarray, scale: np.ndarray):
     if not math.isfinite(error_norm):
         _check_finite(u)
     return error, error_norm
+
+
+@lru_cache(maxsize=None)
+def _stage_maps(n: int) -> tuple:
+    """The stepper's constant maps for n components, built once per n and
+    shared read-only: the (4, n, 14n) complex stack of the Newton
+    right-hand-side map's rows, T ⊗ I, and the error map [I | E ⊗ I]."""
+    I = np.identity(n)
+    s = STAGES
+    kron_TI = np.kron(TI, I)
+    # [TI (x) I | -(M0 (x) I)(TI (x) I)] maps the stacked Newton input
+    # [F ; Z/h] to the right-hand sides of the real system and of the
+    # three complex ones, each split into its real and imaginary rows
+    rhs_map = np.hstack([kron_TI, -np.kron(M0, I).dot(kron_TI)])
+    # its rows as four complex blocks, one per Newton matrix: the real
+    # system's rows, then real + i imag rows of each complex pair
+    rhs_rows = rhs_map.reshape(s, n, 2 * s * n)
+    maps = (np.concatenate([rhs_rows[:1], rhs_rows[1::2] + 1j * rhs_rows[2::2]]),
+            np.kron(T, I),
+            np.hstack([I, np.kron(E, I)]))   # [f ; Z/h] to f + Z^T E / h
+    for a in maps:
+        a.setflags(write=False)
+    return maps
 
 
 class Radau:
@@ -359,8 +417,7 @@ class Radau:
 
         self.f = self.fun(y0)
         # a Python float, so that the step control runs on Python floats
-        self.h_abs = float(_initial_step(lambda t, v: self.fun(np.array(v)), t0, y0,
-                                         self.f, t_bound, rtol, atol))
+        self.h_abs = float(_initial_step(self.fun, y0, self.f, t_bound - t0, rtol, atol))
         self.h_abs_old = None
         self.error_norm_old = None
 
@@ -372,21 +429,8 @@ class Radau:
         self.h_max = 0.0
 
         n = self.n
-        I = np.identity(n)
         s = STAGES
-        kron_TI = np.kron(TI, I)
-        # [TI (x) I | -(M0 (x) I)(TI (x) I)] maps the stacked Newton input
-        # [F ; Z/h] to the right-hand sides of the real system and of the
-        # three complex ones, each split into its real and imaginary rows
-        rhs_map = np.hstack([kron_TI, -np.kron(M0, I).dot(kron_TI)])
-        # its rows as four complex blocks, one per Newton matrix: the real
-        # system's rows, then real + i imag rows of each complex pair
-        rhs_rows = rhs_map.reshape(s, n, 2 * s * n)
-        self._rhs_stack = np.concatenate([
-            rhs_rows[:1], rhs_rows[1::2] + 1j * rhs_rows[2::2]])
-        self._kron_T = np.kron(T, I)
-        # [I | E (x) I] maps [f ; Z/h] to f + Z^T E / h
-        self._error_map = np.hstack([I, np.kron(E, I)])
+        self._rhs_stack, self._kron_T, self._error_map = _stage_maps(n)
         # the four Newton matrices, MU_REAL/h I - J and MU_COMPLEX[k]/h I - J
         self._matrices = np.empty((1 + _PAIRS, n, n), dtype=complex)
         self._diagonals = self._matrices.reshape(1 + _PAIRS, -1)[:, ::n + 1]   # views
@@ -607,3 +651,76 @@ class Radau:
             dW_norm_old = dW_norm
 
         return converged, k + 1, Z
+
+
+class RadauSegment:
+    """A run's accepted steps: a piecewise interpolant over them.
+
+    Step k covers [ts[k], ts[k+1]] and is samples[k] + Q[k] @ (x, x^2,
+    ..., x^7) with x = (t - ts[k]) / h[k] and h = np.diff(ts): the stepper's
+    ``dense`` polynomial (and scipy's ``RadauDenseOutput``), since each
+    step starts from the sample before it and its step size is the
+    difference of its ends, bit for bit.  A call evaluates all abscissae
+    at once; an abscissa on a step boundary uses the earlier step and one
+    outside the range extrapolates from the nearest end step, as scipy's
+    ``OdeSolution`` does.  nfev counts the stepper's right-hand-side
+    evaluations.
+    """
+
+    def __init__(self, ts: np.ndarray, samples: np.ndarray, Q: np.ndarray,
+                 nfev: int) -> None:
+        self.ts = ts             # (step + 1,)
+        self.samples = samples   # (step + 1, n)
+        self.Q = Q               # (step, n, 7)
+        self.nfev = nfev
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.ts
+
+    @property
+    def steps(self) -> int:
+        return self.Q.shape[0]
+
+    def __call__(self, t) -> np.ndarray:
+        """States at the N abscissae of a 1-D array: shape (n, N)."""
+        t = np.asarray(t, dtype=float)
+        ts = self.ts
+        k = np.searchsorted(ts, t, side="left") - 1
+        np.clip(k, 0, ts.size - 2, out=k)
+        t_old = ts[k]
+        x = (t - t_old) / (ts[k + 1] - t_old)
+        # one power at a time: gathering Q[k] whole would hold an
+        # (N, n, 7) copy, which shows in the peak memory of a request
+        y = self.samples[k]
+        power = np.ones_like(x)
+        for j in range(self.Q.shape[2]):
+            power *= x
+            y += self.Q[k, :, j] * power[:, None]
+        return y.T
+
+    def at_fractions(self, x: np.ndarray):
+        """Every step's interpolant at the m fractions x of the step (x = 0
+        its start, 1 its end), shape (step, n, m), and dt/dx there, the
+        step size, shape (step, m)."""
+        x = np.asarray(x, dtype=float)
+        powers = x ** np.arange(1, self.Q.shape[2] + 1)[:, None]
+        h = np.diff(self.ts)[:, None]
+        return (self.samples[:-1, :, None] + self.Q @ powers,
+                np.broadcast_to(h, (h.shape[0], x.size)))
+
+
+def run_segment(solver: Radau, stop) -> tuple:
+    """Step `solver` until it finishes, or until ``stop(t, y)``, called
+    after every accepted step, is true: (its `RadauSegment`, whether
+    ``stop`` ended the run).  Exceptions of the stepper and of ``stop``
+    propagate."""
+    ts, ys, Qs = [solver.t], [solver.y], []
+    stopped = False
+    while solver.status == "running" and not stopped:
+        solver.step()
+        ts.append(solver.t)
+        ys.append(solver.y)
+        Qs.append(solver.dense)
+        stopped = stop(solver.t, solver.y)
+    return RadauSegment(np.array(ts), np.array(ys), np.array(Qs), solver.nfev), stopped

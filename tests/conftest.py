@@ -59,14 +59,6 @@ def pipeline():
     return get
 
 
-def with_stage(fun):
-    """A plain field ``fun(t, v)`` given the stage entry that the DOP853
-    loop calls: ``fun.stage(t, y, d, h)`` is fun at the state y + d h,
-    formed entry by entry."""
-    fun.stage = lambda t, y, d, h: fun(t, [u + e * h for u, e in zip(y, d)])
-    return fun
-
-
 def reference_graph_terms(dims):
     """The graph's terms on lists, one loop per operation, in the order of
     ``manifold._graph_lines``: ``terms(w)`` returns g, the graph's terms
@@ -99,9 +91,9 @@ def reference_graph_terms(dims):
 
 def reference_reduced_field(dims):
     """dz/dtau of the flow on the slow manifold in tau = log s and z = s w,
-    z_j (1 - 2 z_j / d_j + 2 s (|h|^2 - g_j / sqrt(d_j))), on lists, with
-    its stage entry: the direct form of the tail that the package
-    integrates as a remainder (``manifold.remainder_field``)."""
+    z_j (1 - 2 z_j / d_j + 2 s (|h|^2 - g_j / sqrt(d_j))), as ``field(tau,
+    z)`` on lists: the direct form of the tail that the package integrates
+    as a relative remainder (``manifold.remainder_field``)."""
     terms, sd = reference_graph_terms(dims)
     d = [float(x) for x in dims]
 
@@ -111,4 +103,4 @@ def reference_reduced_field(dims):
         return [v * (1.0 - 2.0 * v / dj + 2.0 * (hh - gj / sj) / inv_s)
                 for v, dj, sj, gj in zip(z, d, sd, g)]
 
-    return with_stage(field)
+    return field

@@ -10,11 +10,11 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.radau import RadauDenseOutput
 
 import solitonforge as sf
-from solitonforge import cli, dop853, flow, geometry, manifold, phase, radau, verify
+from solitonforge import cli, flow, geometry, manifold, phase, radau, verify
 from solitonforge.errors import (
     InvariantViolated,
     OutOfRange,
@@ -215,7 +215,7 @@ class TestIntegrate:
         monkeypatch.setattr(phase, "rhs", recorded)
         monkeypatch.setattr(flow, "Radau", Recorded)
         sf.run(make_spec(name))
-        [solver] = solvers
+        solver = solvers[0]   # the flow's; a soliton run's tail has its own, on its own field
         stacked = shapes.count((radau.STAGES, 4))
         single = shapes.count((4,))
         assert radau.STAGES == 7
@@ -282,13 +282,15 @@ class TestIntegrate:
                 solvers.append(self)
 
         monkeypatch.setattr(flow, "Radau", Recorded)
-        radau_segment = sf.run(_config_spec("bryant_d2")).segments[0]
-        [solver] = solvers
+        radau_segment, tail = sf.run(_config_spec("bryant_d2")).segments
+        solver, tail_solver = solvers
         h = np.diff(radau_segment.ts)
         assert h.size == radau_segment.steps
         assert np.all((solver.h_min <= h) & (h <= solver.h_max))
         assert (solver.h_min, solver.h_max) == (h.min(), h.max())
         assert type(solver.h_min) is type(solver.h_max) is float
+        h = np.diff(tail.dense.ts)
+        assert (tail_solver.h_min, tail_solver.h_max) == (h.min(), h.max())
 
     @pytest.mark.parametrize("invariant, factor", [
         ("Y_positive", np.array([1.0, 1.0, 1.0, -1.0])),
@@ -403,27 +405,32 @@ class TestTail:
         k = np.round(np.log10(tail.s[1:-1]) * flow.TAIL_SAMPLES_PER_DECADE)
         assert np.array_equal(np.diff(k), np.ones(k.size - 1))
         assert np.array_equal(tail.s[1:-1], 10.0 ** (k / flow.TAIL_SAMPLES_PER_DECADE))
-        assert 10.0 ** ((k[0] - 1) / 12) <= tail.s[0] and tail.s[-1] <= 10.0 ** ((k[-1] + 1) / 12)
         assert np.array_equal(tail.taus[1:-1], np.log(tail.s[1:-1]))
+        # the grid points just outside lie within TAIL_END_ULPS of an end, or beyond it
+        before, after = np.log(10.0 ** ((k[[0, -1]] + [-1, 1]) / flow.TAIL_SAMPLES_PER_DECADE))
+        ulps = flow.TAIL_END_ULPS
+        assert before <= tail.taus[0] + ulps * math.ulp(tail.taus[0])
+        assert after >= tail.taus[-1] - ulps * math.ulp(tail.taus[-1])
 
-    def test_no_sample_within_ulps_of_an_end(self, pipeline):
-        """With eps_2 = 1e-30, Y_2 is negligible and |y| crosses origin_tol
-        at s = 1e16, a point of the sample grid, to the ulp.  That point is
-        dropped: every tail interval has dtau > 0, the first and last more
-        than TAIL_END_ULPS ulps, and the profile's t increases.  bryant_d2's
-        tail ends 4.2e-10 past that point in tau, and keeps it."""
-        spec = make_spec("d2_3").with_seed_coeffs((-1e-6, 1e-30))
+    @pytest.mark.parametrize("name", ["d2", "eps2-1e-30"])
+    def test_no_sample_within_ulps_of_an_end(self, name):
+        """On d2 (d = 2, the spec of bryant_d2), and on d2_3 with eps_2 =
+        1e-30, where Y_2 is negligible, |y| crosses origin_tol at s = 1e16,
+        a point of the sample grid, to the ulp.  That point is dropped:
+        every tail interval has dtau > 0, the first and last more than
+        TAIL_END_ULPS ulps, and the profile's t increases."""
+        spec = (make_spec("d2") if name == "d2"
+                else make_spec("d2_3").with_seed_coeffs((-1e-6, 1e-30)))
         traj = sf.run(spec)
         tail = traj.segments[1]
         assert traj.termination == "origin"
         assert tail.s[-1] == pytest.approx(1e16, rel=1e-14)
+        assert 1e16 not in tail.s
         dtau = np.diff(tail.taus)
         assert np.all(dtau > 0)
         assert dtau[0] > flow.TAIL_END_ULPS * math.ulp(tail.taus[0])
         assert dtau[-1] > flow.TAIL_END_ULPS * math.ulp(tail.taus[-1])
         assert np.all(np.diff(sf.build_profile(traj, spec).t) > 0)
-        tail = pipeline("d2").traj.segments[1]
-        assert tail.s[-2] == 1e16 and tail.s[-1] > 1e16
 
     def test_ends_where_the_norm_crosses_origin_tol(self, pipeline):
         """The last sample lies where |y| falls through origin_tol on the
@@ -469,9 +476,10 @@ class TestTail:
     @pytest.mark.parametrize("name", ["d2", "d2_3"])
     def test_tail_accuracy(self, pipeline, name):
         """From the switch state, the tail's Y agrees with the Radau stepper
-        at rtol = 1e-13 and an atol far below |Y| to 1e-7 relative
-        (measured: 7.9e-10 on d2 and 4.2e-11 on d2_3; the Radau stepper at
-        the shipped tolerances reaches 2.2e-6 and 2.6e-6)."""
+        of the phase flow at rtol = 1e-13 and an atol far below |Y| to
+        1e-7 relative (measured: 1.7e-14 on d2 and 3.3e-13 on d2_3; the
+        phase flow's stepper at the shipped tolerances reaches 2.2e-6 and
+        2.6e-6)."""
         case = pipeline(name)
         traj, r = case.traj, case.spec.r
         sqrt_d = np.sqrt(case.spec.dims)
@@ -494,17 +502,17 @@ class TestTail:
     def test_stop_test_evaluates_the_graph_at_most_once(self, monkeypatch, name):
         """|y|^2 = |X|^2 + sum(w) is no less than sum(w), so the tail's stop
         test evaluates the graph X = h(w) only once sum(w) is below
-        origin_tol^2: on these configs once in all, not at every one of
-        their 11 and 27 tail steps."""
+        origin_tol^2: on these configs once in all, not after every one
+        of their 7 and 16 tail steps."""
         inside_stop, calls, stops = [False], [], []
-        real_on_graph, real_dop853 = manifold.on_graph, flow._dop853
+        real_on_graph, real_run_segment = manifold.on_graph, flow.run_segment
 
         def on_graph(dims, w):
             if inside_stop[0]:
                 calls.append(w)
             return real_on_graph(dims, w)
 
-        def dop853(fun, y0, t0, t_bound, rtol, atol, stop):
+        def run_segment(solver, stop):
             def counted(t, y):
                 stops.append(t)
                 inside_stop[0] = True
@@ -512,14 +520,26 @@ class TestTail:
                     return stop(t, y)
                 finally:
                     inside_stop[0] = False
-            return real_dop853(fun, y0, t0, t_bound, rtol, atol, counted)
+            return real_run_segment(solver, counted)
 
         monkeypatch.setattr(manifold, "on_graph", on_graph)
-        monkeypatch.setattr(flow, "_dop853", dop853)
+        monkeypatch.setattr(flow, "run_segment", run_segment)
         traj = sf.run(_config_spec(name))
         assert traj.termination == "origin"
         assert len(stops) == traj.tail_steps == SHIPPED_TAIL_WORK[name][0]
+        assert stops == traj.segments[1].dense.ts[1:].tolist()
         assert len(calls) <= 1
+
+    @pytest.mark.parametrize("eps2", [1e-30, 1e-158])
+    def test_negligible_y_keeps_the_tail_short(self, eps2):
+        """r2_d2_3's factors with a negligible Y_2 start the tail with a
+        huge u_2 = 1/(s Y_2^2), which U carries: the tail takes at most 20
+        steps (measured: 10), as at the shipped seed, not the hundred or
+        more that the remainder u - U took."""
+        spec = _config_spec("r2_d2_3").with_seed_coeffs((-1e-6, eps2))
+        traj = sf.run(spec)
+        assert traj.termination == "origin"
+        assert traj.tail_steps <= 20
 
     def test_crossing_returns_an_exact_zero_at_once(self):
         """Where f is exactly 0 the crossing is found: no evaluation
@@ -583,10 +603,10 @@ def _config_spec(name):
 
 
 # (n_steps, nfev, njev, nlu, nrejected) of each shipped single-run config:
-# n_steps counts the intervals between the trajectory's samples, and the
-# rest is the Radau stepper's work
+# n_steps counts the intervals between the trajectory's samples, the tail's
+# among them, and the rest is the flow's Radau stepper's work
 SHIPPED_WORK = {
-    "bryant_d2": (219, 1644, 75, 300, 1),
+    "bryant_d2": (218, 1644, 75, 300, 1),
     "r1_d3": (221, 1702, 79, 316, 3),
     "r1_d4": (219, 1679, 77, 308, 3),
     "r1_d9": (217, 1614, 73, 292, 1),
@@ -595,15 +615,15 @@ SHIPPED_WORK = {
     "r3_d2_2_3": (226, 1708, 79, 316, 4),
     "ricci_flat_d2_3": (45, 880, 45, 180, 0),
 }
-# (steps, nfev) of the DOP853 tail of each shipped soliton config
+# (steps, nfev) of the tail's Radau run of each shipped soliton config
 SHIPPED_TAIL_WORK = {
-    "bryant_d2": (11, 179),
-    "r1_d3": (16, 242),
-    "r1_d4": (17, 269),
-    "r1_d9": (17, 269),
-    "r2_d2_3": (27, 407),
-    "r2_d3_5": (27, 407),
-    "r3_d2_2_3": (27, 407),
+    "bryant_d2": (7, 107),
+    "r1_d3": (10, 159),
+    "r1_d4": (11, 174),
+    "r1_d9": (11, 174),
+    "r2_d2_3": (16, 368),
+    "r2_d3_5": (15, 325),
+    "r3_d2_2_3": (16, 368),
 }
 
 
@@ -629,7 +649,8 @@ def test_shipped_config_work_is_pinned(monkeypatch, name):
 
     monkeypatch.setattr(flow, "Radau", Recorded)
     traj = sf.run(_config_spec(name))
-    [s] = solvers
+    s = solvers[0]   # the flow's stepper; the tail's, if any, follows it
+    assert len(solvers) == len(traj.segments)
     assert (traj.n_steps, s.nfev, s.njev, s.nlu, s.nrejected) == SHIPPED_WORK[name]
     tail = [SHIPPED_TAIL_WORK[name]] if name in SHIPPED_TAIL_WORK else []
     assert _tail_work(traj) == tail
@@ -643,11 +664,11 @@ def test_shipped_config_work_is_pinned(monkeypatch, name):
 WIDER_WORK = {
     "rf_d2_2_3": [(44, 865, 44, 176, 0)],
     "sweep_d2_3": [
-        (223, 1651, 76, 304, 2, 30, 464),
-        (223, 1651, 76, 304, 2, 27, 407),
-        (225, 1716, 79, 316, 3, 24, 374),
-        (223, 1651, 76, 304, 2, 22, 344),
-        (225, 1738, 81, 324, 4, 19, 287),
+        (223, 1651, 76, 304, 2, 15, 332),
+        (223, 1651, 76, 304, 2, 16, 368),
+        (225, 1716, 79, 316, 3, 14, 303),
+        (223, 1651, 76, 304, 2, 13, 281),
+        (225, 1738, 81, 324, 4, 12, 238),
     ],
 }
 
@@ -667,8 +688,9 @@ def test_wider_work_is_pinned(monkeypatch, tmp_path, name):
     integrate = flow.integrate
 
     def recorded(spec, y0):
-        trajectories.append(integrate(spec, y0))
-        return trajectories[-1]
+        first = len(solvers)   # the flow's stepper; the tail's follows it
+        trajectories.append((integrate(spec, y0), solvers[first]))
+        return trajectories[-1][0]
 
     monkeypatch.setattr(flow, "Radau", Recorded)
     monkeypatch.setattr(flow, "integrate", recorded)
@@ -676,11 +698,11 @@ def test_wider_work_is_pinned(monkeypatch, tmp_path, name):
         config = os.path.join(CONFIG_DIR, f"{name}.json")
         assert cli.main(["sweep", "--config", config, "--out", str(tmp_path)]) == 0
         steps = [json.loads((tmp_path / f"sweep_{k:02d}" / "profile.json").read_text())
-                 ["n_steps"] for k in range(len(solvers))]
+                 ["n_steps"] for k in range(len(trajectories))]
     else:
         steps = [sf.run(make_spec(name)).n_steps]
     work = [(n, s.nfev, s.njev, s.nlu, s.nrejected) + sum(_tail_work(traj), ())
-            for n, s, traj in zip(steps, solvers, trajectories)]
+            for n, (traj, s) in zip(steps, trajectories)]
     assert work == WIDER_WORK[name]
 
 
@@ -740,21 +762,20 @@ class TestAccuracy:
     @pytest.mark.parametrize("name", sorted(SHIPPED_TAIL_WORK))
     def test_tail_against_a_tight_reference(self, name):
         """From the switch state, the tail's Y at its samples agrees to
-        1e-9 relative with the flow on the graph in its direct form
-        (``conftest.reference_reduced_field``, dz/dtau) on the DOP853
-        loop at rtol 1e-13 and atol 1e-22 (measured: at most 8.7e-10 on
-        bryant_d2, and 2.8e-11 to 4.3e-11 on r >= 2, whose tails took
-        1e-8 before they were integrated about their logistic
-        relaxation)."""
+        1e-11 relative with the flow on the graph in its direct form
+        (``conftest.reference_reduced_field``, dz/dtau) on scipy's DOP853
+        at rtol 1e-13 and atol 1e-22 (measured: 4.7e-14 on bryant_d2 to
+        2.6e-12 on r2_d2_3)."""
         spec = _config_spec(name)
         traj = sf.run(spec)
         radau_segment, tail = traj.segments
         k = radau_segment.steps
         z0 = tail.s[0] * traj.Y[k] * traj.Y[k]
-        ref, _, _ = dop853._dop853(reference_reduced_field(tuple(spec.dims.tolist())), z0,
-                                   tail.taus[0], tail.taus[-1], 1e-13, 1e-22)
-        Y = np.sqrt(ref(tail.taus[1:]) / tail.s[1:]).T
-        assert np.abs(traj.Y[k + 1:] / Y - 1.0).max() <= 1e-9
+        field = reference_reduced_field(tuple(spec.dims.tolist()))
+        ref = solve_ivp(lambda tau, z: field(tau, z.tolist()), (tail.taus[0], tail.taus[-1]),
+                        z0, method="DOP853", rtol=1e-13, atol=1e-22, dense_output=True)
+        Y = np.sqrt(ref.sol(tail.taus[1:]) / tail.s[1:]).T
+        assert np.abs(traj.Y[k + 1:] / Y - 1.0).max() <= 1e-11
 
     @pytest.mark.parametrize("name", ["d2", "d9", "d2_3", "d2_2_3"])
     def test_verify_checks_converge(self, pipeline, name):
@@ -845,9 +866,9 @@ class TestFactorisation:
         monkeypatch.setattr(flow, "Radau", Recorded)
         monkeypatch.setattr(radau, "_lu", counted)
         sf.run(make_spec("d2"))
-        [solver] = solvers
-        assert solver.nlu > 0
-        assert solver.nlu == sum(matrices)
+        assert len(solvers) == 2   # the flow's and the tail's
+        assert all(solver.nlu > 0 for solver in solvers)
+        assert sum(solver.nlu for solver in solvers) == sum(matrices)
 
     def test_factorisation_failures(self, monkeypatch, tmp_path):
         """A non-finite Newton matrix raises ValueError, also when it is
@@ -958,9 +979,8 @@ class TestRadauStepper:
     def test_package_loads_no_scipy(self, tmp_path):
         """Importing the package and its CLI loads no scipy module at all,
         and neither does a `verify` run nor an `oracle` run after it: the
-        stepper's linear algebra is numpy's, and the DOP853 tableau is the
-        package's own.  Nor does the run load numpy.ma, which the first
-        np.unique call imports."""
+        stepper's linear algebra is numpy's.  Nor does the run load
+        numpy.ma, which the first np.unique call imports."""
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

@@ -172,20 +172,21 @@ class TestGraph:
 
 
 def _reference_remainder_field(dims, u0, tau0):
-    """The remainder field on lists, one loop per operation, in the order
-    of ``remainder_field``'s straight-line fields, which must match it bit
-    for bit."""
+    """The relative remainder's field on lists, one loop per operation, in
+    the order of ``remainder_field``'s straight-line kernels, which must
+    match it bit for bit: ``field(tau, q)`` returns dq/dtau."""
     terms, sd = reference_graph_terms(dims)
     b = [2.0 / float(x) for x in dims]
     a = [u - bj for u, bj in zip(u0, b)]
 
-    def field(tau, v):
+    def field(tau, q):
         e = math.exp(tau0 - tau)
         inv_s = math.exp(-tau)
-        u = [bj + aj * e + vj for bj, aj, vj in zip(b, a, v)]
-        g, hh = terms([inv_s / x for x in u])
-        return [-vj - 2.0 * (hh - gj / sj) / inv_s * x
-                for vj, gj, sj, x in zip(v, g, sd, u)]
+        U = [bj + aj * e for bj, aj in zip(b, a)]
+        p = [1.0 + qj for qj in q]
+        g, hh = terms([inv_s / (Uj * pj) for Uj, pj in zip(U, p)])
+        return [-bj / Uj * qj - 2.0 * (hh - gj / sj) / inv_s * pj
+                for bj, Uj, qj, gj, sj, pj in zip(b, U, q, g, sd, p)]
 
     return field
 
@@ -193,9 +194,11 @@ def _reference_remainder_field(dims, u0, tau0):
 class TestRemainderField:
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_is_the_reduced_field_about_the_relaxation(self, r):
-        """With u = U + v and z = 1/u, dv/dtau = -u^2 dz/dtau - dU/dtau, the
+        """With u = U (1 + q) and z = 1/u, dq/dtau = (du/dtau) / U - u
+        (dU/dtau) / U^2 = -u^2 (dz/dtau) / U - u (2/d - U) / U^2, the
         reduced field's derivative less the relaxation's, to roundoff in
-        the terms of that difference."""
+        the terms of that difference and of dz/dtau, whose own terms
+        u z (1 + 2 z / d) / U add up to about |u / U|; and dtau/dtau = 1."""
         dims = DIMS[r]
         rng = np.random.default_rng(80 + r)
         reduced = reference_reduced_field(dims)
@@ -206,20 +209,23 @@ class TestRemainderField:
             b, a = map(np.array, manifold.relaxation(dims, u0.tolist()))
             tau = tau0 + rng.uniform(0.0, 20.0)
             U = b + a * math.exp(tau0 - tau)
-            v = U * rng.uniform(-0.5, 0.5, r) * 10.0 ** rng.uniform(-12, 0)
-            u = U + v
+            q = rng.uniform(-0.5, 0.5, r) * 10.0 ** rng.uniform(-12, 0)
+            u = U * (1.0 + q)
             z_dot = np.array(reduced(tau, (1.0 / u).tolist()))
-            expected = -u * u * z_dot - (b - U)
-            terms = np.abs(u) + np.abs(U)
-            assert np.all(np.abs(np.array(field(tau, v.tolist())) - expected) <= 1e-13 * terms)
+            first, second = -u * u * z_dot / U, -u * (b - U) / (U * U)
+            got = field(np.append(q, tau))
+            assert got[-1] == 1.0
+            terms = np.abs(u / U) * (1.0 + np.abs(b / U)) + np.abs(first) + np.abs(second)
+            assert np.all(np.abs(got[:-1] - (first + second)) <= 1e-13 * terms)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_matches_the_loop_form_exactly(self, r):
         """For tau0 at the switch (s from 1e4 to 1e5) and tau from there to
-        log 1e16, with u0 = 1/z0 and u = U + v = 1/z, z0 and z over four
+        log 1e16, with u0 = 1/z0 and U (1 + q) = u = 1/z, z0 and z over four
         decades around the fixed point d/2 or within 1e-16 to 1e-1 of it,
         where the graph's terms decide the result's last bits, the
-        generated field returns the reference's doubles, bit for bit."""
+        generated kernel returns the reference's doubles, bit for bit, for
+        a stack of states as for each alone."""
         rng = np.random.default_rng(60 + r)
 
         def z(half):
@@ -235,22 +241,48 @@ class TestRemainderField:
                 u0 = (1.0 / z(half)).tolist()
                 field = manifold.remainder_field(dims, u0, tau0)
                 reference = _reference_remainder_field(dims, u0, tau0)
+                rows = []
                 for _ in range(5):
                     tau = rng.uniform(tau0, math.log(1e16))
                     U = b + (np.array(u0) - b) * math.exp(tau0 - tau)
-                    v = (1.0 / z(half) - U).tolist()
-                    assert field(tau, v) == reference(tau, v)
+                    rows.append((1.0 / z(half) / U - 1.0).tolist() + [tau])
+                expected = [reference(row[-1], row[:-1]) + [1.0] for row in rows]
+                assert field.kernel(rows) == sum(expected, [])
+                assert field(np.array(rows)).tolist() == expected
 
     def test_compiled_once_per_r_without_the_constants(self):
-        """The fields of one r share one compiled factory whatever dims, u0
+        """The kernels of one r share one compiled factory whatever dims, u0
         and tau0, and their code holds no number but the algorithm's own
-        0.0 and 2.0."""
+        0.0, 1.0 and 2.0."""
         manifold._remainder_factory.cache_clear()
         fields = [manifold.remainder_field(dims, u0, tau0) for dims, u0, tau0 in
                   [((2.0, 3.0), [1.0, 300.0], 9.0), ((4.0, 5.0), [0.5, 0.4], 10.5),
                    ((2.0, 2.0, 3.0), [1.0, 250.0, 260.0], 9.2)]]
         assert manifold._remainder_factory.cache_info().misses == 2
-        assert fields[0].__code__ is fields[1].__code__
-        assert fields[0].stage.__code__ is fields[1].stage.__code__
+        assert fields[0].kernel.__code__ is fields[1].kernel.__code__
         for field in fields:
-            assert set(field.__code__.co_consts) <= {None, 0.0, 2.0}
+            assert set(field.kernel.__code__.co_consts) <= {None, 0.0, 1.0, 2.0}
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_jacobian_is_the_linear_term(self, r):
+        """remainder_jacobian is diag(-(2/d) / U(tau)) with a zero tau row
+        and column; it differs from the field's central-difference
+        Jacobian in q only by the O(1/s) term c (measured: at most about
+        20/s over z from a tenth of d/2 to ten times it)."""
+        rng = np.random.default_rng(90 + r)
+        for _ in range(50):
+            dims = tuple(rng.integers(2, 10, r).astype(float).tolist())
+            tau0 = rng.uniform(math.log(1e4), math.log(1e5))
+            u0 = (2.0 / np.array(dims) * 10.0 ** rng.uniform(-1, 1, r)).tolist()
+            field = manifold.remainder_field(dims, u0, tau0)
+            y = np.append(rng.uniform(-0.1, 0.1, r), tau0 + rng.uniform(0.0, 25.0))
+            J = manifold.remainder_jacobian(dims, u0, tau0)(y)
+            b, a = map(np.array, manifold.relaxation(dims, u0))
+            assert np.array_equal(J, np.diag(np.append(-b / (b + a * math.exp(tau0 - y[-1])),
+                                                      0.0)))
+            fd = np.empty((r, r))
+            for j in range(r):
+                e = np.zeros(r + 1)
+                e[j] = 1e-6
+                fd[:, j] = (field(y + e) - field(y - e))[:r] / 2e-6
+            assert np.abs(J[:r, :r] - fd).max() <= 100.0 * math.exp(-y[-1]) + 1e-8

@@ -1,5 +1,6 @@
 """Vector field, invariants, and linearization of the phase system."""
 
+import math
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solitonforge as sf
-from solitonforge import phase, radau, verify
+from solitonforge import manifold, oracle, phase, radau, verify
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SPEC_R1_D2 = sf.ProblemSpec(factors=(sf.FactorSpec(2, 1.0),))
@@ -300,6 +301,66 @@ class TestKernel:
         for r in (1, 2):
             for kernel in (phase._field_kernel(r), phase._jacobian_kernel(r)[0]):
                 assert set(kernel.__code__.co_consts) <= {None, 1.0, 2.0}
+
+
+    def test_rows_body_runs_each_row(self):
+        """A row-stack kernel runs its body on each row alone and returns
+        all rows' values as one flat list, in row order; no rows give an
+        empty list.  The factory's constants are closure variables."""
+        factory = phase._field_factory({"c": 1}, "rows", phase._rows_body(
+            ["x", "y"], ["s = x + y"], ["s * c0", "x - y"]))
+        kernel = factory([2.0])
+        assert kernel([[1.0, 2.0], [3.0, 5.0]]) == [6.0, -1.0, 16.0, -2.0]
+        assert kernel([]) == []
+        fun = phase._stacked(kernel)
+        assert fun.kernel is kernel
+        assert np.array_equal(fun(np.array([1.0, 2.0])), [6.0, -1.0])
+        assert fun(np.zeros((7, 2))).shape == (7, 2)
+
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e-300]
+
+
+def _row_fields(r, rng):
+    """The package's generated row-stack fields on r factors, each with its
+    state size: the oracle's t-space field, and the tail's relative
+    remainder on the slow manifold, with tau last."""
+    dims = tuple(rng.integers(2, 10, r).astype(float).tolist())
+    u0 = (2.0 / np.array(dims) * 10.0 ** rng.uniform(-1, 3, r)).tolist()
+    return [(oracle.t_field(list(dims), [x - 1.0 for x in dims]), 2 * r + 1),
+            (manifold.remainder_field(dims, u0, 9.0), r + 1)]
+
+
+def _outcome(kernel, rows):
+    """The flat result as an array, or the type of the exception raised."""
+    try:
+        return np.array(kernel(rows))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_a_stack_is_each_row_alone(r):
+    """A stack of states gives, bit for bit, the values of each state
+    alone, on entries over nine decades and on -0.0, infinities, NaN and
+    subnormals; where a row raises (a division by an exact zero, or an
+    overflowing exp), the stack raises what its first such row raises."""
+    rng = np.random.default_rng(70 + r)
+    for field, n in _row_fields(r, rng):
+        for _ in range(100):
+            rows = rng.choice([-1.0, 1.0], (7, n)) * 10.0 ** rng.uniform(-4, 5, (7, n))
+            if rng.random() < 0.5:
+                special = rng.random((7, n)) < 0.2
+                rows[special] = rng.choice(SPECIAL, special.sum())
+            rows = rows.tolist()
+            alone = [_outcome(field.kernel, [row]) for row in rows]
+            got = _outcome(field.kernel, rows)
+            raised = [x for x in alone if isinstance(x, type)]
+            if raised:
+                assert got is raised[0]
+            else:
+                expected = np.concatenate(alone)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestScalars:

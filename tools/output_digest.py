@@ -105,7 +105,7 @@ def _feed_trajectory(h, traj) -> None:
     for seg in traj.segments:
         _feed(h, type(seg).__name__, seg.steps, seg.nfev, seg.s)
         if isinstance(seg, flow.TailSegment):
-            _feed(h, seg.taus, seg.dense.ts, seg.dense.samples, seg.dense.F)
+            _feed(h, seg.taus, seg.dense.ts, seg.dense.samples, seg.dense.Q)
         else:
             _feed(h, seg.samples, seg.Q)
 
@@ -131,7 +131,7 @@ def _feed_request(h, config: str) -> None:
         run = oracle.integrate_second_order(oracle.init_from_profile(profile, t0), spec,
                                             t_end=min(100.0 * t0, float(profile.t[-1])))
         devs = oracle.compare_profiles(profile, run)
-        _feed(h, run.t, run.g, run.g_dot, run.u_dot, run.conservation, run.dense.F,
+        _feed(h, run.t, run.g, run.g_dot, run.u_dot, run.conservation, run.dense.Q,
               sorted(devs.items()), run.conservation_drift())
     except SolitonForgeError as exc:
         _feed(h, "raised", type(exc).__name__, str(exc))
