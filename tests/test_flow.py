@@ -1031,6 +1031,68 @@ class TestRadauStepper:
             sf.run(make_spec("d2_3"))
         assert str(err.value).endswith(radau._NOT_FINITE)
 
+    @pytest.mark.parametrize("case", ["toy", "decay", "tiny_y", "constant", "short"])
+    def test_initial_step_is_scipys(self, case):
+        """`_initial_step` is scipy's ``select_initial_step`` at order 7,
+        forward and with no maximum step, bit for bit: on the toy problem
+        (bound by 100 h0), on a decay (bound by the order-7 estimate h1),
+        on a state below the error scale (h0 = 1e-6), on a constant field
+        (f0 = 0) and on an interval shorter than every candidate step."""
+        from scipy.integrate._ivp.common import select_initial_step
+
+        toy = lambda y: np.stack([y[..., 1], -y[..., 0] - 10.0 * y[..., 1]], axis=-1)
+        fun, y0, length, tol = {
+            "toy": (toy, [1.0, 0.0], 5.0, 1e-6),
+            "decay": (lambda y: -y, [1.0, 2.0], 5.0, 1e-3),
+            "tiny_y": (toy, [1e-18, -3e-19], 5.0, 1e-6),
+            "constant": (lambda y: np.zeros_like(y), [2.0, -1.0], 5.0, 1e-8),
+            "short": (toy, [1.0, 0.5], 1e-9, 1e-3),
+        }[case]
+        y0 = np.array(y0)
+        f0 = fun(y0)
+        ours = radau._initial_step(fun, y0, f0, length, tol, tol * 1e-3)
+        theirs = select_initial_step(lambda t, y: fun(y), 0.0, y0, length, np.inf,
+                                     f0, 1, 7, tol, tol * 1e-3)
+        assert float(ours) == float(theirs)
+        if case == "short":
+            assert ours == length
+
+    def test_run_segment_reaches_the_bound(self):
+        """Without a true stop test, `run_segment` steps until the stepper
+        finishes: the segment ends at the bound, holds every accepted step
+        and the stepper's nfev, and its interpolant follows exp(-t)."""
+        solver = radau.Radau(lambda y: -y, lambda y: -np.eye(2), 0.0, [1.0, 2.0],
+                             t_bound=5.0, rtol=1e-10, atol=1e-10)
+        seen = []
+        segment, stopped = radau.run_segment(
+            solver, lambda t, y: seen.append(t) or False)
+        assert not stopped and solver.status == "finished"
+        assert segment.ts[0] == 0.0 and segment.ts[-1] == 5.0
+        assert seen == segment.ts[1:].tolist()
+        assert segment.steps == segment.ts.size - 1 == len(seen)
+        assert segment.nfev == solver.nfev
+        assert np.array_equal(segment.samples[-1], solver.y)
+        t = np.array([0.5, 2.5, 5.0])
+        exact = np.exp(-t)[:, None] * [1.0, 2.0]
+        assert np.abs(segment(t).T - exact).max() <= 1e-9
+
+    def test_run_segment_stops_at_a_step_end(self):
+        """The stop test sees every accepted step end; its first true
+        answer ends the run there, before the bound."""
+        solver = radau.Radau(lambda y: -y, lambda y: -np.eye(1), 0.0, [1.0],
+                             t_bound=10.0, rtol=1e-8, atol=1e-8)
+        seen = []
+
+        def stop(t, y):
+            seen.append((t, y[0]))
+            return y[0] < 0.5
+
+        segment, stopped = radau.run_segment(solver, stop)
+        assert stopped and solver.status == "running"
+        assert [t for t, _ in seen] == segment.ts[1:].tolist()
+        assert seen[-1][1] < 0.5 <= seen[-2][1]
+        assert math.log(2.0) < segment.ts[-1] < 10.0
+
 
 class TestFusedNewtonUpdate:
     """The stage-space Newton operator and the error operator against the
