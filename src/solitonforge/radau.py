@@ -32,8 +32,8 @@ state (n,) or the seven collocation stages as one stage-major (7, n)
 stack, which each field evaluates row by row in one call.  Every
 failure of a step raises ``ValueError``.  The step controls are not
 checked here: ``model.StepControls`` owns the rules for ``rtol`` and
-``atol``.  The constant maps of the Newton iteration depend only on n,
-so `_stage_maps` builds them once per n for every stepper.
+``atol``.  The constant maps of the Newton iteration do not depend on
+n: `_DW_BLOCKS` and `_ERROR_BLOCKS` are built once, at import.
 
 It uses numpy alone, so no run loads a ``scipy`` module.  The seven
 collocation stages are evaluated in one call of ``fun``.  A^-1 has one
@@ -54,25 +54,34 @@ split into its real and imaginary parts, together with ``T``, ``TI`` and
 the eigenvalues into one real (14n, 14n) operator
 
     K = blockdiag(inv_real, [[Re, -Im], [Im, Re]] of each inv_complex)
-        @ [TI ⊗ I | -M0 ⊗ I],
-    newton_op = [K ; (T ⊗ I) K] @ blockdiag(I, TI ⊗ I).
+        @ ([TI | -M0 TI] ⊗ I),
+    newton_op = [K ; (T ⊗ I) K].
 
-Its top half is one batched complex product: the (4, n, n) inverses
-times a constant (4, n, 14n) complex stack R of the rows of ``[TI ⊗ I |
--M0 ⊗ I] @ blockdiag(I, TI ⊗ I)`` (the real system's rows, then real +
-i imag rows of each complex pair), whose real and imaginary parts are
-copied into the operator's rows.  ``newton_op`` maps the stacked input
-``v = [F ; Z/h]`` to ``[dW ; dZ]``, so that an iteration is one call of
-``fun``, one matrix-vector product, the scaled RMS norm of dW and ``Z +
-dZ``: W is never formed.  The same attempt builds the (n, 8n) error
-operator ``inv_real [I | E ⊗ I]``, which maps ``[f ; Z/h]`` to the
-error estimate ``inv_real (f + Z^T E / h)``.  Neither operator holds the
-1/h of Z/h, which their input carries.  For n ≤ 7 numpy's
-per-call overhead outweighs the arithmetic, so folding ``T W`` and ``W
-+= dW`` into the Newton product, and ``Z^T E / h`` and ``f + Z^T E / h``
-into the error product, saves more than the larger products cost.  The
-maps are the same linear maps as the textbook forms, summed in another
-order, so they agree with them to a few ulps rather than bit for bit.
+``newton_op`` maps the stacked input ``v = [F ; Z/h]`` to ``[dW ;
+dZ]``, so that an iteration is one call of ``fun``, one matrix-vector
+product, the scaled RMS norm of dW and ``Z + dZ``: W is never formed.
+The same attempt builds the (n, 8n) error operator ``inv_real [I | E ⊗
+I]``, which maps ``[f ; Z/h]`` to the error estimate ``inv_real (f + Z^T
+E / h)``.  Neither operator holds the 1/h of Z/h, which their input
+carries.  For n ≤ 7 numpy's per-call overhead outweighs the arithmetic,
+so folding ``T W`` and ``W += dW`` into the Newton product, and ``Z^T E
+/ h`` and ``f + Z^T E / h`` into the error product, saves more than the
+larger products cost.
+
+Every factor of both operators but the inverses is a Kronecker product
+with I_n (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl.
+Math. 123 (2000)), so each of their n×n blocks is a fixed real
+combination of the eight real n×n parts of the four inverses, Re and Im
+of each (the real system's Im is 0).  The combinations do not depend on
+n: `_DW_BLOCKS` holds 8 coefficients for each of K's (7, 14) blocks and
+`_ERROR_BLOCKS` 8 for each of the error operator's 8 blocks.  An attempt
+writes both operators into the stepper's buffers with three products and
+never multiplies through an identity block: each coefficient stack times
+the parts, stacked row by row as (n, 8, n), gives K's rows and the error
+operator block by block, and one (7, 7) @ (7, 14n²) product with T gives
+``(T ⊗ I) K``.  The maps are the same linear maps as the textbook forms,
+summed in another order, so they agree with them to a few ulps rather
+than bit for bit.
 
 Every step attempt takes one Jacobian, where the attempt is predicted
 to end, as BDF codes take their iteration matrix at the predicted
@@ -133,7 +142,6 @@ starts from, before the step's single ``fun`` call, so that ``y`` and
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -334,27 +342,31 @@ def _error_estimate(error_op: np.ndarray, u: np.ndarray, scale: np.ndarray):
     return error, error_norm
 
 
-@lru_cache(maxsize=None)
-def _stage_maps(n: int) -> tuple:
-    """The stepper's constant maps for n components, built once per n and
-    shared read-only: the (4, n, 14n) complex stack of the Newton
-    right-hand-side map's rows, T ⊗ I, and the error map [I | E ⊗ I]."""
-    I = np.identity(n)
-    s = STAGES
-    kron_TI = np.kron(TI, I)
-    # [TI (x) I | -(M0 (x) I)(TI (x) I)] maps the stacked Newton input
-    # [F ; Z/h] to the right-hand sides of the real system and of the
-    # three complex ones, each split into its real and imaginary rows
-    rhs_map = np.hstack([kron_TI, -np.kron(M0, I).dot(kron_TI)])
-    # its rows as four complex blocks, one per Newton matrix: the real
-    # system's rows, then real + i imag rows of each complex pair
-    rhs_rows = rhs_map.reshape(s, n, 2 * s * n)
-    maps = (np.concatenate([rhs_rows[:1], rhs_rows[1::2] + 1j * rhs_rows[2::2]]),
-            np.kron(T, I),
-            np.hstack([I, np.kron(E, I)]))   # [f ; Z/h] to f + Z^T E / h
-    for a in maps:
-        a.setflags(write=False)
-    return maps
+def _block_coefficients() -> tuple:
+    """The coefficients of every n×n block of the two operators in the
+    eight real parts of the four inverses (Re and Im of the real system's
+    inverse, then of each complex one's): (7, 1, 14, 8) for the dW rows
+    of the Newton operator, block row, a broadcast axis, block column,
+    part; (8, 8) for the error operator, block column, part."""
+    # [TI | -M0 TI] maps [F ; Z/h] to the right-hand sides of the real
+    # system and of the three complex ones, each split into its real and
+    # imaginary rows; each complex inverse acts on its pair of rows (re,
+    # im) as (Re + i Im)(re + i im)
+    rhs = np.hstack([TI, -M0.dot(TI)])
+    dW = np.zeros((STAGES, 1, 2 * STAGES, 2 * (1 + _PAIRS)))
+    dW[0, 0, :, 0] = rhs[0]
+    for k in range(1, 1 + _PAIRS):
+        re, im = rhs[2 * k - 1], rhs[2 * k]
+        dW[2 * k - 1, 0, :, 2 * k] = re
+        dW[2 * k - 1, 0, :, 2 * k + 1] = -im
+        dW[2 * k, 0, :, 2 * k] = im
+        dW[2 * k, 0, :, 2 * k + 1] = re
+    error = np.zeros((STAGES + 1, 2 * (1 + _PAIRS)))
+    error[:, 0] = np.concatenate([[1.0], E])   # [I | E ⊗ I] times the real inverse
+    return dW, error
+
+
+_DW_BLOCKS, _ERROR_BLOCKS = _block_coefficients()
 
 
 class Radau:
@@ -430,16 +442,10 @@ class Radau:
 
         n = self.n
         s = STAGES
-        self._rhs_stack, self._kron_T, self._error_map = _stage_maps(n)
         # the four Newton matrices, MU_REAL/h I - J and MU_COMPLEX[k]/h I - J
         self._matrices = np.empty((1 + _PAIRS, n, n), dtype=complex)
         self._diagonals = self._matrices.reshape(1 + _PAIRS, -1)[:, ::n + 1]   # views
         self._newton_op = np.empty((2 * s * n, 2 * s * n))
-        # views of dW's rows: the real system's, then (real, imaginary)
-        # of each complex pair
-        dW_rows = self._newton_op[:s * n].reshape(s, n, 2 * s * n)
-        self._dW_real = dW_rows[0]
-        self._dW_pairs = dW_rows[1:].reshape(_PAIRS, 2, n, 2 * s * n)
         self._error_op = np.empty((n, (s + 1) * n))
         self._v = np.empty(2 * s * n)
         self._vF = self._v[:s * n].reshape(s, n)
@@ -469,27 +475,30 @@ class Radau:
         Returns ``(error_op, newton_op)``: the (n, 8n) error operator,
         which takes ``[f ; Z/h]`` to the error estimate, and the (14n,
         14n) Newton operator, which takes the stacked input ``[F ; Z/h]``
-        (stage by stage) to ``[dW ; dZ]``.  The dW half is one batched
-        complex product of the (4, n, n) inverses with the (4, n, 14n)
-        stack of the right-hand-side map's rows, real + i imag for each
-        complex pair; its real and imaginary parts are the rows of dW.
-        Neither operator holds h itself: the Z/h of their input is the
-        current step's.  Both are buffers of the stepper, rewritten by
-        the next call.
+        (stage by stage) to ``[dW ; dZ]``.  Every n×n block of the dW
+        rows and of the error operator is a combination of the eight real
+        parts of the inverses, with the coefficients of `_DW_BLOCKS` and
+        `_ERROR_BLOCKS`, and each is written by one batched product; the
+        dZ rows are T times the dW rows, block row by block row.  Neither
+        operator holds h itself: the Z/h of their input is the current
+        step's.  Both are buffers of the stepper, rewritten by the next
+        call.
         """
-        sn = STAGES * self.n
+        n = self.n
+        s = STAGES
         A = self._matrices
         np.negative(J, out=A)
         self._diagonals += _MU / h
         inv = self.lu(A)
-        dW = np.matmul(inv, self._rhs_stack)
+        # the eight real parts as (n, 8, n): row a of each part in turn
+        parts = inv.view(float).reshape(1 + _PAIRS, n, n, 2).transpose(1, 0, 3, 2)
+        parts = parts.reshape(n, 2 * (1 + _PAIRS), n)
         G = self._newton_op
-        pairs = self._dW_pairs
-        self._dW_real[...] = dW[0].real
-        pairs[:, 0] = dW[1:].real
-        pairs[:, 1] = dW[1:].imag
-        np.dot(self._kron_T, G[:sn], out=G[sn:])
-        np.dot(inv[0].real, self._error_map, out=self._error_op)
+        # block (i, j) of the dW rows, written as (block row, row in the
+        # block, block column, column in the block)
+        np.matmul(_DW_BLOCKS, parts, out=G[:s * n].reshape(s, n, 2 * s, n))
+        np.dot(T, G[:s * n].reshape(s, -1), out=G[s * n:].reshape(s, -1))   # (T ⊗ I) dW
+        np.matmul(_ERROR_BLOCKS, parts, out=self._error_op.reshape(n, s + 1, n))
         return self._error_op, G
 
     def _warm_start(self, h) -> np.ndarray:
