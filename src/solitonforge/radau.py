@@ -60,6 +60,10 @@ the eigenvalues into one real (14n, 14n) operator
 ``newton_op`` maps the stacked input ``v = [F ; Z/h]`` to ``[dW ;
 dZ]``, so that an iteration is one call of ``fun``, one matrix-vector
 product, the scaled RMS norm of dW and ``Z + dZ``: W is never formed.
+The operators, their input and the Newton product ``[dW ; dZ]`` are
+buffers of the stepper, rewritten by the next call, and every view of
+them that an attempt writes through is made once, with the stepper; no
+result handed out (``y``, ``f``, ``dense``, Z) is one of them.
 The same attempt builds the (n, 8n) error operator ``inv_real [I | E ⊗
 I]``, which maps ``[f ; Z/h]`` to the error estimate ``inv_real (f + Z^T
 E / h)``.  Neither operator holds the 1/h of Z/h, which their input
@@ -110,10 +114,11 @@ verify checks move by less than 1% of their tolerances when the
 tolerances tighten a hundredfold, and a linear problem ends on its
 closed-form solution.  The work of each shipped config (steps, ``nfev``,
 ``njev``, ``nlu`` and rejected attempts) is pinned there as
-``SHIPPED_WORK``, and that of a few more specs as ``WIDER_WORK``.  A
-change that alters the steps or the work must pass the accuracy tests
-and re-pin both, with the old and new counts in CHANGES.md.  A change
-that means to leave them alone must leave both pins as they are.  If it
+``SHIPPED_WORK``, that of a few more specs as ``WIDER_WORK``, and that
+of the oracle on each shipped soliton config as ``SHIPPED_ORACLE_WORK``.
+A change that alters the steps or the work must pass the accuracy tests
+and re-pin them, with the old and new counts in CHANGES.md.  A change
+that means to leave them alone must leave the pins as they are.  If it
 sums anything in another order, as the stage-space operators above did,
 each step moves by an ulp or so; the step sizes follow the error norm,
 so the run carries that along (the tail's last abscissa moved by up to
@@ -445,15 +450,25 @@ class Radau:
         # the four Newton matrices, MU_REAL/h I - J and MU_COMPLEX[k]/h I - J
         self._matrices = np.empty((1 + _PAIRS, n, n), dtype=complex)
         self._diagonals = self._matrices.reshape(1 + _PAIRS, -1)[:, ::n + 1]   # views
-        self._newton_op = np.empty((2 * s * n, 2 * s * n))
+        self._newton_op = G = np.empty((2 * s * n, 2 * s * n))
+        # the dW rows as (block row, row in the block, block column, column
+        # in the block), and the dW and dZ rows one block row each
+        self._dW_blocks = G[:s * n].reshape(s, n, 2 * s, n)
+        self._dW_rows = G[:s * n].reshape(s, -1)
+        self._dZ_rows = G[s * n:].reshape(s, -1)
         self._error_op = np.empty((n, (s + 1) * n))
+        self._error_blocks = self._error_op.reshape(n, s + 1, n)
         self._v = np.empty(2 * s * n)
         self._vF = self._v[:s * n].reshape(s, n)
         self._vZ = self._v[s * n:].reshape(s, n)
+        self._dWZ = np.empty(2 * s * n)   # the Newton product [dW ; dZ]
+        self._dW = self._dWZ[:s * n]
+        self._dZ = self._dWZ[s * n:].reshape(s, n)
         self._u = np.empty((s + 1) * n)
         self._uf = self._u[:n]
         self._uZ = self._u[n:].reshape(s, n)
         self._scale = np.empty((s, n))   # the error scale, once per stage
+        self._scale_flat = self._scale.reshape(-1)
 
     def fun(self, y):
         self.nfev += 1
@@ -482,10 +497,10 @@ class Radau:
         dZ rows are T times the dW rows, block row by block row.  Neither
         operator holds h itself: the Z/h of their input is the current
         step's.  Both are buffers of the stepper, rewritten by the next
-        call.
+        call, as the Newton product of `_solve_collocation` is by the next
+        iteration.
         """
         n = self.n
-        s = STAGES
         A = self._matrices
         np.negative(J, out=A)
         self._diagonals += _MU / h
@@ -493,13 +508,10 @@ class Radau:
         # the eight real parts as (n, 8, n): row a of each part in turn
         parts = inv.view(float).reshape(1 + _PAIRS, n, n, 2).transpose(1, 0, 3, 2)
         parts = parts.reshape(n, 2 * (1 + _PAIRS), n)
-        G = self._newton_op
-        # block (i, j) of the dW rows, written as (block row, row in the
-        # block, block column, column in the block)
-        np.matmul(_DW_BLOCKS, parts, out=G[:s * n].reshape(s, n, 2 * s, n))
-        np.dot(T, G[:s * n].reshape(s, -1), out=G[s * n:].reshape(s, -1))   # (T ⊗ I) dW
-        np.matmul(_ERROR_BLOCKS, parts, out=self._error_op.reshape(n, s + 1, n))
-        return self._error_op, G
+        np.matmul(_DW_BLOCKS, parts, out=self._dW_blocks)
+        np.dot(T, self._dW_rows, out=self._dZ_rows)   # (T ⊗ I) dW
+        np.matmul(_ERROR_BLOCKS, parts, out=self._error_blocks)
+        return self._error_op, self._newton_op
 
     def _warm_start(self, h) -> np.ndarray:
         """Newton start Z0: the last step's interpolant at t + h C, minus y."""
@@ -532,6 +544,8 @@ class Radau:
 
         abs_y = np.abs(y)
         newton_scale = atol + abs_y * rtol
+        u = self._u   # [f ; Z/h], the error operator's input: f once per step
+        self._uf[...] = f
 
         rejected = False
         while True:
@@ -560,8 +574,6 @@ class Radau:
                 continue
 
             y_new = y + Z[-1]
-            u = self._u   # [f ; Z/h], the error operator's input
-            self._uf[...] = f
             np.divide(Z, h, out=self._uZ)
             scale = ERROR_TARGET * (atol + np.maximum(abs_y, np.abs(y_new)) * rtol)
             error, error_norm = _error_estimate(error_op, u, scale)
@@ -570,6 +582,7 @@ class Radau:
             if rejected and error_norm > 1:
                 self._uf[...] = self.fun(y + error)
                 error, error_norm = _error_estimate(error_op, u, scale)
+                self._uf[...] = f   # back, for the next attempt
 
             if error_norm <= 1:
                 break
@@ -602,7 +615,7 @@ class Radau:
         # the last column takes up the rounding of Z^T P, so that the
         # interpolant's coefficients sum to the step's increment Z[-1]
         Q = np.dot(Z.T, P)
-        Q[:, -1] += Z[-1] - Q.sum(axis=1)
+        Q[:, -1] += Z[-1] - np.add.reduce(Q, axis=1)
         self.dense = Q
         if t_new - self.t_bound >= 0:
             self.status = "finished"
@@ -614,12 +627,12 @@ class Radau:
         this h.  Returns (converged, iterations, Z).
         Z0 is not written to.
         """
-        sn = STAGES * self.n
         Z = Z0
         self._scale[...] = scale
-        scale = self._scale.reshape(-1)
+        scale = self._scale_flat
 
         v, vF, vZ = self._v, self._vF, self._vZ
+        dWZ, dW, dZ = self._dWZ, self._dW, self._dZ
 
         dW_norm_old = None
         converged = False
@@ -631,8 +644,8 @@ class Radau:
             self.nfev += STAGES
 
             np.divide(Z, h, out=vZ)
-            dWZ = newton_op.dot(v)
-            dW_norm = _norm(dWZ[:sn] / scale)
+            newton_op.dot(v, out=dWZ)
+            dW_norm = _norm(dW / scale)
             if not math.isfinite(dW_norm):
                 # a non-finite entry of v makes every entry of dW, and so
                 # the norm, non-finite; only then is v scanned.  A
@@ -650,7 +663,7 @@ class Radau:
                     rate ** (NEWTON_MAXITER - k) / (1 - rate) * dW_norm > tol)):
                 break
 
-            Z = Z + dWZ[sn:].reshape(Z.shape)
+            Z = Z + dZ
 
             if (dW_norm == 0 or
                     rate is not None and rate / (1 - rate) * dW_norm < tol):
@@ -682,6 +695,7 @@ class RadauSegment:
         self.samples = samples   # (step + 1, n)
         self.Q = Q               # (step, n, 7)
         self.nfev = nfev
+        self._Q_by_power = Q.transpose(2, 0, 1).copy()   # (7, step, n)
 
     @property
     def s(self) -> np.ndarray:
@@ -699,13 +713,16 @@ class RadauSegment:
         np.clip(k, 0, ts.size - 2, out=k)
         t_old = ts[k]
         x = (t - t_old) / (ts[k + 1] - t_old)
-        # one power at a time: gathering Q[k] whole would hold an
-        # (N, n, 7) copy, which shows in the peak memory of a request
+        # the powers x, x^2, ..., x^7, each the one before times x, and the
+        # (7, N, n) stack of terms: 0.27 MB for the tail's 1200-point read
+        # at n = 4.  They are added to the samples in turn, so that a read
+        # is a loop over the powers, bit for bit.
+        powers = np.broadcast_to(x, (self.Q.shape[2],) + x.shape).cumprod(axis=0)
+        terms = self._Q_by_power.take(k, axis=1)
+        terms *= powers[:, :, None]
         y = self.samples[k]
-        power = np.ones_like(x)
-        for j in range(self.Q.shape[2]):
-            power *= x
-            y += self.Q[k, :, j] * power[:, None]
+        for term in terms:
+            y += term
         return y.T
 
     def at_fractions(self, x: np.ndarray):

@@ -14,7 +14,7 @@ from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.radau import RadauDenseOutput
 
 import solitonforge as sf
-from solitonforge import cli, flow, geometry, manifold, phase, radau, verify
+from solitonforge import cli, flow, geometry, manifold, oracle, phase, radau, verify
 from solitonforge.errors import (
     InvariantViolated,
     OutOfRange,
@@ -625,6 +625,17 @@ SHIPPED_TAIL_WORK = {
     "r2_d3_5": (15, 325),
     "r3_d2_2_3": (16, 368),
 }
+# (steps, nfev, njev, nrejected) of the oracle's Radau run of each shipped
+# soliton config, on the window of `solitonforge oracle`
+SHIPPED_ORACLE_WORK = {
+    "bryant_d2": (43, 710, 43, 0),
+    "r1_d3": (44, 753, 44, 0),
+    "r1_d4": (44, 767, 44, 0),
+    "r1_d9": (46, 916, 46, 0),
+    "r2_d2_3": (18, 391, 19, 1),
+    "r2_d3_5": (20, 463, 22, 2),
+    "r3_d2_2_3": (19, 434, 21, 2),
+}
 
 
 def _tail_work(traj):
@@ -655,6 +666,33 @@ def test_shipped_config_work_is_pinned(monkeypatch, name):
     tail = [SHIPPED_TAIL_WORK[name]] if name in SHIPPED_TAIL_WORK else []
     assert _tail_work(traj) == tail
     assert traj.segments[0].nfev == s.nfev
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_ORACLE_WORK))
+def test_shipped_oracle_work_is_pinned(monkeypatch, tmp_path, name):
+    """As test_shipped_config_work_is_pinned, for the oracle's stepper in
+    the `oracle` command on each shipped soliton config: its steps,
+    right-hand-side and Jacobian evaluations and rejected attempts, and
+    four factorisations per Jacobian."""
+    solvers = []
+
+    class Recorded(radau.Radau):
+        steps = 0
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+        def step(self):
+            super().step()
+            self.steps += 1
+
+    monkeypatch.setattr(oracle, "Radau", Recorded)
+    config = os.path.join(CONFIG_DIR, f"{name}.json")
+    assert cli.main(["oracle", "--config", config, "--out", str(tmp_path)]) == 0
+    (s,) = solvers
+    assert (s.steps, s.nfev, s.njev, s.nrejected) == SHIPPED_ORACLE_WORK[name]
+    assert s.nlu == 4 * s.njev
 
 
 # The same counts for specs that no entry of SHIPPED_WORK covers: the r = 3
@@ -1093,6 +1131,32 @@ class TestRadauStepper:
         assert seen[-1][1] < 0.5 <= seen[-2][1]
         assert math.log(2.0) < segment.ts[-1] < 10.0
 
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_no_buffer_reaches_a_result(self, n):
+        """The stepper rewrites its operators, their inputs and the Newton
+        product on every attempt and iteration; none of them reaches a
+        result.  Each step's ``y`` and ``dense``, and the state the stop
+        test is handed, still equal their copies taken on arrival 20
+        steps later and in the finished segment, whose samples and
+        coefficients are those copies."""
+        solver = _linear_solver(n)
+        arrived = []   # (the step's y, dense and stop state), and their copies
+
+        def stop(t, y):
+            results = (solver.y, solver.dense, y)
+            arrived.append((results, [a.copy() for a in results]))
+            if len(arrived) > 20:
+                results, copies = arrived[-21]
+                assert all(a.tobytes() == c.tobytes() for a, c in zip(results, copies))
+            return False
+
+        segment, _ = radau.run_segment(solver, stop)
+        assert segment.steps == len(arrived) > 40
+        for k, (results, copies) in enumerate(arrived):
+            assert all(a.tobytes() == c.tobytes() for a, c in zip(results, copies))
+            assert segment.samples[k + 1].tobytes() == copies[0].tobytes()
+            assert segment.Q[k].tobytes() == copies[1].tobytes()
+
 
 class TestFusedNewtonUpdate:
     """The stage-space Newton operator and the error operator against the
@@ -1406,3 +1470,91 @@ class TestDenseOutput:
         ])
         tol = 8 * np.finfo(float).eps * np.abs(expected).max()
         assert np.abs(got - expected).max() <= tol
+
+    @pytest.mark.parametrize("N", [1, 2, 250])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_read_is_the_per_power_loop(self, n, N):
+        """A read is, bit for bit, the per-power loop of
+        `_per_power_read`, at the sizes the package runs the stepper at,
+        on step ends, step interiors, abscissae before the first sample
+        and after the last, and all four mixed; a second read, from the
+        segment's cached coefficients, is the same."""
+        segment, _ = radau.run_segment(_linear_solver(n), lambda t, y: False)
+        rng = np.random.default_rng([n, N])
+        for kind in ABSCISSAE:
+            t = _abscissae(segment.ts, kind, N, rng)
+            expected = _per_power_read(segment, t)
+            for _ in range(2):
+                got = segment(t)
+                assert got.shape == expected.shape == (n, N)
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("N", [1, 2, 250])
+    @pytest.mark.parametrize("name", ["d2", "d2_2_3"])
+    def test_tail_read_is_the_per_power_loop(self, pipeline, name, N):
+        """The tail's reads in tau and in s, on the graph of its Radau
+        segment's interpolant, are bit for bit those of the per-power
+        loop, at the abscissae of `test_read_is_the_per_power_loop` in
+        tau."""
+        tail = pipeline(name).traj.segments[-1]
+        assert isinstance(tail, flow.TailSegment)
+
+        def expected(tau):
+            return flow._on_graph(tail.dims, tail.u0, tail.taus[0],
+                                  lambda x: _per_power_read(tail.dense, x), tau)
+
+        rng = np.random.default_rng(N)
+        for kind in ABSCISSAE:
+            tau = _abscissae(tail.dense.ts, kind, N, rng)
+            assert tail.states_at_tau(tau).tobytes() == expected(tau).tobytes()
+            s = np.exp(tau)
+            assert tail(s).tobytes() == expected(np.log(s)).T.tobytes()
+
+
+def _linear_solver(n):
+    """The stepper on a seeded linear system y' = A y of n components, A a
+    skew-symmetric matrix less I, over t in [0, 10]: 23 to 97 steps."""
+    rng = np.random.default_rng([1, n])
+    B = rng.standard_normal((n, n))
+    A = B - B.T - np.identity(n)
+    return radau.Radau(lambda y: y.dot(A.T), lambda y: A, 0.0, rng.standard_normal(n),
+                       t_bound=10.0, rtol=1e-10, atol=1e-12)
+
+
+def _per_power_read(segment, t):
+    """A `RadauSegment` read as one loop over the powers of x: each power
+    the one before times x, each term Q[k, :, j] x^j gathered and added
+    to the step's sample in turn."""
+    t = np.asarray(t, dtype=float)
+    ts = segment.ts
+    k = np.searchsorted(ts, t, side="left") - 1
+    np.clip(k, 0, ts.size - 2, out=k)
+    t_old = ts[k]
+    x = (t - t_old) / (ts[k + 1] - t_old)
+    y = segment.samples[k]
+    power = np.ones_like(x)
+    for j in range(segment.Q.shape[2]):
+        power *= x
+        y += segment.Q[k, :, j] * power[:, None]
+    return y.T
+
+
+ABSCISSAE = ("ends", "interiors", "before", "after", "mixed")
+
+
+def _abscissae(ts, kind, N, rng):
+    """N abscissae of one kind for a segment over the steps ts: step ends
+    (the samples), step interiors, up to two first steps before ts[0],
+    up to two last steps after ts[-1], or each drawn from one of those
+    four at random."""
+    if kind == "mixed":
+        pools = np.stack([_abscissae(ts, kind, N, rng) for kind in ABSCISSAE[:-1]])
+        return pools[rng.integers(0, 4, N), np.arange(N)]
+    if kind == "ends":
+        return rng.choice(ts, N)
+    if kind == "interiors":
+        k = rng.integers(0, ts.size - 1, N)
+        return ts[k] + rng.uniform(0.01, 0.99, N) * (ts[k + 1] - ts[k])
+    if kind == "before":
+        return ts[0] - rng.uniform(0.0, 2.0, N) * (ts[1] - ts[0])
+    return ts[-1] + rng.uniform(0.0, 2.0, N) * (ts[-1] - ts[-2])
