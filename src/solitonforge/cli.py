@@ -327,7 +327,7 @@ def _make_out_dir(path: str) -> None:
         raise IoError(f"cannot create output directory {path}: {exc}") from exc
 
 
-def _export_run(cfg: RunConfig, traj, profile, extra_json: dict | None = None) -> dict:
+def _export_run(cfg: RunConfig, traj, profile, extra_json: dict | None = None) -> None:
     _make_out_dir(cfg.out_dir)
     summary = {
         "dims": list(cfg.spec.dims),
@@ -355,7 +355,6 @@ def _export_run(cfg: RunConfig, traj, profile, extra_json: dict | None = None) -
         _write_json(summary, os.path.join(cfg.out_dir, "profile.json"))
     if cfg.plots:
         export_plot_series(profile, cfg.plots, cfg.out_dir)
-    return summary
 
 
 def _gate(label: str, checks) -> int:
@@ -427,10 +426,9 @@ def cmd_curvature(cfg: RunConfig) -> int:
 
 def cmd_oracle(cfg: RunConfig) -> int:
     traj, profile = _solve(cfg)
-    t0 = 10.0 * float(profile.t[0])
+    t0, t_end = oracle.window(profile)
     state = oracle.init_from_profile(profile, t0)
-    run = oracle.integrate_second_order(state, cfg.spec, t_end=min(
-        100.0 * t0, float(profile.t[-1])))
+    run = oracle.integrate_second_order(state, cfg.spec, t_end)
     devs, drift = oracle.compare_profiles(profile, run), run.conservation_drift()
     _export_run(cfg, traj, profile, extra_json={
         "oracle_t0": state.t, "oracle_deviations": devs, "conservation_drift": drift})

@@ -45,24 +45,29 @@ the module, so that a wrapper set on ``phase.rhs`` sees every call.  The
 Ricci-flat projection is the stepper's ``project`` hook: each accepted
 state is projected before the stepper's one right-hand-side call of the
 step, so every ``phase.rhs`` call of ``integrate`` is the stepper's.
-Every failure of a step is a ``ValueError``, which the loop reports as
-``StepLimitExceeded``; the step budget ``max_steps`` counts the steps of
-both segments.  The tail's own stepper calls ``manifold``'s field, not
-``phase.rhs``.
+Every failure of a step is a ``ValueError``, which ``integrate`` reports
+as ``StepLimitExceeded``.  The tail's own stepper calls ``manifold``'s
+field, not ``phase.rhs``.
 
-The per-step monitors (|y|^2 for L and the origin test, and Y > 0) and
-the Ricci-flat projection run on Python floats, from one ``tolist()`` of
-the state, with their sums taken left to right: at 2r ≤ 6 components a
-numpy call costs more than its arithmetic.  They are no longer BLAS dots,
-whose summation order is not fixed, so they agree with the numpy forms to
-an ulp or so rather than bit for bit.  The tail's samples pass the same
-monitors in one vectorised test.  A state that the projection cannot
-take onto {L = 0, H = 1} (H = 0, or |X|^2 > 1 at H = 1) raises
-``ValueError``: a failed step during the run, ``SeedLeavesWrongRegion``
-at the seed.  The step loop answers to the stepper's accuracy contract
-(``radau.py``): a change to it that alters the steps or the work must
-pass the accuracy tests in ``tests/test_flow.py`` and re-pin
-``SHIPPED_WORK`` there.
+Both segments run on ``radau.run_segment``, the package's one step loop,
+which calls a stop test after every accepted step.  The Radau segment's
+stop test runs the per-step monitors (Y > 0, and L from |y|^2) and then
+ends the segment at the origin, at a Ricci-flat rest point, or at the
+switch.  The step budget ``max_steps`` counts the steps of both
+segments: a step that leaves none of it raises ``StepLimitExceeded``
+unless it ends the run, so a switch with no step left raises before the
+tail starts.  The monitors and the Ricci-flat projection run on Python
+floats, from one ``tolist()`` of the state, with their sums taken left
+to right: at 2r ≤ 6 components a numpy call costs more than its
+arithmetic.  They are no longer BLAS dots, whose summation order is not
+fixed, so they agree with the numpy forms to an ulp or so rather than
+bit for bit.  The tail's samples pass the same monitors in one
+vectorised test.  A state that the projection cannot take onto {L = 0,
+H = 1} (H = 0, or |X|^2 > 1 at H = 1) raises ``ValueError``: a failed
+step during the run, ``SeedLeavesWrongRegion`` at the seed.  The stop
+tests answer to the stepper's accuracy contract (``radau.py``): a change
+to them that alters the steps or the work must pass the accuracy tests
+in ``tests/test_flow.py`` and re-pin ``SHIPPED_WORK`` there.
 
 A state is a plain packed vector [X, Y] of shape (2r,): ``seed`` returns
 one and ``integrate`` starts from one at s = 0.
@@ -339,12 +344,40 @@ def integrate(spec: ProblemSpec, y0: np.ndarray) -> Trajectory:
     sd = sqrt_d.tolist()
     sc = spec.step_controls
     soliton = spec.mode is Mode.SOLITON
-    ss = [0.0]
-    ys = [y0]
-    Qs = []   # each accepted step's dense-output coefficients
     r = spec.r
     prev_L = float(y0 @ y0) - 1.0
-    switch = False
+    steps = 0
+    termination = "s_max"
+
+    def stop(s, y) -> bool:
+        """The monitors on a Radau step's end, then whether the segment
+        ends there: at the origin, at rest or at the switch.  A step that
+        spends the budget and ends no run raises."""
+        nonlocal steps, prev_L, termination
+        steps += 1
+        v = y.tolist()
+        yy = _sum_of_squares(v)
+        L = yy - 1.0
+        if soliton:
+            if min(v[r:]) <= 0:
+                raise InvariantViolated("Y_positive", s, f"Y = {y[r:]}")
+            if L > prev_L + MONOTONE_SLACK * (1.0 + abs(prev_L)):
+                raise InvariantViolated("L_decreasing", s, f"L rose from {prev_L} to {L}")
+        prev_L = L
+        if soliton and math.sqrt(yy) < spec.origin_tol:
+            termination = "origin"
+            return True
+        # Ricci-flat trajectories converge to a fixed point inside
+        # {L = 0, H = 1}; stop once the phase velocity is negligible
+        if not soliton and math.sqrt(solver.f @ solver.f) < spec.origin_tol:
+            termination = "stationary"
+            return True
+        if steps >= sc.max_steps and solver.status == "running":
+            raise StepLimitExceeded(f"no termination within {sc.max_steps} steps (s = {s:.3e})")
+        if soliton and math.sqrt(yy) < TAIL_SWITCH and solver.status == "running":
+            termination = "switch"
+            return True
+        return False
 
     # An atol near underflow overflows the stepper's norms and Newton
     # matrices; its finiteness checks report that as a ValueError,
@@ -361,55 +394,21 @@ def integrate(spec: ProblemSpec, y0: np.ndarray) -> Trajectory:
             project=None if soliton else
             lambda y: np.array(_project_ricci_flat(y.tolist(), sd)),
         )
-        stationary = float(np.sqrt(solver.f @ solver.f)) < REST_SPEED  # seeded at a rest point
-        termination = "stationary" if stationary else "s_max"
-        while solver.status == "running" and not stationary:
-            if len(Qs) >= sc.max_steps:
-                raise StepLimitExceeded(
-                    f"no termination within {sc.max_steps} steps (s = {solver.t:.3e})"
-                )
+        if float(np.sqrt(solver.f @ solver.f)) < REST_SPEED:   # seeded at a rest point
+            segments, termination = [], "stationary"
+            s_arr, y_arr = np.array([0.0]), np.array([y0])
+        else:
             try:
-                solver.step()
+                segment, _ = run_segment(solver, stop)
             except ValueError as exc:  # every failure of a step, an underflowing h among them
                 raise StepLimitExceeded(f"integrator failed at s={solver.t:.3e}: {exc}") from exc
-            Qs.append(solver.dense)
-
-            y = solver.y   # the stepper replaces its state each step, never writes to it
-            v = y.tolist()
-            yy = _sum_of_squares(v)
-            L = yy - 1.0
-            if soliton:
-                if min(v[r:]) <= 0:
-                    raise InvariantViolated("Y_positive", solver.t, f"Y = {y[r:]}")
-                if L > prev_L + MONOTONE_SLACK * (1.0 + abs(prev_L)):
-                    raise InvariantViolated(
-                        "L_decreasing", solver.t, f"L rose from {prev_L} to {L}"
-                    )
-            ss.append(solver.t)
-            ys.append(y)
-            prev_L = L
-
-            if soliton and math.sqrt(yy) < spec.origin_tol:
-                termination = "origin"
-                break
-            if soliton and math.sqrt(yy) < TAIL_SWITCH and solver.status == "running":
-                switch = True
-                break
-            # Ricci-flat trajectories converge to a fixed point inside
-            # {L = 0, H = 1}; stop once the phase velocity is negligible
-            if not soliton and math.sqrt(solver.f @ solver.f) < spec.origin_tol:
-                termination = "stationary"
-                break
-
-        s_arr = np.array(ss)
-        y_arr = np.array(ys)
-        segments = [RadauSegment(s_arr, y_arr, np.array(Qs), solver.nfev)] if Qs else []
-        if switch:
-            tail, termination = _tail(spec, solver.t, solver.y, sc.max_steps - len(Qs))
+            s_arr, y_arr, segments = segment.ts, segment.samples, [segment]
+        if termination == "switch":
+            tail, termination = _tail(spec, solver.t, solver.y, sc.max_steps - steps)
             segments.append(tail)
             s_arr = np.concatenate([s_arr, tail.s[1:]])
             y_arr = np.vstack([y_arr, tail.states_at_tau(tail.taus[1:])])
-            _check_tail(y_arr[len(Qs):], s_arr[len(Qs):], r)
+            _check_tail(y_arr[steps:], s_arr[steps:], r)
 
     X = y_arr[:, :r]
     Y = y_arr[:, r:]

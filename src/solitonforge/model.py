@@ -65,6 +65,8 @@ class StepControls:
             )
         if not (math.isfinite(self.atol) and self.atol > 0):
             raise ValidationError(f"atol must be a finite number > 0, got {self.atol!r}")
+        if not self.max_steps >= 1:   # the flow counts its budget after each step
+            raise ValidationError(f"max_steps must be >= 1, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,13 @@ class OracleRun:
         return float(np.abs(self.conservation - self.conservation[0]).max())
 
 
+def window(profile: MetricProfile) -> tuple[float, float]:
+    """The cross-check's window on a profile, (t0, t_end): from t0 = 10
+    t[0], clear of the collapse at t = 0, to min(100 t0, t[-1])."""
+    t0 = 10.0 * float(profile.t[0])
+    return t0, min(100.0 * t0, float(profile.t[-1]))
+
+
 def init_from_profile(profile: MetricProfile, t0: float) -> SecondOrderState:
     """The profile's own (g, g_dot, u_dot) at its first sample with t >= t0.
 

@@ -15,8 +15,8 @@ It is the package's one integrator, on three systems: the phase flow in
 s (``flow.integrate``), the soliton's tail on its slow manifold in tau =
 log s (``flow._tail``) and the oracle's second-order system in t
 (``oracle.integrate_second_order``).  Each run's accepted steps form a
-`RadauSegment`, its piecewise interpolant; `run_segment` drives the tail
-and the oracle with a test after every step.
+`RadauSegment`, its piecewise interpolant; `run_segment` drives all
+three runs, with a test after every step.
 
 It lives in the package for two reasons.  Importing ``scipy.integrate``
 pulls in ``scipy.special``, ``scipy.optimize`` and ``scipy.sparse.linalg``,

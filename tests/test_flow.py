@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -488,14 +489,7 @@ class TestTail:
                           lambda y: phase.rhs_jacobian(y, sqrt_d),
                           traj.s[k], np.concatenate([traj.X[k], traj.Y[k]]),
                           t_bound=traj.s[-1], rtol=1e-13, atol=1e-25)
-        ts, ys, Qs = [ref.t], [ref.y], []
-        while ref.status == "running":
-            ref.step()
-            ts.append(ref.t)
-            ys.append(ref.y)
-            Qs.append(ref.dense)
-        Y = flow.RadauSegment(np.array(ts), np.array(ys), np.array(Qs), ref.nfev)(
-            traj.s[k + 1:])[r:].T
+        Y = radau.run_segment(ref, lambda t, y: False)[0](traj.s[k + 1:])[r:].T
         assert np.abs(traj.Y[k + 1:] / Y - 1.0).max() <= 1e-7
 
     @pytest.mark.parametrize("name", ["bryant_d2", "r3_d2_2_3"])
@@ -503,8 +497,9 @@ class TestTail:
         """|y|^2 = |X|^2 + sum(w) is no less than sum(w), so the tail's stop
         test evaluates the graph X = h(w) only once sum(w) is below
         origin_tol^2: on these configs once in all, not after every one
-        of their 7 and 16 tail steps."""
-        inside_stop, calls, stops = [False], [], []
+        of their 7 and 16 tail steps.  Only the second run, the tail's, is
+        counted: the first is the Radau segment's."""
+        inside_stop, calls, stops, runs = [False], [], [], []
         real_on_graph, real_run_segment = manifold.on_graph, flow.run_segment
 
         def on_graph(dims, w):
@@ -513,6 +508,10 @@ class TestTail:
             return real_on_graph(dims, w)
 
         def run_segment(solver, stop):
+            runs.append(solver)
+            if len(runs) == 1:
+                return real_run_segment(solver, stop)
+
             def counted(t, y):
                 stops.append(t)
                 inside_stop[0] = True
@@ -561,10 +560,12 @@ class TestTail:
         assert traj.s[-1] == 1e10
         assert traj.segments[1].s[-2] < 1e10
 
-    def test_step_budget_counts_the_tail(self, pipeline):
-        """max_steps bounds the steps of both segments together."""
-        traj = pipeline("d2").traj
-        spec = make_spec("d2")
+    @pytest.mark.parametrize("name", ["d2", "rf_d2_3"])
+    def test_step_budget_counts_the_tail(self, pipeline, name):
+        """max_steps bounds the steps of both segments together, and those
+        of a Ricci-flat run's one segment."""
+        traj = pipeline(name).traj
+        spec = make_spec(name)
         controls = spec.step_controls
         for budget, raises in ((traj.radau_steps + traj.tail_steps - 1, True),
                                (traj.radau_steps + traj.tail_steps, False)):
@@ -575,6 +576,53 @@ class TestTail:
                     sf.run(limited)
             else:
                 assert sf.run(limited).n_steps == traj.n_steps
+
+    def test_no_step_left_at_the_switch(self, monkeypatch, pipeline):
+        """A budget that the Radau segment spends to the switch ends the
+        run there, at the switch's s, before the tail's stepper is built:
+        the tail would take a step past max_steps."""
+        traj = pipeline("d2").traj
+        spec = make_spec("d2")
+        budget = traj.radau_steps
+        limited = dataclasses.replace(spec, step_controls=dataclasses.replace(
+            spec.step_controls, max_steps=budget))
+        solvers, real_radau = [], flow.Radau
+
+        def radau_stepper(*args, **kwargs):
+            solvers.append(real_radau(*args, **kwargs))
+            return solvers[-1]
+
+        monkeypatch.setattr(flow, "Radau", radau_stepper)
+        switch = traj.segments[0].ts[-1]
+        with pytest.raises(StepLimitExceeded,
+                           match=re.escape(f"within {budget} steps (s = {switch:.3e})")):
+            sf.run(limited)
+        assert len(solvers) == 1 and solvers[0].t == switch
+
+    @pytest.mark.parametrize("name, seed_coeffs, runs", [
+        ("d2_3", None, 2), ("rf_d2_3", None, 1), ("d2_3", (0.0, 0.0), 0),
+    ], ids=["soliton", "ricci-flat", "rest-point"])
+    def test_one_step_loop(self, monkeypatch, name, seed_coeffs, runs):
+        """Every Radau run of the flow is `radau.run_segment`'s: a soliton
+        trajectory's Radau segment and then its tail, a Ricci-flat
+        trajectory's one segment, and none for a seed at a rest point.
+        Each segment it returns is the trajectory's."""
+        returned, real_run_segment = [], flow.run_segment
+
+        def run_segment(solver, stop):
+            segment, stopped = real_run_segment(solver, stop)
+            returned.append(segment)
+            return segment, stopped
+
+        spec = make_spec(name)
+        if seed_coeffs is not None:
+            spec = spec.with_seed_coeffs(seed_coeffs)
+        monkeypatch.setattr(flow, "run_segment", run_segment)
+        traj = sf.run(spec)
+        assert len(returned) == runs == len(traj.segments)
+        dense = [seg.dense if isinstance(seg, flow.TailSegment) else seg
+                 for seg in traj.segments]
+        assert all(a is b for a, b in zip(returned, dense))
 
     @pytest.mark.parametrize("invariant, bad", [("Y_positive", "Y"), ("L_decreasing", "L")])
     def test_tail_samples_pass_the_monitors(self, invariant, bad):

@@ -158,13 +158,16 @@ class TestValidation:
         ({"atol": math.nan}, "atol"),
         ({"rtol": math.inf}, "rtol"),
         ({"atol": math.inf}, "atol"),
+        ({"max_steps": 0}, "max_steps"),
+        ({"max_steps": -3}, "max_steps"),
     ])
     def test_step_controls_reject_bad_tolerances(self, controls, key):
         """StepControls owns the tolerance rules for every caller: an rtol
         below 100 machine epsilons, an atol that is not > 0, or either
         one infinite is a ValidationError naming the key.  An infinite
         tolerance would pass every error test, and the run would fail
-        later on an invariant, naming no key."""
+        later on an invariant, naming no key.  A step budget below 1 is
+        one too: the flow takes a step before it counts the budget."""
         with pytest.raises(ValidationError, match=key):
             sf.StepControls(**controls)
 

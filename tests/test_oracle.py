@@ -208,9 +208,8 @@ class TestIndependence:
 
         case = pipeline(name)
         prof, spec = case.profile, case.spec
-        t0 = 10.0 * float(prof.t[0])   # as cmd_oracle
+        t0, t_end = oracle.window(prof)   # as cmd_oracle
         state = oracle.init_from_profile(prof, t0)
-        t_end = min(100.0 * t0, float(prof.t[-1]))
         run = oracle.integrate_second_order(state, spec, t_end)
         field = oracle.t_field(spec.dims.tolist(), spec.lambdas.tolist())
         ref = solve_ivp(lambda t, y: field(y), (state.t, t_end), state.as_vector(),

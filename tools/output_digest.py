@@ -18,14 +18,14 @@ ricci-flat:101 probes edges``.  Each input runs the benchmark's request
 path: ``flow.run``, ``reconstruct.build_profile``, then
 ``geometry.sectional_curvatures`` and ``verify.run_suite`` (family,
 probes and edges) or ``geometry.ricci_components`` and
-``verify.ricci_flat_checks`` (ricci-flat), and the oracle from
-t0 = 10 t[0] to min(100 t0, t[-1]).  The digest covers every
-trajectory (s, X, Y, L, H, termination and each segment's samples and
-interpolant), every profile column, every check (name, measured,
-tolerance, passed) and the oracle run (t, samples, interpolant,
-deviations, drift); a request that raises a ``SolitonForgeError``
-contributes its type and message.  ``--per-input`` also prints each
-input's own digest, to find the one that differs.
+``verify.ricci_flat_checks`` (ricci-flat), and the oracle over
+``oracle.window``.  The digest covers every trajectory (s, X, Y, L, H,
+termination and each segment's samples and interpolant), every profile
+column, every check (name, measured, tolerance, passed) and the oracle
+run (t, samples, interpolant, deviations, drift); a request that raises
+a ``SolitonForgeError`` contributes its type and message.
+``--per-input`` also prints each input's own digest, to find the one
+that differs.
 
 The ``cli`` set runs ``solve``, ``verify``, ``oracle`` and ``curvature``
 on each of the seven soliton configs under ``configs``, ``solve``,
@@ -127,9 +127,8 @@ def _feed_request(h, config: str) -> None:
             checks = verify.run_suite(traj, profile, curv, spec).checks
         for c in checks:
             _feed(h, c.name, c.measured, c.tolerance, c.passed)
-        t0 = 10.0 * float(profile.t[0])
-        run = oracle.integrate_second_order(oracle.init_from_profile(profile, t0), spec,
-                                            t_end=min(100.0 * t0, float(profile.t[-1])))
+        t0, t_end = oracle.window(profile)
+        run = oracle.integrate_second_order(oracle.init_from_profile(profile, t0), spec, t_end)
         devs = oracle.compare_profiles(profile, run)
         _feed(h, run.t, run.g, run.g_dot, run.u_dot, run.conservation, run.dense.Q,
               sorted(devs.items()), run.conservation_drift())

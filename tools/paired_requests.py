@@ -18,8 +18,9 @@ default, or ``ricci-flat``) at the benchmark's seed 101, each parsed by
 its own ``cli.parse_config``.  A request is the benchmark's: ``flow.run``
 and ``reconstruct.build_profile``, then ``geometry.sectional_curvatures``
 and ``verify.run_suite`` (family) or ``geometry.ricci_components``
-(ricci-flat), and the oracle from t0 = 10 t[0] to min(100 t0, t[-1]).
-A request that raises the package's own error is timed up to the raise.
+(ricci-flat), and the oracle over each package's own ``oracle.window``,
+so both checkouts must have it.  A request that raises the package's own
+error is timed up to the raise.
 
 Each of the R (default 5) rounds serves every input once on each side,
 the side that goes first alternating from input to input and from round
@@ -86,10 +87,8 @@ def load(src: str, name: str, directory: str):
 
     def request(workload: str, spec) -> None:
         profile = (family if workload == "family" else ricci_flat)(spec)
-        t0 = 10.0 * float(profile.t[0])
-        state = oracle.init_from_profile(profile, t0)
-        run = oracle.integrate_second_order(
-            state, spec, t_end=min(100.0 * t0, float(profile.t[-1])))
+        t0, t_end = oracle.window(profile)
+        run = oracle.integrate_second_order(oracle.init_from_profile(profile, t0), spec, t_end)
         oracle.compare_profiles(profile, run)
         run.conservation_drift()
 
