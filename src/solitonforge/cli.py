@@ -12,9 +12,9 @@ fails:
                 curvature_decay, scalar_decay, scalar_growth,
                 g_sq_exponent, paraboloid_g_gdot, paraboloid_g_sq_over_t,
                 scalar_two_routes)
-    oracle      solve + independent second-order cross-validation, started
-                at the first profile sample with t >= 10 t[0]:
-                verify.oracle_checks (oracle_deviation, conservation_drift)
+    oracle      solve + independent second-order cross-validation over
+                oracle.window: verify.oracle_checks (oracle_deviation,
+                conservation_drift)
     ricci-flat  solve in Ricci-flat mode, report the flatness residuals:
                 verify.ricci_flat_checks (max_abs_L, max_abs_H_minus_1,
                 max_abs_ricci, max_abs_u_dot)
@@ -24,10 +24,13 @@ fails:
                 noncollapsing_factors) and verify.distinct_check across
                 them (pairwise_distinct)
 
-The tolerances live with the checks in `verify`; this module compares no
-measured value with a bound.  Every gated command but `verify`, which
-prints its whole report, exits through `_gate`, the one reporter of
-failing checks on stderr.
+Orchestration goes through one `Request` per spec, which computes each
+stage (trajectory, profile, curvature, Ricci tensor, suite report, oracle
+run and deviations) once, on first read; the tools under ``tools`` serve
+their requests through it too.  The tolerances live with the checks in
+`verify`; this module compares no measured value with a bound.  Every
+gated command but `verify`, which prints its whole report, exits through
+`_gate`, the one reporter of failing checks on stderr.
 
 Config files are strict JSON: unknown keys are rejected so a misspelled
 tolerance can never silently fall back to a default; an absent key takes
@@ -45,6 +48,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -314,10 +318,47 @@ def export_plot_series(profile, names, out_dir: str) -> list[str]:
 # orchestration
 
 
-def _solve(cfg: RunConfig):
-    traj = flow.run(cfg.spec)
-    profile = reconstruct.build_profile(traj, cfg.spec)
-    return traj, profile
+class Request:
+    """One spec's way through the pipeline.  Each stage is computed once,
+    on first read, from the stages it needs, so reading an attribute
+    selects what runs: ``traj`` alone integrates and reconstructs
+    nothing.  Each layer is called through its module attribute, so a
+    tracer or a test that replaces it sees the call."""
+
+    def __init__(self, spec: ProblemSpec):
+        self.spec = spec
+
+    @cached_property
+    def traj(self):
+        return flow.run(self.spec)
+
+    @cached_property
+    def profile(self):
+        return reconstruct.build_profile(self.traj, self.spec)
+
+    @cached_property
+    def curv(self):
+        return geometry.sectional_curvatures(self.profile, self.spec)
+
+    @cached_property
+    def ricci(self):
+        return geometry.ricci_components(self.profile, self.spec)
+
+    @cached_property
+    def report(self):
+        return verify.run_suite(self.traj, self.profile, self.curv, self.spec)
+
+    @cached_property
+    def oracle_run(self):
+        """The second-order run over oracle.window, from the profile's own
+        sample at its start."""
+        t0, t_end = oracle.window(self.profile)
+        return oracle.integrate_second_order(
+            oracle.init_from_profile(self.profile, t0), self.spec, t_end)
+
+    @cached_property
+    def oracle_deviations(self):
+        return oracle.compare_profiles(self.profile, self.oracle_run)
 
 
 def _make_out_dir(path: str) -> None:
@@ -327,7 +368,8 @@ def _make_out_dir(path: str) -> None:
         raise IoError(f"cannot create output directory {path}: {exc}") from exc
 
 
-def _export_run(cfg: RunConfig, traj, profile, extra_json: dict | None = None) -> None:
+def _export_run(cfg: RunConfig, req: Request, extra_json: dict | None = None) -> None:
+    traj, profile = req.traj, req.profile
     _make_out_dir(cfg.out_dir)
     summary = {
         "dims": list(cfg.spec.dims),
@@ -367,8 +409,9 @@ def _gate(label: str, checks) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    traj, profile = _solve(cfg)
-    _export_run(cfg, traj, profile)
+    req = Request(cfg.spec)
+    traj, profile = req.traj, req.profile
+    _export_run(cfg, req)
     print(f"solve: {traj.s.size} samples, {traj.radau_steps} Radau steps and "
           f"{traj.tail_steps} tail steps, termination={traj.termination}, "
           f"t in [{profile.t[0]:.6g}, {profile.t[-1]:.6g}]")
@@ -376,12 +419,11 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    traj, profile = _solve(cfg)
+    req = Request(cfg.spec)
     # the profile is written first, so that a run the suite cannot judge
     # (too short for the tail fits, exit 2) still leaves it to the user
-    _export_run(cfg, traj, profile)
-    curv = geometry.sectional_curvatures(profile, cfg.spec)
-    report = verify.run_suite(traj, profile, curv, cfg.spec)
+    _export_run(cfg, req)
+    report = req.report
     _write_json(report.to_dict(), os.path.join(cfg.out_dir, "verify_report.json"))
     for line in report.summary_lines():
         print(line)
@@ -391,9 +433,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_curvature(cfg: RunConfig) -> int:
-    traj, profile = _solve(cfg)
-    curv = geometry.sectional_curvatures(profile, cfg.spec)
-    asym = geometry.asymptotics(profile, curv)
+    req = Request(cfg.spec)
+    curv = req.curv
+    asym = geometry.asymptotics(req.profile, curv)
     extra = {
         "min_ricci": curv.min_ricci(),
         "soliton_residual_max": curv.soliton_residual_max,
@@ -410,7 +452,7 @@ def cmd_curvature(cfg: RunConfig) -> int:
                                     "scalar_slope")))
     else:
         checks += verify.tail_checks(asym, curv, cfg.spec)
-    _export_run(cfg, traj, profile, extra_json=extra)
+    _export_run(cfg, req, extra_json=extra)
     if "csv" in cfg.formats:
         _write_table(os.path.join(cfg.out_dir, "curvature.csv"), (
             [("t", curv.t), ("ric_tt", curv.ric_tt)]
@@ -425,13 +467,11 @@ def cmd_curvature(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    traj, profile = _solve(cfg)
-    t0, t_end = oracle.window(profile)
-    state = oracle.init_from_profile(profile, t0)
-    run = oracle.integrate_second_order(state, cfg.spec, t_end)
-    devs, drift = oracle.compare_profiles(profile, run), run.conservation_drift()
-    _export_run(cfg, traj, profile, extra_json={
-        "oracle_t0": state.t, "oracle_deviations": devs, "conservation_drift": drift})
+    req = Request(cfg.spec)
+    run, devs = req.oracle_run, req.oracle_deviations
+    drift = run.conservation_drift()
+    _export_run(cfg, req, extra_json={
+        "oracle_t0": run.t[0], "oracle_deviations": devs, "conservation_drift": drift})
     checks = verify.oracle_checks(devs, drift)
     print(f"oracle: max relative deviation {checks[0].measured:.3e}, "
           f"conservation drift {drift:.3e}")
@@ -442,10 +482,9 @@ def cmd_ricci_flat(cfg: RunConfig) -> int:
     spec = replace(cfg.spec, mode=Mode.RICCI_FLAT)
     validate_spec(spec)
     cfg = replace(cfg, spec=spec)
-    traj, profile = _solve(cfg)
-    checks = verify.ricci_flat_checks(
-        traj, profile, geometry.ricci_components(profile, cfg.spec))
-    _export_run(cfg, traj, profile, extra_json={c.name: c.measured for c in checks})
+    req = Request(spec)
+    checks = verify.ricci_flat_checks(req.traj, req.profile, req.ricci)
+    _export_run(cfg, req, extra_json={c.name: c.measured for c in checks})
     code = _gate("ricci-flat", checks)
     max_L, max_H, max_ric = (c.measured for c in checks[:3])
     print(f"ricci-flat: |L| <= {max_L:.3e}, |H-1| <= {max_H:.3e}, "
@@ -471,11 +510,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
         point_cfg = replace(
             cfg, spec=point_spec,
             out_dir=os.path.join(cfg.out_dir, f"sweep_{k:02d}"), plots=())
-        traj, profile = _solve(point_cfg)
-        boundary, checks = verify.boundary_checks(traj, profile)
+        req = Request(point_spec)
+        boundary, checks = verify.boundary_checks(req.traj, req.profile)
         g0, g0_err = boundary["g_0"], boundary["g_0_err"]
         results.append({"ratio": ratio, "g_0": g0, "g_0_err": g0_err})
-        _export_run(point_cfg, traj, profile, extra_json=results[-1])
+        _export_run(point_cfg, req, extra_json=results[-1])
         print(f"sweep[{k}]: ratio {ratio:g} -> g_{idx + 1}(0) = {g0[idx]:.8f} "
               f"(+/- {g0_err[idx]:.2e})")
         code |= _gate(f"sweep[{k}]: ratio {ratio:g}", checks)

@@ -6,12 +6,11 @@ modules via the `pipeline` factory fixture.
 """
 
 import math
-from types import SimpleNamespace
 
 import pytest
 
 import solitonforge as sf
-from solitonforge import geometry, manifold
+from solitonforge import cli, manifold
 
 # name -> (dims, lambdas, seed_coeffs, mode)
 CASES = {
@@ -42,18 +41,16 @@ def make_spec(name: str) -> sf.ProblemSpec:
 
 @pytest.fixture(scope="session")
 def pipeline():
-    """Factory returning the solved pipeline for a named configuration."""
-    cache: dict[str, SimpleNamespace] = {}
+    """Factory returning the `cli.Request` of a named configuration.  Its
+    trajectory, profile and curvature are computed on the first call, so
+    that they exist before any test replaces a layer; later stages are
+    computed on first read."""
+    cache: dict[str, cli.Request] = {}
 
-    def get(name: str) -> SimpleNamespace:
+    def get(name: str) -> cli.Request:
         if name not in cache:
-            spec = make_spec(name)
-            traj = sf.run(spec)
-            profile = sf.build_profile(traj, spec)
-            curv = geometry.sectional_curvatures(profile, spec)
-            cache[name] = SimpleNamespace(
-                spec=spec, traj=traj, profile=profile, curv=curv
-            )
+            cache[name] = cli.Request(make_spec(name))
+            cache[name].curv
         return cache[name]
 
     return get

@@ -14,16 +14,11 @@ import numpy as np
 import pytest
 
 import solitonforge as sf
-from solitonforge import cli, geometry, oracle, phase, verify
+from solitonforge import cli, phase
 
 from conftest import RICCI_FLAT_CASES, SOLITON_CASES, make_spec
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
-
-
-def _report(case_name, pipeline):
-    case = pipeline(case_name)
-    return verify.run_suite(case.traj, case.profile, case.curv, case.spec)
 
 
 def _check(report, name):
@@ -51,7 +46,7 @@ def test_criterion_01_fixed_point_and_spectrum(pipeline):
             numeric = np.sort(np.linalg.eigvals(phase.rhs_jacobian(y, sqrt_d)).real)
             assert np.abs(numeric - expected).max() <= 1e-10
     for name in SOLITON_CASES:
-        check = _check(_report(name, pipeline), "spectrum")
+        check = _check(pipeline(name).report, "spectrum")
         assert check.passed and check.tolerance == 1e-10
 
 
@@ -75,7 +70,7 @@ def test_criterion_02_lyapunov_and_conservation(pipeline, name):
     dL = 2.0 * (np.einsum("ij,ij->i", X, f[:, :r]) + np.einsum("ij,ij->i", Y, f[:, r:]))
     res = np.abs(dL - 2.0 * L * np.einsum("ij,ij->i", X, X))
     assert np.all(res <= 1e-12 * (1.0 + np.abs(L)))
-    check = _check(_report(name, pipeline), "lyapunov_identity")
+    check = _check(pipeline(name).report, "lyapunov_identity")
     assert check.passed and check.tolerance == 1e-12
 
 
@@ -87,17 +82,13 @@ def test_criterion_03_soliton_pde_residual(pipeline, name):
 
 @pytest.mark.parametrize("name", SOLITON_CASES)
 def test_criterion_04_oracle_equivalence(pipeline, name):
-    """Second-order integration from t0 matches the phase-space
-    reconstruction to 1e-6 relative over a decade; conservation drift
+    """Second-order integration over the oracle's window (oracle.window:
+    from t0 = 10 t[0], two decades or to the profile's end) matches the
+    phase-space reconstruction to 1e-6 relative; conservation drift
     <= 1e-8."""
     case = pipeline(name)
-    prof = case.profile
-    t0 = 10.0 * float(prof.t[0])
-    state = oracle.init_from_profile(prof, t0)
-    run = oracle.integrate_second_order(state, case.spec, 10.0 * t0)
-    assert run.conservation_drift() <= 1e-8
-    devs = oracle.compare_profiles(prof, run)
-    assert max(devs.values()) <= 1e-6
+    assert case.oracle_run.conservation_drift() <= 1e-8
+    assert max(case.oracle_deviations.values()) <= 1e-6
 
 
 @pytest.mark.parametrize("name", SOLITON_CASES)
@@ -105,7 +96,7 @@ def test_criterion_05_both_end_limits(pipeline, name):
     """X_i/Y_i^2 -> 1/sqrt(d_i) at the origin (1e-4) and
     1/(sqrt(d_i)(1+beta^2)) at the seed end (1e-3, i > 1); decay exponents
     within 5%."""
-    report = _report(name, pipeline)
+    report = pipeline(name).report
     assert _check(report, "origin_ratio").passed
     if pipeline(name).spec.r > 1:
         assert _check(report, "seed_ratio").passed
@@ -118,7 +109,7 @@ def test_criterion_05_both_end_limits(pipeline, name):
 def test_criterion_06_smooth_collapse(pipeline, name):
     """g1(0) = 0 +/- 1e-3, g1'(0) = 1 +/- 1e-3, g_i'(0) = 0 +/- 1e-3 with
     g_i(0) > 0 (i > 1), u'(0) = 0 +/- 1e-3, u''(0) and g_i''(0) finite."""
-    report = _report(name, pipeline)
+    report = pipeline(name).report
     assert _check(report, "collapse_g1").passed
     assert _check(report, "potential_boundary_derivatives").passed
     boundary = report.diagnostics["boundary"]
@@ -134,7 +125,7 @@ def test_criterion_07_curvature_signs_and_decay(pipeline, name):
     r >= 2; all sectional values positive for r = 1; |K| and R decay like
     1/t (slope -1 +/- 0.1); R t^2 grows without bound: verify's checks,
     at these tolerances."""
-    report = _report(name, pipeline)
+    report = pipeline(name).report
     for check_name, tol in (("ricci_nonnegative", 1e-8), ("curvature_signs", 0.0),
                             ("curvature_decay", 0.1), ("scalar_decay", 0.1),
                             ("scalar_growth", 0.0)):
@@ -147,7 +138,7 @@ def test_criterion_07_curvature_signs_and_decay(pipeline, name):
 def test_criterion_08_paraboloid_asymptotics(pipeline, name):
     """g_i g_i' -> lambda_i/sqrt(-C) +/- 1e-3 and g_i^2/t -> 2 lambda_i /
     sqrt(-C) +/- 1e-2 relative: verify's checks, at these tolerances."""
-    report = _report(name, pipeline)
+    report = pipeline(name).report
     for check_name, tol in (("paraboloid_g_gdot", 1e-3),
                             ("paraboloid_g_sq_over_t", 1e-2)):
         check = _check(report, check_name)
@@ -161,7 +152,7 @@ def test_criterion_09_ricci_flat_mode(pipeline, name):
     case = pipeline(name)
     assert np.abs(case.traj.L).max() <= 1e-8
     assert np.abs(case.traj.H - 1.0).max() <= 1e-8
-    ric_tt, ric_factor = geometry.ricci_components(case.profile, case.spec)
+    ric_tt, ric_factor = case.ricci
     assert np.abs(ric_tt).max() <= 1e-6
     assert np.abs(ric_factor).max() <= 1e-6
     assert np.abs(case.profile.u_dot).max() <= 1e-12
@@ -171,7 +162,7 @@ def test_criterion_09_ricci_flat_mode(pipeline, name):
 def test_criterion_10_inequality_ledger(pipeline, name):
     """H < 1, L + 1 - H < 0 (to a few ulps of H), and X_1 < beta at
     every sample."""
-    report = _report(name, pipeline)
+    report = pipeline(name).report
     assert _check(report, "inequality_ledger").passed
     assert _check(report, "x1_below_beta").passed
     case = pipeline(name)

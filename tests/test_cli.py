@@ -327,6 +327,47 @@ class TestSubcommands:
                 f"sweep[2]: ratio 2: FAIL {planted}: measured 0.002 (tol 0.001)"]
 
 
+class TestRequest:
+    """cli.Request computes each stage once, on first read, through the
+    layer's module attribute."""
+
+    @staticmethod
+    def _spec():
+        return cli.parse_config(os.path.join(CONFIG_DIR, "bryant_d2.json")).spec
+
+    def test_trajectory_alone_builds_no_profile(self, monkeypatch):
+        monkeypatch.setattr(reconstruct, "build_profile",
+                            lambda traj, spec: pytest.fail("profile built"))
+        req = cli.Request(self._spec())
+        assert req.traj.termination
+        assert "profile" not in vars(req)
+
+    def test_report_is_computed_once(self, monkeypatch):
+        run_suite, calls = verify.run_suite, []
+
+        def counted(*args):
+            calls.append(1)
+            return run_suite(*args)
+
+        monkeypatch.setattr(verify, "run_suite", counted)
+        req = cli.Request(self._spec())
+        assert req.report is req.report
+        assert req.report.passed and len(calls) == 1
+
+    def test_patched_flow_run_is_used(self, monkeypatch):
+        traj = object()
+        monkeypatch.setattr(flow, "run", lambda spec: traj)
+        assert cli.Request(self._spec()).traj is traj
+
+    def test_oracle_starts_at_the_window(self, pipeline):
+        """The oracle run starts at the profile's own sample at the start
+        of oracle.window, as cmd_oracle's oracle_t0 reports."""
+        req = pipeline("d2")
+        profile = req.profile
+        state = oracle.init_from_profile(profile, oracle.window(profile)[0])
+        assert req.oracle_run.t[0] == state.t
+
+
 class TestRicciFlatGates:
     def test_oracle_exit_zero(self, tmp_path):
         """u_dot vanishes in Ricci-flat mode; its deviation is measured

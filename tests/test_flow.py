@@ -892,8 +892,8 @@ class TestAccuracy:
         with long steps near the seed.  Read at the samples nearest the
         Richardson nodes, with |L| windows cut between samples, their
         noncollapsing_factors and seed_ratio moved by up to 38% and 33% of
-        their tolerances (measured now: at most 0.43%,
-        potential_boundary_value on g00p3)."""
+        their tolerances (measured now: at most 0.388%,
+        potential_boundary_value on g22p1; g00p3 moves 0.010%)."""
         dims, coeffs = GENERATED_SPECS[name]
         spec = sf.ProblemSpec(factors=tuple(sf.FactorSpec(d, d - 1.0) for d in dims),
                               seed_coeffs=coeffs)

@@ -22,12 +22,12 @@ from conftest import CASES, SOLITON_CASES, make_spec
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
-def run_oracle(case, decades=1.0):
-    prof = case.profile
-    t0 = 10.0 * float(prof.t[0])
-    state = oracle.init_from_profile(prof, t0)
-    t_end = min(t0 * 10.0**decades, float(prof.t[-1]))
-    return oracle.integrate_second_order(state, case.spec, t_end)
+def run_oracle(case, spec=None):
+    """A fresh oracle run of a pipeline case over oracle.window, with the
+    case's spec or with `spec`."""
+    t0, t_end = oracle.window(case.profile)
+    return oracle.integrate_second_order(oracle.init_from_profile(case.profile, t0),
+                                         spec or case.spec, t_end)
 
 
 class TestInit:
@@ -107,9 +107,9 @@ class TestConservation:
 
 class TestCrossValidation:
     @pytest.mark.parametrize("name", SOLITON_CASES)
-    def test_agreement_over_a_decade(self, pipeline, name):
+    def test_agreement_over_the_window(self, pipeline, name):
         case = pipeline(name)
-        run = run_oracle(case, decades=1.0)
+        run = run_oracle(case)
         devs = oracle.compare_profiles(case.profile, run)
         assert max(devs.values()) <= 1e-6
 
@@ -130,11 +130,7 @@ class TestCrossValidation:
                           case.spec.factors[1].einstein_const * 1.01),
         )
         bad_spec = dataclasses.replace(case.spec, factors=bad_factors)
-        prof = case.profile
-        t0 = 10.0 * float(prof.t[0])
-        state = oracle.init_from_profile(prof, t0)
-        run = oracle.integrate_second_order(state, bad_spec, t0 * 10.0)
-        devs = oracle.compare_profiles(prof, run)
+        devs = oracle.compare_profiles(case.profile, run_oracle(case, bad_spec))
         assert max(devs.values()) >= 1e-3
 
     def test_ricci_flat_u_dot_stays_zero(self, pipeline):

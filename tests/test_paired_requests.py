@@ -60,3 +60,23 @@ def test_bad_arguments_are_a_usage_error(paired_requests, argv):
     with pytest.raises(SystemExit) as exc:
         paired_requests.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_checkout_without_request_is_a_usage_error(paired_requests, tmp_path, capsys,
+                                                   side):
+    """A checkout whose cli has no Request, on either side, is a usage
+    error that names the checkout and Request; no module is left
+    behind."""
+    stub = tmp_path / "stub"
+    (stub / "solitonforge").mkdir(parents=True)
+    for module in ("__init__", "cli"):
+        (stub / "solitonforge" / f"{module}.py").write_text("")
+    argv = [SRC, SRC, "--count", "1", "--rounds", "1"]
+    argv[side] = str(stub)
+    with pytest.raises(SystemExit) as exc:
+        paired_requests.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{stub}: solitonforge.cli has no Request" in err
+    assert not [m for m in sys.modules if m.startswith("solitonforge_")]

@@ -14,12 +14,11 @@ seed, ``probes``, its four defect-probe specs, ``edges``, the factors of
 sample grid, and two seeds whose Y_2^2 underflows at the switch to the
 tail), or ``cli``, the first N of the 33 CLI commands on the shipped
 configs (below).  The default sets are ``family:101 family:7
-ricci-flat:101 probes edges``.  Each input runs the benchmark's request
-path: ``flow.run``, ``reconstruct.build_profile``, then
-``geometry.sectional_curvatures`` and ``verify.run_suite`` (family,
-probes and edges) or ``geometry.ricci_components`` and
-``verify.ricci_flat_checks`` (ricci-flat), and the oracle over
-``oracle.window``.  The digest covers every trajectory (s, X, Y, L, H,
+ricci-flat:101 probes edges``.  Each input runs the package's request
+path, ``cli.Request``: its trajectory and profile, then its suite report
+(family, probes and edges) or ``verify.ricci_flat_checks`` on its Ricci
+tensor (ricci-flat), and its oracle run over ``oracle.window`` with the
+run's deviations.  The digest covers every trajectory (s, X, Y, L, H,
 termination and each segment's samples and interpolant), every profile
 column, every check (name, measured, tolerance, passed) and the oracle
 run (t, samples, interpolant, deviations, drift); a request that raises
@@ -56,7 +55,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from solitonforge import cli, flow, geometry, oracle, reconstruct, verify  # noqa: E402
+from solitonforge import cli, flow, verify  # noqa: E402
 from solitonforge.errors import SolitonForgeError  # noqa: E402
 from solitonforge.model import Mode  # noqa: E402
 
@@ -112,26 +111,21 @@ def _feed_trajectory(h, traj) -> None:
 
 def _feed_request(h, config: str) -> None:
     """Run one input through the request path and hash what it returns."""
-    spec = cli.parse_config(config, inline=True).spec
+    req = cli.Request(cli.parse_config(config, inline=True).spec)
     try:
-        traj = flow.run(spec)
-        _feed_trajectory(h, traj)
-        profile = reconstruct.build_profile(traj, spec)
+        _feed_trajectory(h, req.traj)
+        profile = req.profile
         _feed(h, *(getattr(profile, f.name) for f in dataclasses.fields(profile)
                    if f.name != "spec"))
-        if spec.mode is Mode.RICCI_FLAT:
-            checks = verify.ricci_flat_checks(traj, profile,
-                                              geometry.ricci_components(profile, spec))
+        if req.spec.mode is Mode.RICCI_FLAT:
+            checks = verify.ricci_flat_checks(req.traj, profile, req.ricci)
         else:
-            curv = geometry.sectional_curvatures(profile, spec)
-            checks = verify.run_suite(traj, profile, curv, spec).checks
+            checks = req.report.checks
         for c in checks:
             _feed(h, c.name, c.measured, c.tolerance, c.passed)
-        t0, t_end = oracle.window(profile)
-        run = oracle.integrate_second_order(oracle.init_from_profile(profile, t0), spec, t_end)
-        devs = oracle.compare_profiles(profile, run)
+        run = req.oracle_run
         _feed(h, run.t, run.g, run.g_dot, run.u_dot, run.conservation, run.dense.Q,
-              sorted(devs.items()), run.conservation_drift())
+              sorted(req.oracle_deviations.items()), run.conservation_drift())
     except SolitonForgeError as exc:
         _feed(h, "raised", type(exc).__name__, str(exc))
 

@@ -15,12 +15,12 @@ and imported from there; the package's imports are relative, so the two
 copies share no module.  Both serve the first N (default 100) inputs
 that ``perfbench/gen.py`` generates for the workload (``family``, the
 default, or ``ricci-flat``) at the benchmark's seed 101, each parsed by
-its own ``cli.parse_config``.  A request is the benchmark's: ``flow.run``
-and ``reconstruct.build_profile``, then ``geometry.sectional_curvatures``
-and ``verify.run_suite`` (family) or ``geometry.ricci_components``
-(ricci-flat), and the oracle over each package's own ``oracle.window``,
-so both checkouts must have it.  A request that raises the package's own
-error is timed up to the raise.
+its own ``cli.parse_config``.  A request runs through each package's own
+request path, ``cli.Request``: the trajectory and profile, then the suite
+report (family) or the Ricci tensor (ricci-flat), and the oracle run over
+``oracle.window`` with its deviations and drift.  Both checkouts must
+have ``cli.Request``; a checkout without it is a usage error.  A request
+that raises the package's own error is timed up to the raise.
 
 Each of the R (default 5) rounds serves every input once on each side,
 the side that goes first alternating from input to input and from round
@@ -61,38 +61,28 @@ def _import_gen():
     return gen
 
 
+class NoRequestPath(Exception):
+    """A checkout whose ``cli`` has no ``Request``."""
+
+
 def load(src: str, name: str, directory: str):
     """The ``solitonforge`` package of the checkout source `src`, copied
-    into `directory` as the package `name`: a function that serves one
-    request, and the package's error class."""
+    into `directory` as the package `name`: its ``cli``, a function that
+    serves one request, and the package's error class.  Raises
+    NoRequestPath if its ``cli`` has no ``Request``."""
     shutil.copytree(os.path.join(src, "solitonforge"), os.path.join(directory, name),
                     ignore=shutil.ignore_patterns("__pycache__"))
-    mod = {m: importlib.import_module(f"{name}.{m}")
-           for m in ("cli", "flow", "geometry", "oracle", "reconstruct", "verify", "errors")}
-    flow, geometry, oracle = mod["flow"], mod["geometry"], mod["oracle"]
-    reconstruct, verify = mod["reconstruct"], mod["verify"]
+    cli = importlib.import_module(f"{name}.cli")
+    if not hasattr(cli, "Request"):
+        raise NoRequestPath(f"{src}: solitonforge.cli has no Request, the request "
+                            "path that both checkouts must have")
 
-    def family(spec):
-        traj = flow.run(spec)
-        profile = reconstruct.build_profile(traj, spec)
-        curv = geometry.sectional_curvatures(profile, spec)
-        verify.run_suite(traj, profile, curv, spec)
-        return profile
+    def request(workload: str, spec):
+        req = cli.Request(spec)
+        checked = req.report if workload == "family" else req.ricci
+        return checked, req.oracle_deviations, req.oracle_run.conservation_drift()
 
-    def ricci_flat(spec):
-        traj = flow.run(spec)
-        profile = reconstruct.build_profile(traj, spec)
-        geometry.ricci_components(profile, spec)
-        return profile
-
-    def request(workload: str, spec) -> None:
-        profile = (family if workload == "family" else ricci_flat)(spec)
-        t0, t_end = oracle.window(profile)
-        run = oracle.integrate_second_order(oracle.init_from_profile(profile, t0), spec, t_end)
-        oracle.compare_profiles(profile, run)
-        run.conservation_drift()
-
-    return mod["cli"], request, mod["errors"].SolitonForgeError
+    return cli, request, importlib.import_module(f"{name}.errors").SolitonForgeError
 
 
 def compare(base_src: str, change_src: str, workload: str, count: int,
@@ -142,7 +132,10 @@ def main(argv=None) -> int:
     for src in (args.base, args.change):
         if not os.path.isfile(os.path.join(src, "solitonforge", "__init__.py")):
             p.error(f"{src} holds no solitonforge package")
-    best = compare(args.base, args.change, args.workload, args.count, args.rounds)
+    try:
+        best = compare(args.base, args.change, args.workload, args.count, args.rounds)
+    except NoRequestPath as exc:
+        p.error(str(exc))
     medians = {side: statistics.median(times) for side, times in best.items()}
     wins = sum(c < b for b, c in zip(best["base"], best["change"]))
     n = len(best["base"])
